@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 from . import corpus, evaluation, models, tensorcore, training
 
-SPLIT_FILE = "split.tsv"
-TRAIN_FILE = "train.tsv"
-ATTRS_FILE = "attributes.tsv"
 METRICS_HEADER = "epoch,model,factors,seed,train_loss,hr10,ndcg10,wall_seconds"
 
 
@@ -129,13 +126,6 @@ def metrics_path(out_dir, model, factors):
     return os.path.join(out_dir, f"metrics_{model}_f{factors}.csv")
 
 
-def _load_prepared(out_dir):
-    train = corpus.load_interactions(os.path.join(out_dir, TRAIN_FILE))
-    split = corpus.load_split(os.path.join(out_dir, SPLIT_FILE), train)
-    catalog = corpus.load_catalog(os.path.join(out_dir, ATTRS_FILE))
-    return split, catalog
-
-
 def _model_config(config, split, catalog):
     return models.ModelConfig(
         kind=config.model,
@@ -186,10 +176,7 @@ def cmd_prepare(config, log=print):
         raise CliError(f"unknown --dataset-kind {config.dataset_kind!r}")
 
     split = corpus.leave_one_out_split(parsed.interactions, config.seed)
-    os.makedirs(config.out, exist_ok=True)
-    corpus.save_interactions(split.train, os.path.join(config.out, TRAIN_FILE))
-    corpus.save_split(split, os.path.join(config.out, SPLIT_FILE))
-    corpus.save_catalog(parsed.catalog, os.path.join(config.out, ATTRS_FILE))
+    corpus.save_prepared(config.out, split, parsed.catalog)
 
     data = parsed.interactions
     sparsity = 1.0 - len(data) / (data.num_users * data.num_items)
@@ -213,7 +200,7 @@ def cmd_train(config, log=print):
     config.require_seed()
     config.require_out()
     config.validate_numeric()
-    split, catalog = _load_prepared(config.out)
+    split, catalog = corpus.load_prepared(config.out)
     model_config = _model_config(config, split, catalog)
     csv_file = metrics_path(config.out, config.model, config.factors)
     header = _checkpoint_header(config, model_config)
@@ -255,7 +242,7 @@ def cmd_train(config, log=print):
 def cmd_evaluate(config, ranks_out=None, log=print):
     """Evaluate a written checkpoint on the prepared split."""
     config.require_out()
-    split, catalog = _load_prepared(config.out)
+    split, catalog = corpus.load_prepared(config.out)
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
     model_config = models.ModelConfig(

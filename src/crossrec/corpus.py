@@ -10,6 +10,9 @@ raw id so the mapping is reproducible.
 
 from __future__ import annotations
 
+import math
+import os
+import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +112,14 @@ class SplitDataset:
     def full_user_items(self, user):
         """Sorted items the user interacted with anywhere (train or test)."""
         return np.union1d(self.train.per_user_items[user], [self.test_positives[user]])
+
+
+def full_membership(split):
+    """Sorted encodings of every observed (user, item) pair, train and test."""
+    train = split.train
+    enc = train.users * train.num_items + train.items
+    pos = np.arange(train.num_users, dtype=np.int64) * train.num_items + split.test_positives
+    return np.sort(np.concatenate([enc, pos]))
 
 
 @dataclass
@@ -411,104 +422,119 @@ def leave_one_out_split(data, seed):
     return SplitDataset(train, positives, negatives)
 
 
-# -- serialization ---------------------------------------------------------
+# -- prepared run ----------------------------------------------------------
+# Three files of little-endian int64 .npy (v1.0) records, counts first, read in
+# order by numpy.load(fh, allow_pickle=False): train.npy [U, I], (3, n) users/
+# items/timestamps; split.npy [U, I], positives (U,), negatives (U, 99);
+# attributes.npy [user_vocab, item_vocab], then CSR offsets and flat ids per side.
+
+TRAIN_FILE, SPLIT_FILE, ATTRS_FILE = "train.npy", "split.npy", "attributes.npy"
 
 
-def save_split(split, path):
-    """Text manifest: counts then one 'user<TAB>pos<TAB>neg,...' line per user."""
-    lines = [
-        f"num_users\t{split.train.num_users}",
-        f"num_items\t{split.train.num_items}",
-    ]
-    for u in range(split.train.num_users):
-        negs = ",".join(str(n) for n in split.test_negatives[u])
-        lines.append(f"{u}\t{split.test_positives[u]}\t{negs}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_records(path, records):
+    with open(path, "wb") as fh:  # a handle: np.save given a name appends ".npy"
+        for record in records:
+            np.save(fh, np.ascontiguousarray(record, dtype="<i8"), allow_pickle=False)
 
 
-def load_split(path, train):
-    rows = {}
-    num_users = num_items = None
-    for lineno, line in _read_lines(path):
-        fields = line.split("\t")
-        if fields[0] == "num_users":
-            num_users = int(fields[1])
-        elif fields[0] == "num_items":
-            num_items = int(fields[1])
-        else:
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            rows[int(fields[0])] = (int(fields[1]), [int(x) for x in fields[2].split(",")])
-    if num_users is None or num_items is None or len(rows) != num_users:
-        raise LoadError(f"{path}: incomplete split manifest")
-    if train.num_users != num_users or train.num_items != num_items:
-        raise LoadError(f"{path}: split counts do not match the train set")
-    positives = np.array([rows[u][0] for u in range(num_users)], dtype=np.int64)
-    negatives = np.array([rows[u][1] for u in range(num_users)], dtype=np.int64)
-    if negatives.shape != (num_users, NUM_TEST_NEGATIVES):
-        raise LoadError(f"{path}: expected {NUM_TEST_NEGATIVES} negatives per user")
-    return SplitDataset(train, positives, negatives)
+def _read_records(path, shapes):
+    """One int64 record per expected shape (None: any length) from `path`.
+
+    Headers are checked before data is read: no claimed shape outgrows the file.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        for k, want in enumerate(shapes):
+            try:
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError("not a version 1.0 .npy record")
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            except (ValueError, SyntaxError, tokenize.TokenError) as exc:  # header text
+                raise LoadError(f"{path}: record {k}: {exc}") from None
+            count = math.prod(shape)
+            if (dtype != "<i8" or fortran or len(shape) != len(want) or count * 8 > size - fh.tell()
+                    or any(n < 0 or (w is not None and n != w) for n, w in zip(shape, want))):
+                raise LoadError(f"{path}: record {k} is {dtype} {shape}, expected C-order "
+                                f"int64 {want} within the file")
+            records.append(np.fromfile(fh, dtype="<i8", count=count).reshape(shape))
+        if fh.tell() != size:
+            raise LoadError(f"{path}: {size - fh.tell()} bytes after the last record")
+    return records
 
 
 def save_interactions(iset, path):
-    lines = [f"num_users\t{iset.num_users}", f"num_items\t{iset.num_items}"]
-    for u, i, t in zip(iset.users, iset.items, iset.timestamps):
-        lines.append(f"{u}\t{i}\t{t}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_records(path, [[iset.num_users, iset.num_items], [iset.users, iset.items, iset.timestamps]])
 
 
 def load_interactions(path):
-    users, items, stamps = [], [], []
-    num_users = num_items = None
-    for lineno, line in _read_lines(path):
-        fields = line.split("\t")
-        if fields[0] == "num_users":
-            num_users = int(fields[1])
-        elif fields[0] == "num_items":
-            num_items = int(fields[1])
-        else:
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            users.append(int(fields[0]))
-            items.append(int(fields[1]))
-            stamps.append(int(fields[2]))
-    if num_users is None or num_items is None:
-        raise LoadError(f"{path}: missing count header")
-    return InteractionSet.from_arrays(num_users, num_items, users, items, stamps)
+    counts, columns = _read_records(path, [(2,), (3, None)])
+    num_users, num_items = counts.tolist()
+    if not 0 < num_users <= columns.shape[1] or num_items < 0:  # each user keeps a train item
+        raise LoadError(f"{path}: {num_users} users, {num_items} items and "
+                        f"{columns.shape[1]} interactions do not fit together")
+    return InteractionSet.from_arrays(num_users, num_items, *columns)
+
+
+def save_split(split, path):
+    counts = [split.train.num_users, split.train.num_items]
+    _write_records(path, [counts, split.test_positives, split.test_negatives])
+
+
+def load_split(path, train):
+    """The split of `train`, checked for what sampling and evaluation rely on."""
+    counts, positives, negatives = _read_records(
+        path, [(2,), (train.num_users,), (train.num_users, NUM_TEST_NEGATIVES)])
+    if counts.tolist() != [train.num_users, train.num_items]:
+        raise LoadError(f"{path}: split counts do not match the train set")
+    if any(ids.size and (ids.min() < 0 or ids.max() >= train.num_items) for ids in (positives, negatives)):
+        raise LoadError(f"{path}: a test item lies outside [0, {train.num_items})")
+    if (negatives[:, 1:] <= negatives[:, :-1]).any():
+        raise LoadError(f"{path}: test negatives are not strictly increasing per user")
+    split = SplitDataset(train, positives, negatives)
+    observed = full_membership(split)  # train pairs are unique: a repeat is a positive in train
+    enc = np.arange(train.num_users, dtype=np.int64)[:, None] * train.num_items + negatives
+    found = np.minimum(np.searchsorted(observed, enc), observed.size - 1)
+    if (observed[1:] == observed[:-1]).any() or (observed[found] == enc).any():
+        raise LoadError(f"{path}: a test item is already an observed item of its user")
+    return split
 
 
 def save_catalog(catalog, path):
-    lines = [
-        f"user_vocab\t{catalog.user_vocab_size}",
-        f"item_vocab\t{catalog.item_vocab_size}",
-    ]
-    for tag, attrs in (("u", catalog.user_attrs), ("i", catalog.item_attrs)):
-        for idx, ids in enumerate(attrs):
-            lines.append(f"{tag}\t{idx}\t{','.join(str(a) for a in ids)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    records = [[catalog.user_vocab_size, catalog.item_vocab_size]]
+    for attrs in (catalog.user_attrs, catalog.item_attrs):
+        records += [np.cumsum([0] + [len(ids) for ids in attrs]),
+                    np.concatenate([np.empty(0, np.int64), *attrs])]
+    _write_records(path, records)
 
 
 def load_catalog(path):
-    user_rows, item_rows = {}, {}
-    user_vocab = item_vocab = None
-    for lineno, line in _read_lines(path):
-        fields = line.split("\t")
-        if fields[0] == "user_vocab":
-            user_vocab = int(fields[1])
-        elif fields[0] == "item_vocab":
-            item_vocab = int(fields[1])
-        elif fields[0] in ("u", "i"):
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            target = user_rows if fields[0] == "u" else item_rows
-            target[int(fields[1])] = [int(x) for x in fields[2].split(",")]
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown record tag {fields[0]!r}")
-    if user_vocab is None or item_vocab is None:
-        raise LoadError(f"{path}: missing vocabulary header")
-    user_attrs = [user_rows[k] for k in range(len(user_rows))]
-    item_attrs = [item_rows[k] for k in range(len(item_rows))]
-    return AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
+    vocab, *csr = _read_records(path, [(2,)] + [(None,)] * 4)
+    sides = []
+    for offsets, flat, size in zip(csr[::2], csr[1::2], vocab.tolist()):
+        bounds = offsets.tolist()
+        if bounds[:1] != [0] or bounds[-1] != flat.size or (offsets[1:] < offsets[:-1]).any():
+            raise LoadError(f"{path}: attribute offsets do not run from 0 up to {flat.size}")
+        if flat.max(initial=-1) + 1 != size:  # prepare writes no unused (table-inflating) ids
+            raise LoadError(f"{path}: vocabulary size {size} is not the largest attribute id + 1")
+        sides.append([flat[a:b] for a, b in zip(bounds, bounds[1:])])
+    return AttributeCatalog(*sides, *vocab.tolist())
+
+
+def save_prepared(out_dir, split, catalog):
+    """Write the prepared run (train set, split, attribute catalog) into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_interactions(split.train, os.path.join(out_dir, TRAIN_FILE))
+    save_split(split, os.path.join(out_dir, SPLIT_FILE))
+    save_catalog(catalog, os.path.join(out_dir, ATTRS_FILE))
+
+
+def load_prepared(out_dir):
+    """The (SplitDataset, AttributeCatalog) that save_prepared wrote into out_dir."""
+    train = load_interactions(os.path.join(out_dir, TRAIN_FILE))
+    split = load_split(os.path.join(out_dir, SPLIT_FILE), train)
+    catalog = load_catalog(os.path.join(out_dir, ATTRS_FILE))
+    if (len(catalog.user_attrs), len(catalog.item_attrs)) != (train.num_users, train.num_items):
+        raise LoadError(f"{out_dir}: the catalog rows do not match the {train.num_users} users "
+                        f"and {train.num_items} items")
+    return split, catalog

@@ -396,13 +396,11 @@ def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     for name in grads.names():
         if name not in store:
             raise ShapeError(f"gradient for unknown parameter {name!r}")
-        g = grads.dense.get(name)
-        if g is not None and not np.isfinite(g).all():
+        if name in grads.dense and name in grads.rows:
+            raise ShapeError(f"parameter {name!r} has both a dense and a row gradient")
+        g = grads.dense[name] if name in grads.dense else grads.rows[name][1]
+        if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter {name!r}")
-        if name in grads.rows:
-            _, rg = grads.rows[name]
-            if not np.isfinite(rg).all():
-                raise NumericsError(f"non-finite gradient for parameter {name!r}")
 
     store.step += 1
     t = store.step
@@ -421,26 +419,11 @@ def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
 
     for name in grads.names():
         entry = store._entries[name]
-        dense_g = grads.dense.get(name)
-        row_entry = grads.rows.get(name)
-        if row_entry is not None and dense_g is not None:
-            # rare mixed case: fold the rows into one dense update
-            g = grads.as_dense(store, name)
-            value, m, v = apply(entry["value"], entry["m"], entry["v"], g)
-            entry["value"][...] = value
-            entry["m"][...] = m
-            entry["v"][...] = v
-        elif dense_g is not None:
-            value, m, v = apply(entry["value"], entry["m"], entry["v"], dense_g)
-            entry["value"][...] = value
-            entry["m"][...] = m
-            entry["v"][...] = v
-        else:
-            ids, g = row_entry
-            value, m, v = apply(entry["value"][ids], entry["m"][ids], entry["v"][ids], g)
-            entry["value"][ids] = value
-            entry["m"][ids] = m
-            entry["v"][ids] = v
+        ids, g = (Ellipsis, grads.dense[name]) if name in grads.dense else grads.rows[name]
+        value, m, v = apply(entry["value"][ids], entry["m"][ids], entry["v"][ids], g)
+        entry["value"][ids] = value
+        entry["m"][ids] = m
+        entry["v"][ids] = v
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -484,12 +467,14 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (ParameterStore, header dict)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    cut = blob.index(b"\ndata ")
-    end_of_manifest = blob.index(b"\n", cut + 1) + 1
+    if not blob.startswith(CHECKPOINT_MAGIC.encode("utf-8") + b"\n"):
+        raise ValueError(f"{path}: not a crossrec checkpoint")
+    cut = blob.find(b"\ndata ")
+    end_of_manifest = blob.find(b"\n", cut + 1) + 1
+    if cut < 0 or end_of_manifest == 0:
+        raise ValueError(f"{path}: checkpoint manifest has no data line")
     manifest = blob[:end_of_manifest].decode("utf-8").splitlines()
     data = blob[end_of_manifest:]
-    if manifest[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a crossrec checkpoint")
     header = {}
     step = 0
     tensors = []
@@ -514,12 +499,17 @@ def load_checkpoint(path):
     ordered = []
     for name, rows, cols, offset in tensors:
         nbytes = rows * cols * 4
+        if min(rows, cols, offset) < 0 or offset + nbytes > len(data):
+            raise ValueError(f"{path}: tensor {name} lies outside the checkpoint payload")
         raw = np.frombuffer(data[offset:offset + nbytes], dtype="<f4")
         arrays[name] = raw.reshape(rows, cols).copy()
         if not name.endswith((".m", ".v")):
             ordered.append(name)
     for name in ordered:
         store._add(name, arrays[name])
-        store._entries[name]["m"][...] = arrays[f"{name}.m"]
-        store._entries[name]["v"][...] = arrays[f"{name}.v"]
+        for key in ("m", "v"):
+            moment = arrays.get(f"{name}.{key}")
+            if moment is None or moment.shape != arrays[name].shape:
+                raise ValueError(f"{path}: tensor {name}.{key} is missing or misshapen")
+            store._entries[name][key][...] = moment
     return store, header

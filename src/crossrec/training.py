@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluation, models
+from . import corpus, evaluation, models
 from . import tensorcore as tc
 
 LOSS_CLAMP = 1e-7
@@ -59,14 +59,6 @@ class TrainResult:
         return 1 + max(range(len(self.eval_reports)), key=lambda i: self.eval_reports[i].hr_at_10)
 
 
-def _full_membership(split):
-    """Sorted encodings of every observed (user, item) pair, train and test."""
-    train = split.train
-    enc = train.users * train.num_items + train.items
-    pos = np.arange(train.num_users, dtype=np.int64) * train.num_items + split.test_positives
-    return np.sort(np.concatenate([enc, pos]))
-
-
 def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     """Yield shuffled batches of one epoch's positives plus fresh negatives.
 
@@ -76,7 +68,7 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
     train = split.train
-    observed = _full_membership(split)
+    observed = corpus.full_membership(split)
     rng = tc.seeded_rng(seed, "epoch", epoch)
 
     neg_users = np.repeat(train.users, negative_ratio)
@@ -200,8 +192,6 @@ class GradcheckReport:
 
 
 def _tiny_fixture(kind, seed, num_users=4, num_items=5, factors=4, layers=(8, 4, 2)):
-    from . import corpus
-
     rng = tc.seeded_rng(seed, "gradcheck-data")
     config = models.ModelConfig(
         kind=kind,

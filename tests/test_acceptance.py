@@ -157,7 +157,7 @@ def test_criterion_7_determinism(tmp_path):
             assert cli.cmd_evaluate(config, log=eval_lines.append) == 0
             outs.append((out, eval_lines))
 
-        for name in (cli.SPLIT_FILE, cli.TRAIN_FILE, cli.ATTRS_FILE):
+        for name in (corpus.SPLIT_FILE, corpus.TRAIN_FILE, corpus.ATTRS_FILE):
             a = open(os.path.join(outs[0][0], name), "rb").read()
             b = open(os.path.join(outs[1][0], name), "rb").read()
             assert a == b, name

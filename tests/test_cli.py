@@ -1,11 +1,15 @@
+import io
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import ml1m_dir, requires_ml1m
+from conftest import ml1m_dir, requires_ml1m, write_generic_dataset
 from crossrec import cli, corpus, models
 from crossrec import tensorcore as tc
 
@@ -40,8 +44,26 @@ class TestPrepare:
         assert int(lines["items"]) <= 140
         sparsity = float(lines["sparsity"])
         assert sparsity == 1.0 - int(lines["interactions"]) / (30 * int(lines["items"]))
-        for name in (cli.SPLIT_FILE, cli.TRAIN_FILE, cli.ATTRS_FILE):
+        for name in (corpus.SPLIT_FILE, corpus.TRAIN_FILE, corpus.ATTRS_FILE):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_artifacts_are_int64_npy_records(self, generic_dataset, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        code, stdout, _ = run_cli(prepare_args(generic_dataset, out), capsys)
+        assert code == 0
+        lines = dict(l.split("\t") for l in stdout.splitlines())
+        users, items = int(lines["users"]), int(lines["items"])
+        shapes = {
+            name: [r.shape for r in read_records(os.path.join(out, name))]
+            for name in PREPARED_FILES
+        }
+        train_pairs = int(lines["interactions"]) - users
+        assert shapes[corpus.TRAIN_FILE] == [(2,), (3, train_pairs)]
+        assert shapes[corpus.SPLIT_FILE] == [(2,), (users,), (users, 99)]
+        vocab, user_offsets, _, item_offsets, _ = shapes[corpus.ATTRS_FILE]
+        assert (vocab, user_offsets, item_offsets) == ((2,), (users + 1,), (items + 1,))
+        for name in PREPARED_FILES:
+            assert all(r.dtype == np.dtype("<i8") for r in read_records(os.path.join(out, name)))
 
     def test_rerun_is_checksum_identical(self, generic_dataset, tmp_path, capsys):
         outs = []
@@ -50,7 +72,7 @@ class TestPrepare:
             code, _, _ = run_cli(prepare_args(generic_dataset, out), capsys)
             assert code == 0
             outs.append(out)
-        for name in (cli.SPLIT_FILE, cli.TRAIN_FILE, cli.ATTRS_FILE):
+        for name in (corpus.SPLIT_FILE, corpus.TRAIN_FILE, corpus.ATTRS_FILE):
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
@@ -95,7 +117,7 @@ class TestPrepare:
             capsys,
         )
         assert code == 0
-        catalog = corpus.load_catalog(os.path.join(out, cli.ATTRS_FILE))
+        catalog = corpus.load_catalog(os.path.join(out, corpus.ATTRS_FILE))
         # 3 consolidated names + the single pin-count bucket (all users < 41 pins),
         # instead of the 5 raw category names
         assert catalog.user_vocab_size == 4
@@ -117,6 +139,25 @@ def prepared(generic_dataset, tmp_path, capsys):
     code, _, _ = run_cli(prepare_args(generic_dataset, out), capsys)
     assert code == 0
     return out
+
+
+PREPARED_FILES = (corpus.TRAIN_FILE, corpus.SPLIT_FILE, corpus.ATTRS_FILE)
+
+
+def read_records(path):
+    """Every .npy record of a prepared file, in order."""
+    records, size = [], os.path.getsize(path)
+    with open(path, "rb") as fh:
+        while fh.tell() < size:
+            records.append(np.load(fh, allow_pickle=False))
+    return records
+
+
+def npy_bytes(records):
+    buf = io.BytesIO()
+    for record in records:
+        np.save(buf, record)
+    return buf.getvalue()
 
 
 def train_args(out, model="gmf", factors=4, epochs=2, seed=11, extra=()):
@@ -234,6 +275,33 @@ class TestEvaluate:
         assert len(lines) == 30
         ranks = [int(l.split("\t")[1]) for l in lines]
         assert all(1 <= r <= 100 for r in ranks)
+
+
+def _short_payload(blob):
+    """Drop the last tensor's final bytes and restate the payload size to match."""
+    head, rest = blob.split(b"\ndata ", 1)
+    size, payload = rest.split(b"\n", 1)
+    return head + b"\ndata %d\n" % (int(size) - 4) + payload[:-4]
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda blob: blob.replace(b"tensor out_b.m ", b"tensor out_c.m ", 1), "out_b.m"),
+        (lambda blob: b"user\trank\n0\t1\n", "not a crossrec checkpoint"),
+        (_short_payload, "tensor out_b.v lies outside"),
+    ], ids=["renamed-moment", "not-a-checkpoint", "tensor-past-payload"])
+    def test_damaged_checkpoint_exits_1(self, prepared, capsys, tamper, message):
+        assert run_cli(train_args(prepared, epochs=1), capsys)[0] == 0
+        path = cli.ckpt_path(prepared, "gmf", 4)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(tamper(blob))
+        code, _, err = run_cli(
+            ["evaluate", "--model", "gmf", "--factors", "4", "--out", prepared], capsys
+        )
+        assert code == 1
+        assert "crossrec: error:" in err and message in err
 
 
 class TestGradcheckCommand:
@@ -420,3 +488,142 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+# -- damaged prepared runs -----------------------------------------------------
+
+
+def _user0_train_items(train):
+    _, columns = train
+    return columns[1][columns[0] == 0]
+
+
+def _own_every_item(records, train):
+    # user 0 observes the whole catalog in train, their positive included:
+    # no unobserved item is left for the sampler to draw
+    counts, columns = records
+    missing = np.setdiff1d(np.arange(counts[1]), _user0_train_items(train))
+    extra = np.stack([np.zeros_like(missing), missing, np.zeros_like(missing)])
+    return [counts, np.concatenate([columns, extra], axis=1)]
+
+
+def _negative_observed(records, train):
+    counts, positives, negatives = records
+    negatives[0] = np.sort(np.append(negatives[0][1:], _user0_train_items(train)[0]))
+    return [counts, positives, negatives]
+
+
+def _drop_last_user(records, _train):
+    vocab, offsets, flat, *items = records
+    return [vocab, offsets[:-1], flat[:offsets[-2]], *items]
+
+
+def _set(index, position, value):
+    """A mutation that sets records[index][position] = value(records, train)."""
+    def mutate(records, train):
+        records[index][position] = value(records, train)
+        return records
+    return mutate
+
+
+# name -> (file, mutation(records, train records) -> records, expected message)
+VIOLATIONS = {
+    "more-users-than-interactions": (
+        corpus.TRAIN_FILE, _set(0, 0, lambda r, _t: r[1].shape[1] + 1), "do not fit"),
+    "every-item-observed": (corpus.TRAIN_FILE, _own_every_item, "already an observed item"),
+    "split-counts": (corpus.SPLIT_FILE, _set(0, 1, lambda r, _t: r[0][1] + 1), "split counts"),
+    "positive-out-of-range": (
+        corpus.SPLIT_FILE, _set(1, 0, lambda r, _t: r[0][1]), "lies outside"),
+    "negative-out-of-range": (
+        corpus.SPLIT_FILE, _set(2, (0, -1), lambda r, _t: r[0][1]), "lies outside"),
+    "negatives-unsorted": (
+        corpus.SPLIT_FILE, _set(2, (0, 0), lambda r, _t: r[2][0, 1]), "strictly increasing"),
+    "positive-in-train": (corpus.SPLIT_FILE, _set(1, 0, lambda _r, t: _user0_train_items(t)[0]),
+                          "already an observed item"),
+    "negative-observed": (corpus.SPLIT_FILE, _negative_observed, "already an observed item"),
+    "catalog-user-short": (corpus.ATTRS_FILE, _drop_last_user, "catalog rows do not match"),
+    "offsets-not-from-zero": (corpus.ATTRS_FILE, _set(1, 0, lambda r, _t: 1), "offsets"),
+    "offsets-decreasing": (corpus.ATTRS_FILE, _set(1, 1, lambda r, _t: r[1][2] + 1), "offsets"),
+    "offsets-short-of-ids": (corpus.ATTRS_FILE, _set(1, -1, lambda r, _t: r[1][-1] - 1), "offsets"),
+    "vocabulary-unused-ids": (
+        corpus.ATTRS_FILE, _set(0, 0, lambda r, _t: r[0][0] + 1000), "largest attribute id"),
+}
+
+
+def _old_tsv(records):
+    return b"num_users\t30\nnum_items\t140\n0\t5\t1000\n"
+
+
+def _huge_header(records):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<i8", "fortran_order": False, "shape": (10**10,)})
+    return buf.getvalue() + bytes(64)
+
+
+NAMED_DAMAGE = {
+    "empty": lambda records: b"",
+    "old-tsv": _old_tsv,
+    "huge-header": _huge_header,
+    "float64-record": lambda records: npy_bytes([records[0].astype(np.float64), *records[1:]]),
+    "wrong-ndim": lambda records: npy_bytes([records[0][None, :], *records[1:]]),
+}
+
+
+@pytest.fixture(scope="module")
+def pristine_run(tmp_path_factory):
+    """A prepared run that tests copy before damaging it."""
+    base = tmp_path_factory.mktemp("pristine")
+    parsed = corpus.parse_generic(*write_generic_dataset(str(base)))
+    out = str(base / "run")
+    corpus.save_prepared(out, corpus.leave_one_out_split(parsed.interactions, 11), parsed.catalog)
+    return out
+
+
+def _damaged_copy(pristine, directory, name, blob):
+    for other in PREPARED_FILES:
+        shutil.copy(os.path.join(pristine, other), directory)
+    with open(os.path.join(directory, name), "wb") as fh:
+        fh.write(blob)
+
+
+class TestDamagedPreparedRun:
+    @pytest.mark.parametrize("violation", sorted(VIOLATIONS))
+    def test_broken_invariant_exits_1(self, pristine_run, tmp_path, capsys, violation):
+        name, mutate, message = VIOLATIONS[violation]
+        train = read_records(os.path.join(pristine_run, corpus.TRAIN_FILE))
+        records = mutate(read_records(os.path.join(pristine_run, name)), train)
+        _damaged_copy(pristine_run, str(tmp_path), name, npy_bytes(records))
+        code, _, err = run_cli(train_args(str(tmp_path), model="camf", epochs=1), capsys)
+        assert code == 1
+        assert "crossrec: error:" in err and message in err
+
+    @pytest.mark.parametrize("damage", sorted(NAMED_DAMAGE))
+    @pytest.mark.parametrize("name", PREPARED_FILES)
+    def test_unreadable_record_exits_1_naming_file(self, pristine_run, tmp_path, capsys,
+                                                    damage, name):
+        records = read_records(os.path.join(pristine_run, name))
+        _damaged_copy(pristine_run, str(tmp_path), name, NAMED_DAMAGE[damage](records))
+        code, _, err = run_cli(train_args(str(tmp_path), model="camf", epochs=1), capsys)
+        assert code == 1
+        assert "crossrec: error:" in err and name in err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(PREPARED_FILES), data=st.data())
+    def test_truncated_or_flipped_file_never_escapes(self, pristine_run, capsys, name, data):
+        with open(os.path.join(pristine_run, name), "rb") as fh:
+            blob = fh.read()
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:at]
+        else:
+            flip = data.draw(st.integers(1, 255), label="xor")
+            blob = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+        with tempfile.TemporaryDirectory() as out:
+            _damaged_copy(pristine_run, out, name, blob)
+            for argv in (train_args(out, model="camf", epochs=1),
+                         ["evaluate", "--model", "camf", "--factors", "4", "--out", out]):
+                code, _, err = run_cli(argv, capsys)
+                assert code in (0, 1, 2)
+                assert code == 0 or err.startswith("crossrec: ")

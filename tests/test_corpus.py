@@ -336,7 +336,7 @@ class TestLeaveOneOut:
         blobs = []
         for run in range(2):
             split = corpus.leave_one_out_split(data, seed=33)
-            path = tmp_path / f"split{run}.tsv"
+            path = tmp_path / f"split{run}.npy"
             corpus.save_split(split, str(path))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
@@ -371,18 +371,18 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(10)
         data = _random_interactions(rng)
         split = corpus.leave_one_out_split(data, seed=2)
-        corpus.save_interactions(split.train, str(tmp_path / "train.tsv"))
-        corpus.save_split(split, str(tmp_path / "split.tsv"))
-        train = corpus.load_interactions(str(tmp_path / "train.tsv"))
-        loaded = corpus.load_split(str(tmp_path / "split.tsv"), train)
+        corpus.save_interactions(split.train, str(tmp_path / "train.npy"))
+        corpus.save_split(split, str(tmp_path / "split.npy"))
+        train = corpus.load_interactions(str(tmp_path / "train.npy"))
+        loaded = corpus.load_split(str(tmp_path / "split.npy"), train)
         assert np.array_equal(loaded.test_positives, split.test_positives)
         assert np.array_equal(loaded.test_negatives, split.test_negatives)
         assert np.array_equal(train.users, split.train.users)
         assert np.array_equal(train.timestamps, split.train.timestamps)
 
     def test_catalog_round_trip(self, tmp_path, tiny_catalog):
-        corpus.save_catalog(tiny_catalog, str(tmp_path / "attrs.tsv"))
-        loaded = corpus.load_catalog(str(tmp_path / "attrs.tsv"))
+        corpus.save_catalog(tiny_catalog, str(tmp_path / "attrs.npy"))
+        loaded = corpus.load_catalog(str(tmp_path / "attrs.npy"))
         assert loaded.user_vocab_size == tiny_catalog.user_vocab_size
         assert loaded.item_vocab_size == tiny_catalog.item_vocab_size
         assert all(np.array_equal(a, b) for a, b in zip(loaded.user_attrs, tiny_catalog.user_attrs))

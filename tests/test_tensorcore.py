@@ -245,6 +245,15 @@ class TestAdam:
         with pytest.raises(tc.NumericsError, match="'p'"):
             tc.adam_step(store, grads)
 
+    def test_dense_and_row_gradient_for_one_name_rejected(self):
+        store = make_store(emb=np.zeros((3, 2)))
+        grads = tc.GradientBuffer(
+            dense={"emb": np.ones((3, 2))}, rows={"emb": (np.array([1]), np.ones((1, 2)))}
+        )
+        with pytest.raises(tc.ShapeError, match="'emb'"):
+            tc.adam_step(store, grads)
+        assert store.step == 0 and not store.value("emb").any()
+
     def test_bad_betas_rejected(self):
         store = make_store(p=[[0.0]])
         grads = tc.GradientBuffer(dense={"p": np.array([[0.5]])})
