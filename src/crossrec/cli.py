@@ -239,24 +239,46 @@ def cmd_train(config, log=print):
     return 0
 
 
+def _checkpoint_model_config(path, header):
+    """The ModelConfig a checkpoint header describes (the inverse of _checkpoint_header)."""
+    def entry(key, parse=int):
+        if key not in header:
+            raise CliError(f"checkpoint {path} header has no {key!r} entry")
+        try:
+            return parse(header[key])
+        except ValueError:
+            raise CliError(f"checkpoint {path} header entry {key!r} is malformed: "
+                           f"{header[key]!r}") from None
+
+    return models.ModelConfig(
+        kind=entry("model", str),
+        num_users=entry("num_users"),
+        num_items=entry("num_items"),
+        factors=entry("factors"),
+        mlp_layers=entry("layers", lambda text: tuple(int(w) for w in text.split(","))),
+        user_vocab_size=entry("user_vocab"),
+        item_vocab_size=entry("item_vocab"),
+        include_attr_cross=bool(entry("include_attr_cross")),
+    )
+
+
 def cmd_evaluate(config, ranks_out=None, log=print):
     """Evaluate a written checkpoint on the prepared split."""
     config.require_out()
     split, catalog = corpus.load_prepared(config.out)
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
-    model_config = models.ModelConfig(
-        kind=header["model"],
-        num_users=int(header["num_users"]),
-        num_items=int(header["num_items"]),
-        factors=int(header["factors"]),
-        mlp_layers=tuple(int(w) for w in header["layers"].split(",")),
-        user_vocab_size=int(header["user_vocab"]),
-        item_vocab_size=int(header["item_vocab"]),
-        include_attr_cross=bool(int(header.get("include_attr_cross", "0"))),
-    )
+    model_config = _checkpoint_model_config(path, header)
     if model_config.num_users != split.train.num_users or model_config.num_items != split.train.num_items:
         raise CliError(f"checkpoint {path} does not match the prepared dataset")
+    expected = {name: shape for name, shape, _init in models.parameter_shapes(model_config)}
+    found = {name: store.shape(name) for name in store.names()}
+    for name in sorted(set(expected) | set(found)):
+        if found.get(name) != expected.get(name):
+            raise CliError(
+                f"checkpoint {path} parameter {name!r} has shape {found.get(name, 'absent')}, "
+                f"but its {model_config.kind} header needs {expected.get(name, 'absent')}"
+            )
     report = evaluation.evaluate(model_config, store, split, catalog, keep_ranks=ranks_out is not None)
     if ranks_out:
         evaluation.save_ranks(report, ranks_out)

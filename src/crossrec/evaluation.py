@@ -1,9 +1,14 @@
 """Ranking the held-out positive among its 99 negatives: HR@10 and NDCG@10.
 
 Ties count against the positive, so a constant scorer earns zero rather
-than inflated metrics. Per-user scores come from one fixed-shape forward
-per user and the averages accumulate in user-id order, which makes the
-report independent of any evaluation-side reordering.
+than inflated metrics. Scores come from forwards over
+EVAL_USERS_PER_FORWARD users at a time, each user's positive followed by
+its negatives. Every primitive computes a row independently of the other
+rows in its batch (for matmul see Tape.dense), so a user's scores are
+bitwise those of a forward over that user alone; the tests hold them to
+that per-user forward and rank_position. The averages accumulate in
+user-id order, which makes the report independent of any
+evaluation-side reordering.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ import numpy as np
 
 from . import models
 from .tensorcore import Tape
+
+
+# users per forward: 16 x 100 rows keeps the forward's temporaries small
+# next to the corpus while amortising the per-primitive Python overhead
+EVAL_USERS_PER_FORWARD = 16
 
 
 class EvaluationError(RuntimeError):
@@ -51,20 +61,28 @@ def ndcg_at_k(rank, k=10):
 def evaluate(config, store, split, catalog=None, k=10, keep_ranks=False):
     """Score each user's positive plus pre-drawn negatives and average HR/NDCG."""
     num_users = split.train.num_users
-    ranks = np.empty(num_users, dtype=np.int64) if keep_ranks else None
+    candidates = np.concatenate(
+        [np.asarray(split.test_positives)[:, None], split.test_negatives], axis=1
+    )
+    width = candidates.shape[1]
+    ranks = np.empty(num_users, dtype=np.int64)
+    for start in range(0, num_users, EVAL_USERS_PER_FORWARD):
+        block = candidates[start:start + EVAL_USERS_PER_FORWARD]
+        users = np.repeat(np.arange(start, start + len(block), dtype=np.int64), width)
+        tape = Tape(store, record=False)
+        node = models.score(tape, config, users, block.reshape(-1), catalog)
+        scores = models.predictions(node).reshape(len(block), width)
+        if not np.isfinite(scores).all():
+            raise EvaluationError("non-finite score in ranking")
+        # pessimistic ties, as in rank_position: the positive counts among its ties
+        positive = scores[:, :1]
+        ranks[start:start + len(block)] = (scores > positive).sum(1) + (scores == positive).sum(1)
     hr_total = 0.0
     ndcg_total = 0.0
-    for u in range(num_users):
-        items = np.concatenate([[split.test_positives[u]], split.test_negatives[u]])
-        users = np.full(items.size, u, dtype=np.int64)
-        tape = Tape(store, record=False)
-        scores = models.predictions(models.score(tape, config, users, items, catalog))
-        rank = rank_position(scores, 0)
+    for rank in ranks.tolist():
         hr_total += hr_at_k(rank, k)
         ndcg_total += ndcg_at_k(rank, k)
-        if keep_ranks:
-            ranks[u] = rank
-    return EvalReport(hr_total / num_users, ndcg_total / num_users, ranks)
+    return EvalReport(hr_total / num_users, ndcg_total / num_users, ranks if keep_ranks else None)
 
 
 def save_ranks(report, path):

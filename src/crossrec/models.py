@@ -211,18 +211,16 @@ def pairwise_pool(entity, attrs):
 def _pool(tape, entity, table_name, ragged):
     """Batched pairwise pooling against embedding-table rows.
 
-    `ragged` is (flat ids, segments, batch); ids are summed in sorted order
-    per segment, and empty segments fall back to the entity row itself.
+    `ragged` is (flat ids, segments, batch), sorted by (segment, id) as
+    RaggedRows.gather yields it; ids are summed in that order, and empty
+    segments fall back to the entity row itself.
     """
     flat, segments, count = tc._normalize_ragged(ragged)
     if count != entity.value.shape[0]:
         raise tc.ShapeError("pool segment count does not match the entity batch")
     rows = tape.embed_lookup(table_name, flat)
-    d = entity.value.shape[1]
-    s = np.zeros((count, d), dtype=np.float64)
-    np.add.at(s, segments, rows.value)
-    sq = np.zeros((count, d), dtype=np.float64)
-    np.add.at(sq, segments, rows.value * rows.value)
+    s = tc.segment_sum(rows.value, segments, count)
+    sq = tc.segment_sum(rows.value * rows.value, segments, count)
     e = entity.value
     t = e + s
     value = (t * t - e * e - sq) / 2.0

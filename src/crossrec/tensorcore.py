@@ -9,6 +9,7 @@ sparse (per-row) so the optimizer never touches rows a batch did not read.
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,22 +147,46 @@ def _normalize_ragged(ragged):
     """Accept a list of id sequences or a (flat, segments, count) triple.
 
     Returns (flat, segments, count) with ids sorted within each segment so
-    downstream sums are independent of the caller's ordering.
+    downstream sums are independent of the caller's ordering. A list is
+    sorted here; a triple (what RaggedRows.gather yields from a catalog,
+    whose rows are stored sorted) must already be sorted by (segment, id)
+    with segments inside [0, count), and is checked rather than sorted.
     """
     if isinstance(ragged, tuple) and len(ragged) == 3:
         flat, segments, count = ragged
         flat = _as_ids(flat)
         segments = _as_ids(segments)
-    else:
-        pieces = [_as_ids(seq) for seq in ragged]
-        count = len(pieces)
-        flat = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        segments = np.repeat(np.arange(count, dtype=np.int64), [p.size for p in pieces])
+        if flat.size != segments.size:
+            raise ShapeError(f"ragged ids ({flat.size}) and segments ({segments.size}) differ")
+        if flat.size:
+            step = np.diff(segments)
+            if (segments[0] < 0 or segments[-1] >= count
+                    or ((step < 0) | ((step == 0) & (np.diff(flat) < 0))).any()):
+                raise ShapeError("ragged triple is not sorted by (segment, id) within its count")
+        return flat, segments, count
+    pieces = [_as_ids(seq) for seq in ragged]
+    count = len(pieces)
+    flat = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    segments = np.repeat(np.arange(count, dtype=np.int64), [p.size for p in pieces])
     if flat.size:
         order = np.lexsort((flat, segments))
         flat = flat[order]
         segments = segments[order]
     return flat, segments, count
+
+
+def segment_sum(values, segments, count):
+    """Row sums per segment: out[s] = sum of values[i] over i with segments[i] == s.
+
+    np.bincount adds each column in index order starting from 0.0, the
+    order of numpy's unbuffered add.at, so the bits match it whatever the
+    segment lengths. (np.add.reduceat reduces runs of 8 or more pairwise
+    and would not.)
+    """
+    out = np.empty((count, values.shape[1]), dtype=np.float64)
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(segments, weights=values[:, j], minlength=count)
+    return out
 
 
 class Tape:
@@ -228,10 +253,7 @@ class Tape:
         table = self.store.value(name)
         if flat.size and (flat.min() < 0 or flat.max() >= table.shape[0]):
             raise ShapeError(f"row id out of range for {name!r} ({table.shape[0]} rows)")
-        rows = table[flat].astype(np.float64)
-        out = np.zeros((count, table.shape[1]), dtype=np.float64)
-        np.add.at(out, segments, rows)
-        node = Node(out)
+        node = Node(segment_sum(table[flat].astype(np.float64), segments, count))
         if self.recording:
             def back(g, flat=flat, segments=segments, name=name):
                 self._row_chunks.setdefault(name, []).append((flat, g[segments]))
@@ -276,7 +298,10 @@ class Tape:
 
         Width-1 outputs are reduced with numpy's pairwise row sum rather than
         BLAS so a single instance scores bit-identically whatever batch it
-        rides in; wider outputs take the fast matmul.
+        rides in; wider outputs take the fast matmul. Batched evaluation also
+        relies on each matmul row being independent of the batch, which BLAS
+        does not promise; TestChunkedEvaluate.test_matches_per_user_oracle_bitwise
+        in tests/test_evaluation.py guards it for every model kind.
         """
         w = self.store.value(weight_name).astype(np.float64)
         if x.value.shape[1] != w.shape[0]:
@@ -375,9 +400,7 @@ class Tape:
             ids = np.concatenate([c[0] for c in chunks])
             grads = np.concatenate([c[1] for c in chunks], axis=0)
             uniq, inverse = np.unique(ids, return_inverse=True)
-            summed = np.zeros((uniq.size, grads.shape[1]), dtype=np.float64)
-            np.add.at(summed, inverse, grads)
-            buffer.rows[name] = (uniq, summed)
+            buffer.rows[name] = (uniq, segment_sum(grads, inverse, uniq.size))
         self._ops = []
         self._dense_grads = {}
         self._row_chunks = {}
@@ -433,8 +456,9 @@ def save_checkpoint(path, store, header=None):
     """Write a text manifest plus raw little-endian float32 blocks.
 
     Per parameter the manifest lists three tensors (value and both moment
-    buffers); byte offsets are relative to the end of the manifest. The
-    round trip is bit-exact, so checkpoints can be checksummed.
+    buffers); byte offsets are relative to the end of the manifest, and a
+    crc32 line checksums the payload. The round trip is bit-exact, so
+    checkpoints can be checksummed.
     """
     header = dict(header or {})
     lines = [CHECKPOINT_MAGIC]
@@ -454,17 +478,48 @@ def save_checkpoint(path, store, header=None):
             lines.append(f"tensor {name}{suffix} {rows} {cols} {offset}")
             blocks.append(data)
             offset += len(data)
+    payload = b"".join(blocks)
+    lines.append(f"crc32 {zlib.crc32(payload)}")
     lines.append(f"data {offset}")
     lines.append("")
-    payload = "\n".join(lines).encode("utf-8") + b"".join(blocks)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.write("\n".join(lines).encode("utf-8") + payload)
     os.replace(tmp, path)
 
 
+def _is_count(text):
+    """True for a non-negative decimal integer written in ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _read_manifest(path, lines):
+    """(header, {step, crc32, data}, tensors) from manifest lines after the magic."""
+    header, counts, tensors = {}, {}, []
+    for lineno, line in enumerate(lines, start=2):
+        kind, _, rest = line.partition(" ")
+        key, gap, value = rest.partition(" ")
+        fields = rest.split(" ")
+        if kind == "meta" and key and gap:
+            header[key] = value
+        elif kind in ("step", "crc32", "data") and kind not in counts and _is_count(rest):
+            counts[kind] = int(rest)
+        elif kind == "tensor" and len(fields) == 4 and all(map(_is_count, fields[1:])):
+            tensors.append((fields[0], *map(int, fields[1:])))
+        else:
+            raise ValueError(f"{path}: line {lineno}: malformed checkpoint manifest line {line!r}")
+    for kind in ("step", "crc32"):
+        if kind not in counts:
+            raise ValueError(f"{path}: checkpoint manifest has no {kind} line")
+    return header, counts, tensors
+
+
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (ParameterStore, header dict)."""
+    """Inverse of save_checkpoint: returns (ParameterStore, header dict).
+
+    Raises ValueError naming the file for a malformed manifest line, tensors
+    that do not tile the payload in order, or a payload whose crc32 differs.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC.encode("utf-8") + b"\n"):
@@ -473,40 +528,37 @@ def load_checkpoint(path):
     end_of_manifest = blob.find(b"\n", cut + 1) + 1
     if cut < 0 or end_of_manifest == 0:
         raise ValueError(f"{path}: checkpoint manifest has no data line")
-    manifest = blob[:end_of_manifest].decode("utf-8").splitlines()
+    try:
+        manifest = blob[:end_of_manifest].decode("utf-8").split("\n")[1:-1]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: checkpoint manifest is not UTF-8 text") from None
     data = blob[end_of_manifest:]
-    header = {}
-    step = 0
-    tensors = []
-    for line in manifest[1:]:
-        if not line:
-            continue
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
-            key, value = rest.split(" ", 1)
-            header[key] = value
-        elif kind == "step":
-            step = int(rest)
-        elif kind == "tensor":
-            name, rows, cols, offset = rest.rsplit(" ", 3)
-            tensors.append((name, int(rows), int(cols), int(offset)))
-        elif kind == "data":
-            if int(rest) != len(data):
-                raise ValueError(f"{path}: truncated checkpoint payload")
+    header, counts, tensors = _read_manifest(path, manifest)
+    if counts["data"] != len(data):
+        raise ValueError(f"{path}: truncated checkpoint payload")
+    offset = 0
+    for name, rows, cols, start in tensors:
+        if start != offset or start + rows * cols * 4 > len(data):
+            raise ValueError(f"{path}: tensor {name} lies outside its slot in the checkpoint payload")
+        offset += rows * cols * 4
+    if offset != len(data):
+        raise ValueError(f"{path}: checkpoint payload has {len(data) - offset} bytes past its tensors")
+    if zlib.crc32(data) != counts["crc32"]:
+        raise ValueError(f"{path}: checkpoint payload does not match its crc32")
     store = ParameterStore()
-    store.step = step
+    store.step = counts["step"]
     arrays = {}
     ordered = []
     for name, rows, cols, offset in tensors:
-        nbytes = rows * cols * 4
-        if min(rows, cols, offset) < 0 or offset + nbytes > len(data):
-            raise ValueError(f"{path}: tensor {name} lies outside the checkpoint payload")
-        raw = np.frombuffer(data[offset:offset + nbytes], dtype="<f4")
+        raw = np.frombuffer(data[offset:offset + rows * cols * 4], dtype="<f4")
         arrays[name] = raw.reshape(rows, cols).copy()
         if not name.endswith((".m", ".v")):
             ordered.append(name)
     for name in ordered:
-        store._add(name, arrays[name])
+        try:
+            store._add(name, arrays[name])
+        except ShapeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         for key in ("m", "v"):
             moment = arrays.get(f"{name}.{key}")
             if moment is None or moment.shape != arrays[name].shape:

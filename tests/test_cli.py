@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -284,24 +285,52 @@ def _short_payload(blob):
     return head + b"\ndata %d\n" % (int(size) - 4) + payload[:-4]
 
 
+def _payload_start(blob):
+    return blob.index(b"\n", blob.index(b"\ndata ") + 1) + 1
+
+
+def _flip_item_exponents(blob):
+    """XOR one exponent bit in 40 item_emb floats (offsets from the manifest)."""
+    offset = int(re.search(rb"\ntensor item_emb \d+ \d+ (\d+)\n", blob).group(1))
+    damaged = bytearray(blob)
+    for k in range(40):
+        damaged[_payload_start(blob) + offset + 4 * k + 3] ^= 0x01
+    return bytes(damaged)
+
+
 class TestCheckpointErrors:
     @pytest.mark.parametrize("tamper, message", [
         (lambda blob: blob.replace(b"tensor out_b.m ", b"tensor out_c.m ", 1), "out_b.m"),
         (lambda blob: b"user\trank\n0\t1\n", "not a crossrec checkpoint"),
         (_short_payload, "tensor out_b.v lies outside"),
-    ], ids=["renamed-moment", "not-a-checkpoint", "tensor-past-payload"])
+        (lambda blob: re.sub(rb"\nstep (\d+)\n", rb"\nstep\1\n", blob),
+         "malformed checkpoint manifest line 'step"),
+        (lambda blob: re.sub(rb"\nmeta layers [^\n]*", b"", blob), "no 'layers' entry"),
+        (lambda blob: blob.replace(b"meta factors 4", b"meta factors four"),
+         "entry 'factors' is malformed"),
+        (lambda blob: blob.replace(b"meta model gmf", b"meta model camf"),
+         "parameter 'gate_b' has shape absent"),
+        (_flip_item_exponents, "does not match its crc32"),
+        (lambda blob: re.sub(rb"\ncrc32 \d+", b"", blob), "no crc32 line"),
+        (lambda blob: blob.replace(b"\nmeta seed", b"\nmeta seed\xff"), "not UTF-8"),
+        (lambda blob: blob.replace(b"tensor out_w ", b"tensor out.w ", 1), "'out.w' may not contain"),
+    ], ids=["renamed-moment", "not-a-checkpoint", "tensor-past-payload", "step-without-space",
+            "header-without-layers", "header-factors-not-a-number", "camf-header-on-gmf",
+            "payload-bits-flipped", "no-crc32-line", "manifest-not-utf8", "dotted-tensor-name"])
     def test_damaged_checkpoint_exits_1(self, prepared, capsys, tamper, message):
         assert run_cli(train_args(prepared, epochs=1), capsys)[0] == 0
         path = cli.ckpt_path(prepared, "gmf", 4)
         with open(path, "rb") as fh:
             blob = fh.read()
+        damaged = tamper(blob)
+        assert damaged != blob
         with open(path, "wb") as fh:
-            fh.write(tamper(blob))
+            fh.write(damaged)
         code, _, err = run_cli(
             ["evaluate", "--model", "gmf", "--factors", "4", "--out", prepared], capsys
         )
         assert code == 1
-        assert "crossrec: error:" in err and message in err
+        assert "crossrec: error:" in err and message in err and path in err
 
 
 class TestGradcheckCommand:
@@ -627,3 +656,46 @@ class TestDamagedPreparedRun:
                 code, _, err = run_cli(argv, capsys)
                 assert code in (0, 1, 2)
                 assert code == 0 or err.startswith("crossrec: ")
+
+
+@pytest.fixture(scope="module")
+def trained_camf(pristine_run, tmp_path_factory):
+    """A prepared run with a 1-epoch camf checkpoint; returns (run dir, checkpoint bytes)."""
+    out = str(tmp_path_factory.mktemp("camf"))
+    for name in PREPARED_FILES:
+        shutil.copy(os.path.join(pristine_run, name), out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(train_args(out, model="camf", epochs=1))
+    assert exc.value.code == 0
+    with open(cli.ckpt_path(out, "camf", 4), "rb") as fh:
+        return out, fh.read()
+
+
+class TestDamagedCheckpoint:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(in_payload=st.booleans(), truncate=st.booleans(), data=st.data())
+    def test_truncated_or_flipped_checkpoint_never_escapes(self, trained_camf, capsys,
+                                                           in_payload, truncate, data):
+        out, blob = trained_camf
+        start = _payload_start(blob)
+        at = data.draw(st.integers(start, len(blob) - 1) if in_payload
+                       else st.integers(0, start - 1), label="offset")
+        if truncate:
+            damaged = blob[:at]
+        else:
+            flip = data.draw(st.integers(1, 255), label="xor")
+            damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+        path = cli.ckpt_path(out, "camf", 4)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            code, _, err = run_cli(
+                ["evaluate", "--model", "camf", "--factors", "4", "--out", out], capsys)
+        finally:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        assert code in (0, 1)
+        assert code == 0 or "crossrec: error:" in err
+        if truncate or in_payload:
+            assert code == 1

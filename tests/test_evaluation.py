@@ -175,3 +175,91 @@ class TestEvaluate:
         path = tmp_path / "ranks.tsv"
         evaluation.save_ranks(report, str(path))
         assert path.read_text() == "0\t1\n1\t4\n2\t17\n"
+
+
+NUM_ITEMS = 150
+
+
+def random_run(num_users, seed=31):
+    """A split of num_users users over NUM_ITEMS items plus a catalog with 1-3 attributes each."""
+    rng = np.random.default_rng(seed)
+    users, items, positives, negatives = [], [], [], []
+    for u in range(num_users):
+        drawn = rng.choice(NUM_ITEMS, size=103, replace=False)
+        users += [u] * 3
+        items += drawn[:3].tolist()
+        positives.append(drawn[3])
+        negatives.append(np.sort(drawn[4:]))
+    train = corpus.InteractionSet.from_arrays(
+        num_users, NUM_ITEMS, users, items, np.zeros(len(users), dtype=np.int64))
+    split = corpus.SplitDataset(train, np.array(positives), np.stack(negatives))
+    catalog = corpus.AttributeCatalog(
+        user_attrs=[rng.choice(5, rng.integers(1, 4), replace=False) for _ in range(num_users)],
+        item_attrs=[rng.choice(7, rng.integers(1, 4), replace=False) for _ in range(NUM_ITEMS)],
+        user_vocab_size=5,
+        item_vocab_size=7,
+    )
+    return split, catalog
+
+
+def random_model(kind, num_users, seed=5):
+    config = models.ModelConfig(kind, num_users, NUM_ITEMS, factors=8,
+                                user_vocab_size=5, item_vocab_size=7)
+    store = models.init_params(config, seed)
+    for name in store.names():
+        # spread the scores well past init's N(0, 0.01^2) so ranks vary across users
+        store.set_value(name, store.value(name) * 30.0)
+    return config, store
+
+
+class TestChunkedEvaluate:
+    """evaluate scores EVAL_USERS_PER_FORWARD users per forward; the per-user loop is the oracle."""
+
+    @pytest.mark.parametrize("num_users", [1, 15, 16, 17])
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_matches_per_user_oracle_bitwise(self, kind, num_users, monkeypatch):
+        split, catalog = random_run(num_users)
+        config, store = random_model(kind, num_users)
+        chunks = []
+        score = models.score
+
+        def recording_score(*args, **kwargs):
+            node = score(*args, **kwargs)
+            chunks.append(models.predictions(node).copy())
+            return node
+
+        monkeypatch.setattr(models, "score", recording_score)
+        report = evaluation.evaluate(config, store, split, catalog, keep_ranks=True)
+        monkeypatch.undo()
+
+        per_forward = evaluation.EVAL_USERS_PER_FORWARD
+        assert len(chunks) == -(-num_users // per_forward)
+        chunked = np.concatenate(chunks).reshape(num_users, 100)
+        hr = ndcg = 0.0
+        for u in range(num_users):
+            items = np.concatenate([[split.test_positives[u]], split.test_negatives[u]])
+            tape = tc.Tape(store, record=False)
+            want = models.predictions(models.score(tape, config, np.full(100, u), items, catalog))
+            assert chunked[u].tobytes() == want.tobytes()
+            rank = evaluation.rank_position(want, 0)
+            assert report.per_user_ranks[u] == rank
+            hr += evaluation.hr_at_k(rank)
+            ndcg += evaluation.ndcg_at_k(rank)
+        assert report.hr_at_10 == hr / num_users and report.ndcg_at_10 == ndcg / num_users
+
+    def test_ranks_vary_across_users(self):
+        # guards the oracle test against a model so flat that every rank agrees
+        split, catalog = random_run(17)
+        config, store = random_model("camf", 17)
+        ranks = evaluation.evaluate(config, store, split, catalog, keep_ranks=True).per_user_ranks
+        assert len(set(ranks.tolist())) > 5
+
+    def test_nan_in_last_chunk_raises(self):
+        split, catalog = random_run(17)
+        config, store = random_model("gmf", 17)
+        evaluation.evaluate(config, store, split, catalog)
+        emb = store.value("user_emb").copy()
+        emb[16] = np.nan
+        store.set_value("user_emb", emb)
+        with pytest.raises(evaluation.EvaluationError):
+            evaluation.evaluate(config, store, split, catalog)

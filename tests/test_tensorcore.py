@@ -261,6 +261,87 @@ class TestAdam:
             tc.adam_step(store, grads, beta1=1.0)
 
 
+# -- segment sums ------------------------------------------------------------
+
+# segment lengths with empty segments, a run of 8 (where pairwise reduction
+# would begin) and a run of 130 (past numpy's 128-element pairwise block)
+SEGMENT_LENGTHS = [3, 0, 8, 1, 0, 130, 2, 0]
+
+
+def _ragged_with_duplicates(rng, rows):
+    """Id lists of SEGMENT_LENGTHS drawn with replacement, so ids repeat."""
+    return [rng.integers(0, rows, n) for n in SEGMENT_LENGTHS]
+
+
+def _add_at_oracle(values, segments, count):
+    out = np.zeros((count, values.shape[1]))
+    np.add.at(out, segments, values)
+    return out
+
+
+class TestSegmentSum:
+    def _values(self, rng, n, d=5):
+        # magnitudes spread over 16 decades, so any change of summation order shows
+        return rng.normal(0, 1, (n, d)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "unsorted"])
+    def test_equals_add_at_bitwise(self, shuffle):
+        rng = np.random.default_rng(21)
+        count = len(SEGMENT_LENGTHS)
+        segments = np.repeat(np.arange(count), SEGMENT_LENGTHS)
+        if shuffle:
+            segments = rng.permutation(segments)
+        values = self._values(rng, segments.size)
+        got = tc.segment_sum(values, segments, count)
+        assert got.tobytes() == _add_at_oracle(values, segments, count).tobytes()
+
+    def test_no_rows_gives_zeros(self):
+        got = tc.segment_sum(np.empty((0, 3)), np.empty(0, dtype=np.int64), 4)
+        assert got.shape == (4, 3) and not got.any()
+
+    def test_embed_sum_and_its_gradient_equal_add_at_bitwise(self):
+        rng = np.random.default_rng(22)
+        table = self._values(rng, 40, d=4).astype(np.float32)
+        store = make_store(emb=table)
+        ragged = _ragged_with_duplicates(rng, 40)
+        t = tc.Tape(store)
+        out = t.embed_sum("emb", ragged)
+        gout = self._values(rng, len(ragged), d=4)
+        ids, grads = t.backward(out, gout).rows["emb"]
+
+        flat = np.concatenate(ragged)
+        segments = np.repeat(np.arange(len(ragged)), SEGMENT_LENGTHS)
+        order = np.lexsort((flat, segments))
+        flat, segments = flat[order], segments[order]
+        want = _add_at_oracle(table[flat].astype(np.float64), segments, len(ragged))
+        assert out.value.tobytes() == want.tobytes()
+        uniq, inverse = np.unique(flat, return_inverse=True)
+        assert np.array_equal(ids, uniq)
+        assert grads.tobytes() == _add_at_oracle(gout[segments], inverse, uniq.size).tobytes()
+
+    @pytest.mark.parametrize("triple", [
+        (np.array([3, 1]), np.array([0, 0]), 1),
+        (np.array([1, 2]), np.array([1, 0]), 2),
+        (np.array([1, 2]), np.array([0, 2]), 2),
+        (np.array([1, 2]), np.array([-1, 0]), 2),
+        (np.array([1, 2]), np.array([0]), 2),
+    ], ids=["ids-descending", "segments-descending", "segment-past-count",
+            "negative-segment", "length-mismatch"])
+    def test_out_of_order_triple_rejected(self, triple):
+        store = make_store(emb=np.ones((5, 2)))
+        with pytest.raises(tc.ShapeError):
+            tc.Tape(store, record=False).embed_sum("emb", triple)
+
+    def test_sorted_triple_matches_list_form_bitwise(self):
+        rng = np.random.default_rng(23)
+        store = make_store(emb=self._values(rng, 40, d=4))
+        ragged = [np.sort(ids) for ids in _ragged_with_duplicates(rng, 40)]
+        triple = (np.concatenate(ragged),
+                  np.repeat(np.arange(len(ragged)), SEGMENT_LENGTHS), len(ragged))
+        t = tc.Tape(store, record=False)
+        assert t.embed_sum("emb", triple).value.tobytes() == t.embed_sum("emb", ragged).value.tobytes()
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 
