@@ -266,12 +266,11 @@ def _merge(tape, shared, personal, alpha):
 # -- forwards ----------------------------------------------------------------
 
 
-def gmf_forward(tape, users, items, linear_output=False):
-    """sigmoid(h . (p_u * q_i) + b); linear_output skips the sigmoid (test hook)."""
+def gmf_forward(tape, users, items):
+    """sigmoid(h . (p_u * q_i) + b)."""
     p = tape.embed_lookup("user_emb", users)
     q = tape.embed_lookup("item_emb", items)
-    z = tape.dense(tape.hadamard(p, q), "out_w", "out_b")
-    return z if linear_output else tape.sigmoid(z)
+    return tape.sigmoid(tape.dense(tape.hadamard(p, q), "out_w", "out_b"))
 
 
 def mlp_forward(tape, config, users, items):
@@ -350,12 +349,10 @@ def camf_forward(tape, config, users, items, catalog):
     return tape.sigmoid(tape.dense(x, "out_w", "out_b"))
 
 
-def score(tape, config, users, items, catalog=None, linear_output=False):
+def score(tape, config, users, items, catalog=None):
     """Dispatch to the configured architecture; returns the (B, 1) output node."""
     if config.kind == "gmf":
-        return gmf_forward(tape, users, items, linear_output=linear_output)
-    if linear_output:
-        raise ValueError("linear_output is a gmf-only hook")
+        return gmf_forward(tape, users, items)
     if config.kind == "mlp":
         return mlp_forward(tape, config, users, items)
     if config.kind == "neumf":

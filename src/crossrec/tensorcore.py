@@ -1,9 +1,11 @@
 """Dense numeric primitives with explicit backward rules.
 
-Parameters live in a ParameterStore as float32 matrices with paired Adam
-moment buffers. Forward evaluation casts to float64 and a Tape records each
-primitive so gradients can be replayed in reverse. Embedding gradients stay
-sparse (per-row) so the optimizer never touches rows a batch did not read.
+Parameters live in a ParameterStore: one flat float32 arena of values and
+two of Adam moments, with each parameter a 2-D view into them, so adam_step
+updates every parameter a batch touched with a single vectorised apply.
+Forward evaluation casts to float64 and a Tape records each primitive so
+gradients can be replayed in reverse. Embedding gradients stay sparse
+(per-row) so the optimizer never touches rows a batch did not read.
 """
 
 from __future__ import annotations
@@ -39,27 +41,39 @@ def seeded_rng(seed, *tags):
 
 
 class ParameterStore:
-    """Named float32 matrices plus first/second Adam moments and a step counter.
+    """Named float32 matrices in one arena, with Adam moments and a step counter.
 
-    Shapes are fixed at creation and every entry is 2-D; names must be unique
-    and whitespace-free (they key the checkpoint manifest).
+    Three flat float32 buffers hold every value and both moments; each
+    parameter is a 2-D C-contiguous view into them at a recorded offset, so
+    adam_step updates all parameters with one vectorised apply. Shapes are
+    fixed at creation and every entry is 2-D; names must be unique and
+    whitespace-free (they key the checkpoint manifest).
     """
 
     def __init__(self):
-        self._entries = {}
+        self._layout = {}       # name -> (offset, shape), in insertion order
+        self._value = np.zeros(0, dtype=np.float32)
+        self._m = np.zeros(0, dtype=np.float32)
+        self._v = np.zeros(0, dtype=np.float32)
+        self._views = {}        # name -> (value, m, v) views into the buffers
         self.step = 0
 
     def _add(self, name, value):
-        if name in self._entries:
+        if name in self._layout:
             raise ShapeError(f"duplicate parameter name {name!r}")
         if any(ch.isspace() for ch in name) or "." in name:
             raise ShapeError(f"parameter name {name!r} may not contain whitespace or '.'")
         if value.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
-        self._entries[name] = {
-            "value": value,
-            "m": np.zeros_like(value),
-            "v": np.zeros_like(value),
+        self._layout[name] = (self._value.size, value.shape)
+        fresh = np.zeros(value.size, dtype=np.float32)
+        self._value = np.concatenate([self._value, value.ravel()])
+        self._m = np.concatenate([self._m, fresh])
+        self._v = np.concatenate([self._v, fresh])
+        self._views = {
+            key: tuple(buf[offset:offset + rows * cols].reshape(rows, cols)
+                       for buf in (self._value, self._m, self._v))
+            for key, (offset, (rows, cols)) in self._layout.items()
         }
 
     def add_gaussian(self, name, shape, seed):
@@ -71,24 +85,26 @@ class ParameterStore:
         self._add(name, np.zeros(shape, dtype=np.float32))
 
     def names(self):
-        return list(self._entries)
+        return list(self._layout)
 
     def __contains__(self, name):
-        return name in self._entries
+        return name in self._layout
 
     def shape(self, name):
-        return self._entries[name]["value"].shape
+        return self._layout[name][1]
 
     def value(self, name):
-        """The live float32 array (mutations are visible to later forwards)."""
-        return self._entries[name]["value"]
+        """The live float32 view (mutations are visible to later forwards).
+
+        An add reallocates the arena, so views are live from the last add on.
+        """
+        return self._views[name][0]
 
     def moments(self, name):
-        e = self._entries[name]
-        return e["m"], e["v"]
+        return self._views[name][1:]
 
     def set_value(self, name, array):
-        e = self._entries[name]["value"]
+        e = self.value(name)
         array = np.asarray(array, dtype=np.float32)
         if array.shape != e.shape:
             raise ShapeError(f"cannot assign shape {array.shape} to {name!r} {e.shape}")
@@ -131,9 +147,12 @@ class Node:
         self.grad = None
 
     def bump(self, g):
+        # g + 0.0 is a fresh array (concat passes views of its gradient) and
+        # turns -0.0 into +0.0 exactly as adding g to zeros would
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
 
 def _as_ids(ids):
@@ -410,43 +429,57 @@ class Tape:
 def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update over the parameters present in `grads`.
 
-    Row gradients only touch their own rows, so moments of embedding rows a
-    batch never read are not decayed. The step counter advances once per
-    call and is shared by every parameter.
+    Every gradient is validated, then gathered into one flat arena index and
+    one float64 vector, so the update is a single elementwise apply whose
+    bits match a per-parameter loop. Row gradients only touch their own
+    rows, so moments of embedding rows a batch never read are not decayed.
+    The step counter advances once per call and is shared by every parameter.
     """
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in (0, 1)")
-    for name in grads.names():
+    names = grads.names()
+    index = [np.empty(0, dtype=np.int64)]
+    flat = [np.empty(0, dtype=np.float64)]
+    for name in names:
         if name not in store:
             raise ShapeError(f"gradient for unknown parameter {name!r}")
         if name in grads.dense and name in grads.rows:
             raise ShapeError(f"parameter {name!r} has both a dense and a row gradient")
-        g = grads.dense[name] if name in grads.dense else grads.rows[name][1]
-        if not np.isfinite(g).all():
-            raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        offset, (rows, cols) = store._layout[name]
+        if name in grads.dense:
+            g = grads.dense[name]
+            if g.shape != (rows, cols):
+                raise ShapeError(f"gradient shape {g.shape} for {name!r} {(rows, cols)}")
+            index.append(np.arange(offset, offset + rows * cols, dtype=np.int64))
+        else:
+            ids, g = grads.rows[name]
+            ids = np.asarray(ids, dtype=np.int64)
+            if (ids.ndim != 1 or g.shape != (ids.size, cols)
+                    or (ids.size and (ids[0] < 0 or ids[-1] >= rows or (np.diff(ids) <= 0).any()))):
+                raise ShapeError(
+                    f"row gradient for {name!r} needs strictly increasing ids in "
+                    f"[0, {rows}) and shape (ids, {cols})"
+                )
+            index.append((offset + ids[:, None] * cols + np.arange(cols)).ravel())
+        flat.append(g.ravel())
+    index = np.concatenate(index)
+    g = np.concatenate(flat).astype(np.float64, copy=False)
+    finite = np.isfinite(g)
+    if not finite.all():
+        ends = np.cumsum([part.size for part in flat[1:]])
+        name = names[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        raise NumericsError(f"non-finite gradient for parameter {name!r}")
 
     store.step += 1
     t = store.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-
-    def apply(value, m, v, g):
-        m64 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g
-        v64 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g * g
-        step = lr * (m64 / c1) / (np.sqrt(v64 / c2) + eps)
-        return (
-            (value.astype(np.float64) - step).astype(np.float32),
-            m64.astype(np.float32),
-            v64.astype(np.float32),
-        )
-
-    for name in grads.names():
-        entry = store._entries[name]
-        ids, g = (Ellipsis, grads.dense[name]) if name in grads.dense else grads.rows[name]
-        value, m, v = apply(entry["value"][ids], entry["m"][ids], entry["v"][ids], g)
-        entry["value"][ids] = value
-        entry["m"][ids] = m
-        entry["v"][ids] = v
+    m64 = beta1 * store._m[index].astype(np.float64) + (1.0 - beta1) * g
+    v64 = beta2 * store._v[index].astype(np.float64) + (1.0 - beta2) * g * g
+    step = lr * (m64 / c1) / (np.sqrt(v64 / c2) + eps)
+    store._value[index] = (store._value[index].astype(np.float64) - step).astype(np.float32)
+    store._m[index] = m64.astype(np.float32)
+    store._v[index] = v64.astype(np.float32)
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -456,9 +489,9 @@ def save_checkpoint(path, store, header=None):
     """Write a text manifest plus raw little-endian float32 blocks.
 
     Per parameter the manifest lists three tensors (value and both moment
-    buffers); byte offsets are relative to the end of the manifest, and a
-    crc32 line checksums the payload. The round trip is bit-exact, so
-    checkpoints can be checksummed.
+    buffers); byte offsets are relative to the end of the manifest. The
+    crc32 line checksums every manifest byte before it, chained with the
+    payload. The round trip is bit-exact, so checkpoints can be checksummed.
     """
     header = dict(header or {})
     lines = [CHECKPOINT_MAGIC]
@@ -471,20 +504,18 @@ def save_checkpoint(path, store, header=None):
     blocks = []
     offset = 0
     for name in store.names():
-        entry = store._entries[name]
-        rows, cols = entry["value"].shape
-        for suffix, key in (("", "value"), (".m", "m"), (".v", "v")):
-            data = np.ascontiguousarray(entry[key], dtype="<f4").tobytes()
+        rows, cols = store.shape(name)
+        for suffix, array in zip(("", ".m", ".v"), (store.value(name), *store.moments(name))):
+            data = np.ascontiguousarray(array, dtype="<f4").tobytes()
             lines.append(f"tensor {name}{suffix} {rows} {cols} {offset}")
             blocks.append(data)
             offset += len(data)
     payload = b"".join(blocks)
-    lines.append(f"crc32 {zlib.crc32(payload)}")
-    lines.append(f"data {offset}")
-    lines.append("")
+    prefix = "".join(line + "\n" for line in lines).encode("utf-8")
+    tail = f"crc32 {zlib.crc32(payload, zlib.crc32(prefix))}\ndata {offset}\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write("\n".join(lines).encode("utf-8") + payload)
+        fh.write(prefix + tail.encode("utf-8") + payload)
     os.replace(tmp, path)
 
 
@@ -500,6 +531,9 @@ def _read_manifest(path, lines):
         kind, _, rest = line.partition(" ")
         key, gap, value = rest.partition(" ")
         fields = rest.split(" ")
+        if "crc32" in counts and kind != "data":
+            raise ValueError(f"{path}: line {lineno}: checkpoint manifest line {line!r} "
+                             "follows the crc32 line")
         if kind == "meta" and key and gap:
             header[key] = value
         elif kind in ("step", "crc32", "data") and kind not in counts and _is_count(rest):
@@ -518,7 +552,8 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (ParameterStore, header dict).
 
     Raises ValueError naming the file for a malformed manifest line, tensors
-    that do not tile the payload in order, or a payload whose crc32 differs.
+    that do not tile the payload in order, or manifest and payload bytes
+    whose crc32 differs.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -543,8 +578,9 @@ def load_checkpoint(path):
         offset += rows * cols * 4
     if offset != len(data):
         raise ValueError(f"{path}: checkpoint payload has {len(data) - offset} bytes past its tensors")
-    if zlib.crc32(data) != counts["crc32"]:
-        raise ValueError(f"{path}: checkpoint payload does not match its crc32")
+    prefix = blob[:blob.rfind(b"\ncrc32 ", 0, cut + 1) + 1]
+    if zlib.crc32(data, zlib.crc32(prefix)) != counts["crc32"]:
+        raise ValueError(f"{path}: checkpoint does not match its crc32")
     store = ParameterStore()
     store.step = counts["step"]
     arrays = {}
@@ -559,9 +595,9 @@ def load_checkpoint(path):
             store._add(name, arrays[name])
         except ShapeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        for key in ("m", "v"):
+        for key, buffer in zip(("m", "v"), store.moments(name)):
             moment = arrays.get(f"{name}.{key}")
             if moment is None or moment.shape != arrays[name].shape:
                 raise ValueError(f"{path}: tensor {name}.{key} is missing or misshapen")
-            store._entries[name][key][...] = moment
+            buffer[...] = moment
     return store, header

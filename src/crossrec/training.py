@@ -63,24 +63,36 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     """Yield shuffled batches of one epoch's positives plus fresh negatives.
 
     The draw is a function of (seed, epoch): replaying an epoch reproduces
-    it exactly and consecutive epochs see different negatives.
+    it exactly and consecutive epochs see different negatives. Rejected
+    negatives are redrawn in ascending slot order, and each round rechecks
+    only the slots it redrew. Raises TrainingError, before drawing, if a
+    user with training positives has observed every item.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
     train = split.train
     observed = corpus.full_membership(split)
+    distinct = observed[np.concatenate([[True], np.diff(observed) > 0])]
+    seen = np.bincount(distinct // train.num_items, minlength=train.num_users)
+    trained = np.bincount(train.users, minlength=train.num_users) > 0
+    full = np.flatnonzero(trained & (seen >= train.num_items))
+    if full.size:
+        raise TrainingError(
+            f"user {int(full[0])} has observed all {train.num_items} items; "
+            "no negative can be drawn"
+        )
     rng = tc.seeded_rng(seed, "epoch", epoch)
 
     neg_users = np.repeat(train.users, negative_ratio)
     candidates = rng.integers(0, train.num_items, size=neg_users.size, dtype=np.int64)
+    pending = np.arange(neg_users.size)
     while True:
-        enc = neg_users * train.num_items + candidates
-        hit = np.searchsorted(observed, enc)
-        hit = np.minimum(hit, observed.size - 1)
-        bad = observed[hit] == enc
-        if not bad.any():
+        enc = neg_users[pending] * train.num_items + candidates[pending]
+        hit = np.minimum(np.searchsorted(observed, enc), observed.size - 1)
+        pending = pending[observed[hit] == enc]
+        if not pending.size:
             break
-        candidates[bad] = rng.integers(0, train.num_items, size=int(bad.sum()), dtype=np.int64)
+        candidates[pending] = rng.integers(0, train.num_items, size=pending.size, dtype=np.int64)
 
     users = np.concatenate([train.users, neg_users])
     items = np.concatenate([train.items, candidates])

@@ -54,9 +54,9 @@ def test_criterion_2_mf_reduction_bitwise():
             store.set_value("out_w", np.ones((d, 1)))
             u, i = int(rng.integers(3)), int(rng.integers(3))
             tape = tc.Tape(store, record=False)
-            got = models.predictions(
-                models.gmf_forward(tape, [u], [i], linear_output=True)
-            )[0]
+            p_u = tape.embed_lookup("user_emb", [u])
+            q_i = tape.embed_lookup("item_emb", [i])
+            got = models.predictions(tape.dense(tape.hadamard(p_u, q_i), "out_w", "out_b"))[0]
             p = store.value("user_emb")[u].astype(np.float64)
             q = store.value("item_emb")[i].astype(np.float64)
             assert got == float(np.sum(p * q)), trial

@@ -18,9 +18,17 @@ def cfg(kind, **kw):
     return models.ModelConfig(kind, **base)
 
 
-def scores_for(config, store, users, items, catalog=None, linear_output=False):
+def scores_for(config, store, users, items, catalog=None):
     tape = tc.Tape(store, record=False)
-    return models.predictions(models.score(tape, config, users, items, catalog, linear_output))
+    return models.predictions(models.score(tape, config, users, items, catalog))
+
+
+def gmf_logits(store, users, items):
+    """GMF's pre-sigmoid output h . (p_u * q_i) + b, built from the tape primitives."""
+    tape = tc.Tape(store, record=False)
+    p = tape.embed_lookup("user_emb", users)
+    q = tape.embed_lookup("item_emb", items)
+    return models.predictions(tape.dense(tape.hadamard(p, q), "out_w", "out_b"))
 
 
 @pytest.fixture
@@ -132,7 +140,7 @@ class TestGmf:
         store.set_value("user_emb", [[1.0, 2.0]])
         store.set_value("item_emb", [[3.0, 4.0]])
         store.set_value("out_w", [[1.0], [1.0]])
-        assert scores_for(config, store, [0], [0], linear_output=True)[0] == 11.0
+        assert gmf_logits(store, [0], [0])[0] == 11.0
 
     def test_zero_user_embedding_scores_half(self):
         config = cfg("gmf")
@@ -157,7 +165,7 @@ class TestGmf:
             u, i = int(rng.integers(6)), int(rng.integers(7))
             store.set_value("user_emb", rng.normal(0, 1, (6, 8)))
             store.set_value("item_emb", rng.normal(0, 1, (7, 8)))
-            got = scores_for(config, store, [u], [i], linear_output=True)[0]
+            got = gmf_logits(store, [u], [i])[0]
             p = store.value("user_emb")[u].astype(np.float64)
             q = store.value("item_emb")[i].astype(np.float64)
             assert got == float(np.sum(p * q))

@@ -261,6 +261,122 @@ class TestAdam:
             tc.adam_step(store, grads, beta1=1.0)
 
 
+def reference_adam(params, step, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop the arena replaced; params maps name -> (value, m, v)."""
+    t = step + 1
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+
+    def apply(value, m, v, g):
+        m64 = beta1 * m.astype(np.float64) + (1.0 - beta1) * g
+        v64 = beta2 * v.astype(np.float64) + (1.0 - beta2) * g * g
+        step = lr * (m64 / c1) / (np.sqrt(v64 / c2) + eps)
+        return (
+            (value.astype(np.float64) - step).astype(np.float32),
+            m64.astype(np.float32),
+            v64.astype(np.float32),
+        )
+
+    for name in grads.names():
+        value, m, v = params[name]
+        ids, g = (Ellipsis, grads.dense[name]) if name in grads.dense else grads.rows[name]
+        value[ids], m[ids], v[ids] = apply(value[ids], m[ids], v[ids], g)
+    return t
+
+
+def arena_state(store):
+    return {name: tuple(a.tobytes() for a in (store.value(name), *store.moments(name)))
+            for name in store.names()} | {"step": store.step}
+
+
+class TestAdamArena:
+    SHAPES = {"emb": (9, 4), "w": (4, 3), "b": (1, 3), "items": (6, 2), "idle": (2, 2)}
+
+    def _store(self, rng):
+        return make_store(**{name: rng.normal(0, 1, shape) for name, shape in self.SHAPES.items()})
+
+    def _grads(self, rng, step):
+        # magnitudes over 16 decades, signed zeros, and both row tables as dense or rows by turn
+        def values(shape):
+            g = rng.normal(0, 1, shape) * 10.0 ** rng.integers(-8, 8, shape)
+            g[rng.random(shape) < 0.1] = -0.0
+            return g
+
+        grads = tc.GradientBuffer(dense={"w": values((4, 3)), "b": values((1, 3))})
+        for name in ("emb", "items"):
+            rows, cols = self.SHAPES[name]
+            if (step + len(name)) % 3 == 0:
+                grads.dense[name] = values((rows, cols))
+            else:
+                ids = np.sort(rng.choice(rows, size=int(rng.integers(1, rows)), replace=False))
+                grads.rows[name] = (ids, values((ids.size, cols)))
+        return grads
+
+    def test_matches_per_parameter_reference_bitwise(self):
+        rng = np.random.default_rng(31)
+        store = self._store(rng)
+        params = {name: tuple(a.copy() for a in (store.value(name), *store.moments(name)))
+                  for name in store.names()}
+        step = 0
+        for k in range(5):
+            grads = self._grads(rng, k)
+            assert "idle" not in grads.names()
+            tc.adam_step(store, grads, lr=0.01)
+            step = reference_adam(params, step, grads, lr=0.01)
+            assert store.step == step
+            for name, arrays in params.items():
+                got = (store.value(name), *store.moments(name))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays], (k, name)
+
+    @pytest.mark.parametrize("ids, g", [
+        ([2, 9], np.ones((2, 4))),
+        ([-1, 3], np.ones((2, 4))),
+        ([5, 2], np.ones((2, 4))),
+        ([2, 2], np.ones((2, 4))),
+        ([[2, 3]], np.ones((2, 4))),
+        ([2, 3], np.ones((2, 3))),
+        (None, np.ones((9, 3))),
+    ], ids=["id-equals-rows", "negative-id", "unsorted-ids", "duplicate-ids", "ids-not-1d",
+            "row-width", "dense-shape"])
+    def test_malformed_gradient_rejected_store_untouched(self, ids, g):
+        store = self._store(np.random.default_rng(32))
+        before = arena_state(store)
+        grads = tc.GradientBuffer(dense={"b": np.ones((1, 3))})
+        if ids is None:
+            grads.dense["emb"] = g
+        else:
+            grads.rows["emb"] = (np.array(ids), g)
+        with pytest.raises(tc.ShapeError, match="'emb'"):
+            tc.adam_step(store, grads)
+        assert arena_state(store) == before
+
+    @pytest.mark.parametrize("name", ["b", "emb", "items", "w"])
+    def test_non_finite_gradient_names_its_parameter(self, name):
+        rng = np.random.default_rng(33)
+        store = self._store(rng)
+        before = arena_state(store)
+        grads = self._grads(rng, 1)
+        g = grads.dense[name] if name in grads.dense else grads.rows[name][1]
+        g.flat[-1] = np.inf
+        with pytest.raises(tc.NumericsError, match=f"parameter '{name}'$"):
+            tc.adam_step(store, grads)
+        assert arena_state(store) == before
+
+
+class TestNodeBump:
+    def test_first_bump_turns_negative_zero_positive(self):
+        node = tc.Node(np.ones((2, 3)))
+        node.bump(np.full((2, 3), -0.0))
+        assert not np.signbit(node.grad).any()
+
+    def test_first_bump_does_not_alias_its_argument(self):
+        node = tc.Node(np.ones((1, 2)))
+        g = np.array([[1.0, 2.0]])
+        node.bump(g)
+        node.bump(g)
+        assert g.tolist() == [[1.0, 2.0]] and node.grad.tolist() == [[2.0, 4.0]]
+
+
 # -- segment sums ------------------------------------------------------------
 
 # segment lengths with empty segments, a run of 8 (where pairwise reduction

@@ -92,6 +92,63 @@ class TestSampler:
         assert not np.array_equal(first.labels, np.sort(first.labels)[::-1])
 
 
+def dense_split(seed):
+    """15 users who each observed 25-30 of 130 items: about a fifth of negative draws hit."""
+    rng = np.random.default_rng(seed)
+    users, items = [], []
+    for u in range(15):
+        picked = rng.choice(130, size=int(rng.integers(25, 31)), replace=False)
+        users += [u] * picked.size
+        items += picked.tolist()
+    stamps = rng.integers(10_000, size=len(users))
+    data = corpus.InteractionSet.from_arrays(15, 130, users, items, stamps)
+    return corpus.leave_one_out_split(data, seed=seed)
+
+
+def full_recheck_epoch(split, negative_ratio, seed, epoch):
+    """Reference sampler that rechecks every negative each round; (users, items, labels, rounds)."""
+    train = split.train
+    observed = corpus.full_membership(split)
+    rng = tc.seeded_rng(seed, "epoch", epoch)
+    neg_users = np.repeat(train.users, negative_ratio)
+    candidates = rng.integers(0, train.num_items, size=neg_users.size, dtype=np.int64)
+    rounds = 0
+    while True:
+        rounds += 1
+        enc = neg_users * train.num_items + candidates
+        hit = np.minimum(np.searchsorted(observed, enc), observed.size - 1)
+        bad = observed[hit] == enc
+        if not bad.any():
+            break
+        candidates[bad] = rng.integers(0, train.num_items, size=int(bad.sum()), dtype=np.int64)
+    users = np.concatenate([train.users, neg_users])
+    items = np.concatenate([train.items, candidates])
+    labels = np.concatenate([np.ones(len(train)), np.zeros(neg_users.size)])
+    order = rng.permutation(users.size)
+    return users[order], items[order], labels[order], rounds
+
+
+class TestSamplerRecheck:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batches_equal_full_recheck_reference_bitwise(self, seed):
+        split = dense_split(seed)
+        for epoch in (1, 2, 3):
+            users, items, labels, rounds = full_recheck_epoch(split, 4, seed, epoch)
+            assert rounds >= 4, rounds
+            batches = list(training.sample_training_batches(split, 4, 64, seed, epoch))
+            assert np.concatenate([b.users for b in batches]).tobytes() == users.tobytes()
+            assert np.concatenate([b.items for b in batches]).tobytes() == items.tobytes()
+            assert np.concatenate([b.labels for b in batches]).tobytes() == labels.tobytes()
+
+    def test_user_who_observed_every_item_fails_fast(self):
+        # user 1 trained on items 0-3 and holds out item 4: no unobserved item is left
+        train = corpus.InteractionSet.from_arrays(
+            2, 5, [0, 1, 1, 1, 1], [0, 0, 1, 2, 3], [1, 1, 2, 3, 4])
+        split = corpus.SplitDataset(train, np.array([1, 4]), np.zeros((2, 0), dtype=np.int64))
+        with pytest.raises(training.TrainingError, match="user 1 has observed all 5 items"):
+            next(training.sample_training_batches(split, 4, 8, seed=0, epoch=1))
+
+
 # -- log loss --------------------------------------------------------------------
 
 
