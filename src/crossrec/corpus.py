@@ -88,17 +88,30 @@ class AttributeCatalog:
     item_vocab_size: int
 
     def __post_init__(self):
-        self.user_attrs = [np.sort(np.asarray(a, dtype=np.int64)) for a in self.user_attrs]
-        self.item_attrs = [np.sort(np.asarray(a, dtype=np.int64)) for a in self.item_attrs]
-        for label, attrs, vocab in (
-            ("user", self.user_attrs, self.user_vocab_size),
-            ("item", self.item_attrs, self.item_vocab_size),
-        ):
-            for idx, ids in enumerate(attrs):
-                if ids.size == 0:
-                    raise LoadError(f"{label} {idx} has zero attributes")
-                if ids.min() < 0 or ids.max() >= vocab:
-                    raise LoadError(f"{label} {idx} attribute id outside vocabulary ({vocab})")
+        self.user_attrs = _sorted_rows("user", self.user_attrs, self.user_vocab_size)
+        self.item_attrs = _sorted_rows("item", self.item_attrs, self.item_vocab_size)
+
+
+def _sorted_rows(label, rows, vocab):
+    """Each entity's ids as a sorted int64 array, sorted and checked in one pass.
+
+    Raises LoadError naming the first entity that has no ids or an id
+    outside [0, vocab).
+    """
+    if not len(rows):
+        return []
+    lengths = np.array([len(ids) for ids in rows], dtype=np.int64)
+    flat = np.concatenate(rows, dtype=np.int64, casting="unsafe")
+    segments = np.repeat(np.arange(lengths.size), lengths)
+    bad = np.concatenate([np.flatnonzero(lengths == 0), segments[(flat < 0) | (flat >= vocab)]])
+    if bad.size:
+        first = bad.min()
+        if lengths[first] == 0:
+            raise LoadError(f"{label} {first} has zero attributes")
+        raise LoadError(f"{label} {first} attribute id outside vocabulary ({vocab})")
+    flat = flat[np.lexsort((flat, segments))]
+    bounds = [0, *np.cumsum(lengths).tolist()]
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass

@@ -1,13 +1,14 @@
 """Ranking the held-out positive among its 99 negatives: HR@10 and NDCG@10.
 
 Ties count against the positive, so a constant scorer earns zero rather
-than inflated metrics. Scores come from forwards over
-EVAL_USERS_PER_FORWARD users at a time, each user's positive followed by
-its negatives. Every primitive computes a row independently of the other
-rows in its batch (for matmul see Tape.dense), so a user's scores are
-bitwise those of a forward over that user alone; the tests hold them to
-that per-user forward and rank_position. The averages accumulate in
-user-id order, which makes the report independent of any
+than inflated metrics. A pass builds the models' user and item sides once,
+over every user and item id, then scores EVAL_USERS_PER_FORWARD users per
+models.score call, each user's positive followed by its negatives, from
+side rows gathered by id. Every primitive computes a row independently of
+the other rows in its batch (for matmul see Tape.dense), so a user's
+scores are bitwise those of a forward over that user alone; the tests hold
+them to that per-user forward and rank_position. The averages accumulate
+in user-id order, which makes the report independent of any
 evaluation-side reordering.
 """
 
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .tensorcore import Tape
+from .tensorcore import Tape, check_rows
 
 
-# users per forward: 16 x 100 rows keeps the forward's temporaries small
+# users per score call: 16 x 100 rows keeps the interaction's temporaries small
 # next to the corpus while amortising the per-primitive Python overhead
 EVAL_USERS_PER_FORWARD = 16
 
@@ -64,13 +65,17 @@ def evaluate(config, store, split, catalog=None, k=10, keep_ranks=False):
     candidates = np.concatenate(
         [np.asarray(split.test_positives)[:, None], split.test_negatives], axis=1
     )
+    # side rows are gathered by plain indexing, which would wrap a negative id
+    check_rows(candidates, config.num_items, "candidate items")
+    sides = models.build_sides(Tape(store, record=False), config, np.arange(num_users),
+                               np.arange(config.num_items), catalog)
     width = candidates.shape[1]
     ranks = np.empty(num_users, dtype=np.int64)
     for start in range(0, num_users, EVAL_USERS_PER_FORWARD):
         block = candidates[start:start + EVAL_USERS_PER_FORWARD]
         users = np.repeat(np.arange(start, start + len(block), dtype=np.int64), width)
         tape = Tape(store, record=False)
-        node = models.score(tape, config, users, block.reshape(-1), catalog)
+        node = models.score(tape, config, users, block.reshape(-1), catalog, sides)
         scores = models.predictions(node).reshape(len(block), width)
         if not np.isfinite(scores).all():
             raise EvaluationError("non-finite score in ranking")

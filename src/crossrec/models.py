@@ -10,9 +10,14 @@ camf    gated blend of a shared user vector with the personal embedding,
         crossed against the item embedding and against aggregated item/user
         attribute embeddings, then an MLP over the concatenated products
 
-All forwards are pure: they read the store through a Tape and mutate
-nothing. Batched user/item index arrays score as a unit; attribute models
-additionally take an AttributeCatalog.
+Each architecture is split in three: a user side that depends on the user
+id alone (embedding rows, camf's attribute sum, aadcf's pooled vector), an
+item side likewise, and an interaction over row-aligned rows of the two
+(camf's gate, merge and crosses, the MLP stacks, the output). `score`
+composes them; training builds the sides per batch, evaluation builds them
+once over every id and gathers rows. Everything reads the store through a
+Tape and mutates nothing. Attribute models additionally take an
+AttributeCatalog.
 """
 
 from __future__ import annotations
@@ -130,13 +135,11 @@ def parameter_shapes(config):
 
 def init_params(config, seed):
     """A fresh ParameterStore: weights ~ N(0, 0.01^2) per named stream, biases zero."""
-    store = tc.ParameterStore()
-    for name, shape, init in parameter_shapes(config):
-        if init == "gaussian":
-            store.add_gaussian(name, shape, seed)
-        else:
-            store.add_zeros(name, shape)
-    return store
+    return tc.ParameterStore([
+        (name, tc.gaussian_init(name, shape, seed) if init == "gaussian"
+         else np.zeros(shape, dtype=np.float32))
+        for name, shape, init in parameter_shapes(config)
+    ])
 
 
 # -- ragged attribute gathers ----------------------------------------------
@@ -263,105 +266,98 @@ def _merge(tape, shared, personal, alpha):
     return tape.custom(value, (shared, personal, alpha), backward)
 
 
-# -- forwards ----------------------------------------------------------------
+# -- sides and interaction ---------------------------------------------------
 
 
-def gmf_forward(tape, users, items):
-    """sigmoid(h . (p_u * q_i) + b)."""
-    p = tape.embed_lookup("user_emb", users)
-    q = tape.embed_lookup("item_emb", items)
-    return tape.sigmoid(tape.dense(tape.hadamard(p, q), "out_w", "out_b"))
+def _side(tape, kind, who, ids, catalog):
+    """The nodes `who` ("user" or "item") contributes: each row a function of its id alone."""
+    if catalog is None and kind in ("aadcf", "camf"):
+        raise ValueError(f"{kind} requires an attribute catalog")
+    ids = np.asarray(ids, dtype=np.int64)
+    if kind == "neumf":
+        return (tape.embed_lookup(f"gmf_{who}_emb", ids), tape.embed_lookup(f"mlp_{who}_emb", ids))
+    emb = tape.embed_lookup(f"{who}_emb", ids)
+    if kind in ("gmf", "mlp"):
+        return (emb,)
+    ragged = _catalog_ragged(catalog)[who == "item"].gather(ids)
+    if kind == "aadcf":
+        return (_pool(tape, emb, f"{who}_attr_emb", ragged),)
+    return (emb, tape.embed_sum(f"{who}_attr_emb", ragged))
 
 
-def mlp_forward(tape, config, users, items):
-    p = tape.embed_lookup("user_emb", users)
-    q = tape.embed_lookup("item_emb", items)
-    x = _mlp_stack(tape, tape.concat([p, q]), config.mlp_layers)
-    return tape.sigmoid(tape.dense(x, "out_w", "out_b"))
+def build_sides(tape, config, users, items, catalog=None):
+    """(user side, item side): tuples of (B, d) nodes that need no pairing.
 
-
-def neumf_forward(tape, config, users, items):
-    """GMF and MLP branches on their own tables, fused by a split linear layer.
-
-    The fused weight is stored as out_w_gmf / out_w_mlp halves; zeroing one
-    half reduces the score to the other branch exactly.
+    gmf and mlp: the embedding row; neumf: its GMF and MLP rows; aadcf: the
+    entity pooled pairwise with its attributes; camf: the embedding row and
+    the attribute sum. Every primitive here computes a row from that
+    entity's ids alone, so a side built over every id once and gathered by
+    row is bitwise the side built over a batch.
     """
-    pg = tape.embed_lookup("gmf_user_emb", users)
-    qg = tape.embed_lookup("gmf_item_emb", items)
-    z_gmf = tape.dense(tape.hadamard(pg, qg), "out_w_gmf", "out_b")
-    pm = tape.embed_lookup("mlp_user_emb", users)
-    qm = tape.embed_lookup("mlp_item_emb", items)
-    x = _mlp_stack(tape, tape.concat([pm, qm]), config.mlp_layers)
-    z_mlp = tape.dense(x, "out_w_mlp")
-    return tape.sigmoid(_add(tape, z_gmf, z_mlp))
+    return (_side(tape, config.kind, "user", users, catalog),
+            _side(tape, config.kind, "item", items, catalog))
 
 
-def aadcf_forward(tape, config, users, items, catalog):
-    user_ragged, item_ragged = _catalog_ragged(catalog)
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    p = _pool(
-        tape, tape.embed_lookup("user_emb", users), "user_attr_emb",
-        user_ragged.gather(users),
-    )
-    q = _pool(
-        tape, tape.embed_lookup("item_emb", items), "item_attr_emb",
-        item_ragged.gather(items),
-    )
-    x = _mlp_stack(tape, tape.hadamard(p, q), config.mlp_layers)
-    return tape.sigmoid(tape.dense(x, "out_w", "out_b"))
-
-
-def _camf_parts(tape, users, items, catalog):
-    user_ragged, item_ragged = _catalog_ragged(catalog)
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    p = tape.embed_lookup("user_emb", users)
-    q = tape.embed_lookup("item_emb", items)
-    a_u = tape.embed_sum("user_attr_emb", user_ragged.gather(users))
-    a_i = tape.embed_sum("item_attr_emb", item_ragged.gather(items))
-    z = tape.concat([p, a_u, q, a_i])
-    alpha = tape.sigmoid(tape.dense(z, "gate_w", "gate_b"))
-    return p, q, a_u, a_i, alpha
+def _camf_gate(tape, user, item):
+    (p, a_u), (q, a_i) = user, item
+    return tape.sigmoid(tape.dense(tape.concat([p, a_u, q, a_i]), "gate_w", "gate_b"))
 
 
 def camf_gate(tape, users, items, catalog):
     """The blend weight alpha = sigmoid(w . [p_u, a_u, q_i, a_i] + b), per pair."""
-    return _camf_parts(tape, users, items, catalog)[4]
+    return _camf_gate(tape, _side(tape, "camf", "user", users, catalog),
+                      _side(tape, "camf", "item", items, catalog))
 
 
-def camf_forward(tape, config, users, items, catalog):
-    """Gated user vector crossed with the item embedding and both attribute sums.
+def interaction(tape, config, user, item):
+    """The (B, 1) score node from row-aligned user and item sides.
 
-    Aggregating attributes before the product equals summing per-attribute
-    products, since the element-wise product distributes over addition.
+    neumf fuses its GMF and MLP branches by a linear layer stored as
+    out_w_gmf / out_w_mlp halves; zeroing one half reduces the score to the
+    other branch exactly. camf crosses the gated user vector with the item
+    embedding and the item attribute sum, and the item embedding with the
+    user attribute sum; aggregating attributes before the product equals
+    summing per-attribute products, since the element-wise product
+    distributes over addition.
     """
-    p, q, a_u, a_i, alpha = _camf_parts(tape, users, items, catalog)
-    merged = _merge(tape, tape.param("u_shared"), p, alpha)
-    crosses = [
-        tape.hadamard(merged, q),
-        tape.hadamard(merged, a_i),
-        tape.hadamard(q, a_u),
-    ]
-    if config.include_attr_cross:
-        crosses.append(tape.hadamard(a_u, a_i))
-    x = _mlp_stack(tape, tape.concat(crosses), config.mlp_layers)
+    kind = config.kind
+    if kind == "neumf":
+        (pg, pm), (qg, qm) = user, item
+        z_gmf = tape.dense(tape.hadamard(pg, qg), "out_w_gmf", "out_b")
+        x = _mlp_stack(tape, tape.concat([pm, qm]), config.mlp_layers)
+        return tape.sigmoid(_add(tape, z_gmf, tape.dense(x, "out_w_mlp")))
+    if kind == "gmf":
+        x = tape.hadamard(user[0], item[0])
+    elif kind == "mlp":
+        x = _mlp_stack(tape, tape.concat([user[0], item[0]]), config.mlp_layers)
+    elif kind == "aadcf":
+        x = _mlp_stack(tape, tape.hadamard(user[0], item[0]), config.mlp_layers)
+    else:
+        (p, a_u), (q, a_i) = user, item
+        merged = _merge(tape, tape.param("u_shared"), p, _camf_gate(tape, user, item))
+        crosses = [tape.hadamard(merged, q), tape.hadamard(merged, a_i), tape.hadamard(q, a_u)]
+        if config.include_attr_cross:
+            crosses.append(tape.hadamard(a_u, a_i))
+        x = _mlp_stack(tape, tape.concat(crosses), config.mlp_layers)
     return tape.sigmoid(tape.dense(x, "out_w", "out_b"))
 
 
-def score(tape, config, users, items, catalog=None):
-    """Dispatch to the configured architecture; returns the (B, 1) output node."""
-    if config.kind == "gmf":
-        return gmf_forward(tape, users, items)
-    if config.kind == "mlp":
-        return mlp_forward(tape, config, users, items)
-    if config.kind == "neumf":
-        return neumf_forward(tape, config, users, items)
-    if catalog is None:
-        raise ValueError(f"{config.kind} requires an attribute catalog")
-    if config.kind == "aadcf":
-        return aadcf_forward(tape, config, users, items, catalog)
-    return camf_forward(tape, config, users, items, catalog)
+def score(tape, config, users, items, catalog=None, sides=None):
+    """The (B, 1) output node for the pairs (users[b], items[b]).
+
+    Without `sides` both sides are built on `tape` from the ids, which is
+    what training differentiates. With `sides` (build_sides over every user
+    and item id, on a record=False tape) the pairs' rows are gathered from
+    it instead; gathered rows carry no gradient, so `tape` must not record.
+    """
+    if sides is None:
+        user, item = build_sides(tape, config, users, items, catalog)
+    elif tape.recording:
+        raise tc.ShapeError("gathered sides carry no gradient; score them on a record=False tape")
+    else:
+        user = tuple(tc.Node(node.value[users]) for node in sides[0])
+        item = tuple(tc.Node(node.value[items]) for node in sides[1])
+    return interaction(tape, config, user, item)
 
 
 def predictions(node):

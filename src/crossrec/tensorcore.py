@@ -40,6 +40,12 @@ def seeded_rng(seed, *tags):
     return np.random.default_rng(entropy)
 
 
+def gaussian_init(name, shape, seed):
+    """A float32 weight drawn i.i.d. from N(0, INIT_STD^2), seeded per name."""
+    rng = seeded_rng(seed, "init", name)
+    return rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
+
+
 class ParameterStore:
     """Named float32 matrices in one arena, with Adam moments and a step counter.
 
@@ -50,39 +56,34 @@ class ParameterStore:
     whitespace-free (they key the checkpoint manifest).
     """
 
-    def __init__(self):
+    def __init__(self, params=()):
+        """A store of the (name, 2-D array) pairs in `params`, laid out in that order.
+
+        The arena is sized once from the whole list; moments start at zero.
+        """
+        params = [(name, np.asarray(value, dtype=np.float32)) for name, value in params]
         self._layout = {}       # name -> (offset, shape), in insertion order
-        self._value = np.zeros(0, dtype=np.float32)
-        self._m = np.zeros(0, dtype=np.float32)
-        self._v = np.zeros(0, dtype=np.float32)
-        self._views = {}        # name -> (value, m, v) views into the buffers
-        self.step = 0
-
-    def _add(self, name, value):
-        if name in self._layout:
-            raise ShapeError(f"duplicate parameter name {name!r}")
-        if any(ch.isspace() for ch in name) or "." in name:
-            raise ShapeError(f"parameter name {name!r} may not contain whitespace or '.'")
-        if value.ndim != 2:
-            raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
-        self._layout[name] = (self._value.size, value.shape)
-        fresh = np.zeros(value.size, dtype=np.float32)
-        self._value = np.concatenate([self._value, value.ravel()])
-        self._m = np.concatenate([self._m, fresh])
-        self._v = np.concatenate([self._v, fresh])
-        self._views = {
-            key: tuple(buf[offset:offset + rows * cols].reshape(rows, cols)
-                       for buf in (self._value, self._m, self._v))
-            for key, (offset, (rows, cols)) in self._layout.items()
+        total = 0
+        for name, value in params:
+            if name in self._layout:
+                raise ShapeError(f"duplicate parameter name {name!r}")
+            if any(ch.isspace() for ch in name) or "." in name:
+                raise ShapeError(f"parameter name {name!r} may not contain whitespace or '.'")
+            if value.ndim != 2:
+                raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
+            self._layout[name] = (total, value.shape)
+            total += value.size
+        self._value = np.empty(total, dtype=np.float32)
+        self._m = np.zeros(total, dtype=np.float32)
+        self._v = np.zeros(total, dtype=np.float32)
+        self._views = {         # name -> (value, m, v) views into the buffers
+            name: tuple(buf[offset:offset + rows * cols].reshape(rows, cols)
+                        for buf in (self._value, self._m, self._v))
+            for name, (offset, (rows, cols)) in self._layout.items()
         }
-
-    def add_gaussian(self, name, shape, seed):
-        """Add a weight drawn i.i.d. from N(0, INIT_STD^2), seeded per name."""
-        rng = seeded_rng(seed, "init", name)
-        self._add(name, rng.normal(0.0, INIT_STD, size=shape).astype(np.float32))
-
-    def add_zeros(self, name, shape):
-        self._add(name, np.zeros(shape, dtype=np.float32))
+        for name, value in params:
+            self._views[name][0][...] = value
+        self.step = 0
 
     def names(self):
         return list(self._layout)
@@ -94,10 +95,7 @@ class ParameterStore:
         return self._layout[name][1]
 
     def value(self, name):
-        """The live float32 view (mutations are visible to later forwards).
-
-        An add reallocates the arena, so views are live from the last add on.
-        """
+        """The live float32 view (mutations are visible to later forwards)."""
         return self._views[name][0]
 
     def moments(self, name):
@@ -155,6 +153,12 @@ class Node:
             self.grad += g
 
 
+def check_rows(ids, rows, name):
+    """ShapeError unless every id indexes one of the `rows` rows of `name`."""
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise ShapeError(f"row id out of range for {name!r} ({rows} rows)")
+
+
 def _as_ids(ids):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
@@ -197,15 +201,16 @@ def _normalize_ragged(ragged):
 def segment_sum(values, segments, count):
     """Row sums per segment: out[s] = sum of values[i] over i with segments[i] == s.
 
-    np.bincount adds each column in index order starting from 0.0, the
-    order of numpy's unbuffered add.at, so the bits match it whatever the
-    segment lengths. (np.add.reduceat reduces runs of 8 or more pairwise
-    and would not.)
+    One np.bincount over the flattened (segment, column) cells: it adds
+    each cell's values in row order starting from 0.0, the order of numpy's
+    unbuffered add.at, so the bits match it whatever the segment lengths.
+    (np.add.reduceat reduces runs of 8 or more pairwise and would not.)
     """
-    out = np.empty((count, values.shape[1]), dtype=np.float64)
-    for j in range(values.shape[1]):
-        out[:, j] = np.bincount(segments, weights=values[:, j], minlength=count)
-    return out
+    cols = values.shape[1]
+    cells = (segments[:, None] * cols + np.arange(cols)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=count * cols)
+    # with no cells at all bincount returns int64 zeros
+    return out.astype(np.float64, copy=False).reshape(count, cols)
 
 
 class Tape:
@@ -254,8 +259,7 @@ class Tape:
     def embed_lookup(self, name, ids):
         ids = _as_ids(ids)
         table = self.store.value(name)
-        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-            raise ShapeError(f"row id out of range for {name!r} ({table.shape[0]} rows)")
+        check_rows(ids, table.shape[0], name)
         node = Node(table[ids].astype(np.float64))
         if self.recording:
             self._leaf_rows(node, name, ids)
@@ -270,8 +274,7 @@ class Tape:
         """
         flat, segments, count = _normalize_ragged(ragged)
         table = self.store.value(name)
-        if flat.size and (flat.min() < 0 or flat.max() >= table.shape[0]):
-            raise ShapeError(f"row id out of range for {name!r} ({table.shape[0]} rows)")
+        check_rows(flat, table.shape[0], name)
         node = Node(segment_sum(table[flat].astype(np.float64), segments, count))
         if self.recording:
             def back(g, flat=flat, segments=segments, name=name):
@@ -317,10 +320,12 @@ class Tape:
 
         Width-1 outputs are reduced with numpy's pairwise row sum rather than
         BLAS so a single instance scores bit-identically whatever batch it
-        rides in; wider outputs take the fast matmul. Batched evaluation also
-        relies on each matmul row being independent of the batch, which BLAS
-        does not promise; TestChunkedEvaluate.test_matches_per_user_oracle_bitwise
-        in tests/test_evaluation.py guards it for every model kind.
+        rides in; wider outputs take the fast matmul. Batched evaluation
+        relies on every row being independent of the rows batched with it:
+        in its side pass, which builds every user's and item's side at once
+        for gathering, and in the interaction's matmuls, for which BLAS
+        promises nothing; TestChunkedEvaluate.test_matches_per_user_oracle_bitwise
+        in tests/test_evaluation.py guards both for every model kind.
         """
         w = self.store.value(weight_name).astype(np.float64)
         if x.value.shape[1] != w.shape[0]:
@@ -581,23 +586,21 @@ def load_checkpoint(path):
     prefix = blob[:blob.rfind(b"\ncrc32 ", 0, cut + 1) + 1]
     if zlib.crc32(data, zlib.crc32(prefix)) != counts["crc32"]:
         raise ValueError(f"{path}: checkpoint does not match its crc32")
-    store = ParameterStore()
+    arrays = {
+        name: np.frombuffer(data[offset:offset + rows * cols * 4], dtype="<f4").reshape(rows, cols)
+        for name, rows, cols, offset in tensors
+    }
+    try:
+        store = ParameterStore(
+            [(name, arrays[name]) for name, *_ in tensors if not name.endswith((".m", ".v"))]
+        )
+    except ShapeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     store.step = counts["step"]
-    arrays = {}
-    ordered = []
-    for name, rows, cols, offset in tensors:
-        raw = np.frombuffer(data[offset:offset + rows * cols * 4], dtype="<f4")
-        arrays[name] = raw.reshape(rows, cols).copy()
-        if not name.endswith((".m", ".v")):
-            ordered.append(name)
-    for name in ordered:
-        try:
-            store._add(name, arrays[name])
-        except ShapeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    for name in store.names():
         for key, buffer in zip(("m", "v"), store.moments(name)):
             moment = arrays.get(f"{name}.{key}")
-            if moment is None or moment.shape != arrays[name].shape:
+            if moment is None or moment.shape != buffer.shape:
                 raise ValueError(f"{path}: tensor {name}.{key} is missing or misshapen")
             buffer[...] = moment
     return store, header

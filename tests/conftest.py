@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -20,6 +22,34 @@ requires_ml1m = pytest.mark.skipif(
     ml1m_dir() is None,
     reason=f"MovieLens-1M not found; set {ML1M_ENV} to a directory with ratings/users/movies.dat",
 )
+
+
+# wall-time bound for calls that would hang rather than fail when broken;
+# a passing call takes well under a second
+TIME_BOUND_S = 30.0
+
+
+class TimeBoundExceeded(BaseException):
+    """A call ran past its wall-time bound.
+
+    A BaseException, so neither the code under test nor Hypothesis (which
+    would replay and shrink a failing example, each replay as slow) catches it.
+    """
+
+
+@contextlib.contextmanager
+def time_bound(seconds=TIME_BOUND_S):
+    """Fail the enclosed call with TimeBoundExceeded once it has run `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeBoundExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_configure(config):

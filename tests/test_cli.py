@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import ml1m_dir, requires_ml1m, write_generic_dataset
+from conftest import ml1m_dir, requires_ml1m, time_bound, write_generic_dataset
 from crossrec import cli, corpus, models
 from crossrec import tensorcore as tc
 
@@ -676,7 +676,7 @@ class TestDamagedPreparedRun:
         else:
             flip = data.draw(st.integers(1, 255), label="xor")
             blob = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
-        with tempfile.TemporaryDirectory() as out:
+        with tempfile.TemporaryDirectory() as out, time_bound():
             _damaged_copy(pristine_run, out, name, blob)
             for argv in (train_args(out, model="camf", epochs=1),
                          ["evaluate", "--model", "camf", "--factors", "4", "--out", out]):
@@ -717,8 +717,9 @@ class TestDamagedCheckpoint:
         try:
             with open(path, "wb") as fh:
                 fh.write(damaged)
-            code, _, err = run_cli(
-                ["evaluate", "--model", "camf", "--factors", "4", "--out", out], capsys)
+            with time_bound():
+                code, _, err = run_cli(
+                    ["evaluate", "--model", "camf", "--factors", "4", "--out", out], capsys)
         finally:
             with open(path, "wb") as fh:
                 fh.write(blob)

@@ -206,6 +206,34 @@ class TestParseGeneric:
         assert parsed.interactions.num_users == 1
 
 
+# -- attribute catalog -------------------------------------------------------
+
+
+class TestAttributeCatalog:
+    def test_unsorted_lists_stored_sorted(self):
+        catalog = corpus.AttributeCatalog(
+            user_attrs=[[2, 0, 1], np.array([1]), (3, 0, 3)],
+            item_attrs=[[4, 1], [0]],
+            user_vocab_size=4, item_vocab_size=5,
+        )
+        assert [a.tolist() for a in catalog.user_attrs] == [[0, 1, 2], [1], [0, 3, 3]]
+        assert [a.tolist() for a in catalog.item_attrs] == [[1, 4], [0]]
+        assert all(a.dtype == np.int64 for a in catalog.user_attrs + catalog.item_attrs)
+
+    @pytest.mark.parametrize("user_attrs, item_attrs, message", [
+        ([[0], [], [9]], [[0]], "user 1 has zero attributes"),
+        ([[0], [9], []], [[0]], r"user 1 attribute id outside vocabulary \(3\)"),
+        ([[0], [1, -1], [2]], [[0]], r"user 1 attribute id outside vocabulary \(3\)"),
+        ([[0], [1], [2]], [[1], [0, 1], []], "item 2 has zero attributes"),
+        ([[0], [1], [2]], [[1], [0, 2, 2]], r"item 1 attribute id outside vocabulary \(2\)"),
+        ([[0], [1], []], [[], [7]], "user 2 has zero attributes"),
+    ], ids=["empty-user", "user-id-past-vocab", "negative-user-id", "empty-item",
+            "item-id-past-vocab", "users-checked-first"])
+    def test_first_offending_entity_named(self, user_attrs, item_attrs, message):
+        with pytest.raises(corpus.LoadError, match=f"^{message}$"):
+            corpus.AttributeCatalog(user_attrs, item_attrs, user_vocab_size=3, item_vocab_size=2)
+
+
 # -- bucketing ---------------------------------------------------------------
 
 

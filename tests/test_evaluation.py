@@ -203,8 +203,10 @@ def random_run(num_users, seed=31):
 
 
 def random_model(kind, num_users, seed=5):
-    config = models.ModelConfig(kind, num_users, NUM_ITEMS, factors=8,
-                                user_vocab_size=5, item_vocab_size=7)
+    """kind is a model kind, or "camf-cross" for camf with include_attr_cross."""
+    config = models.ModelConfig(kind.removesuffix("-cross"), num_users, NUM_ITEMS, factors=8,
+                                user_vocab_size=5, item_vocab_size=7,
+                                include_attr_cross=kind.endswith("-cross"))
     store = models.init_params(config, seed)
     for name in store.names():
         # spread the scores well past init's N(0, 0.01^2) so ranks vary across users
@@ -216,7 +218,7 @@ class TestChunkedEvaluate:
     """evaluate scores EVAL_USERS_PER_FORWARD users per forward; the per-user loop is the oracle."""
 
     @pytest.mark.parametrize("num_users", [1, 15, 16, 17])
-    @pytest.mark.parametrize("kind", models.KINDS)
+    @pytest.mark.parametrize("kind", [*models.KINDS, "camf-cross"])
     def test_matches_per_user_oracle_bitwise(self, kind, num_users, monkeypatch):
         split, catalog = random_run(num_users)
         config, store = random_model(kind, num_users)
@@ -262,4 +264,18 @@ class TestChunkedEvaluate:
         emb[16] = np.nan
         store.set_value("user_emb", emb)
         with pytest.raises(evaluation.EvaluationError):
+            evaluation.evaluate(config, store, split, catalog)
+
+    @pytest.mark.parametrize("kind", models.KINDS)
+    @pytest.mark.parametrize("where", ["positive", "negative"])
+    @pytest.mark.parametrize("bad", [-1, NUM_ITEMS])
+    def test_candidate_outside_items_raises(self, kind, where, bad):
+        # side rows are gathered by indexing, where -1 would silently read the last item
+        split, catalog = random_run(17)
+        if where == "positive":
+            split.test_positives[3] = bad
+        else:
+            split.test_negatives[16, 98] = bad
+        config, store = random_model(kind, 17)
+        with pytest.raises(tc.ShapeError, match="out of range"):
             evaluation.evaluate(config, store, split, catalog)

@@ -490,3 +490,24 @@ class TestScoresInUnitInterval:
                 store = models.init_params(config, seed)
                 s = scores_for(config, store, users, items, catalog)
                 assert np.all((s > 0.0) & (s < 1.0)), kind
+
+
+class TestGatheredSides:
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_gathered_rows_score_bitwise_as_built_ones(self, kind, catalog):
+        # a training-shaped batch with repeats, against sides built once over every id
+        config = cfg(kind, include_attr_cross=kind == "camf")
+        store = models.init_params(config, 4)
+        users, items = np.array([5, 0, 5, 2, 3]), np.array([6, 6, 0, 1, 4])
+        sides = models.build_sides(tc.Tape(store, record=False), config, np.arange(6),
+                                   np.arange(7), catalog)
+        gathered = models.score(tc.Tape(store, record=False), config, users, items, catalog, sides)
+        assert models.predictions(gathered).tobytes() == \
+            scores_for(config, store, users, items, catalog).tobytes()
+
+    def test_recording_tape_refused(self, catalog):
+        config = cfg("gmf")
+        store = models.init_params(config, 0)
+        sides = models.build_sides(tc.Tape(store, record=False), config, np.arange(6), np.arange(7))
+        with pytest.raises(tc.ShapeError, match="record=False"):
+            models.score(tc.Tape(store), config, [0], [1], sides=sides)

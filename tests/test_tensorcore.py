@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from crossrec import models
 from crossrec import tensorcore as tc
 
 
 def make_store(**tables):
-    store = tc.ParameterStore()
-    for name, array in tables.items():
-        array = np.asarray(array, dtype=np.float32)
-        store.add_zeros(name, array.shape)
-        store.set_value(name, array)
-    return store
+    return tc.ParameterStore(list(tables.items()))
 
 
 # -- initialization ----------------------------------------------------------
@@ -22,40 +18,52 @@ class TestGaussianInit:
     def test_sample_statistics_across_seeds(self):
         means, stds = [], []
         for seed in range(10):
-            store = tc.ParameterStore()
-            store.add_gaussian("table", (100, 100), seed)
+            store = tc.ParameterStore([("table", tc.gaussian_init("table", (100, 100), seed))])
             means.append(float(store.value("table").mean()))
             stds.append(float(store.value("table").std()))
         assert abs(np.mean(means)) < 0.0005
         assert 0.0095 < np.mean(stds) < 0.0105
 
     def test_biases_all_zero(self):
-        store = tc.ParameterStore()
-        store.add_zeros("b", (1, 16))
-        assert not store.value("b").any()
+        config = models.ModelConfig("neumf", num_users=3, num_items=4, factors=2)
+        store = models.init_params(config, 0)
+        biases = [name for name in store.names() if name.endswith("_b")]
+        assert biases and not any(store.value(name).any() for name in biases)
 
     def test_same_seed_bit_equal(self):
         stores = []
         for _ in range(2):
-            s = tc.ParameterStore()
-            s.add_gaussian("w", (50, 8), 1234)
-            s.add_gaussian("u", (20, 8), 1234)
-            stores.append(s)
+            stores.append(tc.ParameterStore([("w", tc.gaussian_init("w", (50, 8), 1234)),
+                                             ("u", tc.gaussian_init("u", (20, 8), 1234))]))
         assert np.array_equal(stores[0].value("w"), stores[1].value("w"))
         assert np.array_equal(stores[0].value("u"), stores[1].value("u"))
 
     def test_moment_buffers_zero_and_congruent(self):
-        store = tc.ParameterStore()
-        store.add_gaussian("w", (5, 3), 0)
+        store = tc.ParameterStore([("w", tc.gaussian_init("w", (5, 3), 0))])
         m, v = store.moments("w")
         assert m.shape == v.shape == (5, 3)
         assert not m.any() and not v.any()
 
     def test_duplicate_name_rejected(self):
-        store = tc.ParameterStore()
-        store.add_zeros("w", (2, 2))
+        with pytest.raises(tc.ShapeError, match="duplicate"):
+            tc.ParameterStore([("w", np.zeros((2, 2))), ("b", np.zeros((1, 2))),
+                               ("w", np.zeros((2, 2)))])
+
+    @pytest.mark.parametrize("params", [
+        [("w", np.zeros((2, 2))), ("has space", np.zeros((1, 2)))],
+        [("w", np.zeros((2, 2))), ("dotted.name", np.zeros((1, 2)))],
+        [("w", np.zeros((2, 2))), ("flat", np.zeros(3))],
+    ], ids=["whitespace", "dot", "not-2d"])
+    def test_malformed_entry_rejected(self, params):
         with pytest.raises(tc.ShapeError):
-            store.add_zeros("w", (2, 2))
+            tc.ParameterStore(params)
+
+    def test_one_arena_in_list_order(self):
+        w, b = tc.gaussian_init("w", (50, 8), 7), np.full((1, 8), 2.0, dtype=np.float32)
+        store = tc.ParameterStore([("w", w), ("b", b)])
+        assert store.names() == ["w", "b"]
+        assert store._value.tobytes() == w.tobytes() + b.tobytes()
+        assert not store._m.any() and not store._v.any() and store.step == 0
 
 
 # -- primitive forwards and backwards ----------------------------------------
@@ -379,8 +387,9 @@ class TestNodeBump:
 
 # -- segment sums ------------------------------------------------------------
 
-# segment lengths with empty segments, a run of 8 (where pairwise reduction
-# would begin) and a run of 130 (past numpy's 128-element pairwise block)
+# segment lengths with empty segments, a trailing one among them, a run of 8
+# (where pairwise reduction would begin) and a run of 130 (past numpy's
+# 128-element pairwise block)
 SEGMENT_LENGTHS = [3, 0, 8, 1, 0, 130, 2, 0]
 
 
@@ -411,9 +420,20 @@ class TestSegmentSum:
         got = tc.segment_sum(values, segments, count)
         assert got.tobytes() == _add_at_oracle(values, segments, count).tobytes()
 
+    @pytest.mark.parametrize("width", [1, 32])
+    def test_any_width_equals_add_at_bitwise(self, width):
+        # the flattened (segment, column) cells must not run into the next segment's
+        rng = np.random.default_rng(24)
+        count = len(SEGMENT_LENGTHS)
+        segments = rng.permutation(np.repeat(np.arange(count), SEGMENT_LENGTHS))
+        values = self._values(rng, segments.size, d=width)
+        got = tc.segment_sum(values, segments, count)
+        assert got.shape == (count, width)
+        assert got.tobytes() == _add_at_oracle(values, segments, count).tobytes()
+
     def test_no_rows_gives_zeros(self):
         got = tc.segment_sum(np.empty((0, 3)), np.empty(0, dtype=np.int64), 4)
-        assert got.shape == (4, 3) and not got.any()
+        assert got.shape == (4, 3) and got.dtype == np.float64 and not got.any()
 
     def test_embed_sum_and_its_gradient_equal_add_at_bitwise(self):
         rng = np.random.default_rng(22)
@@ -489,6 +509,26 @@ class TestCheckpoints:
             assert np.array_equal(loaded.value(name), store.value(name))
             for a, b in zip(loaded.moments(name), store.moments(name)):
                 assert np.array_equal(a, b)
+
+    def test_loaded_arena_bitwise_equal(self, tmp_path):
+        # a camf store after Adam steps, with signed zeros and a NaN planted
+        config = models.ModelConfig("camf", num_users=9, num_items=11, factors=4,
+                                    user_vocab_size=3, item_vocab_size=5)
+        store = models.init_params(config, 3)
+        rng = np.random.default_rng(12)
+        for _ in range(2):
+            tc.adam_step(store, tc.GradientBuffer(dense={
+                name: rng.normal(0, 1, store.shape(name)) for name in store.names()}))
+        store.value("gate_w")[0, 0] = -0.0
+        store.moments("out_w")[0][1, 0] = np.nan
+        path = str(tmp_path / "camf.ckpt")
+        tc.save_checkpoint(path, store, {})
+        loaded, _ = tc.load_checkpoint(path)
+        assert loaded.step == store.step == 2
+        assert loaded.names() == store.names()
+        assert loaded._layout == store._layout
+        for buffer in ("_value", "_m", "_v"):
+            assert getattr(loaded, buffer).tobytes() == getattr(store, buffer).tobytes()
 
     def test_serialized_bytes_deterministic(self, tmp_path):
         blobs = []

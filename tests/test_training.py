@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import time_bound
 from crossrec import corpus, models, training
 from crossrec import tensorcore as tc
 
@@ -145,7 +146,8 @@ class TestSamplerRecheck:
         train = corpus.InteractionSet.from_arrays(
             2, 5, [0, 1, 1, 1, 1], [0, 0, 1, 2, 3], [1, 1, 2, 3, 4])
         split = corpus.SplitDataset(train, np.array([1, 4]), np.zeros((2, 0), dtype=np.int64))
-        with pytest.raises(training.TrainingError, match="user 1 has observed all 5 items"):
+        with time_bound(), pytest.raises(training.TrainingError,
+                                         match="user 1 has observed all 5 items"):
             next(training.sample_training_batches(split, 4, 8, seed=0, epoch=1))
 
 
