@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorcore import seeded_rng
+from .tensorcore import Ragged, ShapeError, seeded_rng
 
 
 class CorpusError(Exception):
@@ -38,14 +38,17 @@ class SplitError(CorpusError):
 
 @dataclass
 class InteractionSet:
-    """Deduplicated (user, item, timestamp) triples over dense 0-based ids."""
+    """Deduplicated (user, item, timestamp) triples over dense 0-based ids.
+
+    per_user_items is a Ragged with one row per user: its items, ascending.
+    """
 
     num_users: int
     num_items: int
     users: np.ndarray
     items: np.ndarray
     timestamps: np.ndarray
-    per_user_items: list = field(repr=False)
+    per_user_items: Ragged = field(repr=False)
 
     @classmethod
     def from_arrays(cls, num_users, num_items, users, items, timestamps):
@@ -59,16 +62,12 @@ class InteractionSet:
         if len(items) and (items.min() < 0 or items.max() >= num_items):
             raise LoadError("item id out of range")
         encoded = users * num_items + items
-        if np.unique(encoded).size != encoded.size:
-            raise LoadError("duplicate (user, item) pair")
-        per_user = [None] * num_users
         order = np.argsort(encoded, kind="stable")
-        sorted_users = users[order]
-        sorted_items = items[order]
-        bounds = np.searchsorted(sorted_users, np.arange(num_users + 1))
-        for u in range(num_users):
-            per_user[u] = sorted_items[bounds[u]:bounds[u + 1]]
-        return cls(num_users, num_items, users, items, timestamps, per_user)
+        encoded = encoded[order]
+        if (encoded[1:] == encoded[:-1]).any():
+            raise LoadError("duplicate (user, item) pair")
+        bounds = np.searchsorted(encoded, np.arange(num_users + 1) * num_items)
+        return cls(num_users, num_items, users, items, timestamps, Ragged(bounds, items[order]))
 
     def __len__(self):
         return len(self.users)
@@ -76,42 +75,40 @@ class InteractionSet:
 
 @dataclass
 class AttributeCatalog:
-    """Per-entity attribute id sets with their vocabulary sizes.
+    """Per-entity attribute id sets, one Ragged per side, with their vocabulary sizes.
 
-    Attribute id lists are stored sorted; every user and item carries at
-    least one attribute (checked at load).
+    Either side may be given as per-entity id lists, which are sorted into a
+    Ragged here; every user and item carries at least one attribute and
+    every id lies inside its vocabulary (checked at construction).
     """
 
-    user_attrs: list
-    item_attrs: list
+    user_attrs: Ragged
+    item_attrs: Ragged
     user_vocab_size: int
     item_vocab_size: int
 
     def __post_init__(self):
-        self.user_attrs = _sorted_rows("user", self.user_attrs, self.user_vocab_size)
-        self.item_attrs = _sorted_rows("item", self.item_attrs, self.item_vocab_size)
+        self.user_attrs = _checked_rows("user", self.user_attrs, self.user_vocab_size)
+        self.item_attrs = _checked_rows("item", self.item_attrs, self.item_vocab_size)
 
 
-def _sorted_rows(label, rows, vocab):
-    """Each entity's ids as a sorted int64 array, sorted and checked in one pass.
+def _checked_rows(label, rows, vocab):
+    """`rows` as a Ragged (built from them if they are id lists).
 
     Raises LoadError naming the first entity that has no ids or an id
     outside [0, vocab).
     """
-    if not len(rows):
-        return []
-    lengths = np.array([len(ids) for ids in rows], dtype=np.int64)
-    flat = np.concatenate(rows, dtype=np.int64, casting="unsafe")
+    if not isinstance(rows, Ragged):
+        rows = Ragged.from_rows(rows)
+    lengths = np.diff(rows.offsets)
     segments = np.repeat(np.arange(lengths.size), lengths)
-    bad = np.concatenate([np.flatnonzero(lengths == 0), segments[(flat < 0) | (flat >= vocab)]])
+    bad = np.concatenate([np.flatnonzero(lengths == 0), segments[(rows.flat < 0) | (rows.flat >= vocab)]])
     if bad.size:
         first = bad.min()
         if lengths[first] == 0:
             raise LoadError(f"{label} {first} has zero attributes")
         raise LoadError(f"{label} {first} attribute id outside vocabulary ({vocab})")
-    flat = flat[np.lexsort((flat, segments))]
-    bounds = [0, *np.cumsum(lengths).tolist()]
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    return rows
 
 
 @dataclass
@@ -121,10 +118,6 @@ class SplitDataset:
     train: InteractionSet
     test_positives: np.ndarray       # (num_users,)
     test_negatives: np.ndarray       # (num_users, 99)
-
-    def full_user_items(self, user):
-        """Sorted items the user interacted with anywhere (train or test)."""
-        return np.union1d(self.train.per_user_items[user], [self.test_positives[user]])
 
 
 def full_membership(split):
@@ -157,9 +150,12 @@ def _read_lines(path, encoding="utf-8"):
 
 def _parse_int(text, path, lineno, what):
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}") from None
+    if not -2**63 <= value < 2**63:  # ids and timestamps are stored as int64
+        raise ParseError(f"{path}:{lineno}: {what} does not fit in 64 bits: {text!r}")
+    return value
 
 
 def _dedupe_triples(raw_users, raw_items, timestamps):
@@ -281,7 +277,7 @@ def item_pin_attribute(interactions, bucket_size):
     of that user's total interaction count; items nobody touched land in
     bucket 0.
     """
-    user_counts = np.array([len(v) for v in interactions.per_user_items], dtype=np.int64)
+    user_counts = np.diff(interactions.per_user_items.offsets)
     pins = np.zeros(interactions.num_items, dtype=np.int64)
     np.add.at(pins, interactions.items, user_counts[interactions.users])
     buckets = np.zeros(interactions.num_items, dtype=np.int64)
@@ -376,8 +372,7 @@ def parse_generic(
     item_name_index = {n: i for i, n in enumerate(item_names)}
 
     user_buckets = np.array(
-        [bucketize(len(interactions.per_user_items[u]), user_bucket_size)
-         for u in range(interactions.num_users)],
+        [bucketize(n, user_bucket_size) for n in np.diff(interactions.per_user_items.offsets).tolist()],
         dtype=np.int64,
     )
     item_buckets = item_pin_attribute(interactions, item_bucket_size)
@@ -412,8 +407,7 @@ def leave_one_out_split(data, seed):
     positives = np.empty(data.num_users, dtype=np.int64)
     negatives = np.empty((data.num_users, NUM_TEST_NEGATIVES), dtype=np.int64)
     all_items = np.arange(data.num_items, dtype=np.int64)
-    for u in range(data.num_users):
-        mine = data.per_user_items[u]
+    for u, mine in enumerate(data.per_user_items):
         if len(mine) < 2:
             raise SplitError(f"user {u} has {len(mine)} interaction(s); need at least 2")
         candidates = data.num_items - len(mine)
@@ -439,7 +433,8 @@ def leave_one_out_split(data, seed):
 # Three files of little-endian int64 .npy (v1.0) records, counts first, read in
 # order by numpy.load(fh, allow_pickle=False): train.npy [U, I], (3, n) users/
 # items/timestamps; split.npy [U, I], positives (U,), negatives (U, 99);
-# attributes.npy [user_vocab, item_vocab], then CSR offsets and flat ids per side.
+# attributes.npy [user_vocab, item_vocab], then each side's Ragged as its
+# offsets and flat ids (sorted within each row), which load_catalog wraps as is.
 
 TRAIN_FILE, SPLIT_FILE, ATTRS_FILE = "train.npy", "split.npy", "attributes.npy"
 
@@ -516,8 +511,7 @@ def load_split(path, train):
 def save_catalog(catalog, path):
     records = [[catalog.user_vocab_size, catalog.item_vocab_size]]
     for attrs in (catalog.user_attrs, catalog.item_attrs):
-        records += [np.cumsum([0] + [len(ids) for ids in attrs]),
-                    np.concatenate([np.empty(0, np.int64), *attrs])]
+        records += [attrs.offsets, attrs.flat]
     _write_records(path, records)
 
 
@@ -525,12 +519,12 @@ def load_catalog(path):
     vocab, *csr = _read_records(path, [(2,)] + [(None,)] * 4)
     sides = []
     for offsets, flat, size in zip(csr[::2], csr[1::2], vocab.tolist()):
-        bounds = offsets.tolist()
-        if bounds[:1] != [0] or bounds[-1] != flat.size or (offsets[1:] < offsets[:-1]).any():
-            raise LoadError(f"{path}: attribute offsets do not run from 0 up to {flat.size}")
+        try:
+            sides.append(Ragged(offsets, flat))
+        except ShapeError as exc:
+            raise LoadError(f"{path}: attribute {exc}") from None
         if flat.max(initial=-1) + 1 != size:  # prepare writes no unused (table-inflating) ids
             raise LoadError(f"{path}: vocabulary size {size} is not the largest attribute id + 1")
-        sides.append([flat[a:b] for a, b in zip(bounds, bounds[1:])])
     return AttributeCatalog(*sides, *vocab.tolist())
 
 

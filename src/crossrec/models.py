@@ -17,7 +17,9 @@ item side likewise, and an interaction over row-aligned rows of the two
 composes them; training builds the sides per batch, evaluation builds them
 once over every id and gathers rows. Everything reads the store through a
 Tape and mutates nothing. Attribute models additionally take an
-AttributeCatalog.
+AttributeCatalog, whose user and item sides are each one tc.Ragged of
+sorted attribute ids; embed_sum and the pairwise pool gather a batch's
+rows straight from it.
 """
 
 from __future__ import annotations
@@ -142,42 +144,6 @@ def init_params(config, seed):
     ])
 
 
-# -- ragged attribute gathers ----------------------------------------------
-
-
-class RaggedRows:
-    """CSR view over per-entity id lists with a vectorized batch gather."""
-
-    def __init__(self, id_lists):
-        lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
-        self.flat = (
-            np.concatenate([np.asarray(ids, dtype=np.int64) for ids in id_lists])
-            if lengths.sum() else np.empty(0, dtype=np.int64)
-        )
-
-    def gather(self, selector):
-        """Flat ids and segment indices for the selected entities."""
-        selector = np.asarray(selector, dtype=np.int64)
-        lengths = self.offsets[selector + 1] - self.offsets[selector]
-        total = int(lengths.sum())
-        segments = np.repeat(np.arange(selector.size, dtype=np.int64), lengths)
-        starts = np.repeat(self.offsets[selector], lengths)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
-        return self.flat[starts + within], segments, selector.size
-
-
-def _catalog_ragged(catalog):
-    # catalogs are immutable after load; cache the CSR views on the instance
-    cache = getattr(catalog, "_ragged_cache", None)
-    if cache is None:
-        cache = (RaggedRows(catalog.user_attrs), RaggedRows(catalog.item_attrs))
-        catalog._ragged_cache = cache
-    return cache
-
-
 # -- shared building blocks --------------------------------------------------
 
 
@@ -211,16 +177,16 @@ def pairwise_pool(entity, attrs):
     return (t * t - e * e - (g * g).sum(axis=0)) / 2.0
 
 
-def _pool(tape, entity, table_name, ragged):
-    """Batched pairwise pooling against embedding-table rows.
+def _pool(tape, entity, table_name, ragged, ids):
+    """Batched pairwise pooling of entity rows against embedding-table rows.
 
-    `ragged` is (flat ids, segments, batch), sorted by (segment, id) as
-    RaggedRows.gather yields it; ids are summed in that order, and empty
-    segments fall back to the entity row itself.
+    Row b pools entity row b with the table rows that the tc.Ragged
+    `ragged` lists for entity ids[b]; the ids are summed in the order the
+    Ragged keeps them, ascending within each row, and an entity with no ids
+    falls back to its entity row itself.
     """
-    flat, segments, count = tc._normalize_ragged(ragged)
-    if count != entity.value.shape[0]:
-        raise tc.ShapeError("pool segment count does not match the entity batch")
+    flat, segments = ragged.gather(ids)
+    count = len(ids)
     rows = tape.embed_lookup(table_name, flat)
     s = tc.segment_sum(rows.value, segments, count)
     sq = tc.segment_sum(rows.value * rows.value, segments, count)
@@ -279,10 +245,10 @@ def _side(tape, kind, who, ids, catalog):
     emb = tape.embed_lookup(f"{who}_emb", ids)
     if kind in ("gmf", "mlp"):
         return (emb,)
-    ragged = _catalog_ragged(catalog)[who == "item"].gather(ids)
+    attrs = getattr(catalog, f"{who}_attrs")
     if kind == "aadcf":
-        return (_pool(tape, emb, f"{who}_attr_emb", ragged),)
-    return (emb, tape.embed_sum(f"{who}_attr_emb", ragged))
+        return (_pool(tape, emb, f"{who}_attr_emb", attrs, ids),)
+    return (emb, tape.embed_sum(f"{who}_attr_emb", attrs, ids))
 
 
 def build_sides(tape, config, users, items, catalog=None):

@@ -166,36 +166,59 @@ def _as_ids(ids):
     return ids
 
 
-def _normalize_ragged(ragged):
-    """Accept a list of id sequences or a (flat, segments, count) triple.
+class Ragged:
+    """Rows of int64 ids in CSR form, ids ascending within each row.
 
-    Returns (flat, segments, count) with ids sorted within each segment so
-    downstream sums are independent of the caller's ordering. A list is
-    sorted here; a triple (what RaggedRows.gather yields from a catalog,
-    whose rows are stored sorted) must already be sorted by (segment, id)
-    with segments inside [0, count), and is checked rather than sorted.
+    Row r is flat[offsets[r]:offsets[r + 1]]. The form is checked once, when
+    built, and treated as immutable after, so readers index and gather
+    without checking it again. Indexing and iteration yield row views.
     """
-    if isinstance(ragged, tuple) and len(ragged) == 3:
-        flat, segments, count = ragged
-        flat = _as_ids(flat)
-        segments = _as_ids(segments)
-        if flat.size != segments.size:
-            raise ShapeError(f"ragged ids ({flat.size}) and segments ({segments.size}) differ")
-        if flat.size:
-            step = np.diff(segments)
-            if (segments[0] < 0 or segments[-1] >= count
-                    or ((step < 0) | ((step == 0) & (np.diff(flat) < 0))).any()):
-                raise ShapeError("ragged triple is not sorted by (segment, id) within its count")
-        return flat, segments, count
-    pieces = [_as_ids(seq) for seq in ragged]
-    count = len(pieces)
-    flat = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    segments = np.repeat(np.arange(count, dtype=np.int64), [p.size for p in pieces])
-    if flat.size:
-        order = np.lexsort((flat, segments))
-        flat = flat[order]
-        segments = segments[order]
-    return flat, segments, count
+
+    __slots__ = ("offsets", "flat")
+
+    def __init__(self, offsets, flat):
+        """ShapeError unless offsets run from 0 up to flat.size without
+        decreasing and ids do not decrease within any row."""
+        offsets, flat = _as_ids(offsets), _as_ids(flat)
+        if offsets[:1].tolist() != [0] or offsets[-1] != flat.size or (offsets[1:] < offsets[:-1]).any():
+            raise ShapeError(f"offsets do not run from 0 up to {flat.size}")
+        starts = np.zeros(flat.size + 1, dtype=bool)
+        starts[offsets] = True
+        if ((flat[1:] < flat[:-1]) & ~starts[1:-1]).any():
+            raise ShapeError("ids are not sorted within each row")
+        self.offsets, self.flat = offsets, flat
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The id sequences in `rows`, each sorted here."""
+        lengths = np.array([len(ids) for ids in rows], dtype=np.int64)
+        flat = np.concatenate([np.empty(0, np.int64), *rows], dtype=np.int64, casting="unsafe")
+        segments = np.repeat(np.arange(lengths.size), lengths)
+        return cls(np.concatenate([[0], np.cumsum(lengths)]), flat[np.lexsort((flat, segments))])
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    def __getitem__(self, row):
+        row = range(len(self))[row]  # IndexError past either end, as for a list
+        return self.flat[self.offsets[row]:self.offsets[row + 1]]
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def gather(self, rows):
+        """(ids, segments): the ids of the selected rows, segments[k] the
+        position in `rows` that ids[k] came from, in (segment, id) order.
+
+        ShapeError for a selector outside [0, len(self)).
+        """
+        rows = _as_ids(rows)
+        check_rows(rows, len(self), "ragged")
+        lengths = self.offsets[rows + 1] - self.offsets[rows]
+        segments = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
+        shift = np.repeat(self.offsets[rows] - (np.cumsum(lengths) - lengths), lengths)
+        return self.flat[np.arange(segments.size, dtype=np.int64) + shift], segments
 
 
 def segment_sum(values, segments, count):
@@ -227,7 +250,6 @@ class Tape:
         self._ops = []          # (node, backward_fn(gout)) in forward order
         self._dense_grads = {}
         self._row_chunks = {}   # name -> list of (ids, grad) pieces
-        self.relu_masks = []    # activation sign patterns, for smoothness checks
 
     # -- leaf reads ------------------------------------------------------
 
@@ -265,17 +287,18 @@ class Tape:
             self._leaf_rows(node, name, ids)
         return node
 
-    def embed_sum(self, name, ragged):
-        """Per-segment sum of rows: output[s] = sum of table rows listed for s.
+    def embed_sum(self, name, ragged, ids):
+        """Per-entity sum of table rows: output[b] = sum of the rows ragged[ids[b]] lists.
 
-        Ids are summed in sorted order, so the result does not depend on how
-        the caller ordered each segment; duplicated ids contribute (and
-        receive gradient) once per occurrence.
+        Ids are summed in the ascending order a Ragged keeps each row in, so
+        the result does not depend on the order the rows were given in;
+        duplicated ids contribute (and receive gradient) once per occurrence.
         """
-        flat, segments, count = _normalize_ragged(ragged)
+        ids = _as_ids(ids)
+        flat, segments = ragged.gather(ids)
         table = self.store.value(name)
         check_rows(flat, table.shape[0], name)
-        node = Node(segment_sum(table[flat].astype(np.float64), segments, count))
+        node = Node(segment_sum(table[flat].astype(np.float64), segments, ids.size))
         if self.recording:
             def back(g, flat=flat, segments=segments, name=name):
                 self._row_chunks.setdefault(name, []).append((flat, g[segments]))
@@ -363,12 +386,9 @@ class Tape:
         return node
 
     def relu(self, x):
-        value = np.maximum(x.value, 0.0)
-        node = Node(value)
-        mask = x.value > 0.0
-        self.relu_masks.append(mask)
+        node = Node(np.maximum(x.value, 0.0))
         if self.recording:
-            def back(g, x=x, mask=mask):
+            def back(g, x=x, mask=x.value > 0.0):
                 x.bump(g * mask)
 
             self._ops.append((node, back))

@@ -228,6 +228,19 @@ def _tiny_fixture(kind, seed, num_users=4, num_items=5, factors=4, layers=(8, 4,
     return config, catalog, batch
 
 
+class _MaskTape(tc.Tape):
+    """A value-only tape that keeps each relu's activation pattern, so a
+    finite difference whose two sides straddle a kink can be told apart."""
+
+    def __init__(self, store):
+        super().__init__(store, record=False)
+        self.masks = []
+
+    def relu(self, x):
+        self.masks.append((x.value > 0.0).tobytes())
+        return super().relu(x)
+
+
 def gradcheck(kind, seed, h=1e-3, tolerance=1e-3, config=None, catalog=None, batch=None):
     """Compare analytic batch-loss gradients with central finite differences.
 
@@ -248,11 +261,9 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3, config=None, catalog=None, bat
     store = models.init_params(config, seed)
 
     def loss_and_masks():
-        tape = tc.Tape(store, record=False)
+        tape = _MaskTape(store)
         node = models.score(tape, config, batch.users, batch.items, catalog)
-        value = log_loss(models.predictions(node), batch.labels)
-        masks = tuple(mask.tobytes() for mask in tape.relu_masks)
-        return value, masks
+        return log_loss(models.predictions(node), batch.labels), tuple(tape.masks)
 
     # Re-roll the point if a narrow relu layer went dead for the whole batch
     # (gradient identically zero upstream would make the check vacuous).

@@ -32,6 +32,19 @@ def prepare_args(dataset, out_dir, seed=11):
     ]
 
 
+def run_cli_process(argv):
+    """(exit code, stderr) of `crossrec argv` in a fresh interpreter, tracebacks included."""
+    proc = subprocess.run([sys.executable, "-m", "crossrec.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def assert_validation_failure(code, err, where):
+    assert code == 1
+    assert re.search(rf"^crossrec: error: .*{re.escape(where)}.* does not fit in 64 bits", err, re.M)
+    assert "Traceback" not in err
+
+
 def strip_wall(csv_text):
     return "\n".join(",".join(line.split(",")[:-1]) for line in csv_text.splitlines())
 
@@ -104,6 +117,14 @@ class TestPrepare:
         )
         assert code == 1
         assert "inter.tsv:1" in err
+
+    def test_user_id_past_int64_is_validation_failure(self, generic_dataset, tmp_path):
+        inter = generic_dataset[0]
+        lines = sum(1 for _ in open(inter, encoding="utf-8"))
+        with open(inter, "a", encoding="utf-8") as fh:
+            fh.write("12345678901234567890123\t500\t1000\n")
+        code, err = run_cli_process(prepare_args(generic_dataset, str(tmp_path / "x")))
+        assert_validation_failure(code, err, f"interactions.tsv:{lines + 1}: user id")
 
     def test_category_map_flag_collapses_vocabulary(self, generic_dataset, tmp_path, capsys):
         inter, uattr, iattr = generic_dataset
@@ -485,6 +506,16 @@ class TestMovielensPrepare:
         )
         assert code == 2
         assert "users_gone.dat" in err
+
+    def test_timestamp_past_int64_is_validation_failure(self, tmp_path):
+        ratings, users, movies = write_movielens_dataset(str(tmp_path))
+        with open(ratings, "a", encoding="iso-8859-1") as fh:
+            fh.write("1::2::5::12345678901234567890123\n")
+        lines = sum(1 for _ in open(ratings, encoding="iso-8859-1"))
+        code, err = run_cli_process(
+            ["prepare", "--dataset-kind", "movielens", "--ratings", ratings,
+             "--users", users, "--items", movies, "--seed", "5", "--out", str(tmp_path / "x")])
+        assert_validation_failure(code, err, f"ratings.dat:{lines}: timestamp")
 
     @requires_ml1m
     def test_summary_reports_published_user_count(self, tmp_path, capsys):

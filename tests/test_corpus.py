@@ -218,7 +218,7 @@ class TestAttributeCatalog:
         )
         assert [a.tolist() for a in catalog.user_attrs] == [[0, 1, 2], [1], [0, 3, 3]]
         assert [a.tolist() for a in catalog.item_attrs] == [[1, 4], [0]]
-        assert all(a.dtype == np.int64 for a in catalog.user_attrs + catalog.item_attrs)
+        assert catalog.user_attrs.flat.dtype == catalog.item_attrs.flat.dtype == np.int64
 
     @pytest.mark.parametrize("user_attrs, item_attrs, message", [
         ([[0], [], [9]], [[0]], "user 1 has zero attributes"),
@@ -421,6 +421,9 @@ class TestInteractionSetInvariants:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(corpus.LoadError, match="duplicate"):
             corpus.InteractionSet.from_arrays(2, 2, [0, 0], [1, 1], [0, 1])
+        # the repeated (1, 0) pair is first and last in input order
+        with pytest.raises(corpus.LoadError, match=r"^duplicate \(user, item\) pair$"):
+            corpus.InteractionSet.from_arrays(2, 2, [1, 0, 0, 1, 1], [0, 1, 0, 1, 0], range(5))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(corpus.LoadError):

@@ -96,7 +96,7 @@ class TestPrimitives:
         table = np.array([[0.5, -1.0], [2.0, 3.0]])
         store = make_store(emb=table)
         t = tc.Tape(store)
-        out = t.embed_sum("emb", [[1, 1]])
+        out = t.embed_sum("emb", tc.Ragged.from_rows([[1, 1]]), [0])
         assert np.allclose(out.value, 2 * table[1])
         grads = t.backward(out, np.ones((1, 2)))
         ids, g = grads.rows["emb"]
@@ -109,13 +109,14 @@ class TestPrimitives:
         base = rng.normal(0, 1, (2, 3)).astype(np.float32)
         c = rng.normal(0, 1, (1, 3))
         store = make_store(emb=base)
+        twice = tc.Ragged.from_rows([[1, 1]])
 
         def f():
             t = tc.Tape(store, record=False)
-            return float((t.embed_sum("emb", [[1, 1]]).value * c).sum())
+            return float((t.embed_sum("emb", twice, [0]).value * c).sum())
 
         t = tc.Tape(store)
-        out = t.embed_sum("emb", [[1, 1]])
+        out = t.embed_sum("emb", twice, [0])
         grads = t.backward(out, c)
         ids, analytic = grads.rows["emb"]
         h = 1e-3
@@ -134,17 +135,19 @@ class TestPrimitives:
         rng = np.random.default_rng(3)
         store = make_store(emb=rng.normal(0, 1, (6, 4)))
         t = tc.Tape(store, record=False)
-        a = t.embed_sum("emb", [[4]]).value
+        a = t.embed_sum("emb", tc.Ragged.from_rows([[4]]), [0]).value
         b = t.embed_lookup("emb", [4]).value
         assert np.array_equal(a, b)
 
     def test_embed_sum_order_invariant_bitwise(self):
+        # from_rows sorts each row, so rows given in any order sum alike
         rng = np.random.default_rng(4)
         store = make_store(emb=rng.normal(0, 1, (9, 5)))
         t = tc.Tape(store, record=False)
-        fwd = t.embed_sum("emb", [[2, 7, 5, 0]]).value
-        rev = t.embed_sum("emb", [[0, 5, 7, 2]]).value
-        assert np.array_equal(fwd, rev)
+        ragged = tc.Ragged.from_rows([[2, 7, 5, 0], [0, 5, 7, 2]])
+        assert ragged[0].tolist() == ragged[1].tolist() == [0, 2, 5, 7]
+        fwd, rev = t.embed_sum("emb", ragged, [0, 1]).value
+        assert fwd.tobytes() == rev.tobytes()
 
     def test_concat_roundtrip_gradient(self):
         store = make_store(a=[[1.0, 2.0]], b=[[3.0]])
@@ -441,7 +444,7 @@ class TestSegmentSum:
         store = make_store(emb=table)
         ragged = _ragged_with_duplicates(rng, 40)
         t = tc.Tape(store)
-        out = t.embed_sum("emb", ragged)
+        out = t.embed_sum("emb", tc.Ragged.from_rows(ragged), np.arange(len(ragged)))
         gout = self._values(rng, len(ragged), d=4)
         ids, grads = t.backward(out, gout).rows["emb"]
 
@@ -455,27 +458,53 @@ class TestSegmentSum:
         assert np.array_equal(ids, uniq)
         assert grads.tobytes() == _add_at_oracle(gout[segments], inverse, uniq.size).tobytes()
 
-    @pytest.mark.parametrize("triple", [
-        (np.array([3, 1]), np.array([0, 0]), 1),
-        (np.array([1, 2]), np.array([1, 0]), 2),
-        (np.array([1, 2]), np.array([0, 2]), 2),
-        (np.array([1, 2]), np.array([-1, 0]), 2),
-        (np.array([1, 2]), np.array([0]), 2),
-    ], ids=["ids-descending", "segments-descending", "segment-past-count",
-            "negative-segment", "length-mismatch"])
-    def test_out_of_order_triple_rejected(self, triple):
-        store = make_store(emb=np.ones((5, 2)))
+    @pytest.mark.parametrize("offsets, flat", [
+        ([0, 2], [3, 1]),
+        ([0, 2, 1, 2], [1, 2]),
+        ([0, 3], [1, 2]),
+        ([0, 1], [1, 2]),
+        ([1, 2], [1, 2]),
+        ([], []),
+    ], ids=["ids-descending", "offsets-descending", "offsets-past-flat",
+            "offsets-short-of-flat", "offsets-not-from-zero", "no-offsets"])
+    def test_malformed_ragged_rejected(self, offsets, flat):
         with pytest.raises(tc.ShapeError):
-            tc.Tape(store, record=False).embed_sum("emb", triple)
+            tc.Ragged(offsets, flat)
 
-    def test_sorted_triple_matches_list_form_bitwise(self):
+    @pytest.mark.parametrize("selector", [[-1], [0, 2]], ids=["negative", "past-the-end"])
+    def test_embed_sum_selector_outside_rows_rejected(self, selector):
+        # offsets[-1] would silently read the last row for a negative selector
+        store = make_store(emb=np.ones((5, 2)))
+        ragged = tc.Ragged.from_rows([[1], [2, 3]])
+        with pytest.raises(tc.ShapeError):
+            tc.Tape(store, record=False).embed_sum("emb", ragged, selector)
+
+    def test_built_offsets_match_from_rows_bitwise(self):
         rng = np.random.default_rng(23)
         store = make_store(emb=self._values(rng, 40, d=4))
-        ragged = [np.sort(ids) for ids in _ragged_with_duplicates(rng, 40)]
-        triple = (np.concatenate(ragged),
-                  np.repeat(np.arange(len(ragged)), SEGMENT_LENGTHS), len(ragged))
+        rows = _ragged_with_duplicates(rng, 40)
+        built = tc.Ragged(np.concatenate([[0], np.cumsum(SEGMENT_LENGTHS)]),
+                          np.concatenate([np.sort(ids) for ids in rows]))
+        everyone = np.arange(len(rows))
         t = tc.Tape(store, record=False)
-        assert t.embed_sum("emb", triple).value.tobytes() == t.embed_sum("emb", ragged).value.tobytes()
+        assert (t.embed_sum("emb", built, everyone).value.tobytes()
+                == t.embed_sum("emb", tc.Ragged.from_rows(rows), everyone).value.tobytes())
+
+
+class TestRagged:
+    def test_rows_index_and_iterate_as_sorted_views(self):
+        ragged = tc.Ragged.from_rows([[3, 1], [], (2,)])
+        assert len(ragged) == 3
+        assert [row.tolist() for row in ragged] == [[1, 3], [], [2]]
+        assert ragged[0].base is not None and ragged[-1].tolist() == [2]
+        with pytest.raises(IndexError):
+            ragged[3]
+
+    def test_gather_is_segment_then_id_order(self):
+        ragged = tc.Ragged.from_rows([[4, 0], [7], [], [5, 2, 2]])
+        flat, segments = ragged.gather([3, 0, 2, 3])
+        assert flat.tolist() == [2, 2, 5, 0, 4, 2, 2, 5]
+        assert segments.tolist() == [0, 0, 0, 1, 1, 3, 3, 3]
 
 
 # -- checkpoints ---------------------------------------------------------------

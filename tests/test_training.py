@@ -49,7 +49,7 @@ class TestSampler:
         full = {
             (u, int(i))
             for u in range(split.train.num_users)
-            for i in split.full_user_items(u)
+            for i in [*split.train.per_user_items[u], split.test_positives[u]]
         }
         for batch in training.sample_training_batches(split, 4, 64, seed=3, epoch=2):
             for u, i, y in zip(batch.users, batch.items, batch.labels):
@@ -350,6 +350,13 @@ class TestGradcheck:
         assert not report.ok
         assert report.per_param[report.worst()] >= 1e-3
         assert report.worst() in report.per_param
+
+    def test_steps_across_a_relu_kink_are_skipped(self):
+        # a wide step flips activations; those elements are counted, not compared
+        report = training.gradcheck("mlp", seed=0, h=0.2)
+        assert sum(report.kink_skips.values()) > 0
+        # gmf has no relu, so nothing is ever skipped
+        assert not any(training.gradcheck("gmf", seed=0, h=0.2).kink_skips.values())
 
     def test_unused_item_row_zero_on_both_sides(self):
         config = models.ModelConfig("gmf", num_users=3, num_items=4, factors=3)
