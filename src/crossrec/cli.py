@@ -1,9 +1,11 @@
 """Command-line pipeline: prepare | train | evaluate | gradcheck | sweep.
 
 Every command is a pure function of its input files, configuration, and
-seed. Options can come from a flat key=value config file (--config); flags
-given on the command line win. The seed has no entropy default: runs are
-reproducible or they do not start.
+seed. One table (OPTIONS) defines every option: its flag, its key in the
+flat key=value config file (--config), its parser and default, and the
+commands that take or require it. Flags given on the command line win over
+the file. The seed has no entropy default: runs are reproducible or they
+do not start.
 
 Exit codes: 0 success, 1 validation or numeric failure, 2 I/O failure.
 """
@@ -11,9 +13,10 @@ Exit codes: 0 success, 1 validation or numeric failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import corpus, evaluation, models, tensorcore, training
 
@@ -24,92 +27,134 @@ class CliError(Exception):
     """Invalid configuration or flag combination."""
 
 
-@dataclass
-class RunConfig:
-    dataset_kind: str = "generic"
-    ratings: str = None
-    users: str = None
-    items: str = None
-    interactions: str = None
-    user_attrs: str = None
-    item_attrs: str = None
-    category_map: str = None
-    model: str = "gmf"
-    factors: int = 8
-    layers: tuple = models.DEFAULT_LAYERS
-    lr: float = training.DEFAULT_LR
-    epochs: int = training.DEFAULT_EPOCHS
-    batch_size: int = training.DEFAULT_BATCH_SIZE
-    neg_ratio: int = training.DEFAULT_NEGATIVE_RATIO
-    seed: int = None
-    out: str = None
-    checkpoint_every: int = 0
-    include_attr_cross: bool = False
-
-    def require_seed(self):
-        if self.seed is None:
-            raise CliError("--seed is required (no entropy default)")
-        if self.seed < 0:
-            raise CliError("--seed must be non-negative")
-
-    def require_out(self):
-        if not self.out:
-            raise CliError("--out directory is required")
-
-    def validate_numeric(self):
-        for field_name in ("factors", "epochs", "batch_size", "neg_ratio"):
-            if getattr(self, field_name) < 0 or (field_name != "epochs" and getattr(self, field_name) == 0):
-                raise CliError(f"--{field_name.replace('_', '-')} must be positive")
-        if self.lr <= 0:
-            raise CliError("--lr must be positive")
-        if any(w < 1 for w in self.layers):
-            raise CliError("--layers widths must be positive")
+def _text(text, flag):
+    return str(text) or None  # an empty path is an unset one
 
 
-def _parse_layers(text):
+def _int(text, flag):
+    text = str(text)
+    if not tensorcore._is_count(text.removeprefix("-")):
+        raise CliError(f"bad {flag} value {text!r}")
+    return int(text)
+
+
+def _count(text, flag):
+    value = _int(text, flag)
+    if value < 0:
+        raise CliError(f"{flag} must be non-negative")
+    return value
+
+
+def _positive(text, flag):
+    value = _int(text, flag)
+    if value < 1:
+        raise CliError(f"{flag} must be positive")
+    return value
+
+
+def _rate(text, flag):
     try:
-        return tuple(int(w) for w in str(text).split(",") if w != "")
+        value = float(text)
     except ValueError:
-        raise CliError(f"bad --layers value {text!r}; expected comma-separated widths") from None
+        raise CliError(f"bad {flag} value {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise CliError(f"{flag} must be positive and finite")
+    return value
 
 
-def _parse_bool(text):
+def _bool(text, flag):
     lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"bad boolean value {text!r}")
+    raise CliError(f"bad {flag} value {text!r}")
 
 
-_CONFIG_FIELDS = {
-    "dataset_kind": str, "ratings": str, "users": str, "items": str,
-    "interactions": str, "user_attrs": str, "item_attrs": str, "category_map": str,
-    "model": str, "factors": int, "layers": _parse_layers, "lr": float,
-    "epochs": int, "batch_size": int, "neg_ratio": int, "seed": int, "out": str,
-    "checkpoint_every": int, "include_attr_cross": _parse_bool,
+def _kind(text, flag):
+    if text not in models.KINDS:
+        raise CliError(f"unknown model kind {text!r}; expected one of {', '.join(models.KINDS)}")
+    return text
+
+
+def _list(parse):
+    """A parser for comma-separated values, each read by `parse`."""
+    return lambda text, flag: tuple(parse(part, flag) for part in str(text).split(","))
+
+
+_widths = _list(_positive)
+
+
+class Option(NamedTuple):
+    key: str
+    parse: object      # (text, flag) -> value; raises CliError naming the flag
+    default: object
+    takes: tuple       # the commands with this flag
+    requires: tuple = ()
+    grid: tuple = None  # list options: sweep takes a list (this one when unset), the rest one value
+
+    @property
+    def flag(self):
+        return "--" + self.key.replace("_", "-")
+
+
+# command -> its line in `crossrec --help`
+COMMANDS = {
+    "prepare": "parse + split + test negatives",
+    "train": "train one model on a prepared run",
+    "evaluate": "HR@10 and NDCG@10 of a trained checkpoint",
+    "sweep": "train every (model, factors) cell of a grid",
+    "gradcheck": "finite-difference check of one model's gradients",
 }
+_MODEL_RUNS = ("train", "evaluate", "sweep")
+
+OPTIONS = (
+    Option("seed", _count, None, tuple(COMMANDS), ("prepare", "train", "sweep", "gradcheck")),
+    Option("out", _text, None, tuple(COMMANDS), ("prepare", "train", "evaluate", "sweep")),
+    Option("dataset_kind", _text, "generic", ("prepare",)),
+    *(Option(key, _text, None, ("prepare",)) for key in (
+        "ratings", "users", "items", "interactions", "user_attrs", "item_attrs", "category_map")),
+    Option("model", _list(_kind), "gmf", (*_MODEL_RUNS, "gradcheck"), grid=("gmf",)),
+    Option("factors", _list(_positive), 8, _MODEL_RUNS, grid=models.SWEEP_FACTORS),
+    Option("layers", _widths, models.DEFAULT_LAYERS, _MODEL_RUNS),
+    Option("lr", _rate, training.DEFAULT_LR, _MODEL_RUNS),
+    Option("epochs", _count, training.DEFAULT_EPOCHS, _MODEL_RUNS),
+    Option("batch_size", _positive, training.DEFAULT_BATCH_SIZE, _MODEL_RUNS),
+    Option("neg_ratio", _positive, training.DEFAULT_NEGATIVE_RATIO, _MODEL_RUNS),
+    Option("include_attr_cross", _bool, False, _MODEL_RUNS),
+    Option("checkpoint_every", _count, 0, ("train",)),
+    Option("ranks_out", _text, None, ("evaluate",)),
+)
+_BY_KEY = {opt.key: opt for opt in OPTIONS}
+
+
+def _set(config, key, text):
+    opt = _BY_KEY[key]
+    setattr(config, key, opt.parse(text, opt.flag))
 
 
 def load_run_config(config_path=None, overrides=None):
-    """key=value file values, then CLI overrides on top (flags win)."""
-    config = RunConfig()
+    """Table defaults, then the key=value file, then `overrides` (flag text) on top."""
+    config = argparse.Namespace(**{opt.key: opt.default for opt in OPTIONS})
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise CliError(f"{config_path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
+                key, has_value, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _CONFIG_FIELDS:
-                    raise CliError(f"{config_path}:{lineno}: unknown key {key!r}")
-                setattr(config, key, _CONFIG_FIELDS[key](value.strip()))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(config, key, value)
+                try:
+                    if not has_value:
+                        raise CliError("expected key=value")
+                    if key not in _BY_KEY:
+                        raise CliError(f"unknown key {key!r}")
+                    _set(config, key, value.strip())
+                except CliError as exc:
+                    raise CliError(f"{config_path}:{lineno}: {exc}") from None
+    for key, text in (overrides or {}).items():
+        if text is not None:
+            _set(config, key, text)
     return config
 
 
@@ -155,8 +200,6 @@ def _checkpoint_header(config, model_config):
 
 def cmd_prepare(config, log=print):
     """Parse the raw dataset, split it, and write the prepared artifacts."""
-    config.require_seed()
-    config.require_out()
     if config.dataset_kind == "movielens":
         for flag, value in (("--ratings", config.ratings), ("--users", config.users),
                             ("--items", config.items)):
@@ -197,9 +240,6 @@ def _write_metrics_row(fh, epoch, config, stats, report):
 
 def cmd_train(config, log=print):
     """Train one model on the prepared split; write metrics CSV and checkpoint."""
-    config.require_seed()
-    config.require_out()
-    config.validate_numeric()
     split, catalog = corpus.load_prepared(config.out)
     model_config = _model_config(config, split, catalog)
     csv_file = metrics_path(config.out, config.model, config.factors)
@@ -246,7 +286,7 @@ def _checkpoint_model_config(path, header):
             raise CliError(f"checkpoint {path} header has no {key!r} entry")
         try:
             return parse(header[key])
-        except ValueError:
+        except (ValueError, CliError):
             raise CliError(f"checkpoint {path} header entry {key!r} is malformed: "
                            f"{header[key]!r}") from None
 
@@ -255,16 +295,15 @@ def _checkpoint_model_config(path, header):
         num_users=entry("num_users"),
         num_items=entry("num_items"),
         factors=entry("factors"),
-        mlp_layers=entry("layers", lambda text: tuple(int(w) for w in text.split(","))),
+        mlp_layers=entry("layers", lambda text: _widths(text, "layers")),
         user_vocab_size=entry("user_vocab"),
         item_vocab_size=entry("item_vocab"),
         include_attr_cross=bool(entry("include_attr_cross")),
     )
 
 
-def cmd_evaluate(config, ranks_out=None, log=print):
+def cmd_evaluate(config, log=print):
     """Evaluate a written checkpoint on the prepared split."""
-    config.require_out()
     split, catalog = corpus.load_prepared(config.out)
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
@@ -279,9 +318,10 @@ def cmd_evaluate(config, ranks_out=None, log=print):
                 f"checkpoint {path} parameter {name!r} has shape {found.get(name, 'absent')}, "
                 f"but its {model_config.kind} header needs {expected.get(name, 'absent')}"
             )
-    report = evaluation.evaluate(model_config, store, split, catalog, keep_ranks=ranks_out is not None)
-    if ranks_out:
-        evaluation.save_ranks(report, ranks_out)
+    report = evaluation.evaluate(model_config, store, split, catalog,
+                                 keep_ranks=config.ranks_out is not None)
+    if config.ranks_out:
+        evaluation.save_ranks(report, config.ranks_out)
     log(f"hr10\t{_float_repr(report.hr_at_10)}")
     log(f"ndcg10\t{_float_repr(report.ndcg_at_10)}")
     return 0
@@ -289,7 +329,6 @@ def cmd_evaluate(config, ranks_out=None, log=print):
 
 def cmd_gradcheck(config, log=print):
     """Verify analytic gradients for one model kind; exit 1 beyond tolerance."""
-    config.require_seed()
     report = training.gradcheck(config.model, config.seed)
     for name in sorted(report.per_param):
         log(
@@ -322,20 +361,20 @@ def read_metrics_csv(path):
     return rows
 
 
-def cmd_sweep(config, model_list, factors_list, log=print):
+def cmd_sweep(config, log=print):
     """Train each (model, factors) cell on one shared prepared split.
 
-    Emits a combined table (rows = factor counts, columns = models in the
-    requested order) using each cell's best-epoch metrics; cell failures
-    are reported and the sweep continues.
+    config.model and config.factors are the grid's lists. Emits a combined
+    table (rows = factor counts, columns = models in the requested order)
+    using each cell's best-epoch metrics; cell failures are reported and the
+    sweep continues.
     """
-    config.require_seed()
-    config.require_out()
+    model_list, factors_list = config.model, config.factors
     cells = {}
     failures = []
     for model in model_list:
         for factors in factors_list:
-            cell_config = RunConfig(**{**config.__dict__, "model": model, "factors": factors})
+            cell_config = argparse.Namespace(**{**vars(config), "model": model, "factors": factors})
             try:
                 cmd_train(cell_config, log=lambda _msg: None)
                 rows = read_metrics_csv(metrics_path(config.out, model, factors))
@@ -385,87 +424,42 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(prog="crossrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, summary in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-
-    p = sub.add_parser("prepare", help="parse + split + test negatives")
-    add_common(p)
-    p.add_argument("--dataset-kind", choices=("movielens", "generic"), dest="dataset_kind")
-    p.add_argument("--ratings")
-    p.add_argument("--users")
-    p.add_argument("--items")
-    p.add_argument("--interactions")
-    p.add_argument("--user-attrs", dest="user_attrs")
-    p.add_argument("--item-attrs", dest="item_attrs")
-    p.add_argument("--category-map", dest="category_map")
-
-    for name in ("train", "evaluate", "sweep"):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--model")
-        p.add_argument("--factors", type=str)
-        p.add_argument("--layers", type=str)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--neg-ratio", type=int, dest="neg_ratio")
-        p.add_argument("--include-attr-cross", action="store_true", default=None,
-                       dest="include_attr_cross")
-        if name == "train":
-            p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-        if name == "evaluate":
-            p.add_argument("--ranks-out", dest="ranks_out")
-
-    p = sub.add_parser("gradcheck")
-    add_common(p)
-    p.add_argument("--model")
+        for opt in OPTIONS:
+            if command in opt.takes:
+                # flags keep their text; load_run_config reads it with the table's parser
+                extra = {"action": "store_true", "default": None} if opt.parse is _bool else {}
+                p.add_argument(opt.flag, dest=opt.key, **extra)
     return parser
 
 
-def _run(argv):
+def parse_command_line(argv):
+    """(command, config) for `argv`; config holds one value per option the command takes."""
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
-    config_path = args.pop("config", None)
-    ranks_out = args.pop("ranks_out", None)
+    config = load_run_config(args.pop("config"), args)
+    for opt in OPTIONS:
+        value = getattr(config, opt.key)
+        if command in opt.requires and value is None:
+            raise CliError(f"{opt.flag} is required")
+        if opt.grid is None or command not in opt.takes:
+            continue
+        if value is opt.default:  # set by neither the file nor a flag
+            value = opt.grid if command == "sweep" else value
+        elif command != "sweep":
+            if len(value) != 1:
+                raise CliError(f"{opt.flag} takes one value; only sweep takes a list")
+            value = value[0]
+        setattr(config, opt.key, value)
+    return command, config
 
-    factors_text = args.pop("factors", None)
-    model_text = args.pop("model", None)
-    overrides = {k: v for k, v in args.items() if v is not None}
-    if model_text is not None and command != "sweep":
-        overrides["model"] = model_text
-    if factors_text is not None and command != "sweep":
-        try:
-            overrides["factors"] = int(factors_text)
-        except ValueError:
-            raise CliError(f"bad --factors value {factors_text!r}") from None
-    if "layers" in overrides:
-        overrides["layers"] = _parse_layers(overrides["layers"])
 
-    config = load_run_config(config_path, overrides)
-    if command == "prepare":
-        return cmd_prepare(config)
-    if command == "train":
-        return cmd_train(config)
-    if command == "evaluate":
-        return cmd_evaluate(config, ranks_out=ranks_out)
-    if command == "gradcheck":
-        if model_text:
-            config.model = model_text
-        return cmd_gradcheck(config)
-    if command == "sweep":
-        model_list = (model_text or config.model).split(",")
-        for kind in model_list:
-            if kind not in models.KINDS:
-                raise CliError(f"unknown model kind {kind!r}")
-        factors_list = (
-            [int(f) for f in factors_text.split(",")]
-            if factors_text else list(models.SWEEP_FACTORS)
-        )
-        return cmd_sweep(config, model_list, factors_list)
-    raise CliError(f"unknown command {command!r}")
+def _run(argv):
+    command, config = parse_command_line(argv)
+    # looked up at call time, so a replaced cmd_* module attribute is the one that runs
+    return globals()[f"cmd_{command}"](config)
 
 
 def main(argv=None):

@@ -149,10 +149,12 @@ def _read_lines(path, encoding="utf-8"):
 
 
 def _parse_int(text, path, lineno, what):
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}") from None
+    # ASCII decimal only: int() also takes "1_0", " 10 ", "+10" and non-ASCII
+    # digits, which would merge distinct raw ids into one (tensorcore._is_count
+    # with the minus stripped, inlined: this runs once per raw field)
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}")
+    value = int(text)
     if not -2**63 <= value < 2**63:  # ids and timestamps are stored as int64
         raise ParseError(f"{path}:{lineno}: {what} does not fit in 64 bits: {text!r}")
     return value

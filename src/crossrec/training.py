@@ -133,9 +133,6 @@ def train(
     epochs=DEFAULT_EPOCHS,
     batch_size=DEFAULT_BATCH_SIZE,
     negative_ratio=DEFAULT_NEGATIVE_RATIO,
-    beta1=0.9,
-    beta2=0.999,
-    eps=1e-8,
     evaluate_each_epoch=True,
     on_epoch=None,
 ):
@@ -165,7 +162,7 @@ def train(
                 )
             grads = tape.backward(node, log_loss_grad(preds, batch.labels)[:, None])
             try:
-                tc.adam_step(store, grads, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                tc.adam_step(store, grads, lr=lr)
             except tc.NumericsError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
             loss_sum += loss * len(batch)
@@ -241,7 +238,7 @@ class _MaskTape(tc.Tape):
         return super().relu(x)
 
 
-def gradcheck(kind, seed, h=1e-3, tolerance=1e-3, config=None, catalog=None, batch=None):
+def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
     """Compare analytic batch-loss gradients with central finite differences.
 
     Differences are evaluated in float64 with the actually-achieved float32
@@ -256,8 +253,7 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3, config=None, catalog=None, bat
     (post-relu inputs are nonnegative, so an unlucky weight sign kills a
     unit for every instance), which would make the comparison vacuous.
     """
-    if config is None:
-        config, catalog, batch = _tiny_fixture(kind, seed)
+    config, catalog, batch = _tiny_fixture(kind, seed)
     store = models.init_params(config, seed)
 
     def loss_and_masks():

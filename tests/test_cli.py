@@ -243,6 +243,16 @@ class TestTrain:
         assert os.path.exists(base + ".epoch1")
         assert os.path.exists(base + ".epoch2")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_checkpoint_every_rejected(self, prepared, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("checkpoint-every=-1\n")
+        extra = (("--checkpoint-every", "-1") if source == "flag" else ("--config", str(cfg)))
+        code, _, err = run_cli(train_args(prepared, epochs=3, extra=extra), capsys)
+        assert code == 1
+        assert "--checkpoint-every must be non-negative" in err
+        assert not [name for name in os.listdir(prepared) if name.startswith("checkpoint_")]
+
     def test_config_file_with_flag_override(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model=gmf\nfactors=4\nlayers=8,4\nepochs=5\nseed=11\n"
@@ -557,6 +567,151 @@ class TestRunConfigFile:
         cfg.write_text("neg-ratio=3\nbatch-size=64\n")
         config = cli.load_run_config(str(cfg))
         assert config.neg_ratio == 3 and config.batch_size == 64
+
+
+# a value for every option key and a second one, so a flag can be told from the file
+SAMPLES = {
+    "seed": ("7", "9"), "out": ("runs/a", "runs/b"), "dataset_kind": ("movielens", "generic"),
+    "ratings": ("r1.dat", "r2.dat"), "users": ("u1.dat", "u2.dat"), "items": ("m1.dat", "m2.dat"),
+    "interactions": ("i1.tsv", "i2.tsv"), "user_attrs": ("ua1.tsv", "ua2.tsv"),
+    "item_attrs": ("ia1.tsv", "ia2.tsv"), "category_map": ("c1.tsv", "c2.tsv"),
+    "model": ("camf", "neumf"), "factors": ("16", "4"), "layers": ("16,8", "64,32,16"),
+    "lr": ("0.01", "2.5e-4"), "epochs": ("3", "0"), "batch_size": ("64", "1024"),
+    "neg_ratio": ("2", "7"), "include_attr_cross": ("false", "true"),
+    "checkpoint_every": ("2", "5"), "ranks_out": ("ranks1.tsv", "ranks2.tsv"),
+}
+
+# (command, key, bad text, message): each must exit 1 from a flag and from a config line
+BAD_VALUES = [
+    ("prepare", "seed", "-1", "--seed must be non-negative"),
+    ("prepare", "seed", "abc", "bad --seed value 'abc'"),
+    ("gradcheck", "seed", "1_0", "bad --seed value '1_0'"),
+    ("train", "model", "svd", "unknown model kind 'svd'"),
+    ("sweep", "model", "gmf,svd", "unknown model kind 'svd'"),
+    ("train", "factors", "0", "--factors must be positive"),
+    ("sweep", "factors", "4,x", "bad --factors value 'x'"),
+    ("train", "layers", "8,,4", "bad --layers value ''"),
+    ("train", "layers", "8,0", "--layers must be positive"),
+    ("train", "lr", "nan", "--lr must be positive"),
+    ("train", "lr", "inf", "--lr must be positive"),
+    ("train", "lr", "-0.1", "--lr must be positive"),
+    ("train", "lr", "fast", "bad --lr value 'fast'"),
+    ("train", "epochs", "-1", "--epochs must be non-negative"),
+    ("train", "batch_size", "0", "--batch-size must be positive"),
+    ("evaluate", "neg_ratio", "-2", "--neg-ratio must be positive"),
+    ("train", "checkpoint_every", "-1", "--checkpoint-every must be non-negative"),
+]
+
+# the flags each subcommand took before the table generated them
+SUBCOMMAND_FLAGS = {
+    "prepare": {"--config", "--seed", "--out", "--dataset-kind", "--ratings", "--users",
+                "--items", "--interactions", "--user-attrs", "--item-attrs", "--category-map"},
+    "gradcheck": {"--config", "--seed", "--out", "--model"},
+}
+_MODEL_RUN_FLAGS = {"--config", "--seed", "--out", "--model", "--factors", "--layers", "--lr",
+                    "--epochs", "--batch-size", "--neg-ratio", "--include-attr-cross"}
+SUBCOMMAND_FLAGS["train"] = _MODEL_RUN_FLAGS | {"--checkpoint-every"}
+SUBCOMMAND_FLAGS["evaluate"] = _MODEL_RUN_FLAGS | {"--ranks-out"}
+SUBCOMMAND_FLAGS["sweep"] = _MODEL_RUN_FLAGS
+
+
+def _required(command, but=None):
+    """Flags for the options `command` requires, apart from `but`."""
+    return [text for opt in cli.OPTIONS if command in opt.requires and opt.key != but
+            for text in (opt.flag, SAMPLES[opt.key][0])]
+
+
+def _flag_args(opt, text):
+    if opt.parse is cli._bool:
+        return [opt.flag] if text == "true" else []
+    return [opt.flag, text]
+
+
+def _table_cases():
+    return [pytest.param(opt, command, id=f"{command}-{opt.key}")
+            for opt in cli.OPTIONS for command in opt.takes]
+
+
+class TestOptionTable:
+    def test_every_key_has_samples(self):
+        assert set(SAMPLES) == {opt.key for opt in cli.OPTIONS}
+
+    @pytest.mark.parametrize("opt, command", _table_cases())
+    def test_flag_and_config_line_agree(self, opt, command, tmp_path):
+        text = "true" if opt.parse is cli._bool else SAMPLES[opt.key][0]
+        base = [command, *_required(command, but=opt.key)]
+        _, from_flag = cli.parse_command_line(base + _flag_args(opt, text))
+        value = getattr(from_flag, opt.key)
+        assert value not in (opt.default, (opt.default,))
+        for key in (opt.key, opt.key.replace("_", "-")):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"# shared experiment file\n{key}={text}\n")
+            _, from_file = cli.parse_command_line(base + ["--config", str(cfg)])
+            assert getattr(from_file, opt.key) == value, key
+
+    @pytest.mark.parametrize("opt, command", _table_cases())
+    def test_flag_beats_file(self, opt, command, tmp_path):
+        file_text, flag_text = SAMPLES[opt.key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{opt.key}={file_text}\n")
+        base = [command, *_required(command, but=opt.key), "--config", str(cfg)]
+        _, config = cli.parse_command_line(base + _flag_args(opt, flag_text))
+        _, flag_only = cli.parse_command_line(
+            [command, *_required(command, but=opt.key), *_flag_args(opt, flag_text)])
+        _, file_only = cli.parse_command_line(base)
+        assert getattr(config, opt.key) == getattr(flag_only, opt.key)
+        assert getattr(config, opt.key) != getattr(file_only, opt.key)
+
+    @pytest.mark.parametrize("command, key, text, message", BAD_VALUES,
+                             ids=[f"{c}-{k}-{t}" for c, k, t, _ in BAD_VALUES])
+    def test_bad_value_exits_1(self, command, key, text, message, tmp_path, capsys):
+        opt = cli._BY_KEY[key]
+        base = [command, *_required(command, but=key)]
+        code, _, err = run_cli(base + [f"{opt.flag}={text}"], capsys)
+        assert code == 1 and message in err and "Traceback" not in err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# experiment\n{key}={text}\n")
+        code, _, err = run_cli(base + ["--config", str(cfg)], capsys)
+        assert code == 1 and f"{cfg}:2: {message}" in err
+
+    def test_bad_boolean_in_config(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("include-attr-cross=maybe\n")
+        with pytest.raises(cli.CliError, match=r"bad\.cfg:1: bad --include-attr-cross value"):
+            cli.load_run_config(str(cfg))
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--factors", "4,8"], ["evaluate", "--model", "gmf,camf"],
+        ["gradcheck", "--model", "gmf,mlp"],
+    ], ids=["train-factors", "evaluate-model", "gradcheck-model"])
+    def test_lists_only_for_sweep(self, argv, capsys):
+        code, _, err = run_cli(argv + _required(argv[0]), capsys)
+        assert code == 1
+        assert f"{argv[1]} takes one value" in err
+
+    def test_sweep_grid_from_file_and_default(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("model=gmf,camf\nfactors=4,8\n")
+        _, config = cli.parse_command_line(["sweep", *_required("sweep"), "--config", str(cfg)])
+        assert (config.model, config.factors) == (("gmf", "camf"), (4, 8))
+        _, config = cli.parse_command_line(["sweep", *_required("sweep")])
+        assert (config.model, config.factors) == (("gmf",), models.SWEEP_FACTORS)
+        _, config = cli.parse_command_line(["train", *_required("train")])
+        assert (config.model, config.factors) == ("gmf", 8)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_required_options(self, command, capsys):
+        for opt in cli.OPTIONS:
+            if command in opt.requires:
+                code, _, err = run_cli([command, *_required(command, but=opt.key)], capsys)
+                assert code == 1 and f"{opt.flag} is required" in err
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_help_lists_the_same_flags(self, command, capsys):
+        code, stdout, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", stdout)) - {"--help"} == \
+            SUBCOMMAND_FLAGS[command]
 
 
 class TestEntryPoint:

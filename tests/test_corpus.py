@@ -95,6 +95,13 @@ class TestParseMovielens:
         with pytest.raises(corpus.ParseError, match="bad2.dat:1"):
             corpus.parse_movielens(str(bad), ml_files["users.dat"], ml_files["movies.dat"])
 
+    @pytest.mark.parametrize("raw", ["1_0", " 10 ", "+10", "1e1"])
+    def test_non_decimal_id_names_line(self, ml_files, tmp_path, raw):
+        odd = tmp_path / "odd_ratings.dat"
+        odd.write_text(RATINGS + f"{raw}::1193::5::978300761\n", encoding="iso-8859-1")
+        with pytest.raises(corpus.ParseError, match="odd_ratings.dat:7: user id is not an integer"):
+            corpus.parse_movielens(str(odd), ml_files["users.dat"], ml_files["movies.dat"])
+
     def test_user_without_attributes_fails(self, ml_files, tmp_path):
         partial = tmp_path / "partial_users.dat"
         partial.write_text("1::F::1::10::48067\n2::M::56::16::70072\n", encoding="iso-8859-1")
@@ -146,6 +153,18 @@ class TestParseGeneric:
         # user 50 has 9 interactions -> dropped; 10 is the retained boundary
         assert parsed.interactions.num_users == 2
         assert list(parsed.raw_user_ids) == [60, 70]
+
+    @pytest.mark.parametrize("raw", ["1_0", " 10 ", "+10", "\u0661\u0660"])
+    def test_non_decimal_id_names_line(self, tmp_path, raw):
+        inter, uattr, iattr = self._files(tmp_path, {10: 10, -3: 10})
+        with open(inter, "a", encoding="utf-8") as fh:
+            fh.write(f"{raw}\t5\t100\n")
+        with pytest.raises(corpus.ParseError, match="inter.tsv:21: user id is not an integer"):
+            corpus.parse_generic(inter, uattr, iattr)
+
+    def test_negative_ids_parse(self, tmp_path):
+        parsed = corpus.parse_generic(*self._files(tmp_path, {10: 10, -3: 10}))
+        assert parsed.interactions.num_users == 2
 
     def test_all_filtered_is_an_error(self, tmp_path):
         inter, uattr, iattr = self._files(tmp_path, {50: 3, 60: 4})
