@@ -137,20 +137,20 @@ def load_run_config(config_path=None, overrides=None):
     """Table defaults, then the key=value file, then `overrides` (flag text) on top."""
     config = argparse.Namespace(**{opt.key: opt.default for opt in OPTIONS})
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(config_path, "rb") as fh:  # decoded per line: a decode error names its line
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, has_value, value = line.partition("=")
-                key = key.strip().replace("-", "_")
                 try:
+                    line = line.decode("utf-8").strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    key, has_value, value = line.partition("=")
+                    key = key.strip().replace("-", "_")
                     if not has_value:
                         raise CliError("expected key=value")
                     if key not in _BY_KEY:
                         raise CliError(f"unknown key {key!r}")
                     _set(config, key, value.strip())
-                except CliError as exc:
+                except (CliError, UnicodeDecodeError) as exc:
                     raise CliError(f"{config_path}:{lineno}: {exc}") from None
     for key, text in (overrides or {}).items():
         if text is not None:

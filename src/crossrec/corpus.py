@@ -1,11 +1,15 @@
-"""Dataset ingestion: parsing, attribute encoding, and the leave-one-out split.
+"""Dataset ingestion: one read -> index -> encode pipeline, the leave-one-out
+split, and the prepared-run files.
 
-Two on-disk layouts are understood: the MovieLens-1M "::"-separated trio
-(ratings/users/movies) and a generic UTF-8 tab-separated layout for
-pin-style data (interactions plus per-entity attribute name files, with an
-optional category consolidation map). Every rating or pin becomes an
-implicit positive; raw ids are remapped to dense 0-based indices sorted by
-raw id so the mapping is reproducible.
+Both raw layouts run the same three steps. `_records` reads every raw file:
+the MovieLens-1M "::"-separated trio (ratings/users/movies, ISO-8859-1) and
+the generic tab-separated UTF-8 layout for pin-style data (interactions,
+per-entity attribute name files, an optional category consolidation map).
+`_index` turns the interaction rows into dense ids: every rating or pin is an
+implicit positive, the first occurrence of a repeated (user, item) pair wins,
+and raw ids map to 0-based ids in ascending raw-id order, so the mapping is
+reproducible. `_encode` numbers each entity's attribute names over their
+sorted vocabulary and rejects an entity left with none.
 """
 
 from __future__ import annotations
@@ -139,13 +143,26 @@ class ParsedData:
 NUM_TEST_NEGATIVES = 99
 
 
-def _read_lines(path, encoding="utf-8"):
-    with open(path, "r", encoding=encoding) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+def _records(path, sep, width, encoding):
+    """(line number, fields) of each line of `path` that is neither blank nor a `#` comment.
+
+    A line that does not decode or does not split on `sep` into exactly
+    `width` fields raises ParseError naming path:line.
+    """
+    with open(path, "rb") as fh:  # bytes, decoded per line, so a decode error names its line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode(encoding).rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not {encoding} text ({exc.reason})") from None
             if not line or line.startswith("#"):
                 continue
-            yield lineno, line
+            fields = line.split(sep)
+            if len(fields) != width:
+                layout = "tab-separated" if sep == "\t" else repr(sep)
+                raise ParseError(
+                    f"{path}:{lineno}: expected {width} {layout} fields, got {len(fields)}")
+            yield lineno, fields
 
 
 def _parse_int(text, path, lineno, what):
@@ -160,106 +177,82 @@ def _parse_int(text, path, lineno, what):
     return value
 
 
-def _dedupe_triples(raw_users, raw_items, timestamps):
-    """Keep the first occurrence of each (user, item) pair, preserving order."""
-    seen = set()
-    keep = []
-    for idx, pair in enumerate(zip(raw_users, raw_items)):
-        if pair not in seen:
-            seen.add(pair)
-            keep.append(idx)
-    keep = np.asarray(keep, dtype=np.int64)
-    return (
-        np.asarray(raw_users, dtype=np.int64)[keep],
-        np.asarray(raw_items, dtype=np.int64)[keep],
-        np.asarray(timestamps, dtype=np.int64)[keep],
-    )
+def _index(path, rows, min_user_interactions=1):
+    """(InteractionSet, raw user ids, raw item ids) from flat raw (user, item, timestamp) triples.
+
+    The first occurrence of each (user, item) pair is kept, users left with
+    fewer than `min_user_interactions` pairs are dropped, and the remaining
+    raw ids map to dense ids in ascending raw-id order.
+    """
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    if not table.size:
+        raise LoadError(f"{path}: no interactions")
+    (_, users), (_, items) = (np.unique(raw, return_inverse=True) for raw in table.T[:2])
+    _, first = np.unique(users * (items.max() + 1) + items, return_index=True)  # first occurrences
+    keep = np.sort(first)
+    keep = keep[np.bincount(users[keep])[users[keep]] >= min_user_interactions]
+    if not keep.size:
+        raise LoadError(f"{path}: empty dataset after the >= {min_user_interactions} filter")
+    table = table[keep]
+    (raw_users, users), (raw_items, items) = (np.unique(raw, return_inverse=True)
+                                              for raw in table.T[:2])
+    interactions = InteractionSet.from_arrays(
+        len(raw_users), len(raw_items), users, items, table[:, 2])
+    return interactions, raw_users, raw_items
 
 
-def _remap(raw_values):
-    """Dense 0-based ids assigned in ascending raw-id order."""
-    uniq = np.unique(raw_values)
-    lookup = {int(raw): idx for idx, raw in enumerate(uniq)}
-    return uniq, lookup
+def _encode(path, label, named, raw_ids, buckets=None):
+    """(per-entity attribute ids, vocabulary size) from each entity's set of names.
+
+    `named` maps a raw id to its names; the names held by `raw_ids` are
+    numbered in sorted order. A bucket b adds the id (name count + b), so the
+    vocabulary runs on to the largest bucket. An entity left with no ids
+    raises LoadError naming `path`.
+    """
+    raw_ids = raw_ids.tolist()
+    sets = [named.get(raw, ()) for raw in raw_ids]
+    index = {name: k for k, name in enumerate(sorted(set().union(*sets)))}
+    rows = [[index[name] for name in names] for names in sets]
+    size = len(index)
+    if buckets is not None:
+        for row, bucket in zip(rows, buckets.tolist()):
+            row.append(size + bucket)
+        size += int(buckets.max()) + 1
+    empty = [raw for raw, row in zip(raw_ids, rows) if not row]
+    if empty:
+        raise LoadError(f"{path}: {label} {empty[0]} has zero attributes")
+    return rows, size
 
 
 def parse_movielens(ratings_path, users_path, items_path):
     """Parse the MovieLens-1M trio into interactions and attributes.
 
     Any rating value counts as an implicit positive. User attributes are the
-    {gender, age bucket, occupation} triple encoded against per-field
-    vocabularies; item attributes are the movie's genres. Titles may be
-    ISO-8859-1 and are discarded.
+    {gender, age, occupation} triple, each value keyed by its field; item
+    attributes are the movie's genres. Files are ISO-8859-1; titles are
+    discarded.
     """
-    raw_users, raw_items, stamps = [], [], []
-    for lineno, line in _read_lines(ratings_path, encoding="iso-8859-1"):
-        fields = line.split("::")
-        if len(fields) != 4:
-            raise ParseError(f"{ratings_path}:{lineno}: expected 4 '::' fields, got {len(fields)}")
-        u = _parse_int(fields[0], ratings_path, lineno, "user id")
-        i = _parse_int(fields[1], ratings_path, lineno, "movie id")
-        _parse_int(fields[2], ratings_path, lineno, "rating")
-        t = _parse_int(fields[3], ratings_path, lineno, "timestamp")
-        raw_users.append(u)
-        raw_items.append(i)
-        stamps.append(t)
-    if not raw_users:
-        raise LoadError(f"{ratings_path}: no interactions")
-    raw_users, raw_items, stamps = _dedupe_triples(raw_users, raw_items, stamps)
+    rows = []
+    for n, (user, item, rating, stamp) in _records(ratings_path, "::", 4, "iso-8859-1"):
+        rows += (_parse_int(user, ratings_path, n, "user id"),
+                 _parse_int(item, ratings_path, n, "movie id"))
+        _parse_int(rating, ratings_path, n, "rating")
+        rows.append(_parse_int(stamp, ratings_path, n, "timestamp"))
+    interactions, user_ids, item_ids = _index(ratings_path, rows)
 
-    user_ids, user_map = _remap(raw_users)
-    item_ids, item_map = _remap(raw_items)
+    profiles = {}  # users.dat: UserID::Gender::Age::Occupation::Zip
+    for n, (user, gender, age, occupation, _) in _records(users_path, "::", 5, "iso-8859-1"):
+        profiles[_parse_int(user, users_path, n, "user id")] = {
+            (0, gender), (1, _parse_int(age, users_path, n, "age")),
+            (2, _parse_int(occupation, users_path, n, "occupation"))}
+    user_attrs, user_vocab = _encode(users_path, "user", profiles, user_ids)
 
-    # users.dat: UserID::Gender::Age::Occupation::Zip
-    user_fields = {}
-    for lineno, line in _read_lines(users_path, encoding="iso-8859-1"):
-        fields = line.split("::")
-        if len(fields) != 5:
-            raise ParseError(f"{users_path}:{lineno}: expected 5 '::' fields, got {len(fields)}")
-        raw = _parse_int(fields[0], users_path, lineno, "user id")
-        if raw in user_map:
-            user_fields[raw] = (fields[1], fields[2], fields[3])
-    missing = [int(raw) for raw in user_ids if int(raw) not in user_fields]
-    if missing:
-        raise LoadError(f"{users_path}: user {missing[0]} has zero attributes (no record)")
+    genres = {}  # movies.dat: MovieID::Title::Genre|Genre|...
+    for n, (item, _, names) in _records(items_path, "::", 3, "iso-8859-1"):
+        genres[_parse_int(item, items_path, n, "movie id")] = set(names.split("|")) - {""}
+    item_attrs, item_vocab = _encode(items_path, "item", genres, item_ids)
 
-    genders = sorted({v[0] for v in user_fields.values()})
-    ages = sorted({v[1] for v in user_fields.values()}, key=int)
-    occupations = sorted({v[2] for v in user_fields.values()}, key=int)
-    age_base = len(genders)
-    occ_base = age_base + len(ages)
-    user_vocab = occ_base + len(occupations)
-    user_attrs = []
-    for raw in user_ids:
-        g, a, o = user_fields[int(raw)]
-        user_attrs.append(
-            [genders.index(g), age_base + ages.index(a), occ_base + occupations.index(o)]
-        )
-
-    # movies.dat: MovieID::Title::Genre|Genre|...
-    item_genres = {}
-    for lineno, line in _read_lines(items_path, encoding="iso-8859-1"):
-        fields = line.split("::")
-        if len(fields) != 3:
-            raise ParseError(f"{items_path}:{lineno}: expected 3 '::' fields, got {len(fields)}")
-        raw = _parse_int(fields[0], items_path, lineno, "movie id")
-        if raw in item_map:
-            item_genres[raw] = sorted({g for g in fields[2].split("|") if g})
-    missing = [int(raw) for raw in item_ids if int(raw) not in item_genres or not item_genres[int(raw)]]
-    if missing:
-        raise LoadError(f"{items_path}: item {missing[0]} has zero attributes")
-
-    genre_vocab = sorted({g for gs in item_genres.values() for g in gs})
-    genre_index = {g: idx for idx, g in enumerate(genre_vocab)}
-    item_attrs = [[genre_index[g] for g in item_genres[int(raw)]] for raw in item_ids]
-
-    interactions = InteractionSet.from_arrays(
-        len(user_ids), len(item_ids),
-        [user_map[int(u)] for u in raw_users],
-        [item_map[int(i)] for i in raw_items],
-        stamps,
-    )
-    catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, len(genre_vocab))
+    catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
     return ParsedData(interactions, catalog, user_ids, item_ids)
 
 
@@ -289,32 +282,16 @@ def item_pin_attribute(interactions, bucket_size):
 
 
 def _read_attr_file(path, category_map):
-    attrs = {}
-    for lineno, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
-        raw = _parse_int(fields[0], path, lineno, "entity id")
-        name = fields[1]
+    """Raw entity id -> its set of attribute names (mapped through `category_map`)."""
+    named = {}
+    for n, (raw, name) in _records(path, "\t", 2, "utf-8"):
+        raw = _parse_int(raw, path, n, "entity id")
         if category_map is not None:
             if name not in category_map:
-                raise LoadError(f"{path}:{lineno}: unmapped category {name!r}")
+                raise LoadError(f"{path}:{n}: unmapped category {name!r}")
             name = category_map[name]
-        attrs.setdefault(raw, set()).add(name)
-    return attrs
-
-
-def _read_category_map(path):
-    mapping = {}
-    for lineno, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
-        raw, main = fields
-        if raw in mapping and mapping[raw] != main:
-            raise LoadError(f"{path}:{lineno}: category {raw!r} mapped twice")
-        mapping[raw] = main
-    return mapping
+        named.setdefault(raw, set()).add(name)
+    return named
 
 
 def parse_generic(
@@ -326,7 +303,7 @@ def parse_generic(
     user_bucket_size=40,
     item_bucket_size=50,
 ):
-    """Parse tab-separated interaction and attribute files.
+    """Parse tab-separated UTF-8 interaction and attribute files.
 
     Users with fewer than `min_user_interactions` interactions are dropped
     before ids are remapped. File-listed attribute names (collapsed through
@@ -334,67 +311,29 @@ def parse_generic(
     gets an interaction-count bucket and each item an exposure bucket, so
     entities without listed attributes still carry one.
     """
-    raw_users, raw_items, stamps = [], [], []
-    for lineno, line in _read_lines(interactions_path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(
-                f"{interactions_path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        raw_users.append(_parse_int(fields[0], interactions_path, lineno, "user id"))
-        raw_items.append(_parse_int(fields[1], interactions_path, lineno, "item id"))
-        stamps.append(_parse_int(fields[2], interactions_path, lineno, "timestamp"))
-    if not raw_users:
-        raise LoadError(f"{interactions_path}: no interactions")
-    raw_users, raw_items, stamps = _dedupe_triples(raw_users, raw_items, stamps)
+    rows = []
+    for n, (user, item, stamp) in _records(interactions_path, "\t", 3, "utf-8"):
+        rows += (_parse_int(user, interactions_path, n, "user id"),
+                 _parse_int(item, interactions_path, n, "item id"),
+                 _parse_int(stamp, interactions_path, n, "timestamp"))
+    interactions, user_ids, item_ids = _index(interactions_path, rows, min_user_interactions)
 
-    uniq, counts = np.unique(raw_users, return_counts=True)
-    kept = {int(u) for u, c in zip(uniq, counts) if c >= min_user_interactions}
-    if not kept:
-        raise LoadError(f"{interactions_path}: empty dataset after the >= {min_user_interactions} filter")
-    mask = np.fromiter((int(u) in kept for u in raw_users), dtype=bool, count=len(raw_users))
-    raw_users, raw_items, stamps = raw_users[mask], raw_items[mask], stamps[mask]
-
-    user_ids, user_map = _remap(raw_users)
-    item_ids, item_map = _remap(raw_items)
-    interactions = InteractionSet.from_arrays(
-        len(user_ids), len(item_ids),
-        [user_map[int(u)] for u in raw_users],
-        [item_map[int(i)] for i in raw_items],
-        stamps,
-    )
-
-    category_map = _read_category_map(category_map_path) if category_map_path else None
+    category_map = None
+    if category_map_path:
+        category_map = {}
+        for n, (raw, main) in _records(category_map_path, "\t", 2, "utf-8"):
+            if category_map.setdefault(raw, main) != main:
+                raise LoadError(f"{category_map_path}:{n}: category {raw!r} mapped twice")
     user_named = _read_attr_file(user_attr_path, category_map)
     item_named = _read_attr_file(item_attr_path, category_map)
-
-    user_names = sorted({n for raw, names in user_named.items() if raw in user_map for n in names})
-    item_names = sorted({n for raw, names in item_named.items() if raw in item_map for n in names})
-    user_name_index = {n: i for i, n in enumerate(user_names)}
-    item_name_index = {n: i for i, n in enumerate(item_names)}
 
     user_buckets = np.array(
         [bucketize(n, user_bucket_size) for n in np.diff(interactions.per_user_items.offsets).tolist()],
         dtype=np.int64,
     )
     item_buckets = item_pin_attribute(interactions, item_bucket_size)
-
-    user_bucket_base = len(user_names)
-    item_bucket_base = len(item_names)
-    user_vocab = user_bucket_base + int(user_buckets.max()) + 1
-    item_vocab = item_bucket_base + int(item_buckets.max()) + 1
-
-    user_attrs = []
-    for dense, raw in enumerate(user_ids):
-        ids = [user_name_index[n] for n in user_named.get(int(raw), ())]
-        ids.append(user_bucket_base + int(user_buckets[dense]))
-        user_attrs.append(ids)
-    item_attrs = []
-    for dense, raw in enumerate(item_ids):
-        ids = [item_name_index[n] for n in item_named.get(int(raw), ())]
-        ids.append(item_bucket_base + int(item_buckets[dense]))
-        item_attrs.append(ids)
-
+    user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, user_buckets)
+    item_attrs, item_vocab = _encode(item_attr_path, "item", item_named, item_ids, item_buckets)
     catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
     return ParsedData(interactions, catalog, user_ids, item_ids)
 

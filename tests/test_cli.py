@@ -118,6 +118,15 @@ class TestPrepare:
         assert code == 1
         assert "inter.tsv:1" in err
 
+    def test_non_utf8_attribute_file_names_file_and_line(self, generic_dataset, tmp_path, capsys):
+        uattr = generic_dataset[1]
+        lines = sum(1 for _ in open(uattr, encoding="utf-8"))
+        with open(uattr, "ab") as fh:
+            fh.write(b"100\tcaf\xe9\n")  # ISO-8859-1 e-acute
+        code, _, err = run_cli(prepare_args(generic_dataset, str(tmp_path / "x")), capsys)
+        assert code == 1
+        assert f"user_attrs.tsv:{lines + 1}: not utf-8 text" in err
+
     def test_user_id_past_int64_is_validation_failure(self, generic_dataset, tmp_path):
         inter = generic_dataset[0]
         lines = sum(1 for _ in open(inter, encoding="utf-8"))
@@ -505,6 +514,20 @@ class TestMovielensPrepare:
         rows = cli.read_metrics_csv(cli.metrics_path(out, "aadcf", 4))
         assert len(rows) == 1 and 0.0 <= rows[0]["hr10"] <= 1.0
 
+    def test_non_integer_age_exits_with_line(self, tmp_path, capsys):
+        ratings, users, movies = write_movielens_dataset(str(tmp_path))
+        with open(users, "r+", encoding="iso-8859-1") as fh:
+            body = fh.read().split("\n", 1)[1]
+            fh.seek(0)
+            fh.write("1::F::x1::10::48067\n" + body)
+        code, _, err = run_cli(
+            ["prepare", "--dataset-kind", "movielens", "--ratings", ratings,
+             "--users", users, "--items", movies, "--seed", "5", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 1
+        assert "users.dat:1: age is not an integer: 'x1'" in err
+
     def test_missing_users_file_exits_with_path(self, tmp_path, capsys):
         ratings, _, movies = write_movielens_dataset(str(tmp_path))
         gone = str(tmp_path / "users_gone.dat")
@@ -561,6 +584,14 @@ class TestRunConfigFile:
         config = cli.load_run_config(str(cfg))
         assert config.include_attr_cross is True
         assert config.layers == (16, 8)
+
+    def test_non_utf8_file_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"epochs=1\n# caf\xe9 au lait\n")
+        code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path), "--seed", "1"],
+                               capsys)
+        assert code == 1
+        assert f"crossrec: error: {cfg}:2: 'utf-8' codec can't decode" in err
 
     def test_flag_style_keys_accepted(self, tmp_path):
         cfg = tmp_path / "dash.cfg"

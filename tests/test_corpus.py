@@ -1,6 +1,8 @@
+import collections
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossrec import corpus
 
@@ -112,7 +114,30 @@ class TestParseMovielens:
         dup = tmp_path / "dup.dat"
         dup.write_text(RATINGS + "1::1193::4::999999999\n", encoding="iso-8859-1")
         parsed = corpus.parse_movielens(str(dup), ml_files["users.dat"], ml_files["movies.dat"])
-        assert len(parsed.interactions) == 6             # first occurrence wins
+        data = parsed.interactions
+        assert len(data) == 6                            # first occurrence wins
+        pair = (data.users == 0) & (data.items == 2)     # raw user 1, raw movie 1193
+        assert data.timestamps[pair].tolist() == [978300760]
+
+    @pytest.mark.parametrize("line, what", [
+        ("1::F::x1::10::48067", "age"), ("1::F::1::1e1::48067", "occupation"),
+    ])
+    def test_non_integer_age_or_occupation_names_line(self, ml_files, tmp_path, line, what):
+        users = tmp_path / "users.dat"
+        users.write_text(line + "\n", encoding="iso-8859-1")
+        with pytest.raises(corpus.ParseError, match=f"users.dat:1: {what} is not an integer"):
+            corpus.parse_movielens(ml_files["ratings.dat"], str(users), ml_files["movies.dat"])
+
+    def test_ages_and_occupations_are_integers(self, ml_files, tmp_path):
+        catalogs = []
+        for name, profile in (("plain.dat", "5::M::1::10"), ("padded.dat", "5::M::01::010")):
+            users = tmp_path / name
+            users.write_text(USERS.replace("5::M::25::15", profile), encoding="iso-8859-1")
+            parsed = corpus.parse_movielens(ml_files["ratings.dat"], str(users), ml_files["movies.dat"])
+            catalogs.append(parsed.catalog)
+        # 01 is age 1 and 010 occupation 10: F, M; ages 1, 56; occupations 10, 16
+        assert [c.user_vocab_size for c in catalogs] == [6, 6]
+        assert np.array_equal(catalogs[0].user_attrs.flat, catalogs[1].user_attrs.flat)
 
     def test_rated_movie_without_genres_fails(self, ml_files, tmp_path):
         movies = tmp_path / "genreless.dat"
@@ -215,6 +240,18 @@ class TestParseGeneric:
         assert all(len(ids) >= 1 for ids in parsed.catalog.item_attrs)
         assert all(len(ids) >= 2 for ids in parsed.catalog.user_attrs)  # category + bucket
 
+    @pytest.mark.parametrize("which, line", [
+        ("inter.tsv", b"70\t\xe9\t5\n"), ("ua.tsv", b"70\tcaf\xe9\n"), ("cmap.tsv", b"caf\xe9\tmain\n"),
+    ])
+    def test_non_utf8_line_names_file_and_line(self, tmp_path, which, line):
+        inter, uattr, iattr = self._files(tmp_path, {60: 10, 70: 12})
+        cmap = _write(tmp_path / "cmap.tsv", "cat0\tmain\ncat1\tmain\ncat2\tmain\n")
+        with open(tmp_path / which, "ab") as fh:
+            fh.write(line)  # ISO-8859-1 e-acute: not a UTF-8 sequence
+        lineno = (tmp_path / which).read_bytes().count(b"\n")
+        with pytest.raises(corpus.ParseError, match=f"{which}:{lineno}: not utf-8 text"):
+            corpus.parse_generic(inter, uattr, iattr, cmap)
+
     def test_comment_lines_skipped(self, tmp_path):
         inter, uattr, iattr = self._files(tmp_path, {60: 10})
         with open(inter, "r+", encoding="utf-8") as fh:
@@ -223,6 +260,55 @@ class TestParseGeneric:
             fh.write("# comment line\n" + body)
         parsed = corpus.parse_generic(inter, uattr, iattr)
         assert parsed.interactions.num_users == 1
+
+
+# -- interaction indexer -----------------------------------------------------
+
+
+def _reference_index(triples, min_user_interactions):
+    """The set/dict indexer: first occurrence of each pair, the count filter, a sorted remap."""
+    seen, kept = set(), []
+    for user, item, stamp in triples:
+        if (user, item) not in seen:
+            seen.add((user, item))
+            kept.append((user, item, stamp))
+    counts = collections.Counter(user for user, _, _ in kept)
+    kept = [row for row in kept if counts[row[0]] >= min_user_interactions]
+    raw_users = sorted({user for user, _, _ in kept})
+    raw_items = sorted({item for _, item, _ in kept})
+    user_map = {raw: k for k, raw in enumerate(raw_users)}
+    item_map = {raw: k for k, raw in enumerate(raw_items)}
+    return raw_users, raw_items, [(user_map[u], item_map[i], t) for u, i, t in kept]
+
+
+# few users (so some keep 10 distinct items), among them negative and 19-digit ids
+_RAW_USERS = st.sampled_from([-(2**63), -7, 0, 3, 10**18, 2**63 - 1])
+_RAW_ITEMS = st.one_of(st.integers(-12, 12), st.sampled_from([-(2**63), 10**18 + 1, 2**63 - 1]))
+_STAMPS = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestIndexer:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_RAW_USERS, _RAW_ITEMS, _STAMPS), min_size=1, max_size=80),
+           st.sampled_from([1, 10]))
+    @example([(5, 9, 300), (5, 9, 100), (-2, 9, 200), (5, 9, 50)], 1)   # repeats, later stamps
+    @example([(10**18, k, k) for k in range(9)] * 2, 10)                # every user filtered
+    def test_matches_set_and_dict_reference(self, triples, min_user_interactions):
+        raw_users, raw_items, expected = _reference_index(triples, min_user_interactions)
+        flat = [value for row in triples for value in row]
+        if not expected:
+            with pytest.raises(corpus.LoadError, match=r"^inter\.tsv: empty dataset after the >= 10"):
+                corpus._index("inter.tsv", flat, min_user_interactions)
+            return
+        data, users, items = corpus._index("inter.tsv", flat, min_user_interactions)
+        assert users.tolist() == raw_users and items.tolist() == raw_items
+        assert (data.num_users, data.num_items) == (len(raw_users), len(raw_items))
+        got = list(zip(data.users.tolist(), data.items.tolist(), data.timestamps.tolist()))
+        assert got == expected
+
+    def test_no_rows_is_an_error(self):
+        with pytest.raises(corpus.LoadError, match=r"^inter\.tsv: no interactions$"):
+            corpus._index("inter.tsv", [], 1)
 
 
 # -- attribute catalog -------------------------------------------------------
