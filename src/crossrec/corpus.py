@@ -343,26 +343,30 @@ def leave_one_out_split(data, seed):
 
     Each user draws from an independent stream derived from (seed, user), so
     the split does not depend on iteration order. Negatives are sampled
-    without replacement from items the user never touched anywhere.
+    without replacement from items the user never touched anywhere; slot j of
+    that ascending pool is item j + #{t : mine[t] - t <= j}.
     """
-    positives = np.empty(data.num_users, dtype=np.int64)
-    negatives = np.empty((data.num_users, NUM_TEST_NEGATIVES), dtype=np.int64)
-    all_items = np.arange(data.num_items, dtype=np.int64)
-    for u, mine in enumerate(data.per_user_items):
-        if len(mine) < 2:
-            raise SplitError(f"user {u} has {len(mine)} interaction(s); need at least 2")
-        candidates = data.num_items - len(mine)
-        if candidates < NUM_TEST_NEGATIVES:
-            raise SplitError(
-                f"user {u} has only {candidates} unobserved items; need {NUM_TEST_NEGATIVES}"
-            )
+    offsets, flat = data.per_user_items.offsets, data.per_user_items.flat
+    lengths = np.diff(offsets)
+    bad = np.flatnonzero((lengths < 2) | (data.num_items - lengths < NUM_TEST_NEGATIVES))
+    if bad.size:
+        u, n = bad[0], lengths[bad[0]]
+        if n < 2:
+            raise SplitError(f"user {u} has {n} interaction(s); need at least 2")
+        raise SplitError(f"user {u} has only {data.num_items - n} unobserved items; need {NUM_TEST_NEGATIVES}")
+    picks = np.empty(data.num_users, dtype=np.int64)
+    slots = np.empty((data.num_users, NUM_TEST_NEGATIVES), dtype=np.int64)
+    for u, n in enumerate(lengths.tolist()):
         rng = seeded_rng(seed, "split", u)
-        positives[u] = mine[rng.integers(len(mine))]
-        pool = np.setdiff1d(all_items, mine, assume_unique=True)
-        negatives[u] = np.sort(rng.choice(pool, size=NUM_TEST_NEGATIVES, replace=False))
+        picks[u] = rng.integers(n)
+        slots[u] = rng.choice(data.num_items - n, NUM_TEST_NEGATIVES, replace=False)
+    row_keys = np.arange(data.num_users, dtype=np.int64) * data.num_items  # keeps rows apart
+    keys = flat - np.arange(flat.size) + np.repeat(row_keys + offsets[:-1], lengths)
+    slots.sort(axis=1)
+    negatives = slots + np.searchsorted(keys, slots + row_keys[:, None], side="right") - offsets[:-1, None]
+    positives = flat[offsets[:-1] + picks]
 
-    held = positives[data.users] == data.items
-    keep = ~held
+    keep = positives[data.users] != data.items
     train = InteractionSet.from_arrays(
         data.num_users, data.num_items,
         data.users[keep], data.items[keep], data.timestamps[keep],

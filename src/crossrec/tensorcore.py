@@ -30,14 +30,20 @@ class NumericsError(ArithmeticError):
 
 
 def seeded_rng(seed, *tags):
-    """Generator derived from (seed, tags); tags keep parallel streams disjoint."""
-    entropy = [int(seed)]
-    for tag in tags:
-        if isinstance(tag, str):
-            entropy.extend(tag.encode("utf-8"))
-        else:
-            entropy.append(int(tag))
-    return np.random.default_rng(entropy)
+    """Generator derived from (seed, tags); tags keep parallel streams disjoint.
+
+    Seeded with the uint32 words SeedSequence makes of [seed, *tags] (a str as
+    its UTF-8 bytes, an int as little-endian 32-bit words), built here."""
+    words = []
+    for value in (int(seed), *tags):
+        if isinstance(value, str):
+            words.extend(value.encode("utf-8"))
+            continue
+        value = int(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.extend(value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32))
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def gaussian_init(name, shape, seed):

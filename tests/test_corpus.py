@@ -422,7 +422,52 @@ def _random_interactions(rng, num_users=12, num_items=130, lo=2, hi=12):
     return corpus.InteractionSet.from_arrays(num_users, num_items, users, items, stamps)
 
 
+def _reference_split(data, seed):
+    """The split as a per-user loop: set difference, choice over the pool, sort."""
+    positives = np.empty(data.num_users, dtype=np.int64)
+    negatives = np.empty((data.num_users, 99), dtype=np.int64)
+    all_items = np.arange(data.num_items, dtype=np.int64)
+    for u, mine in enumerate(data.per_user_items):
+        rng = corpus.seeded_rng(seed, "split", u)
+        positives[u] = mine[rng.integers(len(mine))]
+        pool = np.setdiff1d(all_items, mine, assume_unique=True)
+        negatives[u] = np.sort(rng.choice(pool, size=99, replace=False))
+    keep = positives[data.users] != data.items
+    return positives, negatives, (data.users[keep], data.items[keep], data.timestamps[keep])
+
+
 class TestLeaveOneOut:
+    @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 + 3])
+    def test_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        data = _random_interactions(rng, num_users=30, num_items=140, lo=2, hi=40)
+        # pools of exactly 99 and of 100 unobserved items, next to ordinary users
+        users = np.concatenate([data.users, [30] * 41, [31] * 40])
+        items = np.concatenate([data.items, rng.choice(140, 41, replace=False), rng.choice(140, 40, replace=False)])
+        stamps = np.arange(users.size)
+        data = corpus.InteractionSet.from_arrays(32, 140, users, items, stamps)
+        assert (140 - np.diff(data.per_user_items.offsets)[30:]).tolist() == [99, 100]
+        split = corpus.leave_one_out_split(data, seed)
+        positives, negatives, train = _reference_split(data, seed)
+        assert np.array_equal(split.test_positives, positives)
+        assert np.array_equal(split.test_negatives, negatives)
+        for got, want in zip((split.train.users, split.train.items, split.train.timestamps), train):
+            assert np.array_equal(got, want)
+
+    def test_first_failing_user_names_the_error(self):
+        # user 1 is one unobserved item short of 99, user 2 has one interaction
+        users = [0, 0] + [1] * 22 + [2]
+        items = [0, 1] + list(range(22)) + [5]
+        data = corpus.InteractionSet.from_arrays(3, 120, users, items, np.zeros(len(users)))
+        with pytest.raises(corpus.SplitError, match=r"^user 1 has only 98 unobserved items; need 99$"):
+            corpus.leave_one_out_split(data, seed=0)
+
+    def test_count_check_precedes_pool_check(self):
+        # one interaction in a 99-item catalog fails both checks: the count one is named
+        data = corpus.InteractionSet.from_arrays(2, 99, [0, 1, 1], [3, 0, 1], np.zeros(3))
+        with pytest.raises(corpus.SplitError, match=r"^user 0 has 1 interaction\(s\); need at least 2$"):
+            corpus.leave_one_out_split(data, seed=0)
+
     def test_two_item_user_forced_partition(self):
         users = [0, 0, 1, 1]
         items = [0, 1, 2, 3]

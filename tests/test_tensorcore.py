@@ -14,6 +14,25 @@ def make_store(**tables):
 # -- initialization ----------------------------------------------------------
 
 
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("tags", [(), ("split", 7), ("epoch", 2**32), ("init", "user_emb"), (2**40 + 9, 0)])
+    def test_stream_is_seedsequence_of_the_list(self, seed, tags):
+        # SeedSequence's own coercion of [seed, *tags], str tags spelled as their bytes
+        entropy = [seed]
+        for tag in tags:
+            entropy.extend(tag.encode("utf-8") if isinstance(tag, str) else [tag])
+        want = np.random.default_rng(entropy)
+        got = tc.seeded_rng(seed, *tags)
+        assert np.array_equal(got.integers(2**62, size=8), want.integers(2**62, size=8))
+        assert np.array_equal(got.choice(500, 99, replace=False), want.choice(500, 99, replace=False))
+
+    @pytest.mark.parametrize("args", [(-1,), (0, -1), (3, "split", -(2**33))])
+    def test_negative_seed_or_tag_rejected(self, args):
+        with pytest.raises(ValueError, match="non-negative"):
+            tc.seeded_rng(*args)
+
+
 class TestGaussianInit:
     def test_sample_statistics_across_seeds(self):
         means, stds = [], []
