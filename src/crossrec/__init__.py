@@ -1,70 +1,1 @@
 """crossrec: implicit-feedback recommenders with attribute-aware scoring."""
-
-from .corpus import (
-    AttributeCatalog,
-    CorpusError,
-    InteractionSet,
-    LoadError,
-    ParseError,
-    SplitDataset,
-    SplitError,
-    bucketize,
-    item_pin_attribute,
-    leave_one_out_split,
-    parse_generic,
-    parse_movielens,
-)
-from .evaluation import EvalReport, EvaluationError, evaluate, hr_at_k, ndcg_at_k, rank_position
-from .models import ModelConfig, camf_merge, init_params, pairwise_pool, score
-from .tensorcore import (
-    GradientBuffer,
-    NumericsError,
-    ParameterStore,
-    ShapeError,
-    Tape,
-    adam_step,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .training import EpochStats, TrainingError, gradcheck, log_loss, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AttributeCatalog",
-    "CorpusError",
-    "EpochStats",
-    "EvalReport",
-    "EvaluationError",
-    "GradientBuffer",
-    "InteractionSet",
-    "LoadError",
-    "ModelConfig",
-    "NumericsError",
-    "ParameterStore",
-    "ParseError",
-    "ShapeError",
-    "SplitDataset",
-    "SplitError",
-    "Tape",
-    "TrainingError",
-    "adam_step",
-    "bucketize",
-    "camf_merge",
-    "evaluate",
-    "gradcheck",
-    "hr_at_k",
-    "init_params",
-    "item_pin_attribute",
-    "leave_one_out_split",
-    "load_checkpoint",
-    "log_loss",
-    "ndcg_at_k",
-    "pairwise_pool",
-    "parse_generic",
-    "parse_movielens",
-    "rank_position",
-    "save_checkpoint",
-    "score",
-    "train",
-]

@@ -16,7 +16,8 @@ item side likewise, and an interaction over row-aligned rows of the two
 (camf's gate, merge and crosses, the MLP stacks, the output). `score`
 composes them; training builds the sides per batch, evaluation builds them
 once over every id and gathers rows. Everything reads the store through a
-Tape and mutates nothing. Attribute models additionally take an
+Tape and mutates nothing; each relu stack is one Tape.mlp op, so a camf
+training step records 16 ops. Attribute models additionally take an
 AttributeCatalog, whose user and item sides are each one tc.Ragged of
 sorted attribute ids; embed_sum and the pairwise pool gather a batch's
 rows straight from it.
@@ -148,9 +149,7 @@ def init_params(config, seed):
 
 
 def _mlp_stack(tape, x, layers):
-    for k in range(len(layers)):
-        x = tape.relu(tape.dense(x, f"h{k}_w", f"h{k}_b"))
-    return x
+    return tape.mlp(x, [(f"h{k}_w", f"h{k}_b") for k in range(len(layers))])
 
 
 def _add(tape, a, b):

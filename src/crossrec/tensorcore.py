@@ -5,7 +5,9 @@ two of Adam moments, with each parameter a 2-D view into them, so adam_step
 updates every parameter a batch touched with a single vectorised apply.
 Forward evaluation casts to float64 and a Tape records each primitive so
 gradients can be replayed in reverse. Embedding gradients stay sparse
-(per-row) so the optimizer never touches rows a batch did not read.
+(per-row) so the optimizer never touches rows a batch did not read; the
+tape merges every table's rows at once in arena coordinates, and Adam
+applies them as merged. A relu stack is one recorded op (Tape.mlp).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,11 +120,12 @@ class ParameterStore:
 
 @dataclass
 class GradientBuffer:
-    """Float64 gradients keyed by parameter name.
+    """Float64 gradients keyed by parameter name: adam_step's input.
 
     Dense entries cover full matrices; row entries hold (sorted unique row
     ids, per-row gradients) for embedding tables, so untouched rows are
-    simply absent.
+    simply absent. A buffer built by hand is checked when applied; the one
+    Tape.backward returns keeps its rows merged in arena coordinates.
     """
 
     dense: dict = field(default_factory=dict)
@@ -139,6 +143,65 @@ class GradientBuffer:
             ids, g = self.rows[name]
             full[ids] += g
         return full
+
+    def arena(self, store):
+        """(index, g): every entry's arena cells in `store` and their float64 gradients.
+
+        ShapeError, naming the parameter, for an unknown parameter, both a
+        dense and a row entry, a misshapen entry, or row ids not strictly
+        increasing in range.
+        """
+        index = [np.empty(0, dtype=np.int64)]
+        flat = [np.empty(0, dtype=np.float64)]
+        for name in self.names():
+            if name not in store:
+                raise ShapeError(f"gradient for unknown parameter {name!r}")
+            if name in self.dense and name in self.rows:
+                raise ShapeError(f"parameter {name!r} has both a dense and a row gradient")
+            offset, (rows, cols) = store._layout[name]
+            if name in self.dense:
+                g = self.dense[name]
+                if g.shape != (rows, cols):
+                    raise ShapeError(f"gradient shape {g.shape} for {name!r} {(rows, cols)}")
+                index.append(np.arange(offset, offset + rows * cols, dtype=np.int64))
+            else:
+                ids, g = self.rows[name]
+                ids = np.asarray(ids, dtype=np.int64)
+                if (ids.ndim != 1 or g.shape != (ids.size, cols)
+                        or (ids.size and (ids[0] < 0 or ids[-1] >= rows or (np.diff(ids) <= 0).any()))):
+                    raise ShapeError(
+                        f"row gradient for {name!r} needs strictly increasing ids in "
+                        f"[0, {rows}) and shape (ids, {cols})"
+                    )
+                index.append((offset + ids[:, None] * cols + np.arange(cols)).ravel())
+            flat.append(g.ravel())
+        return np.concatenate(index), np.concatenate(flat).astype(np.float64, copy=False)
+
+
+class _ArenaGradients(GradientBuffer):
+    """Tape.backward's buffer, valid by construction: cells[k] is the arena
+    cell of a merged row's first element (ascending) and g[k] its summed
+    gradient; arena() hands them to Adam as they are."""
+
+    def __init__(self, store, dense, tables, cells, g):
+        self.dense = dense
+        self._store, self._tables, self._cells, self._g = store, tables, cells, g
+
+    @cached_property
+    def rows(self):
+        rows = {}
+        for name in sorted(self._tables):
+            offset, (count, cols) = self._store._layout[name]
+            lo, hi = np.searchsorted(self._cells, [offset, offset + count * cols])
+            rows[name] = ((self._cells[lo:hi] - offset) // cols, self._g[lo:hi])
+        return rows
+
+    def arena(self, store):
+        if store is not self._store:
+            return super().arena(store)
+        index, g = GradientBuffer(self.dense).arena(store)
+        cells = (self._cells[:, None] + np.arange(self._g.shape[1])).ravel()
+        return np.concatenate([index, cells]), np.concatenate([g, self._g.ravel()])
 
 
 class Node:
@@ -248,6 +311,11 @@ class Tape:
     With record=False the same call surface computes values only, which is
     what evaluation uses. A tape is single-use: build one forward, call
     backward once.
+
+    Row gradients are kept by the arena cell of each row's first element,
+    in the order backward reaches their ops, so one unique and one segment
+    sum merge every table, each cell adding its terms as a merge per table
+    would. A tape's row tables share one width (every model's: `factors`).
     """
 
     def __init__(self, store, record=True):
@@ -255,31 +323,28 @@ class Tape:
         self.recording = record
         self._ops = []          # (node, backward_fn(gout)) in forward order
         self._dense_grads = {}
-        self._row_chunks = {}   # name -> list of (ids, grad) pieces
+        self._row_chunks = []   # (table, arena cell of each row's first element, row gradients)
 
     # -- leaf reads ------------------------------------------------------
 
-    def _leaf_dense(self, node, name):
-        def back(g):
-            acc = self._dense_grads.get(name)
-            if acc is None:
-                self._dense_grads[name] = g.copy()
-            else:
-                acc += g
+    def _add_dense(self, name, g):
+        acc = self._dense_grads.get(name)
+        if acc is None:
+            self._dense_grads[name] = g
+        else:
+            acc += g
 
-        self._ops.append((node, back))
-
-    def _leaf_rows(self, node, name, ids):
-        def back(g):
-            self._row_chunks.setdefault(name, []).append((ids, g))
-
-        self._ops.append((node, back))
+    def _leaf_rows(self, node, name, ids, pick=None):
+        """Record that row k of node's gradient (row pick[k], given `pick`) is row ids[k] of `name`'s."""
+        offset, (_, cols) = self.store._layout[name]
+        cells = offset + ids * cols
+        self._ops.append((node, lambda g: self._row_chunks.append((name, cells, g if pick is None else g[pick]))))
 
     def param(self, name):
         """Read a full parameter matrix as a float64 leaf node."""
         node = Node(self.store.value(name).astype(np.float64))
         if self.recording:
-            self._leaf_dense(node, name)
+            self._ops.append((node, lambda g: self._add_dense(name, g.copy())))
         return node
 
     # -- primitives ------------------------------------------------------
@@ -306,10 +371,7 @@ class Tape:
         check_rows(flat, table.shape[0], name)
         node = Node(segment_sum(table[flat].astype(np.float64), segments, ids.size))
         if self.recording:
-            def back(g, flat=flat, segments=segments, name=name):
-                self._row_chunks.setdefault(name, []).append((flat, g[segments]))
-
-            self._ops.append((node, back))
+            self._leaf_rows(node, name, flat, segments)
         return node
 
     def hadamard(self, a, b):
@@ -344,6 +406,22 @@ class Tape:
             self._ops.append((node, back))
         return node
 
+    def _affine(self, x, weight_name, bias_name):
+        """(x @ W (+ b), W) in float64 for a value x, by dense's rules."""
+        w = self.store.value(weight_name).astype(np.float64)
+        if x.shape[1] != w.shape[0]:
+            raise ShapeError(f"dense input width {x.shape[1]} does not match {weight_name!r} {w.shape}")
+        if w.shape[1] == 1:
+            y = (x * w[:, 0]).sum(axis=1, keepdims=True)
+        else:
+            y = x @ w
+        if bias_name is not None:
+            b = self.store.value(bias_name).astype(np.float64)
+            if b.shape != (1, w.shape[1]):
+                raise ShapeError(f"bias {bias_name!r} must have shape (1, {w.shape[1]})")
+            y += b
+        return y, w
+
     def dense(self, x, weight_name, bias_name=None):
         """Affine map x @ W (+ b).
 
@@ -356,37 +434,41 @@ class Tape:
         promises nothing; TestChunkedEvaluate.test_matches_per_user_oracle_bitwise
         in tests/test_evaluation.py guards both for every model kind.
         """
-        w = self.store.value(weight_name).astype(np.float64)
-        if x.value.shape[1] != w.shape[0]:
-            raise ShapeError(
-                f"dense input width {x.value.shape[1]} does not match "
-                f"{weight_name!r} {w.shape}"
-            )
-        if w.shape[1] == 1:
-            y = (x.value * w[:, 0]).sum(axis=1, keepdims=True)
-        else:
-            y = x.value @ w
-        if bias_name is not None:
-            b = self.store.value(bias_name).astype(np.float64)
-            if b.shape != (1, w.shape[1]):
-                raise ShapeError(f"bias {bias_name!r} must have shape (1, {w.shape[1]})")
-            y = y + b
+        y, w = self._affine(x.value, weight_name, bias_name)
         node = Node(y)
         if self.recording:
             def back(g, x=x, w=w, weight_name=weight_name, bias_name=bias_name):
-                dense = self._dense_grads
-                dw = x.value.T @ g
-                if weight_name in dense:
-                    dense[weight_name] += dw
-                else:
-                    dense[weight_name] = dw
+                self._add_dense(weight_name, x.value.T @ g)
                 if bias_name is not None:
-                    db = g.sum(axis=0, keepdims=True)
-                    if bias_name in dense:
-                        dense[bias_name] += db
-                    else:
-                        dense[bias_name] = db
+                    self._add_dense(bias_name, g.sum(axis=0, keepdims=True))
                 x.bump(g @ w.T)
+
+            self._ops.append((node, back))
+        return node
+
+    def mlp(self, x, layers):
+        """relu(dense(h, w, b)) for each (w, b) name pair in `layers`, as one op.
+
+        Value and gradients are bitwise the layer-by-layer dense + relu
+        chain's, down to the `+ 0.0` of the chain's first bump of each dense
+        output. Only a recording tape keeps each layer's input and mask.
+        """
+        h = x.value
+        saved = []
+        for weight_name, bias_name in layers:
+            y, w = self._affine(h, weight_name, bias_name)
+            if self.recording:
+                saved.append((weight_name, bias_name, h, w, y > 0.0))
+            h = np.maximum(y, 0.0, out=y)
+        node = Node(h)
+        if self.recording:
+            def back(g, x=x, saved=saved):
+                for weight_name, bias_name, h, w, mask in reversed(saved):
+                    g = g * mask + 0.0
+                    self._add_dense(weight_name, h.T @ g)
+                    self._add_dense(bias_name, g.sum(axis=0, keepdims=True))
+                    g = g @ w.T
+                x.bump(g)
 
             self._ops.append((node, back))
         return node
@@ -445,61 +527,40 @@ class Tape:
         for node, back in reversed(self._ops):
             if node.grad is not None:
                 back(node.grad)
-        buffer = GradientBuffer(dense=self._dense_grads)
-        for name, chunks in self._row_chunks.items():
-            ids = np.concatenate([c[0] for c in chunks])
-            grads = np.concatenate([c[1] for c in chunks], axis=0)
-            uniq, inverse = np.unique(ids, return_inverse=True)
-            buffer.rows[name] = (uniq, segment_sum(grads, inverse, uniq.size))
+        tables, cells, chunks = zip(*self._row_chunks) if self._row_chunks else ((), (), ())
+        tables = set(tables)
+        both = tables & self._dense_grads.keys()
+        if both:
+            raise ShapeError(f"parameter {min(both)!r} has both a dense and a row gradient")
+        widths = {chunk.shape[1] for chunk in chunks}
+        if len(widths) > 1:
+            raise ShapeError(f"row tables of widths {sorted(widths)} on one tape")
+        cells, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]), return_inverse=True)
+        g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), inverse, cells.size)
+        buffer = _ArenaGradients(self.store, self._dense_grads, tables, cells, g)
         self._ops = []
         self._dense_grads = {}
-        self._row_chunks = {}
+        self._row_chunks = []
         return buffer
 
 
 def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update over the parameters present in `grads`.
 
-    Every gradient is validated, then gathered into one flat arena index and
-    one float64 vector, so the update is a single elementwise apply whose
-    bits match a per-parameter loop. Row gradients only touch their own
-    rows, so moments of embedding rows a batch never read are not decayed.
-    The step counter advances once per call and is shared by every parameter.
+    Every gradient is validated and laid out as one flat arena index and
+    one float64 vector (GradientBuffer.arena), so the update is a single
+    elementwise apply whose bits match a per-parameter loop. Row gradients
+    only touch their own rows, so moments of embedding rows a batch never
+    read are not decayed. The step counter advances once per call and is
+    shared by every parameter.
     """
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in (0, 1)")
-    names = grads.names()
-    index = [np.empty(0, dtype=np.int64)]
-    flat = [np.empty(0, dtype=np.float64)]
-    for name in names:
-        if name not in store:
-            raise ShapeError(f"gradient for unknown parameter {name!r}")
-        if name in grads.dense and name in grads.rows:
-            raise ShapeError(f"parameter {name!r} has both a dense and a row gradient")
-        offset, (rows, cols) = store._layout[name]
-        if name in grads.dense:
-            g = grads.dense[name]
-            if g.shape != (rows, cols):
-                raise ShapeError(f"gradient shape {g.shape} for {name!r} {(rows, cols)}")
-            index.append(np.arange(offset, offset + rows * cols, dtype=np.int64))
-        else:
-            ids, g = grads.rows[name]
-            ids = np.asarray(ids, dtype=np.int64)
-            if (ids.ndim != 1 or g.shape != (ids.size, cols)
-                    or (ids.size and (ids[0] < 0 or ids[-1] >= rows or (np.diff(ids) <= 0).any()))):
-                raise ShapeError(
-                    f"row gradient for {name!r} needs strictly increasing ids in "
-                    f"[0, {rows}) and shape (ids, {cols})"
-                )
-            index.append((offset + ids[:, None] * cols + np.arange(cols)).ravel())
-        flat.append(g.ravel())
-    index = np.concatenate(index)
-    g = np.concatenate(flat).astype(np.float64, copy=False)
-    finite = np.isfinite(g)
-    if not finite.all():
-        ends = np.cumsum([part.size for part in flat[1:]])
-        name = names[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
-        raise NumericsError(f"non-finite gradient for parameter {name!r}")
+    index, g = grads.arena(store)
+    if not np.isfinite(g).all():
+        for name in grads.names():
+            if not np.isfinite(grads.dense[name] if name in grads.dense else grads.rows[name][1]).all():
+                raise NumericsError(f"non-finite gradient for parameter {name!r}")
 
     store.step += 1
     t = store.step

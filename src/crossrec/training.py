@@ -225,13 +225,19 @@ def _tiny_fixture(kind, seed, num_users=4, num_items=5, factors=4, layers=(8, 4,
     return config, catalog, batch
 
 
-class _MaskTape(tc.Tape):
-    """A value-only tape that keeps each relu's activation pattern, so a
-    finite difference whose two sides straddle a kink can be told apart."""
+class _LayerTape(tc.Tape):
+    """A tape that runs relu stacks layer by layer (the chain Tape.mlp is held
+    to) and keeps each relu's activation pattern, so a finite difference
+    whose two sides straddle a kink can be told apart."""
 
-    def __init__(self, store):
-        super().__init__(store, record=False)
+    def __init__(self, store, record=False):
+        super().__init__(store, record)
         self.masks = []
+
+    def mlp(self, x, layers):
+        for weight_name, bias_name in layers:
+            x = self.relu(self.dense(x, weight_name, bias_name))
+        return x
 
     def relu(self, x):
         self.masks.append((x.value > 0.0).tobytes())
@@ -242,7 +248,9 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
     """Compare analytic batch-loss gradients with central finite differences.
 
     Differences are evaluated in float64 with the actually-achieved float32
-    parameter perturbation in the denominator. Elements whose perturbation
+    parameter perturbation in the denominator, and compared with training's
+    analytic gradient and with the one of the stacks run layer by layer;
+    the worse error counts. Elements whose perturbation
     flips a relu activation are skipped (the loss is not differentiable
     across the kink) and counted in the report. Relative error uses
     max(|analytic|, |numeric|, 1e-8) as the denominator; parameters a batch
@@ -257,9 +265,13 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
     store = models.init_params(config, seed)
 
     def loss_and_masks():
-        tape = _MaskTape(store)
+        tape = _LayerTape(store)
         node = models.score(tape, config, batch.users, batch.items, catalog)
         return log_loss(models.predictions(node), batch.labels), tuple(tape.masks)
+
+    def analytic(tape):
+        node = models.score(tape, config, batch.users, batch.items, catalog)
+        return tape.backward(node, log_loss_grad(models.predictions(node), batch.labels)[:, None])
 
     # Re-roll the point if a narrow relu layer went dead for the whole batch
     # (gradient identically zero upstream would make the check vacuous).
@@ -267,22 +279,19 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
         point_rng = tc.seeded_rng(seed, "gradcheck-point", attempt)
         for name in store.names():
             store.set_value(name, point_rng.normal(0.0, 0.5, store.shape(name)))
-        tape = tc.Tape(store)
-        node = models.score(tape, config, batch.users, batch.items, catalog)
-        grads = tape.backward(
-            node, log_loss_grad(models.predictions(node), batch.labels)[:, None]
-        )
+        grads = analytic(tc.Tape(store))
         if all(np.abs(grads.as_dense(store, n)).max() > 0 for n in store.names()):
             break
     else:
         raise TrainingError(f"gradcheck could not find a non-degenerate point for {kind}")
+    layered = analytic(_LayerTape(store, record=True))
 
     per_param = {}
     kink_skips = {}
     grad_norms = {}
     for name in store.names():
-        analytic = grads.as_dense(store, name)
-        grad_norms[name] = float(np.abs(analytic).max())
+        both = (grads.as_dense(store, name), layered.as_dense(store, name))
+        grad_norms[name] = float(np.abs(both[0]).max())
         value = store.value(name)
         worst = 0.0
         skipped = 0
@@ -299,9 +308,8 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
                 skipped += 1
                 continue
             numeric = (f_hi - f_lo) / (hi - lo)
-            a = analytic[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            for a in (g[idx] for g in both):
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
         per_param[name] = worst
         kink_skips[name] = skipped
     return GradcheckReport(per_param, kink_skips, grad_norms, tolerance)

@@ -1,0 +1,54 @@
+"""The compare step of tools/identity.py on two small hand-made trees."""
+
+import os
+import subprocess
+import sys
+
+TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools", "identity.py")
+
+
+def make_tree(root, wall="0.5", epoch_seconds="1.2"):
+    files = {
+        "prepare/run/split.npy": bytes(range(256)) * 4,
+        "train/gmf/metrics_gmf_f8.csv":
+            f"epoch,model,factors,seed,train_loss,hr10,ndcg10,wall_seconds\n1,gmf,8,42,0.5,0.25,0.125,{wall}\n",
+        "logs/train-gmf.log": f"epoch 1/1 loss=0.5000 hr10=0.2500 ndcg10=0.1250 ({epoch_seconds}s)\nexit 0\n",
+    }
+    for rel, data in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+
+
+def compare(a, b):
+    return subprocess.run([sys.executable, TOOL, "--compare", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_equal_trees_exit_zero_wall_clock_aside(tmp_path):
+    make_tree(tmp_path / "a")
+    make_tree(tmp_path / "b", wall="7.25", epoch_seconds="13.0")
+    done = compare(tmp_path / "a", tmp_path / "b")
+    assert done.returncode == 0, done.stdout
+    assert "3 of 3 artifacts equal" in done.stdout
+
+
+def test_one_flipped_byte_exits_one(tmp_path):
+    make_tree(tmp_path / "a")
+    make_tree(tmp_path / "b")
+    path = tmp_path / "b" / "prepare" / "run" / "split.npy"
+    data = bytearray(path.read_bytes())
+    data[517] ^= 0x01
+    path.write_bytes(bytes(data))
+    done = compare(tmp_path / "a", tmp_path / "b")
+    assert done.returncode == 1
+    assert [line.split()[0] for line in done.stdout.splitlines() if line.endswith(" NO")] == \
+        [os.path.join("prepare", "run", "split.npy")]
+
+
+def test_file_on_one_side_only_exits_one(tmp_path):
+    make_tree(tmp_path / "a")
+    make_tree(tmp_path / "b")
+    os.remove(tmp_path / "b" / "logs" / "train-gmf.log")
+    assert compare(tmp_path / "a", tmp_path / "b").returncode == 1

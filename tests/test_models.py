@@ -511,3 +511,17 @@ class TestGatheredSides:
         sides = models.build_sides(tc.Tape(store, record=False), config, np.arange(6), np.arange(7))
         with pytest.raises(tc.ShapeError, match="record=False"):
             models.score(tc.Tape(store), config, [0], [1], sides=sides)
+
+
+class TestOpCount:
+    # ops one training step records at factors 8 and layers 32-16-8; camf
+    # recorded 21 while each relu stack layer was a dense op and a relu op
+    MOST = {"gmf": 5, "mlp": 6, "neumf": 11, "aadcf": 10, "camf": 16}
+
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_training_step_records_no_more_ops(self, kind, catalog):
+        config = cfg(kind, factors=8, mlp_layers=(32, 16, 8))
+        tape = tc.Tape(models.init_params(config, 0))
+        node = models.score(tape, config, np.array([5, 0, 5, 2]), np.array([6, 6, 0, 1]), catalog)
+        assert len(tape._ops) <= self.MOST[kind]
+        tape.backward(node, np.ones((4, 1)))

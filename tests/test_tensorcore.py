@@ -526,6 +526,172 @@ class TestRagged:
         assert segments.tolist() == [0, 0, 0, 1, 1, 3, 3, 3]
 
 
+# -- row-gradient merge and the fused relu stack ------------------------------
+
+
+def _reference_row_merge(chunks):
+    """The per-table merge the arena merge replaced: for each table, its chunks'
+    ids and gradients concatenated in op order, np.unique, then segment_sum."""
+    merged = {}
+    for name in dict.fromkeys(name for name, _, _ in chunks):
+        ids = np.concatenate([ids for n, ids, _ in chunks if n == name])
+        grads = np.concatenate([g for n, _, g in chunks if n == name], axis=0)
+        uniq, inverse = np.unique(ids, return_inverse=True)
+        merged[name] = (uniq, tc.segment_sum(grads, inverse, uniq.size))
+    return merged
+
+
+class TestArenaRowMerge:
+    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3)}
+
+    def _values(self, rng, shape):
+        # magnitudes over 16 decades and signed zeros, so any change of order shows
+        g = rng.normal(0, 1, shape) * 10.0 ** rng.integers(-8, 8, shape)
+        g[rng.random(shape) < 0.2] = -0.0
+        return g
+
+    def _record(self, rng, tables):
+        """A tape holding 6-10 row ops on `tables` in a random interleaved order,
+        half lookups and half attribute sums, every op's gradient drawn here;
+        returns (store, buffer, the chunks the ops produce in the order
+        backward visits them, last op first)."""
+        store = make_store(**{name: rng.normal(0, 1, self.SHAPES[name]) for name in (*tables, "dense")})
+        t = tc.Tape(store)
+        nodes, grads, chunks = [], [], []
+        for name in rng.choice(tables, size=int(rng.integers(6, 11))):
+            rows = self.SHAPES[name][0]
+            if rng.random() < 0.5:
+                ids = rng.integers(0, rows, int(rng.integers(1, 9)))  # duplicates likely
+                nodes.append(t.embed_lookup(name, ids))
+                grads.append(self._values(rng, (ids.size, 3)))
+                chunks.append((name, ids, grads[-1]))
+            else:
+                ragged = tc.Ragged.from_rows([rng.integers(0, rows, int(rng.integers(0, 4))) for _ in range(5)])
+                selector = rng.integers(0, 5, 4)
+                nodes.append(t.embed_sum(name, ragged, selector))
+                grads.append(self._values(rng, (4, 3)))
+                flat, segments = ragged.gather(selector)
+                chunks.append((name, flat, grads[-1][segments]))
+        out = t.custom(np.zeros((1, 1)), nodes, lambda g: grads)
+        return store, t.backward(out, np.ones((1, 1))), chunks[::-1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_per_table_merge_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = ["a", "b", "c", "d"][:2 + seed % 3]
+        _, grads, chunks = self._record(rng, tables)
+        want = _reference_row_merge(chunks)
+        assert sorted(grads.rows) == sorted(want) == grads.names()
+        for name, (ids, g) in want.items():
+            got_ids, got_g = grads.rows[name]
+            assert got_ids.tolist() == ids.tolist()
+            assert got_g.tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prepared_apply_equals_checked_apply_bitwise(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        store, grads, chunks = self._record(rng, ["a", "b", "c"])
+        twin = make_store(**{name: store.value(name).copy() for name in store.names()})
+        for step in range(2):
+            tc.adam_step(store, grads)
+            tc.adam_step(twin, tc.GradientBuffer(rows=_reference_row_merge(chunks)))
+        assert arena_state(store) == arena_state(twin)
+
+    def test_row_tables_of_two_widths_rejected(self):
+        store = make_store(a=np.ones((3, 2)), b=np.ones((3, 4)))
+        t = tc.Tape(store)
+        out = t.concat([t.embed_lookup("a", [0]), t.embed_lookup("b", [1])])
+        with pytest.raises(tc.ShapeError, match=r"widths \[2, 4\]"):
+            t.backward(out, np.ones((1, 6)))
+
+    def test_dense_and_row_read_of_one_table_rejected(self):
+        store = make_store(emb=np.ones((3, 2)))
+        t = tc.Tape(store)
+        out = t.hadamard(t.embed_lookup("emb", [0, 1, 2]), t.param("emb"))
+        with pytest.raises(tc.ShapeError, match="'emb'"):
+            t.backward(out, np.ones((3, 2)))
+
+
+def _stack_store(rng, widths, dead_units):
+    """h{k}_w/h{k}_b for a stack of `widths` over 6 inputs; dead_units[k] lists
+    the units of layer k that are dead for every input."""
+    params, width_in = {}, 6
+    for k, width in enumerate(widths):
+        params[f"h{k}_w"] = rng.normal(0, 1, (width_in, width))
+        params[f"h{k}_b"] = rng.normal(0, 1, (1, width))
+        params[f"h{k}_b"][0, dead_units.get(k, [])] = -100.0
+        width_in = width
+    params[f"h{len(widths) - 1}_b"][:] = 100.0   # the width-1 output unit fires for every row
+    return make_store(**params)
+
+
+class _Operands(np.ndarray):
+    """A stack input that logs the other operand of every matmul it enters.
+
+    Numpy's matmul and sums add from +0.0, so the sign of a zero gradient
+    entry never reaches their results on this BLAS; the log shows the
+    gradient a layer's weight product is handed, signed zeros included.
+    """
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Operands) else x for x in inputs]
+        if ufunc is np.matmul:
+            self.log.append(plain[1].tobytes())
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestFusedMlp:
+    WIDTHS = (8, 5, 1)
+    LAYERS = [(f"h{k}_w", f"h{k}_b") for k in range(len(WIDTHS))]
+
+    def _run(self, store, x, seed_grad, fused):
+        """(value, input gradient, dense gradients, matmul operand log) of the stack."""
+        t = tc.Tape(store)
+        xn = t.custom(x.copy().view(_Operands), (), lambda g: ())
+        xn.value.log = []
+        if fused:
+            out = t.mlp(xn, self.LAYERS)
+        else:
+            out = xn
+            for w, b in self.LAYERS:
+                out = t.relu(t.dense(out, w, b))
+        grads = t.backward(out, seed_grad)
+        return out.value, xn.grad, grads.dense, xn.value.log
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_dense_relu_chain_bitwise(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        store = _stack_store(rng, self.WIDTHS, {0: [1, 6], 1: [2]})
+        x = rng.normal(0, 1, (9, 6))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        seed_grad = rng.normal(0, 1, (9, 1))
+        fused, chain = self._run(store, x, seed_grad, True), self._run(store, x, seed_grad, False)
+        assert fused[0].tobytes() == chain[0].tobytes()
+        assert fused[1].tobytes() == chain[1].tobytes()
+        assert list(fused[2]) == list(chain[2]) == [name for pair in self.LAYERS[::-1] for name in pair]
+        for name in fused[2]:
+            assert fused[2][name].tobytes() == chain[2][name].tobytes(), name
+        # forward: h @ W; backward: h.T @ g, g the first layer's masked gradient, zeros all +0.0
+        assert len(fused[3]) == len(chain[3]) == 2 and fused[3] == chain[3]
+        g = np.frombuffer(fused[3][1]).reshape(9, 8)
+        assert not g[:, [1, 6]].any() and not np.signbit(g[:, [1, 6]]).any()
+        assert not fused[2]["h1_b"][0, 2] and not np.signbit(fused[2]["h1_b"][0, 2])
+
+    def test_value_only_forward_equals_chain_bitwise(self):
+        rng = np.random.default_rng(60)
+        store = _stack_store(rng, self.WIDTHS, {1: [0]})
+        x = tc.Node(rng.normal(0, 1, (9, 6)))
+        t = tc.Tape(store, record=False)
+        chain = x
+        for w, b in self.LAYERS:
+            chain = t.relu(t.dense(chain, w, b))
+        assert t.mlp(x, self.LAYERS).value.tobytes() == chain.value.tobytes()
+        assert not t._ops
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 
