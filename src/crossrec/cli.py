@@ -238,8 +238,8 @@ def _write_metrics_row(fh, epoch, config, stats, report):
     )
 
 
-def cmd_train(config, log=print):
-    """Train one model on the prepared split; write metrics CSV and checkpoint."""
+def train_and_save(config, log=print):
+    """Train one model on the prepared split, write metrics CSV and checkpoint; return the TrainResult."""
     split, catalog = corpus.load_prepared(config.out)
     model_config = _model_config(config, split, catalog)
     csv_file = metrics_path(config.out, config.model, config.factors)
@@ -276,6 +276,12 @@ def cmd_train(config, log=print):
             f"ndcg10={_float_repr(best_report.ndcg_at_10)}")
         log(f"final epoch {len(result.eval_reports)}: hr10={_float_repr(final.hr_at_10)} "
             f"ndcg10={_float_repr(final.ndcg_at_10)}")
+    return result
+
+
+def cmd_train(config, log=print):
+    """Train one model on the prepared split; write metrics CSV and checkpoint."""
+    train_and_save(config, log)
     return 0
 
 
@@ -344,23 +350,6 @@ def cmd_gradcheck(config, log=print):
     return 1
 
 
-def read_metrics_csv(path):
-    """Parse a metrics CSV back into typed rows (lossless round trip)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != METRICS_HEADER:
-            raise CliError(f"{path}: unexpected CSV header {header!r}")
-        for line in fh:
-            epoch, model, factors, seed, loss, hr10, ndcg10, wall = line.strip().split(",")
-            rows.append({
-                "epoch": int(epoch), "model": model, "factors": int(factors),
-                "seed": int(seed), "train_loss": float(loss), "hr10": float(hr10),
-                "ndcg10": float(ndcg10), "wall_seconds": float(wall),
-            })
-    return rows
-
-
 def cmd_sweep(config, log=print):
     """Train each (model, factors) cell on one shared prepared split.
 
@@ -370,44 +359,33 @@ def cmd_sweep(config, log=print):
     sweep continues.
     """
     model_list, factors_list = config.model, config.factors
-    cells = {}
+    best = {}  # (model, factors) -> EvalReport of the cell's best epoch
     failures = []
     for model in model_list:
         for factors in factors_list:
             cell_config = argparse.Namespace(**{**vars(config), "model": model, "factors": factors})
             try:
-                cmd_train(cell_config, log=lambda _msg: None)
-                rows = read_metrics_csv(metrics_path(config.out, model, factors))
-                best = max(rows, key=lambda r: r["hr10"]) if rows else None
-                final = rows[-1] if rows else None
-                cells[(model, factors)] = (best, final)
+                result = train_and_save(cell_config, log=lambda _msg: None)
+                if result.eval_reports:
+                    best[(model, factors)] = result.eval_reports[result.best_epoch() - 1]
             except Exception as exc:  # keep sweeping the remaining cells
                 failures.append((model, factors, exc))
                 log(f"cell {model}/f{factors} failed: {exc}")
 
-    sweep_csv = os.path.join(config.out, "sweep.csv")
     columns = ["factors"]
     for model in model_list:
         columns += [f"{model}_hr10", f"{model}_ndcg10"]
-    with open(sweep_csv, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(config.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
+        log("\t".join(columns))
         for factors in factors_list:
-            row = [str(factors)]
+            row, shown = [str(factors)], [str(factors)]
             for model in model_list:
-                best, _final = cells.get((model, factors), (None, None))
-                row += (
-                    [_float_repr(best["hr10"]), _float_repr(best["ndcg10"])]
-                    if best else ["", ""]
-                )
+                report = best.get((model, factors))
+                row += [_float_repr(report.hr_at_10), _float_repr(report.ndcg_at_10)] if report else ["", ""]
+                shown += [f"{report.hr_at_10:.4f}\t{report.ndcg_at_10:.4f}" if report else "-\t-"]
             fh.write(",".join(row) + "\n")
-
-    log("factors\t" + "\t".join(f"{m}_hr10\t{m}_ndcg10" for m in model_list))
-    for factors in factors_list:
-        parts = [str(factors)]
-        for model in model_list:
-            best, _ = cells.get((model, factors), (None, None))
-            parts += [f"{best['hr10']:.4f}\t{best['ndcg10']:.4f}" if best else "-\t-"]
-        log("\t".join(parts))
+            log("\t".join(shown))
     return 1 if failures else 0
 
 
@@ -458,7 +436,7 @@ def parse_command_line(argv):
 
 def _run(argv):
     command, config = parse_command_line(argv)
-    # looked up at call time, so a replaced cmd_* module attribute is the one that runs
+    # looked up at call time, as perfbench/tracer.py times commands by replacing cli.cmd_*
     return globals()[f"cmd_{command}"](config)
 
 

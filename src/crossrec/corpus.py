@@ -141,6 +141,9 @@ class ParsedData:
 
 
 NUM_TEST_NEGATIVES = 99
+MIN_USER_INTERACTIONS = 10  # generic layout: sparser users are dropped
+USER_BUCKET_SIZE = 40       # generic layout: interactions per user-activity bucket
+ITEM_BUCKET_SIZE = 50       # generic layout: pins per item-exposure bucket
 
 
 def _records(path, sep, width, encoding):
@@ -299,13 +302,10 @@ def parse_generic(
     user_attr_path,
     item_attr_path,
     category_map_path=None,
-    min_user_interactions=10,
-    user_bucket_size=40,
-    item_bucket_size=50,
 ):
     """Parse tab-separated UTF-8 interaction and attribute files.
 
-    Users with fewer than `min_user_interactions` interactions are dropped
+    Users with fewer than MIN_USER_INTERACTIONS interactions are dropped
     before ids are remapped. File-listed attribute names (collapsed through
     the category map when one is given) are encoded first; each user then
     gets an interaction-count bucket and each item an exposure bucket, so
@@ -316,7 +316,7 @@ def parse_generic(
         rows += (_parse_int(user, interactions_path, n, "user id"),
                  _parse_int(item, interactions_path, n, "item id"),
                  _parse_int(stamp, interactions_path, n, "timestamp"))
-    interactions, user_ids, item_ids = _index(interactions_path, rows, min_user_interactions)
+    interactions, user_ids, item_ids = _index(interactions_path, rows, MIN_USER_INTERACTIONS)
 
     category_map = None
     if category_map_path:
@@ -328,10 +328,10 @@ def parse_generic(
     item_named = _read_attr_file(item_attr_path, category_map)
 
     user_buckets = np.array(
-        [bucketize(n, user_bucket_size) for n in np.diff(interactions.per_user_items.offsets).tolist()],
+        [bucketize(n, USER_BUCKET_SIZE) for n in np.diff(interactions.per_user_items.offsets).tolist()],
         dtype=np.int64,
     )
-    item_buckets = item_pin_attribute(interactions, item_bucket_size)
+    item_buckets = item_pin_attribute(interactions, ITEM_BUCKET_SIZE)
     user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, user_buckets)
     item_attrs, item_vocab = _encode(item_attr_path, "item", item_named, item_ids, item_buckets)
     catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)

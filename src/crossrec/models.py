@@ -156,40 +156,24 @@ def _add(tape, a, b):
     return tape.custom(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def pairwise_pool(entity, attrs):
-    """Sum of all pairwise element-wise products among the entity and its attributes.
-
-    Computed through the quadratic identity
-    ((e + s) * (e + s) - e * e - sum_t g_t * g_t) / 2 with s = sum_t g_t,
-    which costs O(V d) instead of O(V^2 d). With no attributes the entity
-    vector is returned unchanged (an all-zero pool would erase the entity).
-    """
-    e = np.asarray(entity, dtype=np.float64)
-    attrs = [np.asarray(a, dtype=np.float64) for a in attrs]
-    if not attrs:
-        return e.copy()
-    g = np.stack(attrs)
-    if g.shape[1:] != e.shape:
-        raise tc.ShapeError(f"attribute shape {g.shape[1:]} != entity shape {e.shape}")
-    s = g.sum(axis=0)
-    t = e + s
-    return (t * t - e * e - (g * g).sum(axis=0)) / 2.0
-
-
 def _pool(tape, entity, table_name, ragged, ids):
     """Batched pairwise pooling of entity rows against embedding-table rows.
 
-    Row b pools entity row b with the table rows that the tc.Ragged
-    `ragged` lists for entity ids[b]; the ids are summed in the order the
-    Ragged keeps them, ascending within each row, and an entity with no ids
-    falls back to its entity row itself.
+    Row b sums all pairwise element-wise products among entity row b and
+    the table rows that the tc.Ragged `ragged` lists for ids[b], in O(V d)
+    through ((e + s) * (e + s) - e * e - sum_t g_t * g_t) / 2, s = sum_t g_t.
+    Ids are summed in the Ragged's ascending order; an entity with no ids
+    keeps its own row (an all-zero pool would erase it). ShapeError if the
+    table's width is not the entity's.
     """
     flat, segments = ragged.gather(ids)
     count = len(ids)
     rows = tape.embed_lookup(table_name, flat)
+    e = entity.value
+    if rows.value.shape[1] != e.shape[1]:
+        raise tc.ShapeError(f"attribute width {rows.value.shape[1]} != entity width {e.shape[1]}")
     s = tc.segment_sum(rows.value, segments, count)
     sq = tc.segment_sum(rows.value * rows.value, segments, count)
-    e = entity.value
     t = e + s
     value = (t * t - e * e - sq) / 2.0
     present = np.zeros(count, dtype=bool)
@@ -208,16 +192,8 @@ def _pool(tape, entity, table_name, ragged, ids):
     return tape.custom(value, (entity, rows), backward)
 
 
-def camf_merge(u_shared, u_embedded, alpha):
-    """Blend of the shared and personal user vectors: alpha*shared + (1-alpha)*personal."""
-    u_shared = np.asarray(u_shared, dtype=np.float64)
-    u_embedded = np.asarray(u_embedded, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return alpha * u_shared + (1.0 - alpha) * u_embedded
-
-
 def _merge(tape, shared, personal, alpha):
-    """Tape version of camf_merge: shared is (1, d), personal (B, d), alpha (B, 1)."""
+    """CAMF's blend alpha*shared + (1-alpha)*personal: shared (1, d), personal (B, d), alpha (B, 1)."""
     a = alpha.value
     value = a * shared.value + (1.0 - a) * personal.value
 
@@ -266,12 +242,6 @@ def build_sides(tape, config, users, items, catalog=None):
 def _camf_gate(tape, user, item):
     (p, a_u), (q, a_i) = user, item
     return tape.sigmoid(tape.dense(tape.concat([p, a_u, q, a_i]), "gate_w", "gate_b"))
-
-
-def camf_gate(tape, users, items, catalog):
-    """The blend weight alpha = sigmoid(w . [p_u, a_u, q_i, a_i] + b), per pair."""
-    return _camf_gate(tape, _side(tape, "camf", "user", users, catalog),
-                      _side(tape, "camf", "item", items, catalog))
 
 
 def interaction(tape, config, user, item):

@@ -133,14 +133,13 @@ def train(
     epochs=DEFAULT_EPOCHS,
     batch_size=DEFAULT_BATCH_SIZE,
     negative_ratio=DEFAULT_NEGATIVE_RATIO,
-    evaluate_each_epoch=True,
     on_epoch=None,
 ):
     """Run the optimization loop; returns the store plus per-epoch records.
 
-    on_epoch, when given, is called with (EpochStats, EvalReport-or-None,
-    store) after each epoch, letting callers stream metrics and snapshot
-    checkpoints as they appear.
+    Every epoch ends with an evaluation pass. on_epoch, when given, is
+    called with (EpochStats, EvalReport, store) after each epoch, letting
+    callers stream metrics and snapshot checkpoints as they appear.
     """
     store = models.init_params(config, seed)
     result = TrainResult(store)
@@ -169,10 +168,8 @@ def train(
             count += len(batch)
         stats = EpochStats(epoch, loss_sum / count, count, time.perf_counter() - t0)
         result.epoch_stats.append(stats)
-        report = None
-        if evaluate_each_epoch:
-            report = evaluation.evaluate(config, store, split, catalog)
-            result.eval_reports.append(report)
+        report = evaluation.evaluate(config, store, split, catalog)
+        result.eval_reports.append(report)
         if on_epoch is not None:
             on_epoch(stats, report, store)
     return result

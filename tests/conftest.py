@@ -5,7 +5,8 @@ import signal
 import numpy as np
 import pytest
 
-from crossrec import corpus
+from crossrec import corpus, models
+from crossrec import tensorcore as tc
 
 ML1M_ENV = "CROSSREC_ML1M"
 
@@ -50,6 +51,30 @@ def time_bound(seconds=TIME_BOUND_S):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def pool(entity, attrs):
+    """models._pool of one float64 entity row with every row of `attrs`, held
+    as the float32 attribute table the models keep; the pooled row."""
+    entity = np.asarray(entity, dtype=np.float64)
+    table = np.asarray(attrs, dtype=np.float32) if len(attrs) else np.zeros((1, entity.size), np.float32)
+    tape = tc.Tape(tc.ParameterStore([("attr_emb", table)]), record=False)
+    ragged = tc.Ragged.from_rows([np.arange(len(attrs))])
+    return models._pool(tape, tc.Node(entity[None, :]), "attr_emb", ragged, [0]).value[0]
+
+
+def as_stored(attrs):
+    """The attribute rows as pool's float32 table holds them, back in float64."""
+    return [np.asarray(g, dtype=np.float32).astype(np.float64) for g in attrs]
+
+
+def merge(shared, personal, alpha):
+    """models._merge of one row: alpha * shared + (1 - alpha) * personal."""
+    def row(x):
+        return tc.Node(np.asarray(x, dtype=np.float64).reshape(1, -1))
+
+    tape = tc.Tape(tc.ParameterStore(), record=False)
+    return models._merge(tape, row(shared), row(personal), row(alpha)).value[0]
 
 
 def pytest_configure(config):

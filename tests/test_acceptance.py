@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ml1m_dir, requires_ml1m, write_generic_dataset
+from conftest import as_stored, merge, ml1m_dir, pool, requires_ml1m, write_generic_dataset
 from crossrec import cli, corpus, evaluation, models, training
 from crossrec import tensorcore as tc
 
@@ -80,8 +80,8 @@ def test_criterion_3_pairwise_pooling_oracle():
             v = int(rng.integers(1, 11))
             entity = rng.normal(0, 1, d)
             attrs = [rng.normal(0, 1, d) for _ in range(v)]
-            got = models.pairwise_pool(entity, attrs)
-            want = brute_force_pool(entity, attrs)
+            got = pool(entity, attrs)
+            want = brute_force_pool(entity, as_stored(attrs))
             assert np.allclose(got, want, atol=1e-6), seed
 
 
@@ -130,8 +130,8 @@ def test_criterion_6_gate_endpoints():
             d = int(rng.integers(1, 40))
             shared = rng.normal(0, 1, d)
             embedded = rng.normal(0, 1, d)
-            assert np.array_equal(models.camf_merge(shared, embedded, 0.0), embedded)
-            assert np.array_equal(models.camf_merge(shared, embedded, 1.0), shared)
+            assert np.array_equal(merge(shared, embedded, 0.0), embedded)
+            assert np.array_equal(merge(shared, embedded, 1.0), shared)
 
 
 def _strip_wall(csv_text):
@@ -231,7 +231,7 @@ def test_criterion_8_training_loss_decreases():
                 )
                 result = training.train(
                     config, split, catalog, seed=ML1M_SEED, lr=0.001, epochs=5,
-                    batch_size=256, negative_ratio=4, evaluate_each_epoch=False,
+                    batch_size=256, negative_ratio=4,
                 )
             losses = [s.mean_loss for s in result.epoch_stats]
             assert losses[4] < losses[0], (kind, losses[:5])

@@ -45,6 +45,21 @@ def assert_validation_failure(code, err, where):
     assert "Traceback" not in err
 
 
+def read_metrics_csv(path):
+    """A metrics CSV back as typed rows (a lossless round trip)."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline().strip() == cli.METRICS_HEADER
+        for line in fh:
+            epoch, model, factors, seed, loss, hr10, ndcg10, wall = line.strip().split(",")
+            rows.append({
+                "epoch": int(epoch), "model": model, "factors": int(factors),
+                "seed": int(seed), "train_loss": float(loss), "hr10": float(hr10),
+                "ndcg10": float(ndcg10), "wall_seconds": float(wall),
+            })
+    return rows
+
+
 def strip_wall(csv_text):
     return "\n".join(",".join(line.split(",")[:-1]) for line in csv_text.splitlines())
 
@@ -203,7 +218,7 @@ class TestTrain:
     def test_writes_metrics_and_checkpoint(self, prepared, capsys):
         code, stdout, _ = run_cli(train_args(prepared), capsys)
         assert code == 0
-        rows = cli.read_metrics_csv(cli.metrics_path(prepared, "gmf", 4))
+        rows = read_metrics_csv(cli.metrics_path(prepared, "gmf", 4))
         assert [r["epoch"] for r in rows] == [1, 2]
         assert all(r["model"] == "gmf" and r["factors"] == 4 for r in rows)
         assert os.path.exists(cli.ckpt_path(prepared, "gmf", 4))
@@ -236,7 +251,7 @@ class TestTrain:
     def test_metrics_csv_round_trip(self, prepared, capsys):
         run_cli(train_args(prepared, model="mlp", epochs=1), capsys)
         path = cli.metrics_path(prepared, "mlp", 4)
-        rows = cli.read_metrics_csv(path)
+        rows = read_metrics_csv(path)
         rebuilt = cli.METRICS_HEADER + "\n" + "".join(
             f'{r["epoch"]},{r["model"]},{r["factors"]},{r["seed"]},'
             f'{repr(r["train_loss"])},{repr(r["hr10"])},{repr(r["ndcg10"])},'
@@ -268,7 +283,7 @@ class TestTrain:
                        f"out={prepared}\n")
         code, _, _ = run_cli(["train", "--config", str(cfg), "--epochs", "1"], capsys)
         assert code == 0
-        rows = cli.read_metrics_csv(cli.metrics_path(prepared, "gmf", 4))
+        rows = read_metrics_csv(cli.metrics_path(prepared, "gmf", 4))
         assert len(rows) == 1  # the flag beat the file's epochs=5
 
     def test_unprepared_directory_is_io_failure(self, tmp_path, capsys):
@@ -279,7 +294,7 @@ class TestTrain:
 class TestEvaluate:
     def test_matches_final_training_row(self, prepared, capsys):
         run_cli(train_args(prepared, model="aadcf"), capsys)
-        rows = cli.read_metrics_csv(cli.metrics_path(prepared, "aadcf", 4))
+        rows = read_metrics_csv(cli.metrics_path(prepared, "aadcf", 4))
         code, stdout, _ = run_cli(
             ["evaluate", "--model", "aadcf", "--factors", "4", "--out", prepared], capsys
         )
@@ -294,7 +309,7 @@ class TestEvaluate:
             capsys,
         )
         assert code == 0
-        rows = cli.read_metrics_csv(cli.metrics_path(prepared, "camf", 4))
+        rows = read_metrics_csv(cli.metrics_path(prepared, "camf", 4))
         code, stdout, _ = run_cli(
             ["evaluate", "--model", "camf", "--factors", "4", "--out", prepared], capsys
         )
@@ -447,9 +462,29 @@ class TestSweep:
         sweep = open(os.path.join(prepared, "sweep.csv")).read().splitlines()
         assert [row.split(",")[0] for row in sweep[1:]] == ["8", "16", "32"]
 
+    def test_cells_are_best_epoch_rows_of_their_metrics(self, prepared, capsys):
+        code, stdout, _ = run_cli(
+            ["sweep", "--model", "gmf,aadcf", "--factors", "4,8", "--layers", "8,4",
+             "--epochs", "3", "--seed", "11", "--out", prepared],
+            capsys,
+        )
+        assert code == 0
+        sweep = [line.split(",") for line in open(os.path.join(prepared, "sweep.csv")).read().splitlines()]
+        table = [line.split("\t") for line in stdout.splitlines()]
+        assert table[0] == sweep[0]
+        for k, factors in enumerate((4, 8), start=1):
+            assert sweep[k][0] == table[k][0] == str(factors)
+            for m, model in enumerate(("gmf", "aadcf")):
+                rows = read_metrics_csv(cli.metrics_path(prepared, model, factors))
+                assert [r["epoch"] for r in rows] == [1, 2, 3]
+                best = max(rows, key=lambda r: r["hr10"])   # the earliest of tied epochs
+                cells = sweep[k][1 + 2 * m:3 + 2 * m]
+                assert cells == [repr(best["hr10"]), repr(best["ndcg10"])]
+                assert table[k][1 + 2 * m:3 + 2 * m] == [f"{best['hr10']:.4f}", f"{best['ndcg10']:.4f}"]
+
     def test_failed_cell_reported_and_sweep_continues(self, prepared, capsys, monkeypatch):
         calls = []
-        original = cli.cmd_train
+        original = cli.train_and_save
 
         def flaky(config, log=print):
             calls.append((config.model, config.factors))
@@ -457,7 +492,7 @@ class TestSweep:
                 raise ValueError("synthetic cell failure")
             return original(config, log=log)
 
-        monkeypatch.setattr(cli, "cmd_train", flaky)
+        monkeypatch.setattr(cli, "train_and_save", flaky)
         code, stdout, _ = run_cli(
             ["sweep", "--model", "gmf", "--factors", "4,8", "--layers", "8,4",
              "--epochs", "1", "--seed", "11", "--out", prepared],
@@ -511,7 +546,7 @@ class TestMovielensPrepare:
             capsys,
         )
         assert code == 0
-        rows = cli.read_metrics_csv(cli.metrics_path(out, "aadcf", 4))
+        rows = read_metrics_csv(cli.metrics_path(out, "aadcf", 4))
         assert len(rows) == 1 and 0.0 <= rows[0]["hr10"] <= 1.0
 
     def test_non_integer_age_exits_with_line(self, tmp_path, capsys):

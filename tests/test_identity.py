@@ -1,5 +1,6 @@
-"""The compare step of tools/identity.py on two small hand-made trees."""
+"""The compare and src/ line-count steps of tools/identity.py on small hand-made trees."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -52,3 +53,32 @@ def test_file_on_one_side_only_exits_one(tmp_path):
     make_tree(tmp_path / "b")
     os.remove(tmp_path / "b" / "logs" / "train-gmf.log")
     assert compare(tmp_path / "a", tmp_path / "b").returncode == 1
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_src(root, files):
+    for rel, text in files.items():
+        path = os.path.join(root, "src", rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def test_src_line_counts_of_two_trees(tmp_path, capsys):
+    write_src(tmp_path / "ref", {"crossrec/__init__.py": '"""doc"""\n',
+                                 "crossrec/cli.py": "a = 1\n\nb = 2\nc = 3\n"})
+    write_src(tmp_path / "work", {"crossrec/__init__.py": '"""doc"""\n',
+                                  "crossrec/cli.py": "a = 1\nb = 2\n",
+                                  "crossrec/__pycache__/cli.cpython-311.pyc": "x\n" * 50,
+                                  "crossrec.egg-info/SOURCES.txt": "src/crossrec/cli.py\n"})
+    tool = load_tool()
+    assert tool.src_lines(tmp_path / "ref") == 5
+    assert tool.src_lines(tmp_path / "work") == 3
+    tool.report_src_lines(tmp_path / "ref", tmp_path / "work", "HEAD~1")
+    assert capsys.readouterr().out == "src/ lines: 5 in HEAD~1, 3 in the working tree (-2)\n"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import as_stored, merge, pool
 from crossrec import corpus, models
 from crossrec import tensorcore as tc
 
@@ -272,15 +273,15 @@ class TestNeumf:
 
 class TestPairwisePool:
     def test_single_attribute_no_pair_term(self):
-        assert models.pairwise_pool([1.0, 1.0], [[2.0, 3.0]]) == pytest.approx([2.0, 3.0])
+        assert pool([1.0, 1.0], [[2.0, 3.0]]) == pytest.approx([2.0, 3.0])
 
     def test_two_unit_attributes(self):
-        got = models.pairwise_pool([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
+        got = pool([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
         assert got == pytest.approx([1.0, 1.0])
 
     def test_empty_attribute_list_returns_entity(self):
         e = np.array([0.5, -2.0, 3.0])
-        assert np.array_equal(models.pairwise_pool(e, []), e)
+        assert np.array_equal(pool(e, []), e)
 
     def test_identity_trick_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -289,13 +290,13 @@ class TestPairwisePool:
             v = int(rng.integers(1, 11))
             e = rng.normal(0, 1, d)
             attrs = rng.normal(0, 1, (v, d))
-            got = models.pairwise_pool(e, list(attrs))
-            want = pool_scalar(e, list(attrs))
+            got = pool(e, list(attrs))
+            want = pool_scalar(e, as_stored(attrs))
             assert np.allclose(got, want, atol=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(tc.ShapeError):
-            models.pairwise_pool([1.0, 2.0], [[1.0, 2.0, 3.0]])
+            pool([1.0, 2.0], [[1.0, 2.0, 3.0]])
 
 
 # -- AADCF -----------------------------------------------------------------------
@@ -350,7 +351,7 @@ class TestCamfGate:
         store = models.init_params(config, 2)
         store.set_value("gate_w", np.zeros((16, 1)))
         tape = tc.Tape(store, record=False)
-        alpha = models.camf_gate(tape, [0, 1], [2, 3], catalog)
+        alpha = models._camf_gate(tape, *models.build_sides(tape, config, [0, 1], [2, 3], catalog))
         assert np.all(alpha.value == 0.5)
 
     def test_bias_log3_gives_three_quarters(self, catalog):
@@ -359,7 +360,7 @@ class TestCamfGate:
         store.set_value("gate_w", np.zeros((16, 1)))
         store.set_value("gate_b", [[math.log(3.0)]])
         tape = tc.Tape(store, record=False)
-        alpha = models.camf_gate(tape, [4], [5], catalog)
+        alpha = models._camf_gate(tape, *models.build_sides(tape, config, [4], [5], catalog))
         # bias lives in float32, so sigma(ln 3) = 3/4 holds to float32 precision
         assert alpha.value[0, 0] == pytest.approx(0.75, rel=1e-6)
 
@@ -369,7 +370,7 @@ class TestCamfGate:
         store.set_value("gate_w", np.zeros((16, 1)))
         store.set_value("gate_b", [[-50.0]])
         tape = tc.Tape(store, record=False)
-        alpha = models.camf_gate(tape, [0], [0], catalog)
+        alpha = models._camf_gate(tape, *models.build_sides(tape, config, [0], [0], catalog))
         assert alpha.value[0, 0] < 1e-20
 
 
@@ -377,15 +378,15 @@ class TestCamfMerge:
     def test_alpha_zero_returns_embedded(self):
         rng = np.random.default_rng(1)
         shared, embedded = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
-        assert np.array_equal(models.camf_merge(shared, embedded, 0.0), embedded)
+        assert np.array_equal(merge(shared, embedded, 0.0), embedded)
 
     def test_alpha_one_returns_shared(self):
         rng = np.random.default_rng(2)
         shared, embedded = rng.normal(0, 1, 8), rng.normal(0, 1, 8)
-        assert np.array_equal(models.camf_merge(shared, embedded, 1.0), shared)
+        assert np.array_equal(merge(shared, embedded, 1.0), shared)
 
     def test_halfway_blend(self):
-        got = models.camf_merge([2.0, 0.0], [0.0, 2.0], 0.5)
+        got = merge([2.0, 0.0], [0.0, 2.0], 0.5)
         assert got.tolist() == [1.0, 1.0]
 
 

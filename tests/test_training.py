@@ -208,8 +208,7 @@ class TestTrain:
         )
         blobs = []
         for run in range(2):
-            result = training.train(config, split, catalog, seed=11, epochs=2,
-                                    evaluate_each_epoch=False)
+            result = training.train(config, split, catalog, seed=11, epochs=2)
             path = str(tmp_path / f"r{run}.ckpt")
             tc.save_checkpoint(path, result.store, {})
             blobs.append(open(path, "rb").read())
@@ -218,8 +217,7 @@ class TestTrain:
     def test_loss_decreases_on_synthetic_data(self):
         split = synthetic_split()
         config = models.ModelConfig("gmf", split.train.num_users, split.train.num_items, factors=4)
-        result = training.train(config, split, seed=1, epochs=3, lr=0.01,
-                                evaluate_each_epoch=False)
+        result = training.train(config, split, seed=1, epochs=3, lr=0.01)
         losses = [s.mean_loss for s in result.epoch_stats]
         assert losses[-1] < losses[0]
         assert all(np.isfinite(losses)) and all(l >= 0 for l in losses)
@@ -234,7 +232,7 @@ class TestTrain:
             "aadcf", split.train.num_users, split.train.num_items, factors=4,
             mlp_layers=(4, 2), user_vocab_size=5, item_vocab_size=6,
         )
-        training.train(config, split, catalog, seed=2, epochs=1, evaluate_each_epoch=False)
+        training.train(config, split, catalog, seed=2, epochs=1)
         assert np.array_equal(split.train.users, train_users)
         assert np.array_equal(split.test_positives, positives)
         assert all(np.array_equal(a, b) for a, b in zip(catalog.user_attrs, user_attrs))

@@ -20,8 +20,10 @@ pinned to one BLAS thread. It covers:
 Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
 their per-epoch seconds first. One table of digests is printed, and the
-exit code is 1 if any artifact differs or exists on one side only. Float
-bits depend on the CPU and the BLAS build, so the digests are only
+exit code is 1 if any artifact differs or exists on one side only. Then
+the lines of src/'s .py files are counted in REF and in the working tree,
+so a change's src/ delta comes from the run that shows its byte identity.
+Float bits depend on the CPU and the BLAS build, so the digests are only
 meaningful between two trees on one machine and are never kept as
 goldens. Each side takes about a minute on a 2-vCPU VM.
 """
@@ -177,6 +179,23 @@ def compare(ref_tree, work_tree, ref_label="ref", work_label="work"):
     return 1 if differ or not names else 0
 
 
+def src_lines(tree):
+    """Newlines in the .py files under tree/src, as `wc -l` counts them."""
+    total = 0
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(tree, "src")):
+        for name in filenames:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
+def report_src_lines(ref_tree, work_tree, ref_label="ref"):
+    """Print the src/ line counts of both trees and the change between them."""
+    ref, work = src_lines(ref_tree), src_lines(work_tree)
+    print(f"src/ lines: {ref} in {ref_label}, {work} in the working tree ({work - ref:+d})")
+
+
 # -- both sides ---------------------------------------------------------------------
 
 
@@ -239,7 +258,9 @@ def main(argv=None):
         if any(codes.values()):
             print(f"identity: the script failed: exit codes {codes}", file=sys.stderr)
             return 1
-        return compare(os.path.join(workdir, "out-ref"), os.path.join(workdir, "out-work"))
+        code = compare(os.path.join(workdir, "out-ref"), os.path.join(workdir, "out-work"))
+        report_src_lines(os.path.join(workdir, "ref"), ROOT, args.ref)
+        return code
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
