@@ -314,7 +314,10 @@ def cmd_evaluate(config, log=print):
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
     model_config = _checkpoint_model_config(path, header)
-    if model_config.num_users != split.train.num_users or model_config.num_items != split.train.num_items:
+    counts = {"num_users": split.train.num_users, "num_items": split.train.num_items}
+    if model_config.uses_attributes:
+        counts.update(user_vocab_size=catalog.user_vocab_size, item_vocab_size=catalog.item_vocab_size)
+    if any(getattr(model_config, key) != count for key, count in counts.items()):
         raise CliError(f"checkpoint {path} does not match the prepared dataset")
     expected = {name: shape for name, shape, _init in models.parameter_shapes(model_config)}
     found = {name: store.shape(name) for name in store.names()}

@@ -4,18 +4,17 @@ Parameters live in a ParameterStore: one flat float32 arena of values and
 two of Adam moments, with each parameter a 2-D view into them, so adam_step
 updates every parameter a batch touched with a single vectorised apply.
 Forward evaluation casts to float64 and a Tape records each primitive so
-gradients can be replayed in reverse. Embedding gradients stay sparse
-(per-row) so the optimizer never touches rows a batch did not read; the
-tape merges every table's rows at once in arena coordinates, and Adam
-applies them as merged. A relu stack is one recorded op (Tape.mlp).
+gradients can be replayed in reverse. A gradient has one form, the
+GradientBuffer Tape.backward returns and adam_step applies: distinct arena
+cells and their float64 gradients. Embedding gradients stay sparse, so
+only the rows a batch read (every table merged at once) have cells there
+and Adam never touches the others. A relu stack is one recorded op (Tape.mlp).
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -118,90 +117,66 @@ class ParameterStore:
         e[...] = array
 
 
-@dataclass
 class GradientBuffer:
-    """Float64 gradients keyed by parameter name: adam_step's input.
+    """Float64 gradients at distinct arena cells of one store: adam_step's input.
 
-    Dense entries cover full matrices; row entries hold (sorted unique row
-    ids, per-row gradients) for embedding tables, so untouched rows are
-    simply absent. A buffer built by hand is checked when applied; the one
-    Tape.backward returns keeps its rows merged in arena coordinates.
+    g[k] is the gradient of cell index[k] of `store`; cells a batch left
+    untouched (embedding rows it never read) are simply absent. Tape.backward
+    builds one directly; named() builds and checks one from named gradients.
     """
 
-    dense: dict = field(default_factory=dict)
-    rows: dict = field(default_factory=dict)
+    def __init__(self, store, index, g):
+        self.store, self.index, self.g = store, index, g
 
-    def names(self):
-        return sorted(set(self.dense) | set(self.rows))
-
-    def as_dense(self, store, name):
-        """Materialize the gradient of `name` at full parameter shape."""
-        full = np.zeros(store.shape(name), dtype=np.float64)
-        if name in self.dense:
-            full += self.dense[name]
-        if name in self.rows:
-            ids, g = self.rows[name]
-            full[ids] += g
-        return full
-
-    def arena(self, store):
-        """(index, g): every entry's arena cells in `store` and their float64 gradients.
+    @classmethod
+    def named(cls, store, dense=None, rows=None):
+        """The buffer of full-shape `dense` gradients and `rows` entries of
+        (sorted unique row ids, per-row gradients), each keyed by parameter name.
 
         ShapeError, naming the parameter, for an unknown parameter, both a
         dense and a row entry, a misshapen entry, or row ids not strictly
         increasing in range.
         """
-        index = [np.empty(0, dtype=np.int64)]
-        flat = [np.empty(0, dtype=np.float64)]
-        for name in self.names():
+        dense, rows = dense or {}, rows or {}
+        index, flat = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float64)]
+        for name in sorted(dense.keys() | rows.keys()):
             if name not in store:
                 raise ShapeError(f"gradient for unknown parameter {name!r}")
-            if name in self.dense and name in self.rows:
+            if name in dense and name in rows:
                 raise ShapeError(f"parameter {name!r} has both a dense and a row gradient")
-            offset, (rows, cols) = store._layout[name]
-            if name in self.dense:
-                g = self.dense[name]
-                if g.shape != (rows, cols):
-                    raise ShapeError(f"gradient shape {g.shape} for {name!r} {(rows, cols)}")
-                index.append(np.arange(offset, offset + rows * cols, dtype=np.int64))
+            offset, (count, cols) = store._layout[name]
+            if name in dense:
+                g = dense[name]
+                if g.shape != (count, cols):
+                    raise ShapeError(f"gradient shape {g.shape} for {name!r} {(count, cols)}")
+                index.append(np.arange(offset, offset + count * cols, dtype=np.int64))
             else:
-                ids, g = self.rows[name]
+                ids, g = rows[name]
                 ids = np.asarray(ids, dtype=np.int64)
                 if (ids.ndim != 1 or g.shape != (ids.size, cols)
-                        or (ids.size and (ids[0] < 0 or ids[-1] >= rows or (np.diff(ids) <= 0).any()))):
+                        or (ids.size and (ids[0] < 0 or ids[-1] >= count or (np.diff(ids) <= 0).any()))):
                     raise ShapeError(
                         f"row gradient for {name!r} needs strictly increasing ids in "
-                        f"[0, {rows}) and shape (ids, {cols})"
+                        f"[0, {count}) and shape (ids, {cols})"
                     )
                 index.append((offset + ids[:, None] * cols + np.arange(cols)).ravel())
             flat.append(g.ravel())
-        return np.concatenate(index), np.concatenate(flat).astype(np.float64, copy=False)
+        return cls(store, np.concatenate(index), np.concatenate(flat))
 
+    def names(self, cells=None):
+        """Sorted names of the parameters owning `cells` (default: every cell)."""
+        layout = list(self.store._layout.items())
+        starts = [offset for _, (offset, _) in layout]
+        owners = np.searchsorted(starts, self.index if cells is None else cells, side="right") - 1
+        return sorted(layout[k][0] for k in np.unique(owners).tolist())
 
-class _ArenaGradients(GradientBuffer):
-    """Tape.backward's buffer, valid by construction: cells[k] is the arena
-    cell of a merged row's first element (ascending) and g[k] its summed
-    gradient; arena() hands them to Adam as they are."""
-
-    def __init__(self, store, dense, tables, cells, g):
-        self.dense = dense
-        self._store, self._tables, self._cells, self._g = store, tables, cells, g
-
-    @cached_property
-    def rows(self):
-        rows = {}
-        for name in sorted(self._tables):
-            offset, (count, cols) = self._store._layout[name]
-            lo, hi = np.searchsorted(self._cells, [offset, offset + count * cols])
-            rows[name] = ((self._cells[lo:hi] - offset) // cols, self._g[lo:hi])
-        return rows
-
-    def arena(self, store):
-        if store is not self._store:
-            return super().arena(store)
-        index, g = GradientBuffer(self.dense).arena(store)
-        cells = (self._cells[:, None] + np.arange(self._g.shape[1])).ravel()
-        return np.concatenate([index, cells]), np.concatenate([g, self._g.ravel()])
+    def as_dense(self, name):
+        """The gradient of `name` at full parameter shape, zero at absent cells."""
+        offset, shape = self.store._layout[name]
+        full = np.zeros(shape, dtype=np.float64)
+        mine = (self.index >= offset) & (self.index < offset + full.size)
+        full.reshape(-1)[self.index[mine] - offset] = self.g[mine]
+        return full
 
 
 class Node:
@@ -528,8 +503,7 @@ class Tape:
             if node.grad is not None:
                 back(node.grad)
         tables, cells, chunks = zip(*self._row_chunks) if self._row_chunks else ((), (), ())
-        tables = set(tables)
-        both = tables & self._dense_grads.keys()
+        both = set(tables) & self._dense_grads.keys()
         if both:
             raise ShapeError(f"parameter {min(both)!r} has both a dense and a row gradient")
         widths = {chunk.shape[1] for chunk in chunks}
@@ -537,7 +511,12 @@ class Tape:
             raise ShapeError(f"row tables of widths {sorted(widths)} on one tape")
         cells, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]), return_inverse=True)
         g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), inverse, cells.size)
-        buffer = _ArenaGradients(self.store, self._dense_grads, tables, cells, g)
+        index, flat = [(cells[:, None] + np.arange(g.shape[1])).ravel()], [g.ravel()]
+        for name, dense in self._dense_grads.items():
+            offset = self.store._layout[name][0]
+            index.append(np.arange(offset, offset + dense.size, dtype=np.int64))
+            flat.append(dense.ravel())
+        buffer = GradientBuffer(self.store, np.concatenate(index), np.concatenate(flat))
         self._ops = []
         self._dense_grads = {}
         self._row_chunks = []
@@ -545,22 +524,23 @@ class Tape:
 
 
 def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update over the parameters present in `grads`.
+    """One bias-corrected Adam update of the arena cells present in `grads`.
 
-    Every gradient is validated and laid out as one flat arena index and
-    one float64 vector (GradientBuffer.arena), so the update is a single
-    elementwise apply whose bits match a per-parameter loop. Row gradients
-    only touch their own rows, so moments of embedding rows a batch never
-    read are not decayed. The step counter advances once per call and is
-    shared by every parameter.
+    The GradientBuffer's (index, g) pair is applied as one elementwise
+    update whose bits match a per-parameter loop. Cells a batch never
+    touched are absent, so moments of embedding rows it never read are not
+    decayed. The step counter advances once per call and is shared by every
+    parameter. ShapeError for a buffer built for another store; NumericsError,
+    naming the first such parameter, for a non-finite gradient.
     """
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in (0, 1)")
-    index, g = grads.arena(store)
-    if not np.isfinite(g).all():
-        for name in grads.names():
-            if not np.isfinite(grads.dense[name] if name in grads.dense else grads.rows[name][1]).all():
-                raise NumericsError(f"non-finite gradient for parameter {name!r}")
+    if grads.store is not store:
+        raise ShapeError("gradient buffer was built for another parameter store")
+    index, g = grads.index, grads.g
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise NumericsError(f"non-finite gradient for parameter {grads.names(index[~finite])[0]!r}")
 
     store.step += 1
     t = store.step

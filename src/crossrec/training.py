@@ -277,7 +277,7 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
         for name in store.names():
             store.set_value(name, point_rng.normal(0.0, 0.5, store.shape(name)))
         grads = analytic(tc.Tape(store))
-        if all(np.abs(grads.as_dense(store, n)).max() > 0 for n in store.names()):
+        if all(np.abs(grads.as_dense(n)).max() > 0 for n in store.names()):
             break
     else:
         raise TrainingError(f"gradcheck could not find a non-degenerate point for {kind}")
@@ -287,7 +287,7 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
     kink_skips = {}
     grad_norms = {}
     for name in store.names():
-        both = (grads.as_dense(store, name), layered.as_dense(store, name))
+        both = (grads.as_dense(name), layered.as_dense(name))
         grad_norms[name] = float(np.abs(both[0]).max())
         value = store.value(name)
         worst = 0.0

@@ -10,6 +10,7 @@ PASS/FAIL line (visible under `pytest -s`).
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,14 +159,14 @@ def test_criterion_7_determinism(tmp_path):
             outs.append((out, eval_lines))
 
         for name in (corpus.SPLIT_FILE, corpus.TRAIN_FILE, corpus.ATTRS_FILE):
-            a = open(os.path.join(outs[0][0], name), "rb").read()
-            b = open(os.path.join(outs[1][0], name), "rb").read()
+            a = Path(outs[0][0], name).read_bytes()
+            b = Path(outs[1][0], name).read_bytes()
             assert a == b, name
-        ckpt_a = open(cli.ckpt_path(outs[0][0], "camf", 4), "rb").read()
-        ckpt_b = open(cli.ckpt_path(outs[1][0], "camf", 4), "rb").read()
+        ckpt_a = Path(cli.ckpt_path(outs[0][0], "camf", 4)).read_bytes()
+        ckpt_b = Path(cli.ckpt_path(outs[1][0], "camf", 4)).read_bytes()
         assert ckpt_a == ckpt_b
-        csv_a = open(cli.metrics_path(outs[0][0], "camf", 4)).read()
-        csv_b = open(cli.metrics_path(outs[1][0], "camf", 4)).read()
+        csv_a = Path(cli.metrics_path(outs[0][0], "camf", 4)).read_text()
+        csv_b = Path(cli.metrics_path(outs[1][0], "camf", 4)).read_text()
         # wall_seconds is honest telemetry and inherently nonreproducible;
         # every other byte must match
         assert _strip_wall(csv_a) == _strip_wall(csv_b)

@@ -1,4 +1,6 @@
+import collections
 import io
+import json
 import os
 import re
 import shutil
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,8 +106,8 @@ class TestPrepare:
             assert code == 0
             outs.append(out)
         for name in (corpus.SPLIT_FILE, corpus.TRAIN_FILE, corpus.ATTRS_FILE):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
+            a = Path(outs[0], name).read_bytes()
+            b = Path(outs[1], name).read_bytes()
             assert a == b, name
 
     def test_missing_input_file_is_io_failure(self, generic_dataset, tmp_path, capsys):
@@ -135,7 +138,7 @@ class TestPrepare:
 
     def test_non_utf8_attribute_file_names_file_and_line(self, generic_dataset, tmp_path, capsys):
         uattr = generic_dataset[1]
-        lines = sum(1 for _ in open(uattr, encoding="utf-8"))
+        lines = len(Path(uattr).read_text(encoding="utf-8").splitlines())
         with open(uattr, "ab") as fh:
             fh.write(b"100\tcaf\xe9\n")  # ISO-8859-1 e-acute
         code, _, err = run_cli(prepare_args(generic_dataset, str(tmp_path / "x")), capsys)
@@ -144,7 +147,7 @@ class TestPrepare:
 
     def test_user_id_past_int64_is_validation_failure(self, generic_dataset, tmp_path):
         inter = generic_dataset[0]
-        lines = sum(1 for _ in open(inter, encoding="utf-8"))
+        lines = len(Path(inter).read_text(encoding="utf-8").splitlines())
         with open(inter, "a", encoding="utf-8") as fh:
             fh.write("12345678901234567890123\t500\t1000\n")
         code, err = run_cli_process(prepare_args(generic_dataset, str(tmp_path / "x")))
@@ -227,7 +230,7 @@ class TestTrain:
     def test_zero_epochs_checkpoint_is_initialization(self, prepared, capsys):
         code, _, _ = run_cli(train_args(prepared, epochs=0), capsys)
         assert code == 0
-        csv_text = open(cli.metrics_path(prepared, "gmf", 4)).read()
+        csv_text = Path(cli.metrics_path(prepared, "gmf", 4)).read_text()
         assert csv_text == cli.METRICS_HEADER + "\n"
         store, header = tc.load_checkpoint(cli.ckpt_path(prepared, "gmf", 4))
         config = models.ModelConfig(
@@ -243,8 +246,8 @@ class TestTrain:
         for _ in range(2):
             code, _, _ = run_cli(train_args(prepared, model="camf"), capsys)
             assert code == 0
-            csvs.append(open(cli.metrics_path(prepared, "camf", 4)).read())
-            ckpts.append(open(cli.ckpt_path(prepared, "camf", 4), "rb").read())
+            csvs.append(Path(cli.metrics_path(prepared, "camf", 4)).read_text())
+            ckpts.append(Path(cli.ckpt_path(prepared, "camf", 4)).read_bytes())
         assert ckpts[0] == ckpts[1]
         assert strip_wall(csvs[0]) == strip_wall(csvs[1])
 
@@ -258,7 +261,7 @@ class TestTrain:
             f'{repr(r["wall_seconds"])}\n'
             for r in rows
         )
-        assert rebuilt == open(path).read()
+        assert rebuilt == Path(path).read_text()
 
     def test_checkpoint_every_writes_snapshots(self, prepared, capsys):
         code, _, _ = run_cli(train_args(prepared, extra=("--checkpoint-every", "1")), capsys)
@@ -320,6 +323,25 @@ class TestEvaluate:
         assert header["include_attr_cross"] == "1"
         assert store.shape("h0_w")[0] == 4 * 4       # four crosses of width d=4
 
+    @pytest.mark.parametrize("model", models.KINDS)
+    def test_other_attribute_vocabulary_rejected_for_attribute_models(
+            self, generic_dataset, tmp_path, capsys, model):
+        out = str(tmp_path / "work")
+        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
+        assert run_cli(train_args(out, model=model, epochs=1), capsys)[0] == 0
+        assert corpus.load_prepared(out)[1].user_vocab_size == 6
+        # the same users and items, every user listing only `art`
+        uattr = generic_dataset[1]
+        users = dict.fromkeys(line.split("\t")[0] for line in Path(uattr).read_text().splitlines())
+        Path(uattr).write_text("".join(f"{u}\tart\n" for u in users))
+        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
+        assert corpus.load_prepared(out)[1].user_vocab_size == 2   # vocabulary 6 -> 2
+        code, _, err = run_cli(["evaluate", "--model", model, "--factors", "4", "--out", out], capsys)
+        if model in ("aadcf", "camf"):
+            assert code == 1 and "does not match the prepared dataset" in err
+        else:
+            assert code == 0
+
     def test_rank_dump(self, prepared, tmp_path, capsys):
         run_cli(train_args(prepared, epochs=1), capsys)
         dump = str(tmp_path / "ranks.tsv")
@@ -328,10 +350,34 @@ class TestEvaluate:
              "--ranks-out", dump], capsys,
         )
         assert code == 0
-        lines = open(dump).read().splitlines()
+        lines = Path(dump).read_text().splitlines()
         assert len(lines) == 30
         ranks = [int(l.split("\t")[1]) for l in lines]
         assert all(1 <= r <= 100 for r in ranks)
+
+
+class TestTracer:
+    """perfbench/tracer.py wraps crossrec functions by name and reads
+    GradientBuffer.names(); a rename on either side breaks it here."""
+
+    def test_traced_camf_train_counts_spans_and_adam_params(self, prepared, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        spans = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "--",
+             *train_args(prepared, model="camf", epochs=1)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raw = json.loads(spans.read_text(encoding="utf-8"))
+        counts = collections.Counter(raw["names"][nid] for nid in raw["name"])
+        assert counts["training.step"] > 0 and counts["tensorcore.adam"] == counts["training.step"]
+        path = cli.ckpt_path(prepared, "camf", 4)
+        config = cli._checkpoint_model_config(path, tc.load_checkpoint(path)[1])
+        per_call = raw["counters"]["tensorcore.adam_params"] / counts["tensorcore.adam"]
+        assert per_call == len(models.parameter_shapes(config))
 
 
 def _short_payload(blob):
@@ -441,7 +487,7 @@ class TestSweep:
             capsys,
         )
         assert code == 0
-        sweep = open(os.path.join(prepared, "sweep.csv")).read().splitlines()
+        sweep = Path(prepared, "sweep.csv").read_text().splitlines()
         assert sweep[0] == "factors,camf_hr10,camf_ndcg10,gmf_hr10,gmf_ndcg10"
         assert len(sweep) == 3                       # header + one row per factor count
         assert sweep[1].split(",")[0] == "4"
@@ -459,7 +505,7 @@ class TestSweep:
             capsys,
         )
         assert code == 0
-        sweep = open(os.path.join(prepared, "sweep.csv")).read().splitlines()
+        sweep = Path(prepared, "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in sweep[1:]] == ["8", "16", "32"]
 
     def test_cells_are_best_epoch_rows_of_their_metrics(self, prepared, capsys):
@@ -469,7 +515,7 @@ class TestSweep:
             capsys,
         )
         assert code == 0
-        sweep = [line.split(",") for line in open(os.path.join(prepared, "sweep.csv")).read().splitlines()]
+        sweep = [line.split(",") for line in Path(prepared, "sweep.csv").read_text().splitlines()]
         table = [line.split("\t") for line in stdout.splitlines()]
         assert table[0] == sweep[0]
         for k, factors in enumerate((4, 8), start=1):
@@ -501,7 +547,7 @@ class TestSweep:
         assert code == 1
         assert "failed" in stdout
         assert calls == [("gmf", 4), ("gmf", 8)]     # kept going after the failure
-        sweep = open(os.path.join(prepared, "sweep.csv")).read().splitlines()
+        sweep = Path(prepared, "sweep.csv").read_text().splitlines()
         assert sweep[1].startswith("4,,")            # empty cell for the failure
 
 
@@ -579,7 +625,7 @@ class TestMovielensPrepare:
         ratings, users, movies = write_movielens_dataset(str(tmp_path))
         with open(ratings, "a", encoding="iso-8859-1") as fh:
             fh.write("1::2::5::12345678901234567890123\n")
-        lines = sum(1 for _ in open(ratings, encoding="iso-8859-1"))
+        lines = len(Path(ratings).read_text(encoding="iso-8859-1").splitlines())
         code, err = run_cli_process(
             ["prepare", "--dataset-kind", "movielens", "--ratings", ratings,
              "--users", users, "--items", movies, "--seed", "5", "--out", str(tmp_path / "x")])
