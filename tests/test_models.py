@@ -459,6 +459,55 @@ class TestCamfForward:
         )
 
 
+# -- the parameter table -------------------------------------------------------
+
+# The exact arena layout (and so the checkpoint bytes) at factors 4, 6 users,
+# 7 items and attribute vocabularies of 3 and 4, written out by hand.
+
+
+def _tower(width_in, layers):
+    """(the golden h{k} entries over `width_in` input columns, the last width)."""
+    if layers == (6,):
+        return [("h0_w", (width_in, 6)), ("h0_b", (1, 6))], 6
+    return [("h0_w", (width_in, 8)), ("h0_b", (1, 8)), ("h1_w", (8, 4)), ("h1_b", (1, 4)),
+            ("h2_w", (4, 2)), ("h2_b", (1, 2))], 2
+
+
+def _golden(kind, layers, cross):
+    ids = [("user_emb", (6, 4)), ("item_emb", (7, 4))]
+    attrs = [("user_attr_emb", (3, 4)), ("item_attr_emb", (4, 4))]
+    if kind == "gmf":
+        return ids + [("out_w", (4, 1)), ("out_b", (1, 1))]
+    if kind == "neumf":
+        tower, last = _tower(8, layers)
+        return [("gmf_user_emb", (6, 4)), ("gmf_item_emb", (7, 4)), ("mlp_user_emb", (6, 4)),
+                ("mlp_item_emb", (7, 4)), *tower,
+                ("out_w_gmf", (4, 1)), ("out_w_mlp", (last, 1)), ("out_b", (1, 1))]
+    if kind == "mlp":
+        front, width_in = ids, 8
+    elif kind == "aadcf":
+        front, width_in = ids + attrs, 4
+    else:
+        front = ids + attrs + [("u_shared", (1, 4)), ("gate_w", (16, 1)), ("gate_b", (1, 1))]
+        width_in = 16 if cross else 12
+    tower, last = _tower(width_in, layers)
+    return front + tower + [("out_w", (last, 1)), ("out_b", (1, 1))]
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("layers", [(6,), (8, 4, 2)], ids=["6", "8-4-2"])
+    @pytest.mark.parametrize("kind, cross", [*((k, False) for k in models.KINDS), ("camf", True)],
+                             ids=[*models.KINDS, "camf-cross"])
+    def test_ordered_names_and_shapes(self, kind, cross, layers):
+        config = cfg(kind, mlp_layers=layers, include_attr_cross=cross)
+        golden = _golden(kind, layers, cross)
+        assert [tuple(entry[:2]) for entry in models.parameter_shapes(config)] == golden
+        store = models.init_params(config, 3)
+        assert [(name, store.shape(name)) for name in store.names()] == golden
+        for name in store.names():
+            assert (not store.value(name).any()) == name.endswith("_b"), name
+
+
 # -- the config type ------------------------------------------------------------
 
 
