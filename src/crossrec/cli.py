@@ -286,25 +286,27 @@ def cmd_train(config, log=print):
 
 
 def _checkpoint_model_config(path, header):
-    """The ModelConfig a checkpoint header describes (the inverse of _checkpoint_header)."""
-    def entry(key, parse=int):
+    """The ModelConfig a checkpoint header describes (the inverse of _checkpoint_header).
+
+    Each entry is read by its option's parser, so it follows the flag's rules."""
+    def entry(key, parse):
         if key not in header:
             raise CliError(f"checkpoint {path} header has no {key!r} entry")
         try:
-            return parse(header[key])
-        except (ValueError, CliError):
+            return parse(header[key], key)
+        except CliError:
             raise CliError(f"checkpoint {path} header entry {key!r} is malformed: "
                            f"{header[key]!r}") from None
 
     return models.ModelConfig(
-        kind=entry("model", str),
-        num_users=entry("num_users"),
-        num_items=entry("num_items"),
-        factors=entry("factors"),
-        mlp_layers=entry("layers", lambda text: _widths(text, "layers")),
-        user_vocab_size=entry("user_vocab"),
-        item_vocab_size=entry("item_vocab"),
-        include_attr_cross=bool(entry("include_attr_cross")),
+        kind=entry("model", _kind),
+        num_users=entry("num_users", _positive),
+        num_items=entry("num_items", _positive),
+        factors=entry("factors", _positive),
+        mlp_layers=entry("layers", _widths),
+        user_vocab_size=entry("user_vocab", _count),
+        item_vocab_size=entry("item_vocab", _count),
+        include_attr_cross=entry("include_attr_cross", _bool),
     )
 
 
@@ -319,7 +321,7 @@ def cmd_evaluate(config, log=print):
         counts.update(user_vocab_size=catalog.user_vocab_size, item_vocab_size=catalog.item_vocab_size)
     if any(getattr(model_config, key) != count for key, count in counts.items()):
         raise CliError(f"checkpoint {path} does not match the prepared dataset")
-    expected = {name: shape for name, shape, _init in models.parameter_shapes(model_config)}
+    expected = dict(models.parameter_shapes(model_config))
     found = {name: store.shape(name) for name in store.names()}
     for name in sorted(set(expected) | set(found)):
         if found.get(name) != expected.get(name):

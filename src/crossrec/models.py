@@ -20,7 +20,8 @@ Tape and mutates nothing; each relu stack is one Tape.mlp op, so a camf
 training step records 16 ops. Attribute models additionally take an
 AttributeCatalog, whose user and item sides are each one tc.Ragged of
 sorted attribute ids; embed_sum and the pairwise pool gather a batch's
-rows straight from it.
+rows straight from it. parameter_shapes is the one (name, shape) table of
+every kind's parameters, in arena (and so checkpoint) order.
 """
 
 from __future__ import annotations
@@ -67,81 +68,36 @@ class ModelConfig:
         return self.kind in ("aadcf", "camf")
 
 
-def _mlp_shapes(width_in, layers):
-    shapes = []
-    for k, width in enumerate(layers):
-        shapes.append((f"h{k}_w", (width_in, width), "gaussian"))
-        shapes.append((f"h{k}_b", (1, width), "zeros"))
-        width_in = width
-    return shapes, width_in
-
-
 def parameter_shapes(config):
-    """Ordered (name, shape, init) triples for the given architecture."""
-    d = config.factors
-    shapes = []
-    if config.kind == "gmf":
-        shapes += [
-            ("user_emb", (config.num_users, d), "gaussian"),
-            ("item_emb", (config.num_items, d), "gaussian"),
-            ("out_w", (d, 1), "gaussian"),
-            ("out_b", (1, 1), "zeros"),
-        ]
-    elif config.kind == "mlp":
-        shapes += [
-            ("user_emb", (config.num_users, d), "gaussian"),
-            ("item_emb", (config.num_items, d), "gaussian"),
-        ]
-        hidden, last = _mlp_shapes(2 * d, config.mlp_layers)
-        shapes += hidden
-        shapes += [("out_w", (last, 1), "gaussian"), ("out_b", (1, 1), "zeros")]
-    elif config.kind == "neumf":
-        shapes += [
-            ("gmf_user_emb", (config.num_users, d), "gaussian"),
-            ("gmf_item_emb", (config.num_items, d), "gaussian"),
-            ("mlp_user_emb", (config.num_users, d), "gaussian"),
-            ("mlp_item_emb", (config.num_items, d), "gaussian"),
-        ]
-        hidden, last = _mlp_shapes(2 * d, config.mlp_layers)
-        shapes += hidden
-        shapes += [
-            ("out_w_gmf", (d, 1), "gaussian"),
-            ("out_w_mlp", (last, 1), "gaussian"),
-            ("out_b", (1, 1), "zeros"),
-        ]
-    elif config.kind == "aadcf":
-        shapes += [
-            ("user_emb", (config.num_users, d), "gaussian"),
-            ("item_emb", (config.num_items, d), "gaussian"),
-            ("user_attr_emb", (config.user_vocab_size, d), "gaussian"),
-            ("item_attr_emb", (config.item_vocab_size, d), "gaussian"),
-        ]
-        hidden, last = _mlp_shapes(d, config.mlp_layers)
-        shapes += hidden
-        shapes += [("out_w", (last, 1), "gaussian"), ("out_b", (1, 1), "zeros")]
-    elif config.kind == "camf":
-        crosses = 4 if config.include_attr_cross else 3
-        shapes += [
-            ("user_emb", (config.num_users, d), "gaussian"),
-            ("item_emb", (config.num_items, d), "gaussian"),
-            ("user_attr_emb", (config.user_vocab_size, d), "gaussian"),
-            ("item_attr_emb", (config.item_vocab_size, d), "gaussian"),
-            ("u_shared", (1, d), "gaussian"),
-            ("gate_w", (4 * d, 1), "gaussian"),
-            ("gate_b", (1, 1), "zeros"),
-        ]
-        hidden, last = _mlp_shapes(crosses * d, config.mlp_layers)
-        shapes += hidden
-        shapes += [("out_w", (last, 1), "gaussian"), ("out_b", (1, 1), "zeros")]
-    return shapes
+    """Ordered (name, shape) pairs for the given architecture: its arena layout.
+
+    The user and item tables (neumf: one pair per branch), aadcf's and
+    camf's attribute tables, camf's shared user vector and gate, the h{k}
+    relu tower (none for gmf) and the head. Only the *_b biases start at zero.
+    """
+    d, kind = config.factors, config.kind
+    tables = [("user_emb", config.num_users), ("item_emb", config.num_items)]
+    if kind == "neumf":
+        tables = [(f"{branch}_{name}", rows) for branch in ("gmf", "mlp") for name, rows in tables]
+    if config.uses_attributes:
+        tables += [("user_attr_emb", config.user_vocab_size), ("item_attr_emb", config.item_vocab_size)]
+    shapes = [(name, (rows, d)) for name, rows in tables]
+    if kind == "camf":
+        shapes += [("u_shared", (1, d)), ("gate_w", (4 * d, 1)), ("gate_b", (1, 1))]
+    # columns into the tower (gmf: into the head), in units of d
+    width = d * {"gmf": 1, "mlp": 2, "neumf": 2, "aadcf": 1, "camf": 3 + config.include_attr_cross}[kind]
+    for k, out in enumerate(() if kind == "gmf" else config.mlp_layers):
+        shapes += [(f"h{k}_w", (width, out)), (f"h{k}_b", (1, out))]
+        width = out
+    head = [("out_w_gmf", (d, 1)), ("out_w_mlp", (width, 1))] if kind == "neumf" else [("out_w", (width, 1))]
+    return shapes + head + [("out_b", (1, 1))]
 
 
 def init_params(config, seed):
-    """A fresh ParameterStore: weights ~ N(0, 0.01^2) per named stream, biases zero."""
+    """A fresh ParameterStore: *_b biases zero, the rest ~ N(0, 0.01^2) per named stream."""
     return tc.ParameterStore([
-        (name, tc.gaussian_init(name, shape, seed) if init == "gaussian"
-         else np.zeros(shape, dtype=np.float32))
-        for name, shape, init in parameter_shapes(config)
+        (name, np.zeros(shape, dtype=np.float32) if name.endswith("_b") else tc.gaussian_init(name, shape, seed))
+        for name, shape in parameter_shapes(config)
     ])
 
 

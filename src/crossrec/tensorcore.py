@@ -8,7 +8,8 @@ gradients can be replayed in reverse. A gradient has one form, the
 GradientBuffer Tape.backward returns and adam_step applies: distinct arena
 cells and their float64 gradients. Embedding gradients stay sparse, so
 only the rows a batch read (every table merged at once) have cells there
-and Adam never touches the others. A relu stack is one recorded op (Tape.mlp).
+and Adam never touches the others. A relu stack is one recorded op (Tape.mlp);
+every op that passes gradient only to other nodes records through Tape._op.
 """
 
 from __future__ import annotations
@@ -349,17 +350,23 @@ class Tape:
             self._leaf_rows(node, name, flat, segments)
         return node
 
-    def hadamard(self, a, b):
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"hadamard shapes differ: {a.value.shape} vs {b.value.shape}")
-        node = Node(a.value * b.value)
+    def _op(self, value, parents, backward):
+        """The node of `value`; a recording tape records that, given the node's
+        gradient g, each parents[k] gains backward(g)[k] (nothing for None)."""
+        node = Node(value)
         if self.recording:
-            def back(g, a=a, b=b):
-                a.bump(g * b.value)
-                b.bump(g * a.value)
+            def back(g):
+                for parent, grad in zip(parents, backward(g)):
+                    if grad is not None:
+                        parent.bump(grad)
 
             self._ops.append((node, back))
         return node
+
+    def hadamard(self, a, b):
+        if a.value.shape != b.value.shape:
+            raise ShapeError(f"hadamard shapes differ: {a.value.shape} vs {b.value.shape}")
+        return self._op(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
     def concat(self, parts):
         parts = list(parts)
@@ -368,18 +375,9 @@ class Tape:
         rows = {p.value.shape[0] for p in parts}
         if len(rows) != 1:
             raise ShapeError(f"concat row counts differ: {sorted(rows)}")
-        node = Node(np.concatenate([p.value for p in parts], axis=1))
-        if self.recording:
-            widths = [p.value.shape[1] for p in parts]
-
-            def back(g, parts=parts, widths=widths):
-                at = 0
-                for p, w in zip(parts, widths):
-                    p.bump(g[:, at:at + w])
-                    at += w
-
-            self._ops.append((node, back))
-        return node
+        bounds = np.cumsum([0] + [p.value.shape[1] for p in parts]).tolist()
+        return self._op(np.concatenate([p.value for p in parts], axis=1), parts,
+                        lambda g: [g[:, a:b] for a, b in zip(bounds, bounds[1:])])
 
     def _affine(self, x, weight_name, bias_name):
         """(x @ W (+ b), W) in float64 for a value x, by dense's rules."""
@@ -449,43 +447,21 @@ class Tape:
         return node
 
     def relu(self, x):
-        node = Node(np.maximum(x.value, 0.0))
-        if self.recording:
-            def back(g, x=x, mask=x.value > 0.0):
-                x.bump(g * mask)
-
-            self._ops.append((node, back))
-        return node
+        return self._op(np.maximum(x.value, 0.0), (x,), lambda g: (g * (x.value > 0.0),))
 
     def sigmoid(self, x):
+        """1 / (1 + exp(-v)), as exp(v) / (1 + exp(v)) for v < 0 so no exp overflows."""
         v = x.value
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        node = Node(out)
-        if self.recording:
-            def back(g, x=x, out=out):
-                x.bump(g * out * (1.0 - out))
-
-            self._ops.append((node, back))
-        return node
+        e = np.exp(-np.abs(v))
+        out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return self._op(out, (x,), lambda g: (g * out * (1.0 - out),))
 
     def custom(self, value, parents, backward):
         """Record an op with a caller-supplied rule.
 
         backward(gout) must return one gradient array (or None) per parent.
         """
-        node = Node(value)
-        if self.recording:
-            def back(g, parents=parents, backward=backward):
-                for parent, grad in zip(parents, backward(g)):
-                    if grad is not None:
-                        parent.bump(grad)
-
-            self._ops.append((node, back))
-        return node
+        return self._op(value, parents, backward)
 
     # -- reverse pass ----------------------------------------------------
 

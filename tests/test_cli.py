@@ -431,6 +431,14 @@ class TestCheckpointErrors:
          "no 'layers' entry"),
         (_resealed(lambda blob: blob.replace(b"meta factors 4", b"meta factors four")),
          "entry 'factors' is malformed"),
+        (_resealed(lambda blob: blob.replace(b"meta factors 4", b"meta factors +4")),
+         "header entry 'factors' is malformed"),
+        (_resealed(lambda blob: blob.replace(b"meta factors 4", b"meta factors 0_4")),
+         "header entry 'factors' is malformed"),
+        (_resealed(lambda blob: re.sub(rb"\nmeta num_users ", b"\nmeta num_users  ", blob)),
+         "header entry 'num_users' is malformed"),
+        (_resealed(lambda blob: blob.replace(b"meta include_attr_cross 0", b"meta include_attr_cross 7")),
+         "header entry 'include_attr_cross' is malformed"),
         (_resealed(lambda blob: blob.replace(b"meta model gmf", b"meta model camf")),
          "parameter 'gate_b' has shape absent"),
         (_flip_item_exponents, "does not match its crc32"),
@@ -442,7 +450,9 @@ class TestCheckpointErrors:
         (lambda blob: re.sub(rb"(\ncrc32 \d+\n)", rb"\1meta seed 12\n", blob),
          "follows the crc32 line"),
     ], ids=["renamed-moment", "not-a-checkpoint", "tensor-past-payload", "step-without-space",
-            "header-without-layers", "header-factors-not-a-number", "camf-header-on-gmf",
+            "header-without-layers", "header-factors-not-a-number", "header-factors-plus-sign",
+            "header-factors-underscore", "header-num-users-leading-space",
+            "header-attr-cross-not-a-bool", "camf-header-on-gmf",
             "payload-bits-flipped", "no-crc32-line", "manifest-not-utf8", "dotted-tensor-name",
             "step-digit-flipped", "line-after-crc32"])
     def test_damaged_checkpoint_exits_1(self, prepared, capsys, tamper, message):

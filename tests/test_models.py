@@ -501,7 +501,7 @@ class TestParameterTable:
     def test_ordered_names_and_shapes(self, kind, cross, layers):
         config = cfg(kind, mlp_layers=layers, include_attr_cross=cross)
         golden = _golden(kind, layers, cross)
-        assert [tuple(entry[:2]) for entry in models.parameter_shapes(config)] == golden
+        assert models.parameter_shapes(config) == golden
         store = models.init_params(config, 3)
         assert [(name, store.shape(name)) for name in store.names()] == golden
         for name in store.names():

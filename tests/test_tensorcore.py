@@ -104,6 +104,23 @@ class TestPrimitives:
         grads = t.backward(out, np.ones((1, 1)))
         assert grads.as_dense("x")[0, 0] == 0.25
 
+    def test_sigmoid_bitwise_equals_two_branch_form(self):
+        def two_branch(v):
+            out = np.empty_like(v)
+            pos = v >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+            ev = np.exp(v[~pos])
+            out[~pos] = ev / (1.0 + ev)
+            return out
+
+        rng = np.random.default_rng(5)
+        draws = [rng.normal(0.0, scale, 100_000) for scale in (1e-3, 0.1, 1.0, 30.0, 800.0)]
+        v = np.concatenate([[0.0, -0.0, 750.0, -750.0, np.nan, -np.nan], *draws]).reshape(-1, 2)
+        got = tc.Tape(make_store(), record=False).sigmoid(tc.Node(v)).value
+        assert got[:2].ravel().tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(got[2]).all()  # a NaN stays NaN (its sign bit may not)
+        assert got[3:].tobytes() == two_branch(v[3:]).tobytes()
+
     def test_relu_forward_and_subgradient(self):
         store = make_store(x=[[-1.0, 0.0, 2.0]])
         t = tc.Tape(store)

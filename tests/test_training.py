@@ -329,7 +329,7 @@ class TestGradcheck:
         for kind in models.KINDS:
             report = training.gradcheck(kind, seed=1)
             config, _, _ = training._tiny_fixture(kind, 1)
-            expected = [name for name, _, _ in models.parameter_shapes(config)]
+            expected = [name for name, _ in models.parameter_shapes(config)]
             assert sorted(report.per_param) == sorted(expected)
             assert len(report.per_param) == len(expected)
 

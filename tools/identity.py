@@ -13,7 +13,9 @@ pinned to one BLAS thread. It covers:
   and on `write_generic(dir, 8000, 2000, 1)` (perfbench/corpus_gen.py),
   for seeds 42 and 2**40+9;
 - `train` for 2 epochs with `--checkpoint-every 1` for gmf, mlp, neumf,
-  aadcf, camf and camf `--include-attr-cross` on the 600-user corpus;
+  aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
+  at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
+  `--layers 12,6`, so the parameter layout is held at other depths too;
 - `evaluate --ranks-out` of each of those checkpoints, a 2x2 `sweep` and
   `gradcheck` for all five kinds.
 
@@ -53,6 +55,8 @@ TRAIN_RUNS = {  # directory -> extra train flags
     "aadcf": ["--model", "aadcf"],
     "camf": ["--model", "camf"],
     "camf-cross": ["--model", "camf", "--include-attr-cross"],
+    "mlp-16": ["--model", "mlp", "--layers", "16"],
+    "neumf-12-6": ["--model", "neumf", "--layers", "12,6"],
 }
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
 PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
