@@ -1,15 +1,17 @@
 """Dataset ingestion: one read -> index -> encode pipeline, the leave-one-out
 split, and the prepared-run files.
 
-Both raw layouts run the same three steps. `_records` reads every raw file:
-the MovieLens-1M "::"-separated trio (ratings/users/movies, ISO-8859-1) and
-the generic tab-separated UTF-8 layout for pin-style data (interactions,
-per-entity attribute name files, an optional category consolidation map).
-`_index` turns the interaction rows into dense ids: every rating or pin is an
-implicit positive, the first occurrence of a repeated (user, item) pair wins,
-and raw ids map to 0-based ids in ascending raw-id order, so the mapping is
-reproducible. `_encode` numbers each entity's attribute names over their
-sorted vocabulary and rejects an entity left with none.
+Both raw layouts run the same three steps. `_records` is the one line reader
+for the MovieLens-1M "::"-separated trio (ratings/users/movies, ISO-8859-1)
+and the generic tab-separated UTF-8 layout for pin-style data (interactions,
+per-entity attribute name files, an optional category consolidation map);
+`_int_rows` converts a ratings or interactions file in the plain all-integer
+form whole, with the same result. `_index` turns the interaction rows into
+dense ids: every rating or pin is an implicit positive, the first occurrence
+of a repeated (user, item) pair wins, and raw ids map to 0-based ids in
+ascending raw-id order, so the mapping is reproducible. `_encode` numbers each
+entity's attribute names over their sorted vocabulary and rejects an entity
+left with none.
 """
 
 from __future__ import annotations
@@ -180,8 +182,49 @@ def _parse_int(text, path, lineno, what):
     return value
 
 
+def _plain_int_table(data, sep, width):
+    """The (n, width) int64 table of a raw file's bytes if they are in the plain form, else None.
+
+    Plain: every line (the last may lack its "\n") is `width` fields split by
+    `sep`, each an optional "-" and ASCII digits, 1-18 bytes in all (so it fits
+    int64). Files of that form are a subset of what `_records` + `_parse_int`
+    accept, and they read them to the same table.
+    """
+    sep = sep.encode()
+    tabbed = data.replace(sep, b"\t")  # leftmost first, as str.split
+    if data.translate(None, sep + b"0123456789-\n") or tabbed.translate(None, b"\t0123456789-\n"):
+        return None  # a "#", "\r", non-ASCII or stray separator byte
+    tabbed = b"\n" + tabbed + b"\n"[tabbed.endswith(b"\n"):]  # every field between two delimiters
+    buf = np.frombuffer(tabbed, dtype=np.uint8)
+    delims = np.flatnonzero(buf <= ord("\n"))
+    lengths, closers = np.diff(delims) - 1, buf[delims[1:]]  # closers: the byte after each field
+    minus = np.flatnonzero(buf == ord("-"))
+    if (closers.size % width or lengths.min() < 1 or lengths.max() > 18
+            or (closers.reshape(-1, width) != [ord("\t")] * (width - 1) + [ord("\n")]).any()
+            or (buf[minus - 1] > ord("\n")).any() or (buf[minus + 1] < ord("0")).any()):
+        return None
+    # only now: fromstring stops silently at a token it cannot parse
+    return np.fromstring(tabbed, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
+def _int_rows(path, sep, width, encoding, labels):
+    """The (n, width) int64 table of a raw file whose fields are all integers.
+
+    A file in the plain form is converted whole; any other is read by
+    `_records` and `_parse_int` (field k named labels[k]) to the same table
+    or the same ParseError.
+    """
+    with open(path, "rb") as fh:
+        table = _plain_int_table(fh.read(), sep, width)
+    if table is None:
+        rows = [[_parse_int(text, path, n, what) for text, what in zip(fields, labels)]
+                for n, fields in _records(path, sep, width, encoding)]
+        table = np.array(rows, dtype=np.int64).reshape(-1, width)
+    return table
+
+
 def _index(path, rows, min_user_interactions=1):
-    """(InteractionSet, raw user ids, raw item ids) from flat raw (user, item, timestamp) triples.
+    """(InteractionSet, raw user ids, raw item ids) from raw (user, item, timestamp) rows.
 
     The first occurrence of each (user, item) pair is kept, users left with
     fewer than `min_user_interactions` pairs are dropped, and the remaining
@@ -235,13 +278,8 @@ def parse_movielens(ratings_path, users_path, items_path):
     attributes are the movie's genres. Files are ISO-8859-1; titles are
     discarded.
     """
-    rows = []
-    for n, (user, item, rating, stamp) in _records(ratings_path, "::", 4, "iso-8859-1"):
-        rows += (_parse_int(user, ratings_path, n, "user id"),
-                 _parse_int(item, ratings_path, n, "movie id"))
-        _parse_int(rating, ratings_path, n, "rating")
-        rows.append(_parse_int(stamp, ratings_path, n, "timestamp"))
-    interactions, user_ids, item_ids = _index(ratings_path, rows)
+    ratings = _int_rows(ratings_path, "::", 4, "iso-8859-1", ("user id", "movie id", "rating", "timestamp"))
+    interactions, user_ids, item_ids = _index(ratings_path, ratings[:, [0, 1, 3]])
 
     profiles = {}  # users.dat: UserID::Gender::Age::Occupation::Zip
     for n, (user, gender, age, occupation, _) in _records(users_path, "::", 5, "iso-8859-1"):
@@ -311,11 +349,7 @@ def parse_generic(
     gets an interaction-count bucket and each item an exposure bucket, so
     entities without listed attributes still carry one.
     """
-    rows = []
-    for n, (user, item, stamp) in _records(interactions_path, "\t", 3, "utf-8"):
-        rows += (_parse_int(user, interactions_path, n, "user id"),
-                 _parse_int(item, interactions_path, n, "item id"),
-                 _parse_int(stamp, interactions_path, n, "timestamp"))
+    rows = _int_rows(interactions_path, "\t", 3, "utf-8", ("user id", "item id", "timestamp"))
     interactions, user_ids, item_ids = _index(interactions_path, rows, MIN_USER_INTERACTIONS)
 
     category_map = None

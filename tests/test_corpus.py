@@ -1,4 +1,6 @@
 import collections
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -260,6 +262,143 @@ class TestParseGeneric:
             fh.write("# comment line\n" + body)
         parsed = corpus.parse_generic(inter, uattr, iattr)
         assert parsed.interactions.num_users == 1
+
+
+# -- integer table reader ----------------------------------------------------
+
+
+def _reference_int_rows(path, sep, width, encoding, labels):
+    """The per-line reader: `_records`, then `_parse_int` on each field in turn."""
+    rows = []
+    for n, fields in corpus._records(path, sep, width, encoding):
+        rows.append([corpus._parse_int(text, path, n, what) for text, what in zip(fields, labels)])
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+_LAYOUTS = {  # sep -> (width, encoding, labels, a non-ASCII digit the encoding holds)
+    "::": (4, "iso-8859-1", ("user id", "movie id", "rating", "timestamp"), "²"),
+    "\t": (3, "utf-8", ("user id", "item id", "timestamp"), "٣"),
+}
+_FIELDS = st.one_of(st.integers(-99, 999), st.integers(-(10**17) + 1, 10**18 - 1)).map(str)
+_WIDE = {  # perturbation -> the field texts it may put in
+    "18 bytes": ["9" * 18, "-" + "9" * 17, "0" * 17 + "7"],
+    "19 bytes": ["9" * 19, "-" + "9" * 18, "0" * 18 + "5"],
+    "int64 bounds": [str(2**63 - 1), str(-(2**63 - 1)), str(-(2**63)), str(2**63)],
+}
+
+
+def _perturbed(lines, how, k, f, digit):
+    """Lines of `width` field texts with one change `how` at line k, field f."""
+    line, field = lines[k], lines[k][f]
+    if how == "comment":
+        lines.insert(k, ["# a note"])
+    elif how == "blank":
+        lines.insert(k, [""])
+    elif how == "field dropped":
+        del line[f]
+    elif how == "field moved":
+        lines[(k + 1) % len(lines)].append(line.pop(f))
+    elif how == "tab":  # in place of the separator after field f, or after the last field
+        line[f:f + 2] = ["\t".join(line[f:f + 2]) + "\t" * (f + 1 == len(line))]
+    else:
+        line[f] = {
+            "lone minus": "-", "double minus": "--" + field.lstrip("-"), "inner minus": field + "-1",
+            "triple colon": field + ":", "lone colon": field + ":1", "carriage return": field + "\r",
+            "non-ASCII digit": digit + field, "empty field": "", "non-UTF-8 byte": field + "\udce9",
+        }.get(how, how)  # any other `how` is the new field text
+    return lines
+
+
+@st.composite
+def _raw_files(draw):
+    """(sep, file bytes): a valid integer file of either layout with one perturbation."""
+    sep = draw(st.sampled_from(sorted(_LAYOUTS)))
+    width, encoding, _, digit = _LAYOUTS[sep]
+    lines = draw(st.lists(st.lists(_FIELDS, min_size=width, max_size=width), min_size=2, max_size=6))
+    how = draw(st.sampled_from([
+        None, "comment", "blank", "crlf", "no final newline", "lone minus", "double minus",
+        "inner minus", "triple colon", "lone colon", "tab", "carriage return", *_WIDE,
+        "non-ASCII digit", "empty field", "field dropped", "field moved", "non-UTF-8 byte"]))
+    if how in _WIDE:
+        how = draw(st.sampled_from(_WIDE[how]))
+    if how is not None:
+        lines = _perturbed(lines, how, draw(st.integers(0, len(lines) - 1)),
+                           draw(st.integers(0, width - 1)), digit)
+    end = "\r\n" if how == "crlf" else "\n"
+    text = "".join(sep.join(line) + end for line in lines)
+    if how == "no final newline":
+        text = text[:-1]
+    return sep, text.encode(encoding, "surrogateescape")
+
+
+def _int_rows_args(path, sep):
+    width, encoding, labels, _ = _LAYOUTS[sep]
+    return str(path), sep, width, encoding, labels
+
+
+def _load_corpus_gen():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "corpus_gen.py")
+    spec = importlib.util.spec_from_file_location("corpus_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def generated_interactions(tmp_path_factory):
+    """sep -> the synthetic ratings.dat (600 users) or interactions file (8,000 users)."""
+    corpus_gen = _load_corpus_gen()
+    ml, generic = tmp_path_factory.mktemp("ml600"), tmp_path_factory.mktemp("generic8000")
+    corpus_gen.write_movielens(str(ml), 600, 1)
+    corpus_gen.write_generic(str(generic), 8000, 2000, 1)
+    return {"::": ml / "ratings.dat", "\t": generic / "interactions.tsv"}
+
+
+class TestIntRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_raw_files())
+    @example(("::", b""))
+    @example(("\t", b"-7\t0\t-0\n"))
+    @example(("::", b"1::2::3::999999999999999999\n-1::2::3::-99999999999999999"))
+    @example(("\t", b"1\t2\t9223372036854775808\n"))             # 19 bytes, past int64
+    @example(("\t", b"1\t2\n3\t4\t5\t6\n"))                       # 6 fields, but 2 + 4
+    @example(("::", b"1::2::3::4\n5::6::7::-\n"))
+    @example(("\t", b"1\t2-3\t4\n"))
+    @example(("\t", b"1\t2\r\t3\n"))
+    @example(("::", b"1\t2::3::4\n"))
+    @example(("::", b"1::2::3:::4\n"))
+    def test_matches_per_line_reader(self, tmp_path_factory, sep_body):
+        sep, body = sep_body
+        path = tmp_path_factory.getbasetemp() / "int_rows.txt"
+        path.write_bytes(body)
+        args = _int_rows_args(path, sep)
+        try:
+            expected = _reference_int_rows(*args)
+        except corpus.ParseError as exc:
+            with pytest.raises(corpus.ParseError) as got:
+                corpus._int_rows(*args)
+            assert str(got.value) == str(exc)
+        else:
+            got = corpus._int_rows(*args)
+            assert got.dtype == np.int64 and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("sep", ["::", "\t"])
+    def test_plain_file_is_read_whole(self, generated_interactions, sep, monkeypatch, tmp_path):
+        path = generated_interactions[sep]
+        expected = _reference_int_rows(*_int_rows_args(path, sep))
+        commented = tmp_path / "commented"
+        commented.write_bytes(b"# generated\n" + path.read_bytes())
+
+        def per_line(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(corpus, "_records", per_line)
+        assert np.array_equal(corpus._int_rows(*_int_rows_args(path, sep)), expected)
+        with pytest.raises(AssertionError, match="read line by line"):
+            corpus._int_rows(*_int_rows_args(commented, sep))
+        monkeypatch.undo()
+        assert np.array_equal(corpus._int_rows(*_int_rows_args(commented, sep)), expected)
 
 
 # -- interaction indexer -----------------------------------------------------

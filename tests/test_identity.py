@@ -82,3 +82,19 @@ def test_src_line_counts_of_two_trees(tmp_path, capsys):
     assert tool.src_lines(tmp_path / "work") == 3
     tool.report_src_lines(tmp_path / "ref", tmp_path / "work", "HEAD~1")
     assert capsys.readouterr().out == "src/ lines: 5 in HEAD~1, 3 in the working tree (-2)\n"
+
+
+def test_crlf_copies_must_prepare_like_their_plain_copies(tmp_path, capsys):
+    tool = load_tool()
+    for name in tool.VARIANTS.keys() | tool.VARIANTS.values():
+        for seed in tool.SEEDS:
+            for rel in ("train.npy", "split.npy", "attributes.npy"):
+                path = tmp_path / "prepare" / f"{name}-{seed}" / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(f"{name.removesuffix('-crlf')} {seed} {rel}".encode())
+    assert tool.compare_variants(tmp_path, "work") == 0
+    variant = next(iter(tool.VARIANTS))
+    (tmp_path / "prepare" / f"{variant}-{tool.SEEDS[1]}" / "split.npy").write_bytes(b"other")
+    assert tool.compare_variants(tmp_path, "work") == 1
+    assert [line for line in capsys.readouterr().out.splitlines() if "DIFFERS" in line] == \
+        [f"work: prepare/{variant}-{tool.SEEDS[1]} DIFFERS from prepare/{tool.VARIANTS[variant]}-{tool.SEEDS[1]}"]

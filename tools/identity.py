@@ -11,7 +11,9 @@ pinned to one BLAS thread. It covers:
 
 - `prepare` on the tier-1 test fixtures, on `write_movielens(dir, 600, 1)`
   and on `write_generic(dir, 8000, 2000, 1)` (perfbench/corpus_gen.py),
-  for seeds 42 and 2**40+9;
+  for seeds 42 and 2**40+9; and on a copy of each of the last two whose
+  ratings or interactions file has CRLF line ends and a leading `#` line,
+  so it is read line by line rather than whole;
 - `train` for 2 epochs with `--checkpoint-every 1` for gmf, mlp, neumf,
   aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
   at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
@@ -22,12 +24,13 @@ pinned to one BLAS thread. It covers:
 Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
 their per-epoch seconds first. One table of digests is printed, and the
-exit code is 1 if any artifact differs or exists on one side only. Then
-the lines of src/'s .py files are counted in REF and in the working tree,
-so a change's src/ delta comes from the run that shows its byte identity.
-Float bits depend on the CPU and the BLAS build, so the digests are only
-meaningful between two trees on one machine and are never kept as
-goldens. Each side takes about a minute on a 2-vCPU VM.
+exit code is 1 if any artifact differs or exists on one side only, or if,
+on either side, a CRLF copy's prepared files differ from its plain copy's.
+Then the lines of src/'s .py files are counted in REF and in the working
+tree, so a change's src/ delta comes from the run that shows its byte
+identity. Float bits depend on the CPU and the BLAS build, so the digests
+are only meaningful between two trees on one machine and are never kept
+as goldens. Each side takes about a minute on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ TRAIN_RUNS = {  # directory -> extra train flags
     "neumf-12-6": ["--model", "neumf", "--layers", "12,6"],
 }
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
+VARIANTS = {"movielens600-crlf": "movielens600", "generic8000-crlf": "generic8000"}  # -> plain copy
 PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -92,6 +96,13 @@ def write_inputs(directory):
     corpus_gen.write_generic(path, 8000, 2000, 1)
     datasets["generic8000"] = generic(
         [os.path.join(path, f) for f in ("interactions.tsv", "user_attrs.tsv", "item_attrs.tsv")])
+    for variant, plain in VARIANTS.items():  # the same interactions, not in the plain form
+        kind, flags = datasets[plain]
+        path = os.path.join(directory, variant, os.path.basename(flags[1]))
+        os.makedirs(os.path.dirname(path))
+        with open(flags[1], "rb") as plain_file, open(path, "wb") as fh:
+            fh.write(b"# CRLF line ends\r\n" + plain_file.read().replace(b"\n", b"\r\n"))
+        datasets[variant] = kind, [flags[0], path, *flags[2:]]
     return datasets
 
 
@@ -183,6 +194,19 @@ def compare(ref_tree, work_tree, ref_label="ref", work_label="work"):
     return 1 if differ or not names else 0
 
 
+def compare_variants(tree, label):
+    """Print whether each CRLF copy's prepared files equal its plain copy's; 0 if all do, else 1."""
+    differ = 0
+    for variant, plain in VARIANTS.items():
+        for seed in SEEDS:
+            found = [digests(os.path.join(tree, "prepare", f"{name}-{seed}")) for name in (plain, variant)]
+            same = found[0] == found[1] and len(found[0]) == 3  # train, split, attributes
+            differ += not same
+            print(f"{label}: prepare/{variant}-{seed} {'equals' if same else 'DIFFERS from'} "
+                  f"prepare/{plain}-{seed}")
+    return 1 if differ else 0
+
+
 def src_lines(tree):
     """Newlines in the .py files under tree/src, as `wc -l` counts them."""
     total = 0
@@ -263,6 +287,8 @@ def main(argv=None):
             print(f"identity: the script failed: exit codes {codes}", file=sys.stderr)
             return 1
         code = compare(os.path.join(workdir, "out-ref"), os.path.join(workdir, "out-work"))
+        for label in ("ref", "work"):
+            code |= compare_variants(os.path.join(workdir, f"out-{label}"), label)
         report_src_lines(os.path.join(workdir, "ref"), ROOT, args.ref)
         return code
     finally:
