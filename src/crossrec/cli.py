@@ -53,6 +53,10 @@ def _positive(text, flag):
 
 
 def _rate(text, flag):
+    text = str(text)
+    # float() would also take digit-group underscores, whitespace and non-ASCII digits
+    if not text.isascii() or any(ch == "_" or ch.isspace() for ch in text):
+        raise CliError(f"bad {flag} value {text!r}")
     try:
         value = float(text)
     except ValueError:
@@ -108,12 +112,18 @@ COMMANDS = {
 }
 _MODEL_RUNS = ("train", "evaluate", "sweep")
 
+# --dataset-kind -> (required, optional) file keys, in corpus.parse_<kind>'s argument order
+_DATASET_FILES = {
+    "movielens": (("ratings", "users", "items"), ()),
+    "generic": (("interactions", "user_attrs", "item_attrs"), ("category_map",)),
+}
+_FILE_KEYS = [key for required, optional in _DATASET_FILES.values() for key in required + optional]
+
 OPTIONS = (
     Option("seed", _count, None, tuple(COMMANDS), ("prepare", "train", "sweep", "gradcheck")),
     Option("out", _text, None, tuple(COMMANDS), ("prepare", "train", "evaluate", "sweep")),
     Option("dataset_kind", _text, "generic", ("prepare",)),
-    *(Option(key, _text, None, ("prepare",)) for key in (
-        "ratings", "users", "items", "interactions", "user_attrs", "item_attrs", "category_map")),
+    *(Option(key, _text, None, ("prepare",)) for key in _FILE_KEYS),
     Option("model", _list(_kind), "gmf", (*_MODEL_RUNS, "gradcheck"), grid=("gmf",)),
     Option("factors", _list(_positive), 8, _MODEL_RUNS, grid=models.SWEEP_FACTORS),
     Option("layers", _widths, models.DEFAULT_LAYERS, _MODEL_RUNS),
@@ -200,23 +210,18 @@ def _checkpoint_header(config, model_config):
 
 def cmd_prepare(config, log=print):
     """Parse the raw dataset, split it, and write the prepared artifacts."""
-    if config.dataset_kind == "movielens":
-        for flag, value in (("--ratings", config.ratings), ("--users", config.users),
-                            ("--items", config.items)):
-            if not value:
-                raise CliError(f"{flag} is required for --dataset-kind movielens")
-        parsed = corpus.parse_movielens(config.ratings, config.users, config.items)
-    elif config.dataset_kind == "generic":
-        for flag, value in (("--interactions", config.interactions),
-                            ("--user-attrs", config.user_attrs),
-                            ("--item-attrs", config.item_attrs)):
-            if not value:
-                raise CliError(f"{flag} is required for --dataset-kind generic")
-        parsed = corpus.parse_generic(
-            config.interactions, config.user_attrs, config.item_attrs, config.category_map
-        )
-    else:
-        raise CliError(f"unknown --dataset-kind {config.dataset_kind!r}")
+    kind = config.dataset_kind
+    if kind not in _DATASET_FILES:
+        raise CliError(f"unknown --dataset-kind {kind!r}")
+    required, optional = _DATASET_FILES[kind]
+    for key in _FILE_KEYS:
+        given = getattr(config, key)
+        if key in required and not given:
+            raise CliError(f"{_BY_KEY[key].flag} is required for --dataset-kind {kind}")
+        if given and key not in required + optional:
+            raise CliError(f"{_BY_KEY[key].flag} is not read for --dataset-kind {kind}")
+    # looked up at call time, as perfbench/tracer.py times the parsers by replacing them
+    parsed = getattr(corpus, f"parse_{kind}")(*(getattr(config, key) for key in required + optional))
 
     split = corpus.leave_one_out_split(parsed.interactions, config.seed)
     corpus.save_prepared(config.out, split, parsed.catalog)

@@ -118,9 +118,10 @@ def _pool(tape, entity, table_name, ragged, ids):
     Row b sums all pairwise element-wise products among entity row b and
     the table rows that the tc.Ragged `ragged` lists for ids[b], in O(V d)
     through ((e + s) * (e + s) - e * e - sum_t g_t * g_t) / 2, s = sum_t g_t.
-    Ids are summed in the Ragged's ascending order; an entity with no ids
-    keeps its own row (an all-zero pool would erase it). ShapeError if the
-    table's width is not the entity's.
+    Ids are summed in the Ragged's ascending order. Every entity lists at
+    least one id: an AttributeCatalog rejects one with none, and _side
+    pools only a catalog's rows. ShapeError if the table's width is not the
+    entity's.
     """
     flat, segments = ragged.gather(ids)
     count = len(ids)
@@ -132,18 +133,9 @@ def _pool(tape, entity, table_name, ragged, ids):
     sq = tc.segment_sum(rows.value * rows.value, segments, count)
     t = e + s
     value = (t * t - e * e - sq) / 2.0
-    present = np.zeros(count, dtype=bool)
-    present[segments] = True
-    empty = ~present
-    if empty.any():
-        value[empty] = e[empty]
 
     def backward(g):
-        de = g * s
-        if empty.any():
-            de[empty] = g[empty]
-        drows = g[segments] * (e[segments] + s[segments] - rows.value)
-        return de, drows
+        return g * s, g[segments] * (e[segments] + s[segments] - rows.value)
 
     return tape.custom(value, (entity, rows), backward)
 

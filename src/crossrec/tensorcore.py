@@ -8,8 +8,9 @@ gradients can be replayed in reverse. A gradient has one form, the
 GradientBuffer Tape.backward returns and adam_step applies: distinct arena
 cells and their float64 gradients. Embedding gradients stay sparse, so
 only the rows a batch read (every table merged at once) have cells there
-and Adam never touches the others. A relu stack is one recorded op (Tape.mlp);
-every op that passes gradient only to other nodes records through Tape._op.
+and Adam never touches the others. Every op but the leaf reads records
+through Tape._op; Tape.dense and Tape.mlp share one layer routine, so a
+relu stack is one op.
 """
 
 from __future__ import annotations
@@ -97,9 +98,6 @@ class ParameterStore:
     def names(self):
         return list(self._layout)
 
-    def __contains__(self, name):
-        return name in self._layout
-
     def shape(self, name):
         return self._layout[name][1]
 
@@ -123,46 +121,11 @@ class GradientBuffer:
 
     g[k] is the gradient of cell index[k] of `store`; cells a batch left
     untouched (embedding rows it never read) are simply absent. Tape.backward
-    builds one directly; named() builds and checks one from named gradients.
+    is what builds one.
     """
 
     def __init__(self, store, index, g):
         self.store, self.index, self.g = store, index, g
-
-    @classmethod
-    def named(cls, store, dense=None, rows=None):
-        """The buffer of full-shape `dense` gradients and `rows` entries of
-        (sorted unique row ids, per-row gradients), each keyed by parameter name.
-
-        ShapeError, naming the parameter, for an unknown parameter, both a
-        dense and a row entry, a misshapen entry, or row ids not strictly
-        increasing in range.
-        """
-        dense, rows = dense or {}, rows or {}
-        index, flat = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float64)]
-        for name in sorted(dense.keys() | rows.keys()):
-            if name not in store:
-                raise ShapeError(f"gradient for unknown parameter {name!r}")
-            if name in dense and name in rows:
-                raise ShapeError(f"parameter {name!r} has both a dense and a row gradient")
-            offset, (count, cols) = store._layout[name]
-            if name in dense:
-                g = dense[name]
-                if g.shape != (count, cols):
-                    raise ShapeError(f"gradient shape {g.shape} for {name!r} {(count, cols)}")
-                index.append(np.arange(offset, offset + count * cols, dtype=np.int64))
-            else:
-                ids, g = rows[name]
-                ids = np.asarray(ids, dtype=np.int64)
-                if (ids.ndim != 1 or g.shape != (ids.size, cols)
-                        or (ids.size and (ids[0] < 0 or ids[-1] >= count or (np.diff(ids) <= 0).any()))):
-                    raise ShapeError(
-                        f"row gradient for {name!r} needs strictly increasing ids in "
-                        f"[0, {count}) and shape (ids, {cols})"
-                    )
-                index.append((offset + ids[:, None] * cols + np.arange(cols)).ravel())
-            flat.append(g.ravel())
-        return cls(store, np.concatenate(index), np.concatenate(flat))
 
     def names(self, cells=None):
         """Sorted names of the parameters owning `cells` (default: every cell)."""
@@ -292,6 +255,8 @@ class Tape:
     in the order backward reaches their ops, so one unique and one segment
     sum merge every table, each cell adding its terms as a merge per table
     would. A tape's row tables share one width (every model's: `factors`).
+    A dense gradient (param, dense, mlp) is set, not summed: no model reads
+    one dense parameter twice in a step.
     """
 
     def __init__(self, store, record=True):
@@ -303,13 +268,6 @@ class Tape:
 
     # -- leaf reads ------------------------------------------------------
 
-    def _add_dense(self, name, g):
-        acc = self._dense_grads.get(name)
-        if acc is None:
-            self._dense_grads[name] = g
-        else:
-            acc += g
-
     def _leaf_rows(self, node, name, ids, pick=None):
         """Record that row k of node's gradient (row pick[k], given `pick`) is row ids[k] of `name`'s."""
         offset, (_, cols) = self.store._layout[name]
@@ -320,7 +278,7 @@ class Tape:
         """Read a full parameter matrix as a float64 leaf node."""
         node = Node(self.store.value(name).astype(np.float64))
         if self.recording:
-            self._ops.append((node, lambda g: self._add_dense(name, g.copy())))
+            self._ops.append((node, lambda g: self._dense_grads.update({name: g})))
         return node
 
     # -- primitives ------------------------------------------------------
@@ -379,21 +337,41 @@ class Tape:
         return self._op(np.concatenate([p.value for p in parts], axis=1), parts,
                         lambda g: [g[:, a:b] for a, b in zip(bounds, bounds[1:])])
 
-    def _affine(self, x, weight_name, bias_name):
-        """(x @ W (+ b), W) in float64 for a value x, by dense's rules."""
-        w = self.store.value(weight_name).astype(np.float64)
-        if x.shape[1] != w.shape[0]:
-            raise ShapeError(f"dense input width {x.shape[1]} does not match {weight_name!r} {w.shape}")
-        if w.shape[1] == 1:
-            y = (x * w[:, 0]).sum(axis=1, keepdims=True)
-        else:
-            y = x @ w
-        if bias_name is not None:
-            b = self.store.value(bias_name).astype(np.float64)
-            if b.shape != (1, w.shape[1]):
-                raise ShapeError(f"bias {bias_name!r} must have shape (1, {w.shape[1]})")
-            y += b
-        return y, w
+    def _layers(self, x, layers, relu):
+        """x through each (weight, bias or None) name pair of `layers` as
+        h @ W (+ b), each followed by relu when `relu` is set, as one op.
+
+        Only a recording tape keeps each layer's input and relu mask.
+        """
+        h, saved = x.value, []
+        for weight_name, bias_name in layers:
+            w = self.store.value(weight_name).astype(np.float64)
+            if h.shape[1] != w.shape[0]:
+                raise ShapeError(f"dense input width {h.shape[1]} does not match {weight_name!r} {w.shape}")
+            if w.shape[1] == 1:
+                y = (h * w[:, 0]).sum(axis=1, keepdims=True)
+            else:
+                y = h @ w
+            if bias_name is not None:
+                b = self.store.value(bias_name).astype(np.float64)
+                if b.shape != (1, w.shape[1]):
+                    raise ShapeError(f"bias {bias_name!r} must have shape (1, {w.shape[1]})")
+                y += b
+            if self.recording:
+                saved.append((weight_name, bias_name, h, w, y > 0.0 if relu else None))
+            h = np.maximum(y, 0.0, out=y) if relu else y
+
+        def backward(g):
+            for weight_name, bias_name, h, w, mask in reversed(saved):
+                if mask is not None:
+                    g = g * mask + 0.0
+                self._dense_grads[weight_name] = h.T @ g
+                if bias_name is not None:
+                    self._dense_grads[bias_name] = g.sum(axis=0, keepdims=True)
+                g = g @ w.T
+            return (g,)
+
+        return self._op(h, (x,), backward)
 
     def dense(self, x, weight_name, bias_name=None):
         """Affine map x @ W (+ b).
@@ -407,44 +385,16 @@ class Tape:
         promises nothing; TestChunkedEvaluate.test_matches_per_user_oracle_bitwise
         in tests/test_evaluation.py guards both for every model kind.
         """
-        y, w = self._affine(x.value, weight_name, bias_name)
-        node = Node(y)
-        if self.recording:
-            def back(g, x=x, w=w, weight_name=weight_name, bias_name=bias_name):
-                self._add_dense(weight_name, x.value.T @ g)
-                if bias_name is not None:
-                    self._add_dense(bias_name, g.sum(axis=0, keepdims=True))
-                x.bump(g @ w.T)
-
-            self._ops.append((node, back))
-        return node
+        return self._layers(x, [(weight_name, bias_name)], relu=False)
 
     def mlp(self, x, layers):
         """relu(dense(h, w, b)) for each (w, b) name pair in `layers`, as one op.
 
         Value and gradients are bitwise the layer-by-layer dense + relu
         chain's, down to the `+ 0.0` of the chain's first bump of each dense
-        output. Only a recording tape keeps each layer's input and mask.
+        output.
         """
-        h = x.value
-        saved = []
-        for weight_name, bias_name in layers:
-            y, w = self._affine(h, weight_name, bias_name)
-            if self.recording:
-                saved.append((weight_name, bias_name, h, w, y > 0.0))
-            h = np.maximum(y, 0.0, out=y)
-        node = Node(h)
-        if self.recording:
-            def back(g, x=x, saved=saved):
-                for weight_name, bias_name, h, w, mask in reversed(saved):
-                    g = g * mask + 0.0
-                    self._add_dense(weight_name, h.T @ g)
-                    self._add_dense(bias_name, g.sum(axis=0, keepdims=True))
-                    g = g @ w.T
-                x.bump(g)
-
-            self._ops.append((node, back))
-        return node
+        return self._layers(x, layers, relu=True)
 
     def relu(self, x):
         return self._op(np.maximum(x.value, 0.0), (x,), lambda g: (g * (x.value > 0.0),))

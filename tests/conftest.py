@@ -57,10 +57,33 @@ def pool(entity, attrs):
     """models._pool of one float64 entity row with every row of `attrs`, held
     as the float32 attribute table the models keep; the pooled row."""
     entity = np.asarray(entity, dtype=np.float64)
-    table = np.asarray(attrs, dtype=np.float32) if len(attrs) else np.zeros((1, entity.size), np.float32)
-    tape = tc.Tape(tc.ParameterStore([("attr_emb", table)]), record=False)
+    tape = tc.Tape(tc.ParameterStore([("attr_emb", np.asarray(attrs, dtype=np.float32))]), record=False)
     ragged = tc.Ragged.from_rows([np.arange(len(attrs))])
     return models._pool(tape, tc.Node(entity[None, :]), "attr_emb", ragged, [0]).value[0]
+
+
+def gradients(store, dense=None, rows=None):
+    """The GradientBuffer of full-shape `dense` gradients and `rows` entries
+    of (distinct row ids, per-row gradients), each keyed by parameter name,
+    as the production Tape builds it: a param read per dense entry, an
+    embed_lookup per row entry and one custom op handing each its gradient.
+
+    A tape merges row tables of one width only, so each width gets its own
+    tape (the dense entries ride on the first) and the buffers are joined.
+    """
+    dense, rows = dense or {}, rows or {}
+    widths = sorted({g.shape[1] for _, g in rows.values()}) or [None]
+    index, flat = [], []
+    for width in widths:
+        tape = tc.Tape(store)
+        reads = [(tape.param(name), g) for name, g in dense.items()] if width == widths[0] else []
+        reads += [(tape.embed_lookup(name, ids), g) for name, (ids, g) in rows.items() if g.shape[1] == width]
+        nodes, given = zip(*reads) if reads else ((), ())
+        buffer = tape.backward(tape.custom(np.zeros((1, 1)), nodes, lambda g, given=given: given),
+                               np.ones((1, 1)))
+        index.append(buffer.index)
+        flat.append(buffer.g)
+    return tc.GradientBuffer(store, np.concatenate(index), np.concatenate(flat))
 
 
 def as_stored(attrs):

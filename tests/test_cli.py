@@ -584,6 +584,35 @@ def write_movielens_dataset(directory, num_users=40, num_movies=220, seed=12):
     return ratings, users, movies
 
 
+class TestPrepareFiles:
+    """Each --dataset-kind requires its own file flags and rejects the other kind's."""
+
+    @pytest.mark.parametrize("kind, drop, extra, message", [
+        ("movielens", "--ratings", [], "--ratings is required for --dataset-kind movielens"),
+        ("movielens", "--items", [], "--items is required for --dataset-kind movielens"),
+        ("movielens", None, ["--interactions", "/nonexistent.tsv", "--category-map", "/nonexistent2.tsv"],
+         "--interactions is not read for --dataset-kind movielens"),
+        ("movielens", None, ["--category-map", "/nonexistent2.tsv"],
+         "--category-map is not read for --dataset-kind movielens"),
+        ("generic", "--user-attrs", [], "--user-attrs is required for --dataset-kind generic"),
+        ("generic", None, ["--users", "/nonexistent.dat"], "--users is not read for --dataset-kind generic"),
+    ], ids=["movielens-no-ratings", "movielens-no-items", "movielens-interactions-and-map",
+            "movielens-map", "generic-no-user-attrs", "generic-users"])
+    def test_flag_rule_exits_1_before_reading(self, kind, drop, extra, message, generic_dataset,
+                                              tmp_path, capsys):
+        if kind == "movielens":
+            files = dict(zip(("--ratings", "--users", "--items"), write_movielens_dataset(str(tmp_path))))
+        else:
+            files = dict(zip(("--interactions", "--user-attrs", "--item-attrs"), generic_dataset))
+        files.pop(drop, None)
+        out = tmp_path / "out"
+        argv = ["prepare", "--dataset-kind", kind, *(t for pair in files.items() for t in pair), *extra,
+                "--seed", "1", "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and message in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestMovielensPrepare:
     def test_movielens_kind_end_to_end(self, tmp_path, capsys):
         ratings, users, movies = write_movielens_dataset(str(tmp_path))
@@ -718,6 +747,8 @@ BAD_VALUES = [
     ("train", "lr", "inf", "--lr must be positive"),
     ("train", "lr", "-0.1", "--lr must be positive"),
     ("train", "lr", "fast", "bad --lr value 'fast'"),
+    ("train", "lr", "0.00_1", "bad --lr value '0.00_1'"),
+    ("train", "lr", "\u0661e-3", "bad --lr value '\u0661e-3'"),
     ("train", "epochs", "-1", "--epochs must be non-negative"),
     ("train", "batch_size", "0", "--batch-size must be positive"),
     ("evaluate", "neg_ratio", "-2", "--neg-ratio must be positive"),
@@ -792,9 +823,15 @@ class TestOptionTable:
         code, _, err = run_cli(base + [f"{opt.flag}={text}"], capsys)
         assert code == 1 and message in err and "Traceback" not in err
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"# experiment\n{key}={text}\n")
+        cfg.write_text(f"# experiment\n{key}={text}\n", encoding="utf-8")
         code, _, err = run_cli(base + ["--config", str(cfg)], capsys)
         assert code == 1 and f"{cfg}:2: {message}" in err
+
+    @pytest.mark.parametrize("text", [" 0.001", "0.001 ", "0.001\t", "\u00a00.001"])
+    def test_lr_flag_with_whitespace_exits_1(self, text, capsys):
+        # a config line's value is stripped, as for every key, so only the flag can carry it
+        code, _, err = run_cli(["train", *_required("train"), f"--lr={text}"], capsys)
+        assert code == 1 and f"bad --lr value {text!r}" in err
 
     def test_bad_boolean_in_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

