@@ -3,9 +3,9 @@
 Every command is a pure function of its input files, configuration, and
 seed. One table (OPTIONS) defines every option: its flag, its key in the
 flat key=value config file (--config), its parser and default, and the
-commands that take or require it. Flags given on the command line win over
-the file. The seed has no entropy default: runs are reproducible or they
-do not start.
+commands that take or require it. Flags win over the file, and a file key
+the command does not take is checked, not applied. The seed has no entropy
+default: runs are reproducible or they do not start.
 
 Exit codes: 0 success, 1 validation or numeric failure, 2 I/O failure.
 """
@@ -67,7 +67,7 @@ def _rate(text, flag):
 
 
 def _bool(text, flag):
-    lowered = str(text).strip().lower()
+    lowered = str(text).lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -111,6 +111,7 @@ COMMANDS = {
     "gradcheck": "finite-difference check of one model's gradients",
 }
 _MODEL_RUNS = ("train", "evaluate", "sweep")
+_TRAINING_RUNS = ("train", "sweep")
 
 # --dataset-kind -> (required, optional) file keys, in corpus.parse_<kind>'s argument order
 _DATASET_FILES = {
@@ -121,17 +122,17 @@ _FILE_KEYS = [key for required, optional in _DATASET_FILES.values() for key in r
 
 OPTIONS = (
     Option("seed", _count, None, tuple(COMMANDS), ("prepare", "train", "sweep", "gradcheck")),
-    Option("out", _text, None, tuple(COMMANDS), ("prepare", "train", "evaluate", "sweep")),
+    Option("out", _text, None, ("prepare", *_MODEL_RUNS), ("prepare", *_MODEL_RUNS)),
     Option("dataset_kind", _text, "generic", ("prepare",)),
     *(Option(key, _text, None, ("prepare",)) for key in _FILE_KEYS),
     Option("model", _list(_kind), "gmf", (*_MODEL_RUNS, "gradcheck"), grid=("gmf",)),
     Option("factors", _list(_positive), 8, _MODEL_RUNS, grid=models.SWEEP_FACTORS),
-    Option("layers", _widths, models.DEFAULT_LAYERS, _MODEL_RUNS),
-    Option("lr", _rate, training.DEFAULT_LR, _MODEL_RUNS),
-    Option("epochs", _count, training.DEFAULT_EPOCHS, _MODEL_RUNS),
-    Option("batch_size", _positive, training.DEFAULT_BATCH_SIZE, _MODEL_RUNS),
-    Option("neg_ratio", _positive, training.DEFAULT_NEGATIVE_RATIO, _MODEL_RUNS),
-    Option("include_attr_cross", _bool, False, _MODEL_RUNS),
+    Option("layers", _widths, models.DEFAULT_LAYERS, _TRAINING_RUNS),
+    Option("lr", _rate, training.DEFAULT_LR, _TRAINING_RUNS),
+    Option("epochs", _count, training.DEFAULT_EPOCHS, _TRAINING_RUNS),
+    Option("batch_size", _positive, training.DEFAULT_BATCH_SIZE, _TRAINING_RUNS),
+    Option("neg_ratio", _positive, training.DEFAULT_NEGATIVE_RATIO, _TRAINING_RUNS),
+    Option("include_attr_cross", _bool, False, _TRAINING_RUNS),
     Option("checkpoint_every", _count, 0, ("train",)),
     Option("ranks_out", _text, None, ("evaluate",)),
 )
@@ -290,29 +291,22 @@ def cmd_train(config, log=print):
     return 0
 
 
-def _checkpoint_model_config(path, header):
-    """The ModelConfig a checkpoint header describes (the inverse of _checkpoint_header).
+# the header entries evaluate reads; with the prepared run they give the model
+_HEADER_OPTIONS = {"model": _kind, "factors": _positive, "layers": _widths, "include_attr_cross": _bool}
 
-    Each entry is read by its option's parser, so it follows the flag's rules."""
-    def entry(key, parse):
+
+def _header_options(path, header):
+    """The model options a checkpoint header records, each read by its option's parser."""
+    options = argparse.Namespace()
+    for key, parse in _HEADER_OPTIONS.items():
         if key not in header:
             raise CliError(f"checkpoint {path} header has no {key!r} entry")
         try:
-            return parse(header[key], key)
+            setattr(options, key, parse(header[key], key))
         except CliError:
             raise CliError(f"checkpoint {path} header entry {key!r} is malformed: "
                            f"{header[key]!r}") from None
-
-    return models.ModelConfig(
-        kind=entry("model", _kind),
-        num_users=entry("num_users", _positive),
-        num_items=entry("num_items", _positive),
-        factors=entry("factors", _positive),
-        mlp_layers=entry("layers", _widths),
-        user_vocab_size=entry("user_vocab", _count),
-        item_vocab_size=entry("item_vocab", _count),
-        include_attr_cross=entry("include_attr_cross", _bool),
-    )
+    return options
 
 
 def cmd_evaluate(config, log=print):
@@ -320,19 +314,15 @@ def cmd_evaluate(config, log=print):
     split, catalog = corpus.load_prepared(config.out)
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
-    model_config = _checkpoint_model_config(path, header)
-    counts = {"num_users": split.train.num_users, "num_items": split.train.num_items}
-    if model_config.uses_attributes:
-        counts.update(user_vocab_size=catalog.user_vocab_size, item_vocab_size=catalog.item_vocab_size)
-    if any(getattr(model_config, key) != count for key, count in counts.items()):
-        raise CliError(f"checkpoint {path} does not match the prepared dataset")
+    model_config = _model_config(_header_options(path, header), split, catalog)
     expected = dict(models.parameter_shapes(model_config))
     found = {name: store.shape(name) for name in store.names()}
     for name in sorted(set(expected) | set(found)):
         if found.get(name) != expected.get(name):
             raise CliError(
-                f"checkpoint {path} parameter {name!r} has shape {found.get(name, 'absent')}, "
-                f"but its {model_config.kind} header needs {expected.get(name, 'absent')}"
+                f"checkpoint {path} does not match the prepared dataset: parameter {name!r} has shape "
+                f"{found.get(name, 'absent')}, but its {model_config.kind} header on this run needs "
+                f"{expected.get(name, 'absent')}"
             )
     report = evaluation.evaluate(model_config, store, split, catalog,
                                  keep_ranks=config.ranks_out is not None)
@@ -424,22 +414,26 @@ def build_parser():
 
 
 def parse_command_line(argv):
-    """(command, config) for `argv`; config holds one value per option the command takes."""
+    """(command, config) for `argv`; options the command does not take keep their defaults."""
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     config = load_run_config(args.pop("config"), args)
     for opt in OPTIONS:
         value = getattr(config, opt.key)
-        if command in opt.requires and value is None:
+        if command not in opt.takes:  # a shared file's key for other commands: checked, not applied
+            value = opt.default
+        elif command in opt.requires and value is None:
             raise CliError(f"{opt.flag} is required")
-        if opt.grid is None or command not in opt.takes:
-            continue
-        if value is opt.default:  # set by neither the file nor a flag
-            value = opt.grid if command == "sweep" else value
-        elif command != "sweep":
-            if len(value) != 1:
-                raise CliError(f"{opt.flag} takes one value; only sweep takes a list")
-            value = value[0]
+        elif opt.grid is not None:
+            if value is opt.default:  # set by neither the file nor a flag
+                value = opt.grid if command == "sweep" else value
+            elif command != "sweep":
+                if len(value) != 1:
+                    raise CliError(f"{opt.flag} takes one value; only sweep takes a list")
+                value = value[0]
+            elif len(set(value)) != len(value):  # one cell trained twice, its columns repeated
+                repeated = next(v for v in value if value.count(v) > 1)
+                raise CliError(f"{opt.flag} lists {repeated!r} more than once")
         setattr(config, opt.key, value)
     return command, config
 

@@ -59,7 +59,7 @@ def ndcg_at_k(rank, k=10):
     return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
 
 
-def evaluate(config, store, split, catalog=None, k=10, keep_ranks=False):
+def evaluate(config, store, split, catalog=None, keep_ranks=False):
     """Score each user's positive plus pre-drawn negatives and average HR/NDCG."""
     num_users = split.train.num_users
     candidates = np.concatenate(
@@ -85,8 +85,8 @@ def evaluate(config, store, split, catalog=None, k=10, keep_ranks=False):
     hr_total = 0.0
     ndcg_total = 0.0
     for rank in ranks.tolist():
-        hr_total += hr_at_k(rank, k)
-        ndcg_total += ndcg_at_k(rank, k)
+        hr_total += hr_at_k(rank)
+        ndcg_total += ndcg_at_k(rank)
     return EvalReport(hr_total / num_users, ndcg_total / num_users, ranks if keep_ranks else None)
 
 

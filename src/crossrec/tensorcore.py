@@ -21,6 +21,7 @@ import zlib
 import numpy as np
 
 INIT_STD = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the experiment fixes them; lr is a flag
 
 CHECKPOINT_MAGIC = "CROSSREC-CKPT 1"
 
@@ -449,7 +450,7 @@ class Tape:
         return buffer
 
 
-def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(store, grads, lr=0.001):
     """One bias-corrected Adam update of the arena cells present in `grads`.
 
     The GradientBuffer's (index, g) pair is applied as one elementwise
@@ -459,8 +460,6 @@ def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     parameter. ShapeError for a buffer built for another store; NumericsError,
     naming the first such parameter, for a non-finite gradient.
     """
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise ValueError("beta1 and beta2 must lie in (0, 1)")
     if grads.store is not store:
         raise ShapeError("gradient buffer was built for another parameter store")
     index, g = grads.index, grads.g
@@ -470,11 +469,11 @@ def adam_step(store, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
 
     store.step += 1
     t = store.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    m64 = beta1 * store._m[index].astype(np.float64) + (1.0 - beta1) * g
-    v64 = beta2 * store._v[index].astype(np.float64) + (1.0 - beta2) * g * g
-    step = lr * (m64 / c1) / (np.sqrt(v64 / c2) + eps)
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    m64 = ADAM_BETA1 * store._m[index].astype(np.float64) + (1.0 - ADAM_BETA1) * g
+    v64 = ADAM_BETA2 * store._v[index].astype(np.float64) + (1.0 - ADAM_BETA2) * g * g
+    step = lr * (m64 / c1) / (np.sqrt(v64 / c2) + ADAM_EPS)
     store._value[index] = (store._value[index].astype(np.float64) - step).astype(np.float32)
     store._m[index] = m64.astype(np.float32)
     store._v[index] = v64.astype(np.float32)

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import io
 import json
@@ -342,6 +343,19 @@ class TestEvaluate:
         else:
             assert code == 0
 
+    @pytest.mark.parametrize("model", ["gmf", "camf"])
+    def test_checkpoint_of_other_user_count_names_the_table(self, prepared, tmp_path, capsys, model):
+        assert run_cli(train_args(prepared, model=model, epochs=1), capsys)[0] == 0
+        other = str(tmp_path / "other")
+        os.makedirs(other)
+        dataset = write_generic_dataset(other, num_users=31)   # one user more, the same items
+        assert run_cli(prepare_args(dataset, other), capsys)[0] == 0
+        shutil.copy(cli.ckpt_path(prepared, model, 4), other)
+        code, _, err = run_cli(["evaluate", "--model", model, "--factors", "4", "--out", other], capsys)
+        assert code == 1
+        assert "does not match the prepared dataset: parameter 'user_emb' has shape (30, 4)" in err
+        assert f"its {model} header on this run needs (31, 4)" in err
+
     def test_rank_dump(self, prepared, tmp_path, capsys):
         run_cli(train_args(prepared, epochs=1), capsys)
         dump = str(tmp_path / "ranks.tsv")
@@ -374,10 +388,9 @@ class TestTracer:
         raw = json.loads(spans.read_text(encoding="utf-8"))
         counts = collections.Counter(raw["names"][nid] for nid in raw["name"])
         assert counts["training.step"] > 0 and counts["tensorcore.adam"] == counts["training.step"]
-        path = cli.ckpt_path(prepared, "camf", 4)
-        config = cli._checkpoint_model_config(path, tc.load_checkpoint(path)[1])
+        store, _ = tc.load_checkpoint(cli.ckpt_path(prepared, "camf", 4))
         per_call = raw["counters"]["tensorcore.adam_params"] / counts["tensorcore.adam"]
-        assert per_call == len(models.parameter_shapes(config))
+        assert per_call == len(store.names())
 
 
 def _short_payload(blob):
@@ -435,8 +448,8 @@ class TestCheckpointErrors:
          "header entry 'factors' is malformed"),
         (_resealed(lambda blob: blob.replace(b"meta factors 4", b"meta factors 0_4")),
          "header entry 'factors' is malformed"),
-        (_resealed(lambda blob: re.sub(rb"\nmeta num_users ", b"\nmeta num_users  ", blob)),
-         "header entry 'num_users' is malformed"),
+        (_resealed(lambda blob: blob.replace(b"meta include_attr_cross 0", b"meta include_attr_cross  0")),
+         "header entry 'include_attr_cross' is malformed"),
         (_resealed(lambda blob: blob.replace(b"meta include_attr_cross 0", b"meta include_attr_cross 7")),
          "header entry 'include_attr_cross' is malformed"),
         (_resealed(lambda blob: blob.replace(b"meta model gmf", b"meta model camf")),
@@ -451,7 +464,7 @@ class TestCheckpointErrors:
          "follows the crc32 line"),
     ], ids=["renamed-moment", "not-a-checkpoint", "tensor-past-payload", "step-without-space",
             "header-without-layers", "header-factors-not-a-number", "header-factors-plus-sign",
-            "header-factors-underscore", "header-num-users-leading-space",
+            "header-factors-underscore", "header-attr-cross-leading-space",
             "header-attr-cross-not-a-bool", "camf-header-on-gmf",
             "payload-bits-flipped", "no-crc32-line", "manifest-not-utf8", "dotted-tensor-name",
             "step-digit-flipped", "line-after-crc32"])
@@ -537,6 +550,25 @@ class TestSweep:
                 cells = sweep[k][1 + 2 * m:3 + 2 * m]
                 assert cells == [repr(best["hr10"]), repr(best["ndcg10"])]
                 assert table[k][1 + 2 * m:3 + 2 * m] == [f"{best['hr10']:.4f}", f"{best['ndcg10']:.4f}"]
+
+    @pytest.mark.parametrize("flag, text, repeated", [
+        ("--model", "gmf,camf,gmf", "'gmf'"), ("--factors", "4,8,4", "4"),
+    ], ids=["model", "factors"])
+    def test_repeated_grid_value_exits_1_before_training(self, prepared, capsys, flag, text, repeated):
+        code, _, err = run_cli(["sweep", flag, text, "--epochs", "1", "--seed", "11", "--out", prepared],
+                               capsys)
+        assert code == 1 and f"{flag} lists {repeated} more than once" in err
+        assert sorted(os.listdir(prepared)) == sorted(PREPARED_FILES)
+
+    def test_checkpoint_every_in_config_reaches_train_not_sweep(self, prepared, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"model=gmf\nfactors=4\nlayers=8,4\nepochs=1\nseed=11\nout={prepared}\n"
+                       "checkpoint-every=1\n")
+        snapshot = cli.ckpt_path(prepared, "gmf", 4) + ".epoch1"
+        assert run_cli(["sweep", "--config", str(cfg)], capsys)[0] == 0
+        assert os.path.exists(cli.ckpt_path(prepared, "gmf", 4)) and not os.path.exists(snapshot)
+        assert run_cli(["train", "--config", str(cfg)], capsys)[0] == 0
+        assert os.path.exists(snapshot)
 
     def test_failed_cell_reported_and_sweep_continues(self, prepared, capsys, monkeypatch):
         calls = []
@@ -751,21 +783,21 @@ BAD_VALUES = [
     ("train", "lr", "\u0661e-3", "bad --lr value '\u0661e-3'"),
     ("train", "epochs", "-1", "--epochs must be non-negative"),
     ("train", "batch_size", "0", "--batch-size must be positive"),
-    ("evaluate", "neg_ratio", "-2", "--neg-ratio must be positive"),
+    ("train", "neg_ratio", "-2", "--neg-ratio must be positive"),
     ("train", "checkpoint_every", "-1", "--checkpoint-every must be non-negative"),
 ]
 
-# the flags each subcommand took before the table generated them
+# the flags each subcommand takes
 SUBCOMMAND_FLAGS = {
     "prepare": {"--config", "--seed", "--out", "--dataset-kind", "--ratings", "--users",
                 "--items", "--interactions", "--user-attrs", "--item-attrs", "--category-map"},
-    "gradcheck": {"--config", "--seed", "--out", "--model"},
+    "evaluate": {"--config", "--seed", "--out", "--model", "--factors", "--ranks-out"},
+    "gradcheck": {"--config", "--seed", "--model"},
 }
-_MODEL_RUN_FLAGS = {"--config", "--seed", "--out", "--model", "--factors", "--layers", "--lr",
-                    "--epochs", "--batch-size", "--neg-ratio", "--include-attr-cross"}
-SUBCOMMAND_FLAGS["train"] = _MODEL_RUN_FLAGS | {"--checkpoint-every"}
-SUBCOMMAND_FLAGS["evaluate"] = _MODEL_RUN_FLAGS | {"--ranks-out"}
-SUBCOMMAND_FLAGS["sweep"] = _MODEL_RUN_FLAGS
+_TRAINING_FLAGS = {"--config", "--seed", "--out", "--model", "--factors", "--layers", "--lr",
+                   "--epochs", "--batch-size", "--neg-ratio", "--include-attr-cross"}
+SUBCOMMAND_FLAGS["train"] = _TRAINING_FLAGS | {"--checkpoint-every"}
+SUBCOMMAND_FLAGS["sweep"] = _TRAINING_FLAGS
 
 
 def _required(command, but=None):
@@ -780,9 +812,9 @@ def _flag_args(opt, text):
     return [opt.flag, text]
 
 
-def _table_cases():
+def _table_cases(taken=True):
     return [pytest.param(opt, command, id=f"{command}-{opt.key}")
-            for opt in cli.OPTIONS for command in opt.takes]
+            for opt in cli.OPTIONS for command in cli.COMMANDS if (command in opt.takes) == taken]
 
 
 class TestOptionTable:
@@ -814,6 +846,34 @@ class TestOptionTable:
         _, file_only = cli.parse_command_line(base)
         assert getattr(config, opt.key) == getattr(flag_only, opt.key)
         assert getattr(config, opt.key) != getattr(file_only, opt.key)
+
+    @pytest.mark.parametrize("opt, command", _table_cases(taken=False))
+    def test_option_not_taken(self, opt, command, tmp_path, capsys):
+        """Its flag exits 1; its config line is parsed, so one file serves every command, then reset."""
+        text = "true" if opt.parse is cli._bool else SAMPLES[opt.key][0]
+        base = [command, *_required(command)]
+        code, _, err = run_cli(base + _flag_args(opt, text), capsys)
+        assert code == 1 and f"unrecognized arguments: {opt.flag}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{opt.key}={text}\n")
+        _, config = cli.parse_command_line(base + ["--config", str(cfg)])
+        assert getattr(config, opt.key) == opt.default
+
+    @pytest.mark.parametrize("command, flag", [
+        ("evaluate", "--layers=3"), ("evaluate", "--lr=99"), ("evaluate", "--epochs=7"),
+        ("evaluate", "--batch-size=1"), ("evaluate", "--neg-ratio=9"), ("evaluate", "--include-attr-cross"),
+        ("gradcheck", "--out=/nonexistent/x"),
+    ])
+    def test_flag_the_command_never_read_exits_1(self, command, flag, capsys):
+        """Listed literally: a table edit that gives one back fails here, not only in the cases above."""
+        code, _, err = run_cli([command, *_required(command), flag], capsys)
+        assert code == 1 and f"unrecognized arguments: {flag}" in err
+
+    def test_bad_value_of_key_not_taken_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("checkpoint-every=-1\n")
+        code, _, err = run_cli(["sweep", *_required("sweep"), "--config", str(cfg)], capsys)
+        assert code == 1 and f"{cfg}:1: --checkpoint-every must be non-negative" in err
 
     @pytest.mark.parametrize("command, key, text, message", BAD_VALUES,
                              ids=[f"{c}-{k}-{t}" for c, k, t, _ in BAD_VALUES])
@@ -871,6 +931,45 @@ class TestOptionTable:
         assert code == 0
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", stdout)) - {"--help"} == \
             SUBCOMMAND_FLAGS[command]
+
+
+class ReadRecorder(argparse.Namespace):
+    """A command's config that records which options the command reads."""
+
+    def __init__(self, config):
+        super().__init__(**vars(config))
+        self.__dict__["reads"] = set()
+
+    def __getattribute__(self, name):
+        if name in cli._BY_KEY:
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestOptionsRead:
+    """Each command reads every option it takes and no other. sweep reads
+    its options through train_and_save, which train covers."""
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "gradcheck"])
+    def test_command_reads_the_options_it_takes(self, command, generic_dataset, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        argv = {
+            "prepare": prepare_args(generic_dataset, out),
+            "train": train_args(out, epochs=1, extra=("--checkpoint-every", "1")),
+            "evaluate": ["evaluate", "--model", "gmf", "--factors", "4", "--seed", "11", "--out", out,
+                         "--ranks-out", str(tmp_path / "ranks.tsv")],
+            "gradcheck": ["gradcheck", "--model", "gmf", "--seed", "11"],
+        }
+        setup = {"prepare": [], "gradcheck": [], "train": ["prepare"], "evaluate": ["prepare", "train"]}
+        for step in setup[command]:
+            assert run_cli(argv[step], capsys)[0] == 0
+        _, config = cli.parse_command_line(argv[command])
+        recorder = ReadRecorder(config)
+        assert getattr(cli, f"cmd_{command}")(recorder, log=lambda _msg: None) == 0
+        taken = {opt.key for opt in cli.OPTIONS if command in opt.takes}
+        if command == "evaluate":
+            taken.remove("seed")   # taken only so that perfbench/run.py's evaluate calls still parse
+        assert recorder.reads == taken
 
 
 class TestEntryPoint:

@@ -307,12 +307,6 @@ class TestAdam:
             ))
         assert store.step == 0 and not store.value("emb").any()
 
-    def test_bad_betas_rejected(self):
-        store = make_store(p=[[0.0]])
-        grads = gradients(store, dense={"p": np.array([[0.5]])})
-        with pytest.raises(ValueError):
-            tc.adam_step(store, grads, beta1=1.0)
-
     def test_buffer_of_another_store_rejected_both_untouched(self):
         store, other = make_store(p=[[1.0]], q=[[2.0]]), make_store(p=[[1.0]], q=[[2.0]])
         before = arena_state(store)

@@ -19,8 +19,13 @@ pinned to one BLAS thread. It covers:
   aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
   at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
   `--layers 12,6`, so the parameter layout is held at other depths too;
-- `evaluate --ranks-out` of each of those checkpoints, a 2x2 `sweep` and
-  `gradcheck` for all five kinds.
+- `evaluate --ranks-out` of each of those checkpoints, given only
+  `--model`, `--factors`, `--out` and `--ranks-out`;
+- `train` and then `evaluate` of camf with every option from one
+  `--config` file (CONFIG_FILE below): each key `train` takes, at values
+  other than the defaults, plus `ranks-out` and `dataset-kind`, which
+  `train` does not take;
+- a 2x2 `sweep` and `gradcheck` for all five kinds.
 
 Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
@@ -52,16 +57,33 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (42, 2**40 + 9)
 TRAIN_CORPUS = "movielens600"
-TRAIN_RUNS = {  # directory -> extra train flags
-    "gmf": ["--model", "gmf"],
-    "mlp": ["--model", "mlp"],
-    "neumf": ["--model", "neumf"],
-    "aadcf": ["--model", "aadcf"],
-    "camf": ["--model", "camf"],
-    "camf-cross": ["--model", "camf", "--include-attr-cross"],
-    "mlp-16": ["--model", "mlp", "--layers", "16"],
-    "neumf-12-6": ["--model", "neumf", "--layers", "12,6"],
+TRAIN_RUNS = {  # directory -> (model, extra train flags)
+    "gmf": ("gmf", []),
+    "mlp": ("mlp", []),
+    "neumf": ("neumf", []),
+    "aadcf": ("aadcf", []),
+    "camf": ("camf", []),
+    "camf-cross": ("camf", ["--include-attr-cross"]),
+    "mlp-16": ("mlp", ["--layers", "16"]),
+    "neumf-12-6": ("neumf", ["--layers", "12,6"]),
 }
+CONFIG_RUN = "camf-config"
+CONFIG_FILE = f"""# every key train takes
+seed=42
+out=train/{CONFIG_RUN}
+model=camf
+factors=8
+layers=16,8
+lr=0.002
+epochs=2
+batch-size=128
+neg-ratio=2
+include-attr-cross=true
+checkpoint-every=1
+# and two it does not: evaluate takes ranks-out, only prepare dataset-kind
+ranks-out=train/{CONFIG_RUN}/ranks.tsv
+dataset-kind=movielens
+"""
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
 VARIANTS = {"movielens600-crlf": "movielens600", "generic8000-crlf": "generic8000"}  # -> plain copy
 PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -138,11 +160,17 @@ def produce(out, datasets):
                                            "--seed", str(seed), "--out", f"prepare/{name}-{seed}"])
     prepared = f"prepare/{TRAIN_CORPUS}-{SEEDS[0]}"
     common = ["--factors", "8", "--epochs", "2", "--seed", str(SEEDS[0])]
-    for name, flags in TRAIN_RUNS.items():
+    for name, (model, flags) in TRAIN_RUNS.items():
         shutil.copytree(prepared, f"train/{name}")
-        run(f"train-{name}", ["train", *flags, *common, "--checkpoint-every", "1", "--out", f"train/{name}"])
-        run(f"evaluate-{name}", ["evaluate", *flags, "--factors", "8", "--out", f"train/{name}",
+        run(f"train-{name}", ["train", "--model", model, *flags, *common, "--checkpoint-every", "1",
+                              "--out", f"train/{name}"])
+        run(f"evaluate-{name}", ["evaluate", "--model", model, "--factors", "8", "--out", f"train/{name}",
                                  "--ranks-out", f"train/{name}/ranks.tsv"])
+    shutil.copytree(prepared, f"train/{CONFIG_RUN}")
+    with open(f"{CONFIG_RUN}.cfg", "w", encoding="utf-8") as fh:
+        fh.write(CONFIG_FILE)
+    for command in ("train", "evaluate"):
+        run(f"{command}-{CONFIG_RUN}", [command, "--config", f"{CONFIG_RUN}.cfg"])
     shutil.copytree(prepared, "sweep")
     run("sweep", ["sweep", "--model", "gmf,mlp", "--factors", "8,16", "--epochs", "2",
                   "--seed", str(SEEDS[0]), "--out", "sweep"])
