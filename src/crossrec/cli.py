@@ -195,20 +195,6 @@ def _model_config(config, split, catalog):
     )
 
 
-def _checkpoint_header(config, model_config):
-    return {
-        "model": model_config.kind,
-        "factors": model_config.factors,
-        "layers": ",".join(str(w) for w in model_config.mlp_layers),
-        "num_users": model_config.num_users,
-        "num_items": model_config.num_items,
-        "user_vocab": model_config.user_vocab_size,
-        "item_vocab": model_config.item_vocab_size,
-        "include_attr_cross": int(model_config.include_attr_cross),
-        "seed": config.seed,
-    }
-
-
 def cmd_prepare(config, log=print):
     """Parse the raw dataset, split it, and write the prepared artifacts."""
     kind = config.dataset_kind
@@ -249,7 +235,9 @@ def train_and_save(config, log=print):
     split, catalog = corpus.load_prepared(config.out)
     model_config = _model_config(config, split, catalog)
     csv_file = metrics_path(config.out, config.model, config.factors)
-    header = _checkpoint_header(config, model_config)
+    header = {"model": config.model, "factors": config.factors, "layers": ",".join(map(str, config.layers)),
+              "include_attr_cross": int(config.include_attr_cross),
+              "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
     with open(csv_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
@@ -291,12 +279,13 @@ def cmd_train(config, log=print):
     return 0
 
 
-# the header entries evaluate reads; with the prepared run they give the model
-_HEADER_OPTIONS = {"model": _kind, "factors": _positive, "layers": _widths, "include_attr_cross": _bool}
+# the header entries evaluate reads: with the run they give the model, and `prepared` names the run
+_HEADER_OPTIONS = {"model": _kind, "factors": _positive, "layers": _widths, "include_attr_cross": _bool,
+                   "prepared": _text}
 
 
 def _header_options(path, header):
-    """The model options a checkpoint header records, each read by its option's parser."""
+    """The entries evaluate reads from a checkpoint header, each by its option's parser."""
     options = argparse.Namespace()
     for key, parse in _HEADER_OPTIONS.items():
         if key not in header:
@@ -314,7 +303,8 @@ def cmd_evaluate(config, log=print):
     split, catalog = corpus.load_prepared(config.out)
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
-    model_config = _model_config(_header_options(path, header), split, catalog)
+    options = _header_options(path, header)
+    model_config = _model_config(options, split, catalog)
     expected = dict(models.parameter_shapes(model_config))
     found = {name: store.shape(name) for name in store.names()}
     for name in sorted(set(expected) | set(found)):
@@ -324,6 +314,10 @@ def cmd_evaluate(config, log=print):
                 f"{found.get(name, 'absent')}, but its {model_config.kind} header on this run needs "
                 f"{expected.get(name, 'absent')}"
             )
+    prepared = corpus.prepared_fingerprint(config.out)
+    if options.prepared != prepared:
+        raise CliError(f"checkpoint {path} was trained on prepared run {options.prepared}, but "
+                       f"{config.out} holds prepared run {prepared}; train it again on this run")
     report = evaluation.evaluate(model_config, store, split, catalog,
                                  keep_ranks=config.ranks_out is not None)
     if config.ranks_out:

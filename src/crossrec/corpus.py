@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import tokenize
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -513,6 +514,16 @@ def save_prepared(out_dir, split, catalog):
     save_interactions(split.train, os.path.join(out_dir, TRAIN_FILE))
     save_split(split, os.path.join(out_dir, SPLIT_FILE))
     save_catalog(catalog, os.path.join(out_dir, ATTRS_FILE))
+
+
+def prepared_fingerprint(out_dir):
+    """crc32 of the prepared run's three files, chained in save_prepared's order, as 8 hex digits."""
+    crc = 0
+    for name in (TRAIN_FILE, SPLIT_FILE, ATTRS_FILE):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                crc = zlib.crc32(chunk, crc)
+    return f"{crc:08x}"
 
 
 def load_prepared(out_dir):

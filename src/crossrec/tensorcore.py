@@ -23,7 +23,7 @@ import numpy as np
 INIT_STD = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the experiment fixes them; lr is a flag
 
-CHECKPOINT_MAGIC = "CROSSREC-CKPT 1"
+CHECKPOINT_MAGIC = "CROSSREC-CKPT 2"
 
 
 class ShapeError(ValueError):
@@ -78,8 +78,8 @@ class ParameterStore:
         for name, value in params:
             if name in self._layout:
                 raise ShapeError(f"duplicate parameter name {name!r}")
-            if any(ch.isspace() for ch in name) or "." in name:
-                raise ShapeError(f"parameter name {name!r} may not contain whitespace or '.'")
+            if any(ch.isspace() for ch in name):
+                raise ShapeError(f"parameter name {name!r} may not contain whitespace")
             if value.ndim != 2:
                 raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
             self._layout[name] = (total, value.shape)
@@ -483,12 +483,13 @@ def adam_step(store, grads, lr=0.001):
 
 
 def save_checkpoint(path, store, header=None):
-    """Write a text manifest plus raw little-endian float32 blocks.
+    """Write a text manifest, then the store's three arenas as little-endian float32.
 
-    Per parameter the manifest lists three tensors (value and both moment
-    buffers); byte offsets are relative to the end of the manifest. The
-    crc32 line checksums every manifest byte before it, chained with the
-    payload. The round trip is bit-exact, so checkpoints can be checksummed.
+    The manifest names each parameter and its shape in arena order; the
+    payload is the value arena, then the m arena, then the v arena, laid out
+    as the ParameterStore holds them. The crc32 line checksums every
+    manifest byte before it, chained with the payload. The round trip is
+    bit-exact, so checkpoints can be checksummed.
     """
     header = dict(header or {})
     lines = [CHECKPOINT_MAGIC]
@@ -498,18 +499,10 @@ def save_checkpoint(path, store, header=None):
             raise ValueError("checkpoint header entries must be single-line")
         lines.append(f"meta {key} {value}")
     lines.append(f"step {store.step}")
-    blocks = []
-    offset = 0
-    for name in store.names():
-        rows, cols = store.shape(name)
-        for suffix, array in zip(("", ".m", ".v"), (store.value(name), *store.moments(name))):
-            data = np.ascontiguousarray(array, dtype="<f4").tobytes()
-            lines.append(f"tensor {name}{suffix} {rows} {cols} {offset}")
-            blocks.append(data)
-            offset += len(data)
-    payload = b"".join(blocks)
+    lines += [f"param {name} {rows} {cols}" for name, (_, (rows, cols)) in store._layout.items()]
+    payload = b"".join(buf.astype("<f4", copy=False).tobytes() for buf in (store._value, store._m, store._v))
     prefix = "".join(line + "\n" for line in lines).encode("utf-8")
-    tail = f"crc32 {zlib.crc32(payload, zlib.crc32(prefix))}\ndata {offset}\n"
+    tail = f"crc32 {zlib.crc32(payload, zlib.crc32(prefix))}\ndata {len(payload)}\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(prefix + tail.encode("utf-8") + payload)
@@ -522,8 +515,8 @@ def _is_count(text):
 
 
 def _read_manifest(path, lines):
-    """(header, {step, crc32, data}, tensors) from manifest lines after the magic."""
-    header, counts, tensors = {}, {}, []
+    """(header, {step, crc32, data}, [(name, rows, cols)]) from manifest lines after the magic."""
+    header, counts, params = {}, {}, []
     for lineno, line in enumerate(lines, start=2):
         kind, _, rest = line.partition(" ")
         key, gap, value = rest.partition(" ")
@@ -535,25 +528,29 @@ def _read_manifest(path, lines):
             header[key] = value
         elif kind in ("step", "crc32", "data") and kind not in counts and _is_count(rest):
             counts[kind] = int(rest)
-        elif kind == "tensor" and len(fields) == 4 and all(map(_is_count, fields[1:])):
-            tensors.append((fields[0], *map(int, fields[1:])))
+        elif kind == "param" and len(fields) == 3 and all(map(_is_count, fields[1:])):
+            params.append((fields[0], int(fields[1]), int(fields[2])))
         else:
             raise ValueError(f"{path}: line {lineno}: malformed checkpoint manifest line {line!r}")
     for kind in ("step", "crc32"):
         if kind not in counts:
             raise ValueError(f"{path}: checkpoint manifest has no {kind} line")
-    return header, counts, tensors
+    return header, counts, params
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (ParameterStore, header dict).
 
-    Raises ValueError naming the file for a malformed manifest line, tensors
-    that do not tile the payload in order, or manifest and payload bytes
-    whose crc32 differs.
+    Raises ValueError naming the file for a format-1 checkpoint, a malformed
+    manifest line, a payload whose size is not the data line's or the three
+    arenas' of the param lines, or manifest and payload bytes whose crc32
+    differs.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob.startswith(b"CROSSREC-CKPT 1\n"):
+        raise ValueError(f"{path}: a format-1 crossrec checkpoint, which this version does not read; "
+                         "train it again")
     if not blob.startswith(CHECKPOINT_MAGIC.encode("utf-8") + b"\n"):
         raise ValueError(f"{path}: not a crossrec checkpoint")
     cut = blob.find(b"\ndata ")
@@ -564,35 +561,22 @@ def load_checkpoint(path):
         manifest = blob[:end_of_manifest].decode("utf-8").split("\n")[1:-1]
     except UnicodeDecodeError:
         raise ValueError(f"{path}: checkpoint manifest is not UTF-8 text") from None
-    data = blob[end_of_manifest:]
-    header, counts, tensors = _read_manifest(path, manifest)
-    if counts["data"] != len(data):
-        raise ValueError(f"{path}: truncated checkpoint payload")
-    offset = 0
-    for name, rows, cols, start in tensors:
-        if start != offset or start + rows * cols * 4 > len(data):
-            raise ValueError(f"{path}: tensor {name} lies outside its slot in the checkpoint payload")
-        offset += rows * cols * 4
-    if offset != len(data):
-        raise ValueError(f"{path}: checkpoint payload has {len(data) - offset} bytes past its tensors")
+    data = memoryview(blob)[end_of_manifest:]
+    header, counts, params = _read_manifest(path, manifest)
+    sizes = [rows * cols for _, rows, cols in params]
+    if not counts["data"] == len(data) == 12 * sum(sizes):
+        raise ValueError(f"{path}: checkpoint payload has {len(data)} bytes, its data line says "
+                         f"{counts['data']} and its param lines need {12 * sum(sizes)}")
     prefix = blob[:blob.rfind(b"\ncrc32 ", 0, cut + 1) + 1]
     if zlib.crc32(data, zlib.crc32(prefix)) != counts["crc32"]:
         raise ValueError(f"{path}: checkpoint does not match its crc32")
-    arrays = {
-        name: np.frombuffer(data[offset:offset + rows * cols * 4], dtype="<f4").reshape(rows, cols)
-        for name, rows, cols, offset in tensors
-    }
+    values, m, v = np.frombuffer(data, dtype="<f4").reshape(3, sum(sizes))
+    pieces = np.split(values, np.cumsum(sizes[:-1], dtype=np.int64))
     try:
-        store = ParameterStore(
-            [(name, arrays[name]) for name, *_ in tensors if not name.endswith((".m", ".v"))]
-        )
-    except ShapeError as exc:
+        store = ParameterStore([(name, piece.reshape(rows, cols))
+                                for (name, rows, cols), piece in zip(params, pieces)])
+    except ValueError as exc:  # a ShapeError, or a dimension numpy cannot hold
         raise ValueError(f"{path}: {exc}") from None
+    store._m[...], store._v[...] = m, v
     store.step = counts["step"]
-    for name in store.names():
-        for key, buffer in zip(("m", "v"), store.moments(name)):
-            moment = arrays.get(f"{name}.{key}")
-            if moment is None or moment.shape != buffer.shape:
-                raise ValueError(f"{path}: tensor {name}.{key} is missing or misshapen")
-            buffer[...] = moment
     return store, header

@@ -233,9 +233,9 @@ class TestTrain:
         assert code == 0
         csv_text = Path(cli.metrics_path(prepared, "gmf", 4)).read_text()
         assert csv_text == cli.METRICS_HEADER + "\n"
-        store, header = tc.load_checkpoint(cli.ckpt_path(prepared, "gmf", 4))
+        store, _ = tc.load_checkpoint(cli.ckpt_path(prepared, "gmf", 4))
         config = models.ModelConfig(
-            "gmf", int(header["num_users"]), int(header["num_items"]), factors=4,
+            "gmf", store.shape("user_emb")[0], store.shape("item_emb")[0], factors=4,
             mlp_layers=(8, 4),
         )
         fresh = models.init_params(config, 11)
@@ -338,10 +338,11 @@ class TestEvaluate:
         assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
         assert corpus.load_prepared(out)[1].user_vocab_size == 2   # vocabulary 6 -> 2
         code, _, err = run_cli(["evaluate", "--model", model, "--factors", "4", "--out", out], capsys)
-        if model in ("aadcf", "camf"):
-            assert code == 1 and "does not match the prepared dataset" in err
-        else:
-            assert code == 0
+        assert code == 1
+        if model in ("aadcf", "camf"):   # the attribute tables' shapes are compared first
+            assert "does not match the prepared dataset" in err
+        else:                            # the run's fingerprint covers the catalog too
+            assert "was trained on prepared run" in err
 
     @pytest.mark.parametrize("model", ["gmf", "camf"])
     def test_checkpoint_of_other_user_count_names_the_table(self, prepared, tmp_path, capsys, model):
@@ -355,6 +356,35 @@ class TestEvaluate:
         assert code == 1
         assert "does not match the prepared dataset: parameter 'user_emb' has shape (30, 4)" in err
         assert f"its {model} header on this run needs (31, 4)" in err
+
+    def test_run_prepared_again_with_another_seed_exits_1(self, generic_dataset, tmp_path, capsys):
+        out = str(tmp_path / "work")
+        assert run_cli(prepare_args(generic_dataset, out, seed=11), capsys)[0] == 0
+        assert run_cli(train_args(out, epochs=1), capsys)[0] == 0
+        split_before, trained_on = Path(out, corpus.SPLIT_FILE).read_bytes(), corpus.prepared_fingerprint(out)
+        # the same raw files, so the same counts and shapes, but another split
+        assert run_cli(prepare_args(generic_dataset, out, seed=12), capsys)[0] == 0
+        assert Path(out, corpus.SPLIT_FILE).read_bytes() != split_before
+        now = corpus.prepared_fingerprint(out)
+        code, _, err = run_cli(["evaluate", "--model", "gmf", "--factors", "4", "--out", out], capsys)
+        assert code == 1 and trained_on != now
+        assert f"was trained on prepared run {trained_on}, but {out} holds prepared run {now}" in err
+
+    def test_run_prepared_again_with_swapped_categories_exits_1(self, generic_dataset, tmp_path, capsys):
+        out = str(tmp_path / "work")
+        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
+        assert run_cli(train_args(out, model="camf", epochs=1), capsys)[0] == 0
+        trained_on = corpus.prepared_fingerprint(out)
+        # every user's categories swapped art<->tech and food<->diy: the vocabulary keeps its size
+        uattr = generic_dataset[1]
+        swap = {"art": "tech", "tech": "art", "food": "diy", "diy": "food", "travel": "travel"}
+        lines = [line.split("\t") for line in Path(uattr).read_text().splitlines()]
+        Path(uattr).write_text("".join(f"{u}\t{swap[c]}\n" for u, c in lines))
+        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
+        now = corpus.prepared_fingerprint(out)
+        code, _, err = run_cli(["evaluate", "--model", "camf", "--factors", "4", "--out", out], capsys)
+        assert code == 1 and trained_on != now
+        assert f"was trained on prepared run {trained_on}, but {out} holds prepared run {now}" in err
 
     def test_rank_dump(self, prepared, tmp_path, capsys):
         run_cli(train_args(prepared, epochs=1), capsys)
@@ -394,7 +424,7 @@ class TestTracer:
 
 
 def _short_payload(blob):
-    """Drop the last tensor's final bytes and restate the payload size to match."""
+    """Drop the payload's last float and restate the payload size to match."""
     head, rest = blob.split(b"\ndata ", 1)
     size, payload = rest.split(b"\n", 1)
     return head + b"\ndata %d\n" % (int(size) - 4) + payload[:-4]
@@ -405,8 +435,10 @@ def _payload_start(blob):
 
 
 def _flip_item_exponents(blob):
-    """XOR one exponent bit in 40 item_emb floats (offsets from the manifest)."""
-    offset = int(re.search(rb"\ntensor item_emb \d+ \d+ (\d+)\n", blob).group(1))
+    """XOR one exponent bit in 40 item_emb floats (its offset summed from the param lines)."""
+    params = re.findall(rb"^param (\S+) (\d+) (\d+)$", blob[:_payload_start(blob)], re.M)
+    names = [name for name, _, _ in params]
+    offset = 4 * sum(int(rows) * int(cols) for _, rows, cols in params[:names.index(b"item_emb")])
     damaged = bytearray(blob)
     for k in range(40):
         damaged[_payload_start(blob) + offset + 4 * k + 3] ^= 0x01
@@ -434,10 +466,20 @@ def _bump_step_digit(blob):
 
 class TestCheckpointErrors:
     @pytest.mark.parametrize("tamper, message", [
-        (_resealed(lambda blob: blob.replace(b"tensor out_b.m ", b"tensor out_c.m ", 1)),
-         "out_b.m"),
+        (lambda blob: blob.replace(b"CROSSREC-CKPT 2\n", b"CROSSREC-CKPT 1\n", 1),
+         "a format-1 crossrec checkpoint, which this version does not read; train it again"),
         (lambda blob: b"user\trank\n0\t1\n", "not a crossrec checkpoint"),
-        (_short_payload, "tensor out_b.v lies outside"),
+        (_resealed(_short_payload), "its param lines need"),
+        (_resealed(lambda blob: re.sub(rb"\nparam item_emb (\d+) ",
+                                       lambda m: b"\nparam item_emb %d " % (int(m.group(1)) + 1), blob)),
+         "its param lines need"),
+        (_resealed(lambda blob: blob.replace(b"\nparam out_w 4 1\n", b"\nparam out_w 1 4\n")),
+         "parameter 'out_w' has shape (1, 4)"),
+        (_resealed(lambda blob: re.sub(rb"\nmeta prepared [^\n]*", b"", blob)),
+         "no 'prepared' entry"),
+        (_resealed(lambda blob: re.sub(rb"(\nparam [^\n]*)(\ncrc32 )",
+                                       rb"\1\nparam huge 99999999999999999999 0\2", blob)),
+         "checkpoint_gmf_f4.ckpt: "),   # numpy's own message, led by the file
         (lambda blob: re.sub(rb"\nstep (\d+)\n", rb"\nstep\1\n", blob),
          "malformed checkpoint manifest line 'step"),
         (_resealed(lambda blob: re.sub(rb"\nmeta layers [^\n]*", b"", blob)),
@@ -457,16 +499,15 @@ class TestCheckpointErrors:
         (_flip_item_exponents, "does not match its crc32"),
         (lambda blob: re.sub(rb"\ncrc32 \d+", b"", blob), "no crc32 line"),
         (lambda blob: blob.replace(b"\nmeta seed", b"\nmeta seed\xff"), "not UTF-8"),
-        (_resealed(lambda blob: blob.replace(b"tensor out_w ", b"tensor out.w ", 1)),
-         "'out.w' may not contain"),
         (_bump_step_digit, "does not match its crc32"),
         (lambda blob: re.sub(rb"(\ncrc32 \d+\n)", rb"\1meta seed 12\n", blob),
          "follows the crc32 line"),
-    ], ids=["renamed-moment", "not-a-checkpoint", "tensor-past-payload", "step-without-space",
+    ], ids=["format-1", "not-a-checkpoint", "payload-one-float-short", "param-rows-edited",
+            "param-shape-edited", "no-prepared-entry", "param-dimension-too-large", "step-without-space",
             "header-without-layers", "header-factors-not-a-number", "header-factors-plus-sign",
             "header-factors-underscore", "header-attr-cross-leading-space",
             "header-attr-cross-not-a-bool", "camf-header-on-gmf",
-            "payload-bits-flipped", "no-crc32-line", "manifest-not-utf8", "dotted-tensor-name",
+            "payload-bits-flipped", "no-crc32-line", "manifest-not-utf8",
             "step-digit-flipped", "line-after-crc32"])
     def test_damaged_checkpoint_exits_1(self, prepared, capsys, tamper, message):
         assert run_cli(train_args(prepared, epochs=1), capsys)[0] == 0

@@ -1,6 +1,7 @@
 import collections
 import importlib.util
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -704,6 +705,17 @@ class TestLeaveOneOut:
         assert loaded.item_vocab_size == tiny_catalog.item_vocab_size
         assert all(np.array_equal(a, b) for a, b in zip(loaded.user_attrs, tiny_catalog.user_attrs))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.item_attrs, tiny_catalog.item_attrs))
+
+    def test_prepared_fingerprint_chains_the_three_files(self, tmp_path):
+        files = {corpus.TRAIN_FILE: b"train", corpus.SPLIT_FILE: bytes(range(256)) * 5000,
+                 corpus.ATTRS_FILE: b"attributes"}   # split.npy spans more than one read
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        crc = zlib.crc32(files[corpus.ATTRS_FILE], zlib.crc32(files[corpus.SPLIT_FILE],
+                                                              zlib.crc32(files[corpus.TRAIN_FILE])))
+        assert corpus.prepared_fingerprint(str(tmp_path)) == f"{crc:08x}"
+        (tmp_path / corpus.SPLIT_FILE).write_bytes(files[corpus.SPLIT_FILE][:-1] + b"\x00")
+        assert corpus.prepared_fingerprint(str(tmp_path)) != f"{crc:08x}"
 
 
 class TestInteractionSetInvariants:

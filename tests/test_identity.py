@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools", "identity.py")
 
 
@@ -98,3 +100,24 @@ def test_crlf_copies_must_prepare_like_their_plain_copies(tmp_path, capsys):
     assert tool.compare_variants(tmp_path, "work") == 1
     assert [line for line in capsys.readouterr().out.splitlines() if "DIFFERS" in line] == \
         [f"work: prepare/{variant}-{tool.SEEDS[1]} DIFFERS from prepare/{tool.VARIANTS[variant]}-{tool.SEEDS[1]}"]
+
+
+def test_decoded_checkpoints_of_equal_content_are_equal(tmp_path):
+    from crossrec import tensorcore as tc
+
+    tool = load_tool()
+    store = tc.ParameterStore([("user_emb", np.arange(12).reshape(3, 4)), ("out_b", [[0.5]])])
+    store.moments("user_emb")[1][...] = 0.25
+    store.step = 7
+    paths = [str(tmp_path / f"{k}.ckpt") for k in range(3)]
+    tc.save_checkpoint(paths[0], store, {"model": "gmf", "seed": "42"})
+    tc.save_checkpoint(paths[1], store, {"model": "gmf", "prepared": "0123abcd"})
+    store.moments("out_b")[0][0, 0] = -0.0   # one sign bit in one moment
+    tc.save_checkpoint(paths[2], store, {"model": "gmf", "seed": "42"})
+    raw = [tool.digest(path) for path in paths]
+    decoded = [tool.decoded_checkpoint(path) for path in paths]
+    assert len(set(raw)) == 3
+    assert decoded[0] == decoded[1] != decoded[2]
+    assert decoded[0].splitlines()[0] == "step 7"
+    assert [line.split()[:3] for line in decoded[0].splitlines()[1:]] == \
+        [["user_emb", "3", "4"], ["out_b", "1", "1"]]

@@ -72,9 +72,8 @@ class TestGaussianInit:
 
     @pytest.mark.parametrize("params", [
         [("w", np.zeros((2, 2))), ("has space", np.zeros((1, 2)))],
-        [("w", np.zeros((2, 2))), ("dotted.name", np.zeros((1, 2)))],
         [("w", np.zeros((2, 2))), ("flat", np.zeros(3))],
-    ], ids=["whitespace", "dot", "not-2d"])
+    ], ids=["whitespace", "not-2d"])
     def test_malformed_entry_rejected(self, params):
         with pytest.raises(tc.ShapeError):
             tc.ParameterStore(params)
@@ -747,6 +746,28 @@ class TestCheckpoints:
         loaded, _ = tc.load_checkpoint(path)
         assert loaded.step == store.step == 2
         assert loaded.names() == store.names()
+        assert loaded._layout == store._layout
+        for buffer in ("_value", "_m", "_v"):
+            assert getattr(loaded, buffer).tobytes() == getattr(store, buffer).tobytes()
+
+    def test_payload_is_the_three_arenas(self, tmp_path):
+        store = self._trained_store()
+        path = str(tmp_path / "model.ckpt")
+        tc.save_checkpoint(path, store, {"seed": "11"})
+        blob = Path(path).read_bytes()
+        payload = store._value.tobytes() + store._m.tobytes() + store._v.tobytes()
+        manifest = blob[:-len(payload)].decode("utf-8").splitlines()
+        assert blob.endswith(payload) and manifest[-1] == f"data {len(payload)}"
+        assert manifest[:3] == ["CROSSREC-CKPT 2", "meta seed 11", "step 3"]
+        assert manifest[3:6] == ["param emb 7 4", "param w 4 1", "param b 1 1"]
+
+    def test_names_ending_like_moments_round_trip(self, tmp_path):
+        # the manifest names parameters only, so "w.m" is a name like any other
+        store = make_store(**{"w": [[1.0, 2.0]], "w.m": [[3.0]], "w.v": [[4.0], [5.0]]})
+        store.moments("w")[0][...] = 7.0
+        path = str(tmp_path / "dotted.ckpt")
+        tc.save_checkpoint(path, store, {})
+        loaded, _ = tc.load_checkpoint(path)
         assert loaded._layout == store._layout
         for buffer in ("_value", "_m", "_v"):
             assert getattr(loaded, buffer).tobytes() == getattr(store, buffer).tobytes()

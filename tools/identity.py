@@ -25,7 +25,12 @@ pinned to one BLAS thread. It covers:
   `--config` file (CONFIG_FILE below): each key `train` takes, at values
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
   `train` does not take;
-- a 2x2 `sweep` and `gradcheck` for all five kinds.
+- a 2x2 `sweep` and `gradcheck` for all five kinds;
+- every checkpoint and `.epochN` snapshot written above, also decoded by
+  that side's own `load_checkpoint` into decoded/<path>.txt: its Adam
+  step and, per parameter in arena order, its name, its shape and the
+  sha256 of its value, m and v bytes. A change of checkpoint format then
+  shows the raw checkpoints differing and their content equal.
 
 Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
@@ -176,6 +181,31 @@ def produce(out, datasets):
                   "--seed", str(SEEDS[0]), "--out", "sweep"])
     for kind in KINDS:
         run(f"gradcheck-{kind}", ["gradcheck", "--model", kind, "--seed", str(SEEDS[0])])
+    checkpoints = [os.path.join(dirpath, name) for dirpath, _dirnames, filenames in os.walk(".")
+                   for name in filenames if _CHECKPOINT.search(name)]
+    for path in checkpoints:
+        decoded = os.path.join("decoded", os.path.normpath(path) + ".txt")
+        os.makedirs(os.path.dirname(decoded), exist_ok=True)
+        with open(decoded, "w", encoding="utf-8") as fh:
+            fh.write(decoded_checkpoint(path))
+
+
+_CHECKPOINT = re.compile(r"\.ckpt(\.epoch\d+)?$")
+
+
+def decoded_checkpoint(path):
+    """The Adam step and, per parameter in arena order, its name, shape and the
+    sha256 of its value, m and v bytes, as the crossrec on sys.path loads `path`."""
+    from crossrec import tensorcore
+
+    store, _header = tensorcore.load_checkpoint(path)
+    lines = [f"step {store.step}\n"]
+    for name in store.names():
+        rows, cols = store.shape(name)
+        arrays = (store.value(name), *store.moments(name))
+        hashes = " ".join(hashlib.sha256(array.tobytes()).hexdigest() for array in arrays)
+        lines.append(f"{name} {rows} {cols} {hashes}\n")
+    return "".join(lines)
 
 
 # -- digests and the comparison --------------------------------------------------
