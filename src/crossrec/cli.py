@@ -32,10 +32,10 @@ def _text(text, flag):
 
 
 def _int(text, flag):
-    text = str(text)
-    if not tensorcore._is_count(text.removeprefix("-")):
-        raise CliError(f"bad {flag} value {text!r}")
-    return int(text)
+    try:
+        return tensorcore.decimal_int(str(text), 128)  # seeds may pass 64 bits
+    except ValueError:
+        raise CliError(f"bad {flag} value {text!r}") from None
 
 
 def _count(text, flag):
@@ -318,8 +318,7 @@ def cmd_evaluate(config, log=print):
     if options.prepared != prepared:
         raise CliError(f"checkpoint {path} was trained on prepared run {options.prepared}, but "
                        f"{config.out} holds prepared run {prepared}; train it again on this run")
-    report = evaluation.evaluate(model_config, store, split, catalog,
-                                 keep_ranks=config.ranks_out is not None)
+    report = evaluation.evaluate(model_config, store, split, catalog)
     if config.ranks_out:
         evaluation.save_ranks(report, config.ranks_out)
     log(f"hr10\t{_float_repr(report.hr_at_10)}")

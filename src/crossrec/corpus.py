@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorcore import Ragged, ShapeError, seeded_rng
+from .tensorcore import Ragged, ShapeError, decimal_int, seeded_rng
 
 
 class CorpusError(Exception):
@@ -139,8 +139,6 @@ def full_membership(split):
 class ParsedData:
     interactions: InteractionSet
     catalog: AttributeCatalog
-    raw_user_ids: np.ndarray   # raw_user_ids[k] is the raw id mapped to dense id k
-    raw_item_ids: np.ndarray
 
 
 NUM_TEST_NEGATIVES = 99
@@ -172,15 +170,11 @@ def _records(path, sep, width, encoding):
 
 
 def _parse_int(text, path, lineno, what):
-    # ASCII decimal only: int() also takes "1_0", " 10 ", "+10" and non-ASCII
-    # digits, which would merge distinct raw ids into one (tensorcore._is_count
-    # with the minus stripped, inlined: this runs once per raw field)
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}")
-    value = int(text)
-    if not -2**63 <= value < 2**63:  # ids and timestamps are stored as int64
-        raise ParseError(f"{path}:{lineno}: {what} does not fit in 64 bits: {text!r}")
-    return value
+    # ids and timestamps are stored as int64; "1_0" or "+10" would merge distinct raw ids
+    try:
+        return decimal_int(text, 64)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {what} {exc}: {text!r}") from None
 
 
 def _plain_int_table(data, sep, width):
@@ -248,11 +242,12 @@ def _index(path, rows, min_user_interactions=1):
     return interactions, raw_users, raw_items
 
 
-def _encode(path, label, named, raw_ids, buckets=None):
+def _encode(path, label, named, raw_ids, counts=None, width=None):
     """(per-entity attribute ids, vocabulary size) from each entity's set of names.
 
     `named` maps a raw id to its names; the names held by `raw_ids` are
-    numbered in sorted order. A bucket b adds the id (name count + b), so the
+    numbered in sorted order. Given per-entity `counts`, a count c falls in
+    bucket b = (c - 1) // width, which adds the id (name count + b), so the
     vocabulary runs on to the largest bucket. An entity left with no ids
     raises LoadError naming `path`.
     """
@@ -261,7 +256,8 @@ def _encode(path, label, named, raw_ids, buckets=None):
     index = {name: k for k, name in enumerate(sorted(set().union(*sets)))}
     rows = [[index[name] for name in names] for names in sets]
     size = len(index)
-    if buckets is not None:
+    if counts is not None:
+        buckets = (counts - 1) // width
         for row, bucket in zip(rows, buckets.tolist()):
             row.append(size + bucket)
         size += int(buckets.max()) + 1
@@ -295,32 +291,7 @@ def parse_movielens(ratings_path, users_path, items_path):
     item_attrs, item_vocab = _encode(items_path, "item", genres, item_ids)
 
     catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
-    return ParsedData(interactions, catalog, user_ids, item_ids)
-
-
-def bucketize(count, bucket_size):
-    """The 0-based group of a count under fixed-size grouping: floor((count-1)/size)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if bucket_size < 1:
-        raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
-    return (count - 1) // bucket_size
-
-
-def item_pin_attribute(interactions, bucket_size):
-    """Per-item popularity bucket from interaction-weighted exposure.
-
-    An item's exposure is the sum, over every user who interacted with it,
-    of that user's total interaction count; items nobody touched land in
-    bucket 0.
-    """
-    user_counts = np.diff(interactions.per_user_items.offsets)
-    pins = np.zeros(interactions.num_items, dtype=np.int64)
-    np.add.at(pins, interactions.items, user_counts[interactions.users])
-    buckets = np.zeros(interactions.num_items, dtype=np.int64)
-    touched = pins > 0
-    buckets[touched] = (pins[touched] - 1) // bucket_size
-    return buckets
+    return ParsedData(interactions, catalog)
 
 
 def _read_attr_file(path, category_map):
@@ -347,8 +318,9 @@ def parse_generic(
     Users with fewer than MIN_USER_INTERACTIONS interactions are dropped
     before ids are remapped. File-listed attribute names (collapsed through
     the category map when one is given) are encoded first; each user then
-    gets an interaction-count bucket and each item an exposure bucket, so
-    entities without listed attributes still carry one.
+    gets a bucket of its interaction count and each item one of its exposure
+    (the summed counts of its users), so entities without listed attributes
+    still carry one.
     """
     rows = _int_rows(interactions_path, "\t", 3, "utf-8", ("user id", "item id", "timestamp"))
     interactions, user_ids, item_ids = _index(interactions_path, rows, MIN_USER_INTERACTIONS)
@@ -362,15 +334,13 @@ def parse_generic(
     user_named = _read_attr_file(user_attr_path, category_map)
     item_named = _read_attr_file(item_attr_path, category_map)
 
-    user_buckets = np.array(
-        [bucketize(n, USER_BUCKET_SIZE) for n in np.diff(interactions.per_user_items.offsets).tolist()],
-        dtype=np.int64,
-    )
-    item_buckets = item_pin_attribute(interactions, ITEM_BUCKET_SIZE)
-    user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, user_buckets)
-    item_attrs, item_vocab = _encode(item_attr_path, "item", item_named, item_ids, item_buckets)
+    counts = np.diff(interactions.per_user_items.offsets)
+    exposure = np.zeros(interactions.num_items, dtype=np.int64)  # > 0: every item keeps a pin
+    np.add.at(exposure, interactions.items, counts[interactions.users])
+    user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, counts, USER_BUCKET_SIZE)
+    item_attrs, item_vocab = _encode(item_attr_path, "item", item_named, item_ids, exposure, ITEM_BUCKET_SIZE)
     catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
-    return ParsedData(interactions, catalog, user_ids, item_ids)
+    return ParsedData(interactions, catalog)
 
 
 def leave_one_out_split(data, seed):

@@ -26,6 +26,7 @@ from .tensorcore import Tape, check_rows
 # users per score call: 16 x 100 rows keeps the interaction's temporaries small
 # next to the corpus while amortising the per-primitive Python overhead
 EVAL_USERS_PER_FORWARD = 16
+TOP_K = 10  # HR@10 and NDCG@10, NCF's leave-one-out protocol
 
 
 class EvaluationError(RuntimeError):
@@ -36,7 +37,7 @@ class EvaluationError(RuntimeError):
 class EvalReport:
     hr_at_10: float
     ndcg_at_10: float
-    per_user_ranks: np.ndarray = None
+    per_user_ranks: np.ndarray  # (num_users,) int64, in user-id order
 
 
 def rank_position(scores, positive_index):
@@ -50,16 +51,16 @@ def rank_position(scores, positive_index):
     return 1 + higher + tied
 
 
-def hr_at_k(rank, k=10):
-    return 1 if rank <= k else 0
+def hr_at_k(rank):
+    return 1 if rank <= TOP_K else 0
 
 
-def ndcg_at_k(rank, k=10):
-    """Single-relevant-item NDCG: 1/log2(rank+1) inside the top k, else 0."""
-    return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
+def ndcg_at_k(rank):
+    """Single-relevant-item NDCG: 1/log2(rank+1) inside the top TOP_K, else 0."""
+    return 1.0 / math.log2(rank + 1) if rank <= TOP_K else 0.0
 
 
-def evaluate(config, store, split, catalog=None, keep_ranks=False):
+def evaluate(config, store, split, catalog=None):
     """Score each user's positive plus pre-drawn negatives and average HR/NDCG."""
     num_users = split.train.num_users
     candidates = np.concatenate(
@@ -87,13 +88,11 @@ def evaluate(config, store, split, catalog=None, keep_ranks=False):
     for rank in ranks.tolist():
         hr_total += hr_at_k(rank)
         ndcg_total += ndcg_at_k(rank)
-    return EvalReport(hr_total / num_users, ndcg_total / num_users, ranks if keep_ranks else None)
+    return EvalReport(hr_total / num_users, ndcg_total / num_users, ranks)
 
 
 def save_ranks(report, path):
-    """Optional per-user rank dump: 'user<TAB>rank' lines."""
-    if report.per_user_ranks is None:
-        raise ValueError("evaluate(..., keep_ranks=True) is required for a rank dump")
+    """Per-user rank dump: 'user<TAB>rank' lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for u, rank in enumerate(report.per_user_ranks):
             fh.write(f"{u}\t{rank}\n")

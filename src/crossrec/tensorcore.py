@@ -509,9 +509,22 @@ def save_checkpoint(path, store, header=None):
     os.replace(tmp, path)
 
 
-def _is_count(text):
-    """True for a non-negative decimal integer written in ASCII digits."""
-    return text.isascii() and text.isdigit()
+def decimal_int(text, bits, signed=True):
+    """The int `text` spells in ASCII digits, led by a "-" only if `signed`: the one integer grammar.
+
+    Other text (int() would take "+", "_", spaces and non-ASCII digits) raises ValueError("is not an
+    integer"), and a value outside the `bits`-bit range ValueError("does not fit in {bits} bits"). int()
+    reads at most the bits // 3 + 1 significant digits a value in range has, never its own 4,300-digit limit.
+    """
+    digits = text.removeprefix("-") if signed else text
+    if not (text.isascii() and digits.isdigit()):
+        raise ValueError("is not an integer")
+    if len(digits) > bits // 3 + 1:
+        text = text[:len(text) - len(digits)] + (digits.lstrip("0") or "0")
+    high = 1 << bits - signed
+    if len(text) > bits // 3 + 2 or not (-high if signed else 0) <= (value := int(text)) < high:
+        raise ValueError(f"does not fit in {bits} bits")
+    return value
 
 
 def _read_manifest(path, lines):
@@ -520,18 +533,20 @@ def _read_manifest(path, lines):
     for lineno, line in enumerate(lines, start=2):
         kind, _, rest = line.partition(" ")
         key, gap, value = rest.partition(" ")
-        fields = rest.split(" ")
         if "crc32" in counts and kind != "data":
             raise ValueError(f"{path}: line {lineno}: checkpoint manifest line {line!r} "
                              "follows the crc32 line")
-        if kind == "meta" and key and gap:
-            header[key] = value
-        elif kind in ("step", "crc32", "data") and kind not in counts and _is_count(rest):
-            counts[kind] = int(rest)
-        elif kind == "param" and len(fields) == 3 and all(map(_is_count, fields[1:])):
-            params.append((fields[0], int(fields[1]), int(fields[2])))
-        else:
-            raise ValueError(f"{path}: line {lineno}: malformed checkpoint manifest line {line!r}")
+        try:
+            if kind == "meta" and key and gap:
+                header[key] = value
+            elif kind in ("step", "crc32", "data") and kind not in counts:
+                counts[kind] = decimal_int(rest, 64, signed=False)
+            elif kind == "param" and rest.count(" ") == 2:  # name rows cols
+                params.append((key, *(decimal_int(text, 64, signed=False) for text in value.split(" "))))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed checkpoint manifest line {line!r}") from None
     for kind in ("step", "crc32"):
         if kind not in counts:
             raise ValueError(f"{path}: checkpoint manifest has no {kind} line")

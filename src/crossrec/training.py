@@ -42,7 +42,6 @@ class Batch:
 class EpochStats:
     epoch: int
     mean_loss: float
-    instances: int
     wall_seconds: float
 
 
@@ -53,9 +52,7 @@ class TrainResult:
     eval_reports: list = field(default_factory=list)
 
     def best_epoch(self):
-        """1-based epoch with the highest HR@10 (ties to the earliest)."""
-        if not self.eval_reports:
-            return None
+        """1-based epoch with the highest HR@10 (ties to the earliest); needs an evaluated epoch."""
         return 1 + max(range(len(self.eval_reports)), key=lambda i: self.eval_reports[i].hr_at_10)
 
 
@@ -166,7 +163,7 @@ def train(
                 raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
             loss_sum += loss * len(batch)
             count += len(batch)
-        stats = EpochStats(epoch, loss_sum / count, count, time.perf_counter() - t0)
+        stats = EpochStats(epoch, loss_sum / count, time.perf_counter() - t0)
         result.epoch_stats.append(stats)
         report = evaluation.evaluate(config, store, split, catalog)
         result.eval_reports.append(report)

@@ -154,6 +154,20 @@ class TestPrepare:
         code, err = run_cli_process(prepare_args(generic_dataset, str(tmp_path / "x")))
         assert_validation_failure(code, err, f"interactions.tsv:{lines + 1}: user id")
 
+    def test_user_id_of_5000_digits_names_its_line(self, generic_dataset, tmp_path):
+        # past int()'s own 4,300-digit limit, whose message names no file
+        inter = generic_dataset[0]
+        lines = len(Path(inter).read_text(encoding="utf-8").splitlines())
+        with open(inter, "a", encoding="utf-8") as fh:
+            fh.write("9" * 5000 + "\t500\t1000\n")
+        code, err = run_cli_process(prepare_args(generic_dataset, str(tmp_path / "x")))
+        assert_validation_failure(code, err, f"interactions.tsv:{lines + 1}: user id")
+        assert "Exceeds the limit" not in err
+
+    def test_seed_past_64_bits_prepares(self, generic_dataset, tmp_path, capsys):
+        code, _, _ = run_cli(prepare_args(generic_dataset, str(tmp_path / "x"), seed=2**64 + 3), capsys)
+        assert code == 0
+
     def test_category_map_flag_collapses_vocabulary(self, generic_dataset, tmp_path, capsys):
         inter, uattr, iattr = generic_dataset
         cmap = tmp_path / "cmap.tsv"
@@ -479,7 +493,9 @@ class TestCheckpointErrors:
          "no 'prepared' entry"),
         (_resealed(lambda blob: re.sub(rb"(\nparam [^\n]*)(\ncrc32 )",
                                        rb"\1\nparam huge 99999999999999999999 0\2", blob)),
-         "checkpoint_gmf_f4.ckpt: "),   # numpy's own message, led by the file
+         "checkpoint_gmf_f4.ckpt: "),   # past 64 bits: a malformed line, led by the file
+        (_resealed(lambda blob: re.sub(rb"\nstep \d+\n", b"\nstep " + b"9" * 5000 + b"\n", blob)),
+         "malformed checkpoint manifest line 'step 9999"),  # past int()'s own 4,300-digit limit
         (lambda blob: re.sub(rb"\nstep (\d+)\n", rb"\nstep\1\n", blob),
          "malformed checkpoint manifest line 'step"),
         (_resealed(lambda blob: re.sub(rb"\nmeta layers [^\n]*", b"", blob)),
@@ -503,7 +519,8 @@ class TestCheckpointErrors:
         (lambda blob: re.sub(rb"(\ncrc32 \d+\n)", rb"\1meta seed 12\n", blob),
          "follows the crc32 line"),
     ], ids=["format-1", "not-a-checkpoint", "payload-one-float-short", "param-rows-edited",
-            "param-shape-edited", "no-prepared-entry", "param-dimension-too-large", "step-without-space",
+            "param-shape-edited", "no-prepared-entry", "param-dimension-too-large", "step-of-5000-digits",
+            "step-without-space",
             "header-without-layers", "header-factors-not-a-number", "header-factors-plus-sign",
             "header-factors-underscore", "header-attr-cross-leading-space",
             "header-attr-cross-not-a-bool", "camf-header-on-gmf",
@@ -826,6 +843,8 @@ BAD_VALUES = [
     ("train", "batch_size", "0", "--batch-size must be positive"),
     ("train", "neg_ratio", "-2", "--neg-ratio must be positive"),
     ("train", "checkpoint_every", "-1", "--checkpoint-every must be non-negative"),
+    # past int()'s own 4,300-digit limit, whose message names no flag or line
+    ("train", "epochs", "9" * 5000, f"bad --epochs value '{'9' * 5000}'"),
 ]
 
 # the flags each subcommand takes
@@ -917,7 +936,7 @@ class TestOptionTable:
         assert code == 1 and f"{cfg}:1: --checkpoint-every must be non-negative" in err
 
     @pytest.mark.parametrize("command, key, text, message", BAD_VALUES,
-                             ids=[f"{c}-{k}-{t}" for c, k, t, _ in BAD_VALUES])
+                             ids=[f"{c}-{k}-{t[:12]}" for c, k, t, _ in BAD_VALUES])
     def test_bad_value_exits_1(self, command, key, text, message, tmp_path, capsys):
         opt = cli._BY_KEY[key]
         base = [command, *_required(command, but=key)]

@@ -51,9 +51,9 @@ class TestParseMovielens:
     def test_triples_remap_and_label_semantics(self, ml_files):
         parsed = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
         data = parsed.interactions
-        # raw ids 1,2,5 -> 0,1,2 and 661,914,1193 -> 0,1,2 (sorted by raw id)
-        assert list(parsed.raw_user_ids) == [1, 2, 5]
-        assert list(parsed.raw_item_ids) == [661, 914, 1193]
+        # raw ids 1,2,5 -> 0,1,2 and 661,914,1193 -> 0,1,2 (sorted by raw id), in file order:
+        # (1,1193) (1,661) (2,1193) (2,914) (5,914) (5,661)
+        assert list(zip(data.users.tolist(), data.items.tolist())) == [(0, 2), (0, 0), (1, 2), (1, 1), (2, 1), (2, 0)]
         assert data.num_users == 3 and data.num_items == 3
         # the "1::1193::5::978300760" line: user map[1]=0, item map[1193]=2
         assert (data.users[0], data.items[0], data.timestamps[0]) == (0, 2, 978300760)
@@ -85,7 +85,7 @@ class TestParseMovielens:
         a = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
         b = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
         assert np.array_equal(a.interactions.users, b.interactions.users)
-        assert np.array_equal(a.raw_item_ids, b.raw_item_ids)
+        assert np.array_equal(a.interactions.items, b.interactions.items)
         assert all(np.array_equal(x, y) for x, y in zip(a.catalog.user_attrs, b.catalog.user_attrs))
 
     def test_malformed_line_names_line_number(self, ml_files, tmp_path):
@@ -178,9 +178,11 @@ class TestParseGeneric:
     def test_minimum_interaction_filter(self, tmp_path):
         inter, uattr, iattr = self._files(tmp_path, {50: 9, 60: 10, 70: 12})
         parsed = corpus.parse_generic(inter, uattr, iattr)
-        # user 50 has 9 interactions -> dropped; 10 is the retained boundary
-        assert parsed.interactions.num_users == 2
-        assert list(parsed.raw_user_ids) == [60, 70]
+        # user 50 has 9 interactions -> dropped; 10 is the retained boundary. Users 60 and 70
+        # pinned raw items 9..18 and 19..30, which become dense users 0, 1 and items 0..21
+        data = parsed.interactions
+        assert data.num_users == 2 and data.num_items == 22
+        assert data.users.tolist() == [0] * 10 + [1] * 12 and data.items.tolist() == list(range(22))
 
     @pytest.mark.parametrize("raw", ["1_0", " 10 ", "+10", "\u0661\u0660"])
     def test_non_decimal_id_names_line(self, tmp_path, raw):
@@ -479,73 +481,126 @@ class TestAttributeCatalog:
             corpus.AttributeCatalog(user_attrs, item_attrs, user_vocab_size=3, item_vocab_size=2)
 
 
-# -- bucketing ---------------------------------------------------------------
+# -- count buckets -------------------------------------------------------------
+
+
+class TestCountBuckets:
+    def test_buckets_match_double_loop(self, tmp_path):
+        """parse_generic's bucket ids against the rule, a count c in bucket (c - 1) // width,
+        with each user's count and each item's exposure counted by a double loop over the rows."""
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            # users 100/101 hold 40/41 pins (the user boundary); 100+102 and 101+104 are the
+            # only users of items 1000 and 1001, exposures 50 and 51 (the item boundary);
+            # user 103 is dropped, and with it item 1002, which only it pinned
+            counts = {100: 40, 101: 41, 102: 10, 103: 9, 104: 10}
+            counts.update({200 + u: int(rng.integers(10, 130)) for u in range(8)})
+            special = {100: [1000], 102: [1000], 101: [1001], 104: [1001], 103: [1002]}
+            rows = []
+            for u, n in counts.items():
+                mine = special.get(u, [])
+                rows += [(u, i) for i in mine + rng.choice(400, n - len(mine), replace=False).tolist()]
+            rng.shuffle(rows)
+            path = tmp_path / str(seed)
+            path.mkdir()
+            inter = _write(path / "inter.tsv", "".join(f"{u}\t{i}\t{k}\n" for k, (u, i) in enumerate(rows)))
+            uattr = _write(path / "ua.tsv", "".join(f"{u}\tg{u % 4}\n" for u in counts if u % 3))
+            iattr = _write(path / "ia.tsv", "".join(f"{i}\tc{i % 5}\n" for i in range(0, 1003, 3)))
+            catalog = corpus.parse_generic(inter, uattr, iattr).catalog
+
+            kept = {u: n for u, n in counts.items() if n >= corpus.MIN_USER_INTERACTIONS}
+            exposure = {i: 0 for u, i in rows if u in kept}
+            for i in exposure:
+                for u, j in rows:
+                    if u in kept and j == i:
+                        exposure[i] += kept[u]
+            assert 1002 not in exposure and (exposure[1000], exposure[1001]) == (50, 51)
+            sides = {
+                "user": (kept, {u: f"g{u % 4}" for u in kept if u % 3}, corpus.USER_BUCKET_SIZE,
+                         catalog.user_attrs),
+                "item": (exposure, {i: f"c{i % 5}" for i in exposure if i % 3 == 0}, corpus.ITEM_BUCKET_SIZE,
+                         catalog.item_attrs),
+            }
+            buckets = {}
+            for label, (count_of, name_of, width, got) in sides.items():
+                vocab = sorted(set(name_of.values()))
+                assert len(got) == len(count_of)
+                for dense, raw in enumerate(sorted(count_of)):  # dense ids in ascending raw-id order
+                    bucket = buckets[label, raw] = (count_of[raw] - 1) // width
+                    names = [vocab.index(name_of[raw])] if raw in name_of else []
+                    assert got[dense].tolist() == names + [len(vocab) + bucket], (seed, label, raw)
+            assert [buckets["user", u] for u in (100, 101)] == [0, 1]
+            assert [buckets["item", i] for i in (1000, 1001)] == [0, 1]
+
+
+
+def _bucket(count, width):
+    """The bucket `_encode` gives one entity of `count` and no listed names."""
+    rows, _ = corpus._encode("counts.tsv", "user", {}, np.array([7]), np.array([count]), width)
+    return rows[0][0]
+
+
+def _item_buckets(tmp_path, pins):
+    """parse_generic's item buckets, raw item id -> bucket, for `pins` (raw user -> raw items).
+
+    No kept entity has a listed attribute, so each item's row is its bucket alone.
+    """
+    rows = [(u, i) for u, items in pins.items() for i in items]
+    inter = _write(tmp_path / "inter.tsv", "".join(f"{u}\t{i}\t{k}\n" for k, (u, i) in enumerate(rows)))
+    attr = _write(tmp_path / "attr.tsv", "999999\tnone\n")
+    parsed = corpus.parse_generic(inter, attr, attr)
+    kept = sorted({i for u, i in rows if len(pins[u]) >= corpus.MIN_USER_INTERACTIONS})
+    assert parsed.interactions.num_items == len(kept)
+    return {raw: row.tolist()[0] for raw, row in zip(kept, parsed.catalog.item_attrs)}
 
 
 class TestBucketize:
     def test_worked_examples(self):
-        assert corpus.bucketize(35, 40) == 0
-        assert corpus.bucketize(41, 40) == 1
-        assert corpus.bucketize(40, 40) == 0
-
-    def test_zero_count_is_a_domain_error(self):
-        with pytest.raises(ValueError):
-            corpus.bucketize(0, 40)
+        assert _bucket(35, 40) == 0
+        assert _bucket(41, 40) == 1
+        assert _bucket(40, 40) == 0
 
     @given(st.integers(1, 10_000), st.integers(1, 500))
     def test_monotone_and_interval_constant(self, count, size):
-        here = corpus.bucketize(count, size)
-        assert corpus.bucketize(count + 1, size) >= here
+        here = _bucket(count, size)
+        assert _bucket(count + 1, size) >= here
         # constant on [k*size+1, (k+1)*size]
         k = here
-        assert corpus.bucketize(k * size + 1, size) == k
-        assert corpus.bucketize((k + 1) * size, size) == k
+        assert _bucket(k * size + 1, size) == k
+        assert _bucket((k + 1) * size, size) == k
 
 
 class TestItemPinAttribute:
-    def test_two_user_toy_sum(self):
-        # item 0 pinned by users with total pin counts 3 and 5 -> exposure 8
-        users = [0, 0, 0, 1, 1, 1, 1, 1]
-        items = [0, 1, 2, 0, 3, 4, 5, 6]
-        data = corpus.InteractionSet.from_arrays(2, 8, users, items, np.zeros(8))
-        counts = np.array([len(v) for v in data.per_user_items])
-        exposure = np.zeros(8, dtype=int)
-        for u, i in zip(users, items):
-            exposure[i] += counts[u]
-        assert exposure[0] == 8
-        buckets = corpus.item_pin_attribute(data, 5)
-        assert buckets[0] == corpus.bucketize(8, 5)
+    def test_two_user_toy_sum(self, tmp_path):
+        # item 0 pinned by users with total pin counts 30 and 25 -> exposure 55, one past
+        # the first bucket, which neither user's count reaches alone
+        pins = {0: [0] + list(range(1, 30)), 1: [0] + list(range(30, 54))}
+        buckets = _item_buckets(tmp_path, pins)
+        assert buckets[0] == _bucket(55, corpus.ITEM_BUCKET_SIZE) == 1
+        assert buckets[1] == _bucket(30, corpus.ITEM_BUCKET_SIZE) == 0
 
-    def test_untouched_item_gets_bucket_zero(self):
-        data = corpus.InteractionSet.from_arrays(1, 3, [0, 0], [0, 1], [0, 0])
-        assert corpus.item_pin_attribute(data, 50)[2] == 0
+    def test_bucket_boundary_from_bucketize_oracle(self, tmp_path):
+        # one item reached by users whose pin counts sum to 51; a second by counts summing to 50
+        pins = {0: list(range(1, 26)) + [0], 1: list(range(26, 50)) + [0],
+                2: list(range(50, 74)) + [100], 3: list(range(74, 98)) + [100]}
+        buckets = _item_buckets(tmp_path, pins)
+        assert buckets[0] == _bucket(51, corpus.ITEM_BUCKET_SIZE) == 1
+        assert buckets[100] == _bucket(50, corpus.ITEM_BUCKET_SIZE) == 0
 
-    def test_bucket_boundary_from_bucketize_oracle(self):
-        # one item reached by users whose pin counts sum to 51
-        users = [0] * 26 + [1] * 25
-        items = list(range(1, 26)) + [0] + list(range(26, 50)) + [0]
-        data = corpus.InteractionSet.from_arrays(2, 50, users, items, np.zeros(51))
-        buckets = corpus.item_pin_attribute(data, 50)
-        assert buckets[0] == corpus.bucketize(51, 50) == 1
-
-    def test_matches_brute_force_double_loop(self):
+    def test_matches_brute_force_double_loop(self, tmp_path):
         rng = np.random.default_rng(123)
-        for _ in range(20):
-            num_users, num_items = 6, 9
-            pairs = set()
-            while len(pairs) < 40:
-                pairs.add((int(rng.integers(num_users)), int(rng.integers(num_items))))
-            users, items = zip(*sorted(pairs))
-            data = corpus.InteractionSet.from_arrays(
-                num_users, num_items, list(users), list(items), np.zeros(len(users))
-            )
-            counts = [sum(1 for u in users if u == uu) for uu in range(num_users)]
-            for size in (1, 3, 50):
-                got = corpus.item_pin_attribute(data, size)
-                for i in range(num_items):
-                    pins = sum(counts[u] for u, it in zip(users, items) if it == i)
-                    want = 0 if pins == 0 else (pins - 1) // size
-                    assert got[i] == want
+        for trial in range(20):
+            num_users, num_items = 6, 40
+            # sizes from 8 so that some users fall under the minimum and are dropped
+            pins = {u: sorted(rng.choice(num_items, int(rng.integers(8, 36)), replace=False).tolist())
+                    for u in range(num_users)}
+            path = tmp_path / str(trial)
+            path.mkdir()
+            got = _item_buckets(path, pins)
+            counts = {u: len(items) for u, items in pins.items() if len(items) >= corpus.MIN_USER_INTERACTIONS}
+            for i, bucket in got.items():
+                exposure = sum(counts[u] for u in counts for it in pins[u] if it == i)
+                assert bucket == (exposure - 1) // corpus.ITEM_BUCKET_SIZE, (trial, i)
 
 
 # -- leave-one-out split -------------------------------------------------------

@@ -114,7 +114,7 @@ class TestEvaluate:
     def test_three_user_hand_average(self):
         split, q = rigged_split(None)
         config, store = self._store(q)
-        report = evaluation.evaluate(config, store, split, keep_ranks=True)
+        report = evaluation.evaluate(config, store, split)
         assert list(report.per_user_ranks) == [1, 4, 17]
         assert report.hr_at_10 == pytest.approx(2.0 / 3.0)
         want_ndcg = (1.0 + 1.0 / math.log2(5) + 0.0) / 3.0
@@ -131,7 +131,7 @@ class TestEvaluate:
     def test_constant_scorer_gets_zero(self):
         split, q = rigged_split(None)
         config, store = self._store(np.zeros_like(q))
-        report = evaluation.evaluate(config, store, split, keep_ranks=True)
+        report = evaluation.evaluate(config, store, split)
         assert all(r == 100 for r in report.per_user_ranks)
         assert report.hr_at_10 == 0.0 and report.ndcg_at_10 == 0.0
 
@@ -171,7 +171,7 @@ class TestEvaluate:
     def test_rank_dump_format(self, tmp_path):
         split, q = rigged_split(None)
         config, store = self._store(q)
-        report = evaluation.evaluate(config, store, split, keep_ranks=True)
+        report = evaluation.evaluate(config, store, split)
         path = tmp_path / "ranks.tsv"
         evaluation.save_ranks(report, str(path))
         assert path.read_text() == "0\t1\n1\t4\n2\t17\n"
@@ -231,7 +231,7 @@ class TestChunkedEvaluate:
             return node
 
         monkeypatch.setattr(models, "score", recording_score)
-        report = evaluation.evaluate(config, store, split, catalog, keep_ranks=True)
+        report = evaluation.evaluate(config, store, split, catalog)
         monkeypatch.undo()
 
         per_forward = evaluation.EVAL_USERS_PER_FORWARD
@@ -253,7 +253,7 @@ class TestChunkedEvaluate:
         # guards the oracle test against a model so flat that every rank agrees
         split, catalog = random_run(17)
         config, store = random_model("camf", 17)
-        ranks = evaluation.evaluate(config, store, split, catalog, keep_ranks=True).per_user_ranks
+        ranks = evaluation.evaluate(config, store, split, catalog).per_user_ranks
         assert len(set(ranks.tolist())) > 5
 
     def test_nan_in_last_chunk_raises(self):

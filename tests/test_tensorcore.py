@@ -35,6 +35,30 @@ class TestSeededRng:
             tc.seeded_rng(*args)
 
 
+class TestDecimalInt:
+    @pytest.mark.parametrize("text, bits, signed, value", [
+        ("0", 64, True, 0), ("-0", 64, True, 0), ("007", 64, True, 7),
+        ("0" * 5000 + "7", 64, True, 7),                     # leading zeros are not digits of the value
+        (str(2**63 - 1), 64, True, 2**63 - 1), (str(-2**63), 64, True, -2**63),
+        (str(2**64 - 1), 64, False, 2**64 - 1), (str(2**64 + 3), 128, True, 2**64 + 3),
+    ])
+    def test_value(self, text, bits, signed, value):
+        assert tc.decimal_int(text, bits, signed) == value
+
+    @pytest.mark.parametrize("text, bits, signed, message", [
+        ("", 64, True, "is not an integer"), ("-", 64, True, "is not an integer"),
+        ("+1", 64, True, "is not an integer"), ("1_0", 64, True, "is not an integer"),
+        (" 1", 64, True, "is not an integer"), ("\u0661", 64, True, "is not an integer"),
+        ("-1", 64, False, "is not an integer"), ("--1", 64, True, "is not an integer"),
+        (str(2**63), 64, True, "does not fit in 64 bits"), (str(-2**63 - 1), 64, True, "does not fit in 64 bits"),
+        (str(2**64), 64, False, "does not fit in 64 bits"),
+        ("9" * 5000, 64, True, "does not fit in 64 bits"), ("-" + "9" * 5000, 128, True, "does not fit in 128 bits"),
+    ])
+    def test_refused(self, text, bits, signed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tc.decimal_int(text, bits, signed)
+
+
 class TestGaussianInit:
     def test_sample_statistics_across_seeds(self):
         means, stds = [], []

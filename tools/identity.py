@@ -20,7 +20,8 @@ pinned to one BLAS thread. It covers:
   at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
   `--layers 12,6`, so the parameter layout is held at other depths too;
 - `evaluate --ranks-out` of each of those checkpoints, given only
-  `--model`, `--factors`, `--out` and `--ranks-out`;
+  `--model`, `--factors`, `--out` and `--ranks-out`, and `evaluate` of
+  the camf one without `--ranks-out`, as perfbench's fixture check runs it;
 - `train` and then `evaluate` of camf with every option from one
   `--config` file (CONFIG_FILE below): each key `train` takes, at values
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
@@ -171,6 +172,7 @@ def produce(out, datasets):
                               "--out", f"train/{name}"])
         run(f"evaluate-{name}", ["evaluate", "--model", model, "--factors", "8", "--out", f"train/{name}",
                                  "--ranks-out", f"train/{name}/ranks.tsv"])
+    run("evaluate-camf-no-ranks", ["evaluate", "--model", "camf", "--factors", "8", "--out", "train/camf"])
     shutil.copytree(prepared, f"train/{CONFIG_RUN}")
     with open(f"{CONFIG_RUN}.cfg", "w", encoding="utf-8") as fh:
         fh.write(CONFIG_FILE)
