@@ -107,7 +107,7 @@ def _checked_rows(label, rows, vocab):
     """
     if not isinstance(rows, Ragged):
         rows = Ragged.from_rows(rows)
-    lengths = np.diff(rows.offsets)
+    lengths = rows.lengths
     segments = np.repeat(np.arange(lengths.size), lengths)
     bad = np.concatenate([np.flatnonzero(lengths == 0), segments[(rows.flat < 0) | (rows.flat >= vocab)]])
     if bad.size:
@@ -182,13 +182,16 @@ def _plain_int_table(data, sep, width):
 
     Plain: every line (the last may lack its "\n") is `width` fields split by
     `sep`, each an optional "-" and ASCII digits, 1-18 bytes in all (so it fits
-    int64). Files of that form are a subset of what `_records` + `_parse_int`
-    accept, and they read them to the same table.
+    int64); lines may end in "\r\n", which `_records` strips as it does "\n".
+    Files of that form are a subset of what `_records` + `_parse_int` accept,
+    and they read them to the same table.
     """
     sep = sep.encode()
+    if b"\r" in data:  # one memchr; counting "\r\n" would cost a slower pass over every file
+        data = data.replace(b"\r\n", b"\n")
     tabbed = data.replace(sep, b"\t")  # leftmost first, as str.split
     if data.translate(None, sep + b"0123456789-\n") or tabbed.translate(None, b"\t0123456789-\n"):
-        return None  # a "#", "\r", non-ASCII or stray separator byte
+        return None  # a "#", any other "\r", non-ASCII or stray separator byte
     tabbed = b"\n" + tabbed + b"\n"[tabbed.endswith(b"\n"):]  # every field between two delimiters
     buf = np.frombuffer(tabbed, dtype=np.uint8)
     delims = np.flatnonzero(buf <= ord("\n"))
@@ -334,7 +337,7 @@ def parse_generic(
     user_named = _read_attr_file(user_attr_path, category_map)
     item_named = _read_attr_file(item_attr_path, category_map)
 
-    counts = np.diff(interactions.per_user_items.offsets)
+    counts = interactions.per_user_items.lengths
     exposure = np.zeros(interactions.num_items, dtype=np.int64)  # > 0: every item keeps a pin
     np.add.at(exposure, interactions.items, counts[interactions.users])
     user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, counts, USER_BUCKET_SIZE)
@@ -351,8 +354,7 @@ def leave_one_out_split(data, seed):
     without replacement from items the user never touched anywhere; slot j of
     that ascending pool is item j + #{t : mine[t] - t <= j}.
     """
-    offsets, flat = data.per_user_items.offsets, data.per_user_items.flat
-    lengths = np.diff(offsets)
+    offsets, flat, lengths = data.per_user_items.offsets, data.per_user_items.flat, data.per_user_items.lengths
     bad = np.flatnonzero((lengths < 2) | (data.num_items - lengths < NUM_TEST_NEGATIVES))
     if bad.size:
         u, n = bad[0], lengths[bad[0]]

@@ -66,7 +66,7 @@ def evaluate(config, store, split, catalog=None):
     candidates = np.concatenate(
         [np.asarray(split.test_positives)[:, None], split.test_negatives], axis=1
     )
-    # side rows are gathered by plain indexing, which would wrap a negative id
+    # side rows are gathered by np.take, which would wrap a negative id
     check_rows(candidates, config.num_items, "candidate items")
     sides = models.build_sides(Tape(store, record=False), config, np.arange(num_users),
                                np.arange(config.num_items), catalog)
@@ -92,7 +92,6 @@ def evaluate(config, store, split, catalog=None):
 
 
 def save_ranks(report, path):
-    """Per-user rank dump: 'user<TAB>rank' lines."""
+    """Per-user rank dump: 'user<TAB>rank' lines, written at once."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, rank in enumerate(report.per_user_ranks):
-            fh.write(f"{u}\t{rank}\n")
+        fh.write("".join(f"{u}\t{rank}\n" for u, rank in enumerate(report.per_user_ranks.tolist())))

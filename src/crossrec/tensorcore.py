@@ -11,10 +11,17 @@ only the rows a batch read (every table merged at once) have cells there
 and Adam never touches the others. Every op but the leaf reads records
 through Tape._op; Tape.dense and Tape.mlp share one layer routine, so a
 relu stack is one op.
+
+Rows of a 2-D array are gathered with np.take(a, ids, axis=0), here and
+in models: it copies the same rows as a[ids], but numpy's fancy indexing
+has a per-call and per-row cost that, for the factors-wide rows of every
+step, is several times the copy's (about 11 against 2 us for 768 rows of
+a (30, 8) table on numpy 2.4). 1-D gathers gain nothing and keep a[ids].
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import zlib
 
@@ -84,6 +91,7 @@ class ParameterStore:
                 raise ShapeError(f"parameter {name!r} must be 2-D, got {value.shape}")
             self._layout[name] = (total, value.shape)
             total += value.size
+        self._cells = {}        # tuple of names -> cells(names)
         self._value = np.empty(total, dtype=np.float32)
         self._m = np.zeros(total, dtype=np.float32)
         self._v = np.zeros(total, dtype=np.float32)
@@ -108,6 +116,15 @@ class ParameterStore:
 
     def moments(self, name):
         return self._views[name][1:]
+
+    def cells(self, names):
+        """The arena cells of every parameter in the tuple `names`, in that
+        order: worked out once per tuple and shared, so never written to."""
+        if names not in self._cells:
+            self._cells[names] = np.concatenate([np.empty(0, dtype=np.int64)] + [
+                np.arange(offset, offset + rows * cols, dtype=np.int64)
+                for offset, (rows, cols) in map(self._layout.get, names)])
+        return self._cells[names]
 
     def set_value(self, name, array):
         e = self.value(name)
@@ -179,23 +196,27 @@ class Ragged:
     """Rows of int64 ids in CSR form, ids ascending within each row.
 
     Row r is flat[offsets[r]:offsets[r + 1]]. The form is checked once, when
-    built, and treated as immutable after, so readers index and gather
-    without checking it again. Indexing and iteration yield row views.
+    built, and treated as immutable after, so its row lengths and the
+    bounds of its ids (min_id, max_id; 0 and -1 with no ids) are worked out
+    then too, and readers index and gather without checking it again.
+    Indexing and iteration yield row views.
     """
 
-    __slots__ = ("offsets", "flat")
+    __slots__ = ("offsets", "flat", "lengths", "min_id", "max_id")
 
     def __init__(self, offsets, flat):
         """ShapeError unless offsets run from 0 up to flat.size without
         decreasing and ids do not decrease within any row."""
         offsets, flat = _as_ids(offsets), _as_ids(flat)
-        if offsets[:1].tolist() != [0] or offsets[-1] != flat.size or (offsets[1:] < offsets[:-1]).any():
+        lengths = np.diff(offsets)
+        if offsets[:1].tolist() != [0] or offsets[-1] != flat.size or (lengths < 0).any():
             raise ShapeError(f"offsets do not run from 0 up to {flat.size}")
         starts = np.zeros(flat.size + 1, dtype=bool)
         starts[offsets] = True
         if ((flat[1:] < flat[:-1]) & ~starts[1:-1]).any():
             raise ShapeError("ids are not sorted within each row")
-        self.offsets, self.flat = offsets, flat
+        self.offsets, self.flat, self.lengths = offsets, flat, lengths
+        self.min_id, self.max_id = (int(flat.min()), int(flat.max())) if flat.size else (0, -1)
 
     @classmethod
     def from_rows(cls, rows):
@@ -224,7 +245,7 @@ class Ragged:
         """
         rows = _as_ids(rows)
         check_rows(rows, len(self), "ragged")
-        lengths = self.offsets[rows + 1] - self.offsets[rows]
+        lengths = self.lengths[rows]
         segments = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
         shift = np.repeat(self.offsets[rows] - (np.cumsum(lengths) - lengths), lengths)
         return self.flat[np.arange(segments.size, dtype=np.int64) + shift], segments
@@ -273,7 +294,8 @@ class Tape:
         """Record that row k of node's gradient (row pick[k], given `pick`) is row ids[k] of `name`'s."""
         offset, (_, cols) = self.store._layout[name]
         cells = offset + ids * cols
-        self._ops.append((node, lambda g: self._row_chunks.append((name, cells, g if pick is None else g[pick]))))
+        self._ops.append((node, lambda g: self._row_chunks.append(
+            (name, cells, g if pick is None else np.take(g, pick, axis=0)))))
 
     def param(self, name):
         """Read a full parameter matrix as a float64 leaf node."""
@@ -288,7 +310,7 @@ class Tape:
         ids = _as_ids(ids)
         table = self.store.value(name)
         check_rows(ids, table.shape[0], name)
-        node = Node(table[ids].astype(np.float64))
+        node = Node(np.take(table, ids, axis=0).astype(np.float64))
         if self.recording:
             self._leaf_rows(node, name, ids)
         return node
@@ -299,12 +321,15 @@ class Tape:
         Ids are summed in the ascending order a Ragged keeps each row in, so
         the result does not depend on the order the rows were given in;
         duplicated ids contribute (and receive gradient) once per occurrence.
+        ShapeError if any id `ragged` holds, selected or not, is not a row of
+        the table: its bounds were found when it was built.
         """
         ids = _as_ids(ids)
         flat, segments = ragged.gather(ids)
         table = self.store.value(name)
-        check_rows(flat, table.shape[0], name)
-        node = Node(segment_sum(table[flat].astype(np.float64), segments, ids.size))
+        if ragged.min_id < 0 or ragged.max_id >= table.shape[0]:
+            raise ShapeError(f"row id out of range for {name!r} ({table.shape[0]} rows)")
+        node = Node(segment_sum(np.take(table, flat, axis=0).astype(np.float64), segments, ids.size))
         if self.recording:
             self._leaf_rows(node, name, flat, segments)
         return node
@@ -334,7 +359,7 @@ class Tape:
         rows = {p.value.shape[0] for p in parts}
         if len(rows) != 1:
             raise ShapeError(f"concat row counts differ: {sorted(rows)}")
-        bounds = np.cumsum([0] + [p.value.shape[1] for p in parts]).tolist()
+        bounds = list(itertools.accumulate((p.value.shape[1] for p in parts), initial=0))
         return self._op(np.concatenate([p.value for p in parts], axis=1), parts,
                         lambda g: [g[:, a:b] for a, b in zip(bounds, bounds[1:])])
 
@@ -438,12 +463,10 @@ class Tape:
             raise ShapeError(f"row tables of widths {sorted(widths)} on one tape")
         cells, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]), return_inverse=True)
         g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), inverse, cells.size)
-        index, flat = [(cells[:, None] + np.arange(g.shape[1])).ravel()], [g.ravel()]
-        for name, dense in self._dense_grads.items():
-            offset = self.store._layout[name][0]
-            index.append(np.arange(offset, offset + dense.size, dtype=np.int64))
-            flat.append(dense.ravel())
-        buffer = GradientBuffer(self.store, np.concatenate(index), np.concatenate(flat))
+        dense = self._dense_grads
+        index = np.concatenate([(cells[:, None] + np.arange(g.shape[1])).ravel(), self.store.cells(tuple(dense))])
+        flat = np.concatenate([g.ravel(), *(grad.ravel() for grad in dense.values())])
+        buffer = GradientBuffer(self.store, index, flat)
         self._ops = []
         self._dense_grads = {}
         self._row_chunks = []

@@ -106,7 +106,7 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
 
 def log_loss(preds, labels):
     """Mean binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7]."""
-    p = np.clip(np.asarray(preds, dtype=np.float64), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    p = np.minimum(np.maximum(np.asarray(preds, dtype=np.float64), LOSS_CLAMP), 1.0 - LOSS_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
 
@@ -115,7 +115,7 @@ def log_loss_grad(preds, labels):
     """d(mean loss)/d(prediction); zero inside the clamped zones."""
     preds = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    p = np.clip(preds, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    p = np.minimum(np.maximum(preds, LOSS_CLAMP), 1.0 - LOSS_CLAMP)
     g = (p - y) / (p * (1.0 - p)) / preds.size
     g[(preds < LOSS_CLAMP) | (preds > 1.0 - LOSS_CLAMP)] = 0.0
     return g

@@ -303,6 +303,8 @@ def _perturbed(lines, how, k, f, digit):
         lines[(k + 1) % len(lines)].append(line.pop(f))
     elif how == "tab":  # in place of the separator after field f, or after the last field
         line[f:f + 2] = ["\t".join(line[f:f + 2]) + "\t" * (f + 1 == len(line))]
+    elif how == "one crlf line":  # this line ends in "\r\n", the others in "\n"
+        line[-1] += "\r"
     else:
         line[f] = {
             "lone minus": "-", "double minus": "--" + field.lstrip("-"), "inner minus": field + "-1",
@@ -319,7 +321,8 @@ def _raw_files(draw):
     width, encoding, _, digit = _LAYOUTS[sep]
     lines = draw(st.lists(st.lists(_FIELDS, min_size=width, max_size=width), min_size=2, max_size=6))
     how = draw(st.sampled_from([
-        None, "comment", "blank", "crlf", "no final newline", "lone minus", "double minus",
+        None, "comment", "blank", "crlf", "one crlf line", "cr crlf", "crlf, no final newline",
+        "crlf, final cr only", "no final newline", "lone minus", "double minus",
         "inner minus", "triple colon", "lone colon", "tab", "carriage return", *_WIDE,
         "non-ASCII digit", "empty field", "field dropped", "field moved", "non-UTF-8 byte"]))
     if how in _WIDE:
@@ -327,10 +330,12 @@ def _raw_files(draw):
     if how is not None:
         lines = _perturbed(lines, how, draw(st.integers(0, len(lines) - 1)),
                            draw(st.integers(0, width - 1)), digit)
-    end = "\r\n" if how == "crlf" else "\n"
+    end = {"cr crlf": "\r\r\n"}.get(how, "\r\n" if str(how).startswith("crlf") else "\n")
     text = "".join(sep.join(line) + end for line in lines)
-    if how == "no final newline":
+    if how in ("no final newline", "crlf, final cr only"):
         text = text[:-1]
+    elif how == "crlf, no final newline":
+        text = text[:-2]
     return sep, text.encode(encoding, "surrogateescape")
 
 
@@ -368,6 +373,12 @@ class TestIntRows:
     @example(("::", b"1::2::3::4\n5::6::7::-\n"))
     @example(("\t", b"1\t2-3\t4\n"))
     @example(("\t", b"1\t2\r\t3\n"))
+    @example(("\t", b"1\t2\t3\r\n4\t5\t6\r\n"))
+    @example(("::", b"1::2::3::4\r\r\n"))
+    @example(("\t", b"1\t2\t3\r\n4\t5\t6\n"))
+    @example(("\t", b"1\t2\t3\r\n4\t5\t6\r"))
+    @example(("\t", b"1\t2\t3\r\n\r\n"))
+    @example(("\t", b"1\t2\r\n\t3\n"))
     @example(("::", b"1\t2::3::4\n"))
     @example(("::", b"1::2::3:::4\n"))
     def test_matches_per_line_reader(self, tmp_path_factory, sep_body):
@@ -390,18 +401,24 @@ class TestIntRows:
     def test_plain_file_is_read_whole(self, generated_interactions, sep, monkeypatch, tmp_path):
         path = generated_interactions[sep]
         expected = _reference_int_rows(*_int_rows_args(path, sep))
-        commented = tmp_path / "commented"
-        commented.write_bytes(b"# generated\n" + path.read_bytes())
+        copies = {"commented": b"# generated\n" + path.read_bytes(),
+                  "crlf": path.read_bytes().replace(b"\n", b"\r\n"),
+                  "cr crlf": path.read_bytes().replace(b"\n", b"\r\r\n")}
+        for name, data in copies.items():
+            (tmp_path / name).write_bytes(data)
 
         def per_line(*args):
             raise AssertionError("read line by line")
 
         monkeypatch.setattr(corpus, "_records", per_line)
-        assert np.array_equal(corpus._int_rows(*_int_rows_args(path, sep)), expected)
-        with pytest.raises(AssertionError, match="read line by line"):
-            corpus._int_rows(*_int_rows_args(commented, sep))
+        for name in (path, tmp_path / "crlf"):
+            assert np.array_equal(corpus._int_rows(*_int_rows_args(name, sep)), expected)
+        for name in ("commented", "cr crlf"):
+            with pytest.raises(AssertionError, match="read line by line"):
+                corpus._int_rows(*_int_rows_args(tmp_path / name, sep))
         monkeypatch.undo()
-        assert np.array_equal(corpus._int_rows(*_int_rows_args(commented, sep)), expected)
+        for name in ("commented", "cr crlf"):
+            assert np.array_equal(corpus._int_rows(*_int_rows_args(tmp_path / name, sep)), expected)
 
 
 # -- interaction indexer -----------------------------------------------------

@@ -93,7 +93,7 @@ def test_crlf_copies_must_prepare_like_their_plain_copies(tmp_path, capsys):
             for rel in ("train.npy", "split.npy", "attributes.npy"):
                 path = tmp_path / "prepare" / f"{name}-{seed}" / rel
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(f"{name.removesuffix('-crlf')} {seed} {rel}".encode())
+                path.write_bytes(f"{name.partition('-crlf')[0]} {seed} {rel}".encode())
     assert tool.compare_variants(tmp_path, "work") == 0
     variant = next(iter(tool.VARIANTS))
     (tmp_path / "prepare" / f"{variant}-{tool.SEEDS[1]}" / "split.npy").write_bytes(b"other")

@@ -1,3 +1,4 @@
+import gc
 import math
 from pathlib import Path
 
@@ -554,6 +555,123 @@ class TestRagged:
         flat, segments = ragged.gather([3, 0, 2, 3])
         assert flat.tolist() == [2, 2, 5, 0, 4, 2, 2, 5]
         assert segments.tolist() == [0, 0, 0, 1, 1, 3, 3, 3]
+
+    @pytest.mark.parametrize("rows, lengths, bounds", [
+        ([[4, 0], [7], [], [5, 2, 2]], [2, 1, 0, 3], (0, 7)),
+        ([[-3], [9, -8]], [1, 2], (-8, 9)),  # out-of-range ids are the reader's to reject
+        ([[], []], [0, 0], (0, -1)),
+        ([], [], (0, -1)),
+    ], ids=["mixed", "negative-ids", "no-ids", "no-rows"])
+    def test_lengths_and_id_bounds_found_when_built(self, rows, lengths, bounds):
+        ragged = tc.Ragged.from_rows(rows)
+        assert ragged.lengths.tolist() == lengths == np.diff(ragged.offsets).tolist()
+        assert (ragged.min_id, ragged.max_id) == bounds
+
+
+class TestRowRangeChecks:
+    """Out-of-range ids raise ShapeError, never IndexError or a silent wrap."""
+
+    RAGGED = [[1], [0, 2]]
+
+    def _store(self):
+        return make_store(emb=np.arange(6.0).reshape(3, 2))
+
+    @pytest.mark.parametrize("selector", [[-1], [2], [0, -2], [1, 5]],
+                             ids=["negative", "past-the-end", "negative-later", "past-the-end-later"])
+    @pytest.mark.parametrize("reader", ["gather", "embed_lookup", "embed_sum"])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_selector_outside_rows(self, reader, selector, record):
+        ragged = tc.Ragged.from_rows(self.RAGGED)
+        if reader == "embed_lookup":  # the table has 3 rows, one more than the ragged
+            selector = [3 if k == 2 else k for k in selector]
+        calls = {
+            "gather": lambda: ragged.gather(selector),
+            "embed_lookup": lambda: tc.Tape(self._store(), record).embed_lookup("emb", selector),
+            "embed_sum": lambda: tc.Tape(self._store(), record).embed_sum("emb", ragged, selector),
+        }
+        with pytest.raises(tc.ShapeError, match="out of range"):
+            calls[reader]()
+
+    @pytest.mark.parametrize("rows", [[[1], [0, 3]], [[1], [-1, 2]], [[5]]],
+                             ids=["past-the-end-unselected", "negative-unselected", "past-the-end-selected"])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_embed_sum_ragged_ids_past_table_name_it(self, rows, record):
+        # any id the ragged holds counts, selected or not: row 0 alone would be in range
+        ragged = tc.Ragged.from_rows(rows)
+        with pytest.raises(tc.ShapeError, match=r"'emb' \(3 rows\)"):
+            tc.Tape(self._store(), record).embed_sum("emb", ragged, [0])
+
+    def test_in_range_ids_at_both_ends_read(self):
+        ragged = tc.Ragged.from_rows([[0, 2]])
+        t = tc.Tape(self._store(), record=False)
+        assert t.embed_sum("emb", ragged, [0]).value.tolist() == [[4.0, 6.0]]
+        assert t.embed_lookup("emb", [2, 0]).value.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+
+
+# -- the dense-gradient index cache --------------------------------------------
+
+
+def _uncached_buffer(store, rows, dense):
+    """The GradientBuffer built without any cache: the rows' cells (distinct
+    ids, ascending) then, per dense entry in order, every cell of that
+    parameter, with offsets summed from the store's names and shapes."""
+    offsets = dict(zip(store.names(), np.cumsum([0] + [math.prod(store.shape(n)) for n in store.names()])))
+    name, ids, g = rows
+    cols = store.shape(name)[1]
+    order = np.argsort(ids)
+    index = [(offsets[name] + ids[order][:, None] * cols + np.arange(cols)).ravel()]
+    index += [np.arange(offsets[n], offsets[n] + grad.size) for n, grad in dense]
+    flat = [g[order].ravel()] + [grad.ravel() for _, grad in dense]
+    return np.concatenate(index), np.concatenate(flat)
+
+
+class TestDenseIndexCache:
+    """Tape.backward reads its dense-gradient cells from ParameterStore.cells,
+    cached by the tuple of parameter names on the store itself, so stores of
+    different layouts, or one made after another was freed, never share an entry."""
+
+    LAYOUTS = [
+        {"emb": (5, 2), "w": (2, 3), "b": (1, 3), "v": (4, 1)},
+        {"w": (3, 3), "emb": (6, 3), "b": (2, 3)},
+        {"b": (1, 1), "emb": (3, 4), "w": (4, 4), "v": (1, 4)},
+    ]
+
+    def _backward(self, store, rng, read):
+        """One tape: param reads of the names in `read`, then a lookup of
+        distinct rows of emb, each handed a drawn gradient; (buffer, want)."""
+        t = tc.Tape(store)
+        dense = [(name, rng.normal(0, 1, store.shape(name))) for name in read]
+        ids = rng.permutation(store.shape("emb")[0])[:2]
+        g = rng.normal(0, 1, (2, store.shape("emb")[1]))
+        nodes = [t.param(name) for name in read] + [t.embed_lookup("emb", ids)]
+        grads = [grad for _, grad in dense] + [g]
+        out = t.custom(np.zeros((1, 1)), nodes, lambda _g: grads)
+        # backward reaches the param reads last read first
+        return t.backward(out, np.ones((1, 1))), _uncached_buffer(store, ("emb", ids, g), dense[::-1])
+
+    def _check(self, store, rng, read):
+        buffer, (index, flat) = self._backward(store, rng, read)
+        assert buffer.store is store
+        assert buffer.index.tobytes() == index.tobytes()
+        assert buffer.g.tobytes() == flat.tobytes()
+
+    def test_stores_of_two_layouts_alternately(self):
+        rng = np.random.default_rng(61)
+        stores = [make_store(**{n: np.ones(shape) for n, shape in layout.items()}) for layout in self.LAYOUTS[:2]]
+        for step in range(6):
+            store = stores[step % 2]
+            read = [n for n in store.names() if n != "emb"][:1 + step % 3]
+            self._check(store, rng, read)
+            self._check(store, rng, read[::-1])
+
+    def test_store_made_after_another_was_freed(self):
+        rng = np.random.default_rng(62)
+        params = [[(n, np.ones(shape)) for n, shape in layout.items()] for layout in self.LAYOUTS]
+        for round_ in range(30):  # a new store often takes a freed one's id
+            store = tc.ParameterStore(params[round_ % 3])
+            self._check(store, rng, ["w", "b"])
+            del store
+            gc.collect()
 
 
 # -- row-gradient merge and the fused relu stack ------------------------------

@@ -12,9 +12,10 @@ pinned to one BLAS thread. It covers:
 - `prepare` on the tier-1 test fixtures, on `write_movielens(dir, 600, 1)`
   and on `write_generic(dir, 8000, 2000, 1)` (perfbench/corpus_gen.py),
   the last both without and with its `--category-map`, for seeds 42 and
-  2**40+9; and on a copy of the first two of those corpora whose ratings
-  or interactions file has CRLF line ends and a leading `#` line, so it
-  is read line by line rather than whole;
+  2**40+9; on a copy of the first two of those corpora whose ratings or
+  interactions file has CRLF line ends and a leading `#` line, so it is
+  read line by line; and on a copy of the 600-user corpus with CRLF line
+  ends alone, which is read whole;
 - `train` for 2 epochs with `--checkpoint-every 1` for gmf, mlp, neumf,
   aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
   at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
@@ -22,6 +23,10 @@ pinned to one BLAS thread. It covers:
 - `evaluate --ranks-out` of each of those checkpoints, given only
   `--model`, `--factors`, `--out` and `--ranks-out`, and `evaluate` of
   the camf one without `--ranks-out`, as perfbench's fixture check runs it;
+- `train` of aadcf for 1 epoch at `--batch-size 512 --lr 0.01` on the
+  8000-user corpus, as perfbench's eval-wide fixture is trained, then
+  `evaluate --ranks-out` of it, so the side gathers over 8,000 users are
+  covered too;
 - `train` and then `evaluate` of camf with every option from one
   `--config` file (CONFIG_FILE below): each key `train` takes, at values
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
@@ -90,8 +95,14 @@ checkpoint-every=1
 ranks-out=train/{CONFIG_RUN}/ranks.tsv
 dataset-kind=movielens
 """
+WIDE_CORPUS, WIDE_RUN = "generic8000", "aadcf-wide"  # aadcf, as perfbench's eval-wide fixture
+WIDE_TRAIN = ["--epochs", "1", "--batch-size", "512", "--lr", "0.01"]
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
-VARIANTS = {"movielens600-crlf": "movielens600", "generic8000-crlf": "generic8000"}  # -> plain copy
+VARIANTS = {  # -> plain copy; all but the -whole ones open with a "#" line, so are read line by line
+    "movielens600-crlf": "movielens600",
+    "generic8000-crlf": "generic8000",
+    "movielens600-crlf-whole": "movielens600",
+}
 PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -125,12 +136,13 @@ def write_inputs(directory):
     *files, category_map = corpus_gen.write_generic(path, 8000, 2000, 1)
     datasets["generic8000"] = generic(files)
     datasets["generic8000-map"] = "generic", [*datasets["generic8000"][1], "--category-map", category_map]
-    for variant, plain in VARIANTS.items():  # the same interactions, not in the plain form
+    for variant, plain in VARIANTS.items():  # the same interactions with CRLF line ends
         kind, flags = datasets[plain]
         path = os.path.join(directory, variant, os.path.basename(flags[1]))
         os.makedirs(os.path.dirname(path))
+        first = b"" if variant.endswith("-whole") else b"# CRLF line ends\r\n"
         with open(flags[1], "rb") as plain_file, open(path, "wb") as fh:
-            fh.write(b"# CRLF line ends\r\n" + plain_file.read().replace(b"\n", b"\r\n"))
+            fh.write(first + plain_file.read().replace(b"\n", b"\r\n"))
         datasets[variant] = kind, [flags[0], path, *flags[2:]]
     return datasets
 
@@ -173,6 +185,11 @@ def produce(out, datasets):
         run(f"evaluate-{name}", ["evaluate", "--model", model, "--factors", "8", "--out", f"train/{name}",
                                  "--ranks-out", f"train/{name}/ranks.tsv"])
     run("evaluate-camf-no-ranks", ["evaluate", "--model", "camf", "--factors", "8", "--out", "train/camf"])
+    shutil.copytree(f"prepare/{WIDE_CORPUS}-{SEEDS[0]}", f"train/{WIDE_RUN}")
+    run(f"train-{WIDE_RUN}", ["train", "--model", "aadcf", "--factors", "8", "--seed", str(SEEDS[0]),
+                              *WIDE_TRAIN, "--out", f"train/{WIDE_RUN}"])
+    run(f"evaluate-{WIDE_RUN}", ["evaluate", "--model", "aadcf", "--factors", "8", "--out", f"train/{WIDE_RUN}",
+                                 "--ranks-out", f"train/{WIDE_RUN}/ranks.tsv"])
     shutil.copytree(prepared, f"train/{CONFIG_RUN}")
     with open(f"{CONFIG_RUN}.cfg", "w", encoding="utf-8") as fh:
         fh.write(CONFIG_FILE)
