@@ -11,7 +11,8 @@ dense ids: every rating or pin is an implicit positive, the first occurrence
 of a repeated (user, item) pair wins, and raw ids map to 0-based ids in
 ascending raw-id order, so the mapping is reproducible. `_encode` numbers each
 entity's attribute names over their sorted vocabulary and rejects an entity
-left with none.
+left with none. `SplitDataset.observed` is the one membership rule: a train
+pair or a user's test positive, which held-out and sampled negatives avoid.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ class InteractionSet:
     def __len__(self):
         return len(self.users)
 
+    def contains(self, users, items):
+        """Whether each (user, item), broadcast over the two id arrays, is a pair of this set."""
+        rows = self.per_user_items
+        keys = np.repeat(np.arange(self.num_users, dtype=np.int64) * self.num_items, rows.lengths)
+        keys += rows.flat  # ascending: users ascend and each row's items ascend
+        query = np.asarray(users, dtype=np.int64) * self.num_items + items
+        if not keys.size:
+            return np.zeros(query.shape, dtype=bool)
+        return keys.take(np.searchsorted(keys, query), mode="clip") == query
+
 
 @dataclass
 class AttributeCatalog:
@@ -126,13 +137,9 @@ class SplitDataset:
     test_positives: np.ndarray       # (num_users,)
     test_negatives: np.ndarray       # (num_users, 99)
 
-
-def full_membership(split):
-    """Sorted encodings of every observed (user, item) pair, train and test."""
-    train = split.train
-    enc = train.users * train.num_items + train.items
-    pos = np.arange(train.num_users, dtype=np.int64) * train.num_items + split.test_positives
-    return np.sort(np.concatenate([enc, pos]))
+    def observed(self, users, items):
+        """Whether each (user, item) is a train pair or the user's test positive: never a negative."""
+        return self.train.contains(users, items) | (self.test_positives[users] == items)
 
 
 @dataclass
@@ -452,10 +459,8 @@ def load_split(path, train):
     if (negatives[:, 1:] <= negatives[:, :-1]).any():
         raise LoadError(f"{path}: test negatives are not strictly increasing per user")
     split = SplitDataset(train, positives, negatives)
-    observed = full_membership(split)  # train pairs are unique: a repeat is a positive in train
-    enc = np.arange(train.num_users, dtype=np.int64)[:, None] * train.num_items + negatives
-    found = np.minimum(np.searchsorted(observed, enc), observed.size - 1)
-    if (observed[1:] == observed[:-1]).any() or (observed[found] == enc).any():
+    users = np.arange(train.num_users)
+    if train.contains(users, positives).any() or split.observed(users[:, None], negatives).any():
         raise LoadError(f"{path}: a test item is already an observed item of its user")
     return split
 

@@ -2,8 +2,8 @@
 
 Each epoch redraws its negatives from a stream derived from (seed, epoch),
 shuffles all instances with a seeded permutation, and walks fixed-size
-batches. Negatives are uniform over items the user never interacted with
-anywhere, so the held-out test positive is never trained as a negative.
+batches. Negatives are uniform over the items a user has not observed
+(`corpus.SplitDataset.observed`), so the held-out test positive is never one.
 """
 
 from __future__ import annotations
@@ -68,11 +68,9 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
     train = split.train
-    observed = corpus.full_membership(split)
-    distinct = observed[np.concatenate([[True], np.diff(observed) > 0])]
-    seen = np.bincount(distinct // train.num_items, minlength=train.num_users)
-    trained = np.bincount(train.users, minlength=train.num_users) > 0
-    full = np.flatnonzero(trained & (seen >= train.num_items))
+    lengths = train.per_user_items.lengths
+    seen = lengths + ~train.contains(np.arange(train.num_users), split.test_positives)
+    full = np.flatnonzero((lengths > 0) & (seen >= train.num_items))
     if full.size:
         raise TrainingError(
             f"user {int(full[0])} has observed all {train.num_items} items; "
@@ -84,19 +82,14 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     candidates = rng.integers(0, train.num_items, size=neg_users.size, dtype=np.int64)
     pending = np.arange(neg_users.size)
     while True:
-        enc = neg_users[pending] * train.num_items + candidates[pending]
-        hit = np.minimum(np.searchsorted(observed, enc), observed.size - 1)
-        pending = pending[observed[hit] == enc]
+        pending = pending[split.observed(neg_users[pending], candidates[pending])]
         if not pending.size:
             break
         candidates[pending] = rng.integers(0, train.num_items, size=pending.size, dtype=np.int64)
 
     users = np.concatenate([train.users, neg_users])
     items = np.concatenate([train.items, candidates])
-    labels = np.concatenate([
-        np.ones(len(train), dtype=np.float64),
-        np.zeros(neg_users.size, dtype=np.float64),
-    ])
+    labels = np.concatenate([np.ones(len(train)), np.zeros(neg_users.size)])
     order = rng.permutation(users.size)
     users, items, labels = users[order], items[order], labels[order]
     for start in range(0, users.size, batch_size):

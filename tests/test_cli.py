@@ -1073,6 +1073,12 @@ def _negative_observed(records, train):
     return [counts, positives, negatives]
 
 
+def _negative_is_positive(records, _train):
+    counts, positives, negatives = records
+    negatives[0] = np.sort(np.append(negatives[0][1:], positives[0]))
+    return [counts, positives, negatives]
+
+
 def _drop_last_user(records, _train):
     vocab, offsets, flat, *items = records
     return [vocab, offsets[:-1], flat[:offsets[-2]], *items]
@@ -1101,6 +1107,7 @@ VIOLATIONS = {
     "positive-in-train": (corpus.SPLIT_FILE, _set(1, 0, lambda _r, t: _user0_train_items(t)[0]),
                           "already an observed item"),
     "negative-observed": (corpus.SPLIT_FILE, _negative_observed, "already an observed item"),
+    "negative-is-positive": (corpus.SPLIT_FILE, _negative_is_positive, "already an observed item"),
     "catalog-user-short": (corpus.ATTRS_FILE, _drop_last_user, "catalog rows do not match"),
     "offsets-not-from-zero": (corpus.ATTRS_FILE, _set(1, 0, lambda r, _t: 1), "offsets"),
     "offsets-decreasing": (corpus.ATTRS_FILE, _set(1, 1, lambda r, _t: r[1][2] + 1), "offsets"),

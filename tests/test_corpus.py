@@ -806,3 +806,39 @@ class TestInteractionSetInvariants:
         data = corpus.InteractionSet.from_arrays(2, 5, [0, 1, 0, 1], [4, 3, 1, 0], [0, 0, 0, 0])
         assert list(data.per_user_items[0]) == [1, 4]
         assert list(data.per_user_items[1]) == [0, 3]
+
+
+@st.composite
+def _membership_cases(draw):
+    """(num_users, num_items, train pairs, test positives, (user, item) queries), all small."""
+    num_users, num_items = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1))
+    pairs = draw(st.sets(pair, max_size=num_users * num_items))
+    positives = draw(st.lists(st.integers(0, num_items - 1), min_size=num_users, max_size=num_users))
+    return num_users, num_items, pairs, positives, draw(st.lists(pair, max_size=20))
+
+
+class TestMembership:
+    @settings(max_examples=200, deadline=None)
+    @given(_membership_cases())
+    @example((3, 4, set(), [0, 3, 1], [(2, 3), (0, 0)]))          # an empty train set
+    @example((3, 5, {(1, 0), (1, 4)}, [4, 4, 2], [(0, 4), (2, 0)]))  # users 0 and 2 have no rows
+    def test_contains_and_observed_agree_with_a_set_of_pairs(self, case):
+        num_users, num_items, pairs, positives, queries = case
+        users, items = (list(column) for column in zip(*pairs)) if pairs else ([], [])
+        train = corpus.InteractionSet.from_arrays(num_users, num_items, users, items, [0] * len(pairs))
+        split = corpus.SplitDataset(train, np.array(positives, dtype=np.int64),
+                                    np.zeros((num_users, 0), dtype=np.int64))
+        observed = pairs | set(enumerate(positives))
+        # every user against every item, 0 and num_items - 1 included: (U, 1) x (U, k)
+        rows = np.arange(num_users)[:, None]
+        grid = np.tile(np.arange(num_items), (num_users, 1))
+        assert train.contains(rows, grid).tolist() == [
+            [(u, i) in pairs for i in range(num_items)] for u in range(num_users)]
+        assert split.observed(rows, grid).tolist() == [
+            [(u, i) in observed for i in range(num_items)] for u in range(num_users)]
+        # a flat query in any order, repeats allowed
+        q_users = np.array([u for u, _ in queries], dtype=np.int64)
+        q_items = np.array([i for _, i in queries], dtype=np.int64)
+        assert train.contains(q_users, q_items).tolist() == [pair in pairs for pair in queries]
+        assert split.observed(q_users, q_items).tolist() == [pair in observed for pair in queries]

@@ -110,7 +110,9 @@ def dense_split(seed):
 def full_recheck_epoch(split, negative_ratio, seed, epoch):
     """Reference sampler that rechecks every negative each round; (users, items, labels, rounds)."""
     train = split.train
-    observed = corpus.full_membership(split)
+    pairs = np.concatenate([train.users * train.num_items + train.items,
+                            np.arange(train.num_users) * train.num_items + split.test_positives])
+    observed = np.sort(pairs)  # every train pair and test positive, encoded here
     rng = tc.seeded_rng(seed, "epoch", epoch)
     neg_users = np.repeat(train.users, negative_ratio)
     candidates = rng.integers(0, train.num_items, size=neg_users.size, dtype=np.int64)
@@ -150,6 +152,11 @@ class TestSamplerRecheck:
         with time_bound(), pytest.raises(training.TrainingError,
                                          match="user 1 has observed all 5 items"):
             next(training.sample_training_batches(split, 4, 8, seed=0, epoch=1))
+        # the positive 3 is also a train item, so it is counted once: item 4 is left to draw
+        split = corpus.SplitDataset(train, np.array([1, 3]), np.zeros((2, 0), dtype=np.int64))
+        with time_bound():  # one batch holds the epoch's 25 instances
+            batch = next(training.sample_training_batches(split, 4, 100, seed=0, epoch=1))
+        assert batch.items[(batch.users == 1) & (batch.labels == 0.0)].tolist() == [4] * 16
 
 
 # -- log loss --------------------------------------------------------------------
