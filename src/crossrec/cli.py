@@ -208,12 +208,11 @@ def cmd_prepare(config, log=print):
         if given and key not in required + optional:
             raise CliError(f"{_BY_KEY[key].flag} is not read for --dataset-kind {kind}")
     # looked up at call time, as perfbench/tracer.py times the parsers by replacing them
-    parsed = getattr(corpus, f"parse_{kind}")(*(getattr(config, key) for key in required + optional))
+    data, catalog = getattr(corpus, f"parse_{kind}")(*(getattr(config, key) for key in required + optional))
 
-    split = corpus.leave_one_out_split(parsed.interactions, config.seed)
-    corpus.save_prepared(config.out, split, parsed.catalog)
+    split = corpus.leave_one_out_split(data, config.seed)
+    corpus.save_prepared(config.out, split, catalog)
 
-    data = parsed.interactions
     sparsity = 1.0 - len(data) / (data.num_users * data.num_items)
     log(f"users\t{data.num_users}")
     log(f"items\t{data.num_items}")
@@ -445,7 +444,7 @@ def main(argv=None):
         code = 2
     except (CliError, corpus.CorpusError, training.TrainingError,
             evaluation.EvaluationError, tensorcore.NumericsError,
-            tensorcore.ShapeError, ValueError) as exc:
+            tensorcore.ShapeError, ValueError, MemoryError) as exc:
         print(f"crossrec: error: {exc}", file=sys.stderr)
         code = 1
     sys.exit(code)

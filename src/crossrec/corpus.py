@@ -10,8 +10,10 @@ form whole, with the same result. `_index` turns the interaction rows into
 dense ids: every rating or pin is an implicit positive, the first occurrence
 of a repeated (user, item) pair wins, and raw ids map to 0-based ids in
 ascending raw-id order, so the mapping is reproducible. `_encode` numbers each
-entity's attribute names over their sorted vocabulary and rejects an entity
-left with none. `SplitDataset.observed` is the one membership rule: a train
+entity's attribute names over their sorted vocabulary, rejects an entity left
+with none and returns them as a Ragged: each parser returns its InteractionSet
+and an AttributeCatalog of two Ragged sides, the one form attributes keep from
+here to the tape. `SplitDataset.observed` is the one membership rule: a train
 pair or a user's test positive, which held-out and sampled negatives avoid.
 """
 
@@ -95,9 +97,8 @@ class InteractionSet:
 class AttributeCatalog:
     """Per-entity attribute id sets, one Ragged per side, with their vocabulary sizes.
 
-    Either side may be given as per-entity id lists, which are sorted into a
-    Ragged here; every user and item carries at least one attribute and
-    every id lies inside its vocabulary (checked at construction).
+    Every user and item carries at least one attribute and every id lies
+    inside its vocabulary (checked at construction).
     """
 
     user_attrs: Ragged
@@ -106,18 +107,13 @@ class AttributeCatalog:
     item_vocab_size: int
 
     def __post_init__(self):
-        self.user_attrs = _checked_rows("user", self.user_attrs, self.user_vocab_size)
-        self.item_attrs = _checked_rows("item", self.item_attrs, self.item_vocab_size)
+        _check_rows("user", self.user_attrs, self.user_vocab_size)
+        _check_rows("item", self.item_attrs, self.item_vocab_size)
 
 
-def _checked_rows(label, rows, vocab):
-    """`rows` as a Ragged (built from them if they are id lists).
-
-    Raises LoadError naming the first entity that has no ids or an id
-    outside [0, vocab).
-    """
-    if not isinstance(rows, Ragged):
-        rows = Ragged.from_rows(rows)
+def _check_rows(label, rows, vocab):
+    """LoadError naming the first entity of the Ragged `rows` that has no ids
+    or an id outside [0, vocab)."""
     lengths = rows.lengths
     segments = np.repeat(np.arange(lengths.size), lengths)
     bad = np.concatenate([np.flatnonzero(lengths == 0), segments[(rows.flat < 0) | (rows.flat >= vocab)]])
@@ -126,7 +122,6 @@ def _checked_rows(label, rows, vocab):
         if lengths[first] == 0:
             raise LoadError(f"{label} {first} has zero attributes")
         raise LoadError(f"{label} {first} attribute id outside vocabulary ({vocab})")
-    return rows
 
 
 @dataclass
@@ -140,12 +135,6 @@ class SplitDataset:
     def observed(self, users, items):
         """Whether each (user, item) is a train pair or the user's test positive: never a negative."""
         return self.train.contains(users, items) | (self.test_positives[users] == items)
-
-
-@dataclass
-class ParsedData:
-    interactions: InteractionSet
-    catalog: AttributeCatalog
 
 
 NUM_TEST_NEGATIVES = 99
@@ -253,7 +242,7 @@ def _index(path, rows, min_user_interactions=1):
 
 
 def _encode(path, label, named, raw_ids, counts=None, width=None):
-    """(per-entity attribute ids, vocabulary size) from each entity's set of names.
+    """(Ragged of per-entity attribute ids, vocabulary size) from each entity's set of names.
 
     `named` maps a raw id to its names; the names held by `raw_ids` are
     numbered in sorted order. Given per-entity `counts`, a count c falls in
@@ -274,34 +263,38 @@ def _encode(path, label, named, raw_ids, counts=None, width=None):
     empty = [raw for raw, row in zip(raw_ids, rows) if not row]
     if empty:
         raise LoadError(f"{path}: {label} {empty[0]} has zero attributes")
-    return rows, size
+    return Ragged.from_rows(rows), size
 
 
 def parse_movielens(ratings_path, users_path, items_path):
-    """Parse the MovieLens-1M trio into interactions and attributes.
+    """(InteractionSet, AttributeCatalog) of the MovieLens-1M trio.
 
     Any rating value counts as an implicit positive. User attributes are the
     {gender, age, occupation} triple, each value keyed by its field; item
-    attributes are the movie's genres. Files are ISO-8859-1; titles are
-    discarded.
+    attributes are the movie's genres. Files are ISO-8859-1; titles and zip
+    codes are discarded. A user or movie listed twice must list the same
+    attributes each time, or LoadError names the later line.
     """
     ratings = _int_rows(ratings_path, "::", 4, "iso-8859-1", ("user id", "movie id", "rating", "timestamp"))
     interactions, user_ids, item_ids = _index(ratings_path, ratings[:, [0, 1, 3]])
 
     profiles = {}  # users.dat: UserID::Gender::Age::Occupation::Zip
     for n, (user, gender, age, occupation, _) in _records(users_path, "::", 5, "iso-8859-1"):
-        profiles[_parse_int(user, users_path, n, "user id")] = {
-            (0, gender), (1, _parse_int(age, users_path, n, "age")),
-            (2, _parse_int(occupation, users_path, n, "occupation"))}
+        user = _parse_int(user, users_path, n, "user id")
+        profile = {(0, gender), (1, _parse_int(age, users_path, n, "age")),
+                   (2, _parse_int(occupation, users_path, n, "occupation"))}
+        if profiles.setdefault(user, profile) != profile:
+            raise LoadError(f"{users_path}:{n}: user {user} listed twice with another gender, age or occupation")
     user_attrs, user_vocab = _encode(users_path, "user", profiles, user_ids)
 
     genres = {}  # movies.dat: MovieID::Title::Genre|Genre|...
     for n, (item, _, names) in _records(items_path, "::", 3, "iso-8859-1"):
-        genres[_parse_int(item, items_path, n, "movie id")] = set(names.split("|")) - {""}
+        item, names = _parse_int(item, items_path, n, "movie id"), set(names.split("|")) - {""}
+        if genres.setdefault(item, names) != names:
+            raise LoadError(f"{items_path}:{n}: movie {item} listed twice with other genres")
     item_attrs, item_vocab = _encode(items_path, "item", genres, item_ids)
 
-    catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
-    return ParsedData(interactions, catalog)
+    return interactions, AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
 
 
 def _read_attr_file(path, category_map):
@@ -323,7 +316,7 @@ def parse_generic(
     item_attr_path,
     category_map_path=None,
 ):
-    """Parse tab-separated UTF-8 interaction and attribute files.
+    """(InteractionSet, AttributeCatalog) of tab-separated UTF-8 interaction and attribute files.
 
     Users with fewer than MIN_USER_INTERACTIONS interactions are dropped
     before ids are remapped. File-listed attribute names (collapsed through
@@ -349,8 +342,7 @@ def parse_generic(
     np.add.at(exposure, interactions.items, counts[interactions.users])
     user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, counts, USER_BUCKET_SIZE)
     item_attrs, item_vocab = _encode(item_attr_path, "item", item_named, item_ids, exposure, ITEM_BUCKET_SIZE)
-    catalog = AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
-    return ParsedData(interactions, catalog)
+    return interactions, AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
 
 
 def leave_one_out_split(data, seed):

@@ -50,7 +50,6 @@ class ModelConfig:
     include_attr_cross: bool = False
 
     def __post_init__(self):
-        self.kind = self.kind.lower()
         self.mlp_layers = tuple(int(w) for w in self.mlp_layers)
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")

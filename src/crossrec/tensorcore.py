@@ -199,7 +199,6 @@ class Ragged:
     built, and treated as immutable after, so its row lengths and the
     bounds of its ids (min_id, max_id; 0 and -1 with no ids) are worked out
     then too, and readers index and gather without checking it again.
-    Indexing and iteration yield row views.
     """
 
     __slots__ = ("offsets", "flat", "lengths", "min_id", "max_id")
@@ -228,14 +227,6 @@ class Ragged:
 
     def __len__(self):
         return self.offsets.size - 1
-
-    def __getitem__(self, row):
-        row = range(len(self))[row]  # IndexError past either end, as for a list
-        return self.flat[self.offsets[row]:self.offsets[row + 1]]
-
-    def __iter__(self):
-        bounds = self.offsets.tolist()
-        return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
     def gather(self, rows):
         """(ids, segments): the ids of the selected rows, segments[k] the
@@ -316,7 +307,7 @@ class Tape:
         return node
 
     def embed_sum(self, name, ragged, ids):
-        """Per-entity sum of table rows: output[b] = sum of the rows ragged[ids[b]] lists.
+        """Per-entity sum of table rows: output[b] sums the rows that row ids[b] of `ragged` lists.
 
         Ids are summed in the ascending order a Ragged keeps each row in, so
         the result does not depend on the order the rows were given in;

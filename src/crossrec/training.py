@@ -187,20 +187,21 @@ class GradcheckReport:
         return max(self.per_param, key=self.per_param.get)
 
 
-def _tiny_fixture(kind, seed, num_users=4, num_items=5, factors=4, layers=(8, 4, 2)):
+def _tiny_fixture(kind, seed):
+    num_users, num_items = 4, 5
     rng = tc.seeded_rng(seed, "gradcheck-data")
     config = models.ModelConfig(
         kind=kind,
         num_users=num_users,
         num_items=num_items,
-        factors=factors,
-        mlp_layers=layers,
+        factors=4,
+        mlp_layers=(8, 4, 2),
         user_vocab_size=3,
         item_vocab_size=4,
     )
     catalog = corpus.AttributeCatalog(
-        [rng.choice(3, size=rng.integers(1, 3), replace=False) for _ in range(num_users)],
-        [rng.choice(4, size=rng.integers(1, 4), replace=False) for _ in range(num_items)],
+        tc.Ragged.from_rows([rng.choice(3, size=rng.integers(1, 3), replace=False) for _ in range(num_users)]),
+        tc.Ragged.from_rows([rng.choice(4, size=rng.integers(1, 4), replace=False) for _ in range(num_items)]),
         3,
         4,
     )

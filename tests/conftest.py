@@ -62,6 +62,12 @@ def pool(entity, attrs):
     return models._pool(tape, tc.Node(entity[None, :]), "attr_emb", ragged, [0]).value[0]
 
 
+def rows_of(ragged):
+    """The rows of a tensorcore.Ragged, each a view of its flat ids (none for zero rows)."""
+    bounds = ragged.offsets.tolist()
+    return [ragged.flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def gradients(store, dense=None, rows=None):
     """The GradientBuffer of full-shape `dense` gradients and `rows` entries
     of (distinct row ids, per-row gradients), each keyed by parameter name,
@@ -136,8 +142,8 @@ def generic_dataset(tmp_path):
 @pytest.fixture
 def tiny_catalog():
     return corpus.AttributeCatalog(
-        user_attrs=[[0], [1, 2], [0, 1], [2], [1], [0, 2]],
-        item_attrs=[[0], [1], [2, 3], [0, 3], [1, 2], [3], [0]],
+        user_attrs=tc.Ragged.from_rows([[0], [1, 2], [0, 1], [2], [1], [0, 2]]),
+        item_attrs=tc.Ragged.from_rows([[0], [1], [2, 3], [0, 3], [1, 2], [3], [0]]),
         user_vocab_size=3,
         item_vocab_size=4,
     )

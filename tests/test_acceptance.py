@@ -182,13 +182,12 @@ _ml1m_cache = {}
 def _ml1m_prepared():
     if "prepared" not in _ml1m_cache:
         root = ml1m_dir()
-        parsed = corpus.parse_movielens(
+        data, catalog = corpus.parse_movielens(
             os.path.join(root, "ratings.dat"),
             os.path.join(root, "users.dat"),
             os.path.join(root, "movies.dat"),
         )
-        split = corpus.leave_one_out_split(parsed.interactions, ML1M_SEED)
-        _ml1m_cache["prepared"] = (split, parsed.catalog)
+        _ml1m_cache["prepared"] = (corpus.leave_one_out_split(data, ML1M_SEED), catalog)
     return _ml1m_cache["prepared"]
 
 

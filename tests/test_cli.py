@@ -233,6 +233,18 @@ def train_args(out, model="gmf", factors=4, epochs=2, seed=11, extra=()):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("factors, config, size", [
+        (4, "neg-ratio=100000000000000\n", "409. PiB"),       # np.repeat in the sampler
+        (10**16, "", "2.08 EiB"),                            # gaussian_init's table
+    ], ids=["neg-ratio", "factors"])
+    def test_allocation_that_cannot_be_made_exits_1(self, prepared, tmp_path, capsys, factors, config, size):
+        # both sizes pass 128 PiB, the largest user address space on Linux: the allocation
+        # fails at once and touches no memory
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, _, err = run_cli(train_args(prepared, factors=factors, extra=("--config", str(cfg))), capsys)
+        assert code == 1 and err.startswith(f"crossrec: error: Unable to allocate {size}")
+
     def test_writes_metrics_and_checkpoint(self, prepared, capsys):
         code, stdout, _ = run_cli(train_args(prepared), capsys)
         assert code == 0
@@ -773,12 +785,12 @@ class TestMovielensPrepare:
         )
         assert code == 0
         lines = dict(l.split("\t") for l in stdout.splitlines())
-        parsed = corpus.parse_movielens(
+        data, _ = corpus.parse_movielens(
             os.path.join(root, "ratings.dat"),
             os.path.join(root, "users.dat"),
             os.path.join(root, "movies.dat"),
         )
-        assert int(lines["users"]) == parsed.interactions.num_users == 6040
+        assert int(lines["users"]) == data.num_users == 6040
 
 
 class TestRunConfigFile:
@@ -1141,9 +1153,9 @@ NAMED_DAMAGE = {
 def pristine_run(tmp_path_factory):
     """A prepared run that tests copy before damaging it."""
     base = tmp_path_factory.mktemp("pristine")
-    parsed = corpus.parse_generic(*write_generic_dataset(str(base)))
+    data, catalog = corpus.parse_generic(*write_generic_dataset(str(base)))
     out = str(base / "run")
-    corpus.save_prepared(out, corpus.leave_one_out_split(parsed.interactions, 11), parsed.catalog)
+    corpus.save_prepared(out, corpus.leave_one_out_split(data, 11), catalog)
     return out
 
 

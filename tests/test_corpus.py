@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import rows_of
 from crossrec import corpus
+from crossrec import tensorcore as tc
 
 
 # -- MovieLens parsing -------------------------------------------------------
@@ -49,8 +51,7 @@ def ml_files(tmp_path):
 
 class TestParseMovielens:
     def test_triples_remap_and_label_semantics(self, ml_files):
-        parsed = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        data = parsed.interactions
+        data, _ = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
         # raw ids 1,2,5 -> 0,1,2 and 661,914,1193 -> 0,1,2 (sorted by raw id), in file order:
         # (1,1193) (1,661) (2,1193) (2,914) (5,914) (5,661)
         assert list(zip(data.users.tolist(), data.items.tolist())) == [(0, 2), (0, 0), (1, 2), (1, 1), (2, 1), (2, 0)]
@@ -61,32 +62,33 @@ class TestParseMovielens:
         assert len(data) == 6
 
     def test_user_attribute_triple(self, ml_files):
-        parsed = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        cat = parsed.catalog
+        _, cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
         # genders F,M -> 0,1; ages 1,25,56 -> 2,3,4; occupations 10,15,16 -> 5,6,7
         assert cat.user_vocab_size == 8
-        for ids in cat.user_attrs:
-            assert len(ids) == 3
-        assert list(cat.user_attrs[0]) == [0, 2, 5]      # F, age 1, occupation 10
-        assert list(cat.user_attrs[1]) == [1, 4, 7]      # M, age 56, occupation 16
-        assert list(cat.user_attrs[2]) == [1, 3, 6]      # M, age 25, occupation 15
+        rows = rows_of(cat.user_attrs)
+        assert [ids.tolist() for ids in rows] == [
+            [0, 2, 5],                                   # F, age 1, occupation 10
+            [1, 4, 7],                                   # M, age 56, occupation 16
+            [1, 3, 6],                                   # M, age 25, occupation 15
+        ]
 
     def test_genre_sets(self, ml_files):
-        parsed = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        cat = parsed.catalog
+        _, cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
+        rows = rows_of(cat.item_attrs)
         # rated movies only: genres Animation, Children's, Drama, Musical, Romance
         assert cat.item_vocab_size == 5
-        assert len(cat.item_attrs[0]) == 3               # 661 spans three genres
-        assert len(cat.item_attrs[2]) == 1               # 1193 is Drama only
-        distinct = {tuple(ids) for ids in cat.item_attrs}
+        assert len(rows[0]) == 3                         # 661 spans three genres
+        assert len(rows[2]) == 1                         # 1193 is Drama only
+        distinct = {tuple(ids) for ids in rows}
         assert len(distinct) == 3
 
     def test_deterministic_reruns(self, ml_files):
-        a = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        b = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        assert np.array_equal(a.interactions.users, b.interactions.users)
-        assert np.array_equal(a.interactions.items, b.interactions.items)
-        assert all(np.array_equal(x, y) for x, y in zip(a.catalog.user_attrs, b.catalog.user_attrs))
+        a, a_cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
+        b, b_cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
+        assert np.array_equal(a.users, b.users)
+        assert np.array_equal(a.items, b.items)
+        assert np.array_equal(a_cat.user_attrs.offsets, b_cat.user_attrs.offsets)
+        assert np.array_equal(a_cat.user_attrs.flat, b_cat.user_attrs.flat)
 
     def test_malformed_line_names_line_number(self, ml_files, tmp_path):
         bad = tmp_path / "bad_ratings.dat"
@@ -116,8 +118,7 @@ class TestParseMovielens:
     def test_duplicate_pairs_collapse(self, ml_files, tmp_path):
         dup = tmp_path / "dup.dat"
         dup.write_text(RATINGS + "1::1193::4::999999999\n", encoding="iso-8859-1")
-        parsed = corpus.parse_movielens(str(dup), ml_files["users.dat"], ml_files["movies.dat"])
-        data = parsed.interactions
+        data, _ = corpus.parse_movielens(str(dup), ml_files["users.dat"], ml_files["movies.dat"])
         assert len(data) == 6                            # first occurrence wins
         pair = (data.users == 0) & (data.items == 2)     # raw user 1, raw movie 1193
         assert data.timestamps[pair].tolist() == [978300760]
@@ -136,11 +137,39 @@ class TestParseMovielens:
         for name, profile in (("plain.dat", "5::M::1::10"), ("padded.dat", "5::M::01::010")):
             users = tmp_path / name
             users.write_text(USERS.replace("5::M::25::15", profile), encoding="iso-8859-1")
-            parsed = corpus.parse_movielens(ml_files["ratings.dat"], str(users), ml_files["movies.dat"])
-            catalogs.append(parsed.catalog)
+            _, catalog = corpus.parse_movielens(ml_files["ratings.dat"], str(users), ml_files["movies.dat"])
+            catalogs.append(catalog)
         # 01 is age 1 and 010 occupation 10: F, M; ages 1, 56; occupations 10, 16
         assert [c.user_vocab_size for c in catalogs] == [6, 6]
         assert np.array_equal(catalogs[0].user_attrs.flat, catalogs[1].user_attrs.flat)
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("users.dat", "1::M::56::20::48067",
+         "users.dat:5: user 1 listed twice with another gender, age or occupation"),
+        ("movies.dat", "2000::Unrated Movie (1999)::Horror",
+         "movies.dat:5: movie 2000 listed twice with other genres"),
+    ], ids=["user", "movie"])
+    def test_id_listed_again_with_other_fields_names_line(self, ml_files, tmp_path, name, line, message):
+        # the first listing would otherwise lose its attributes to the second, even F from the vocabulary
+        path = tmp_path / "again" / name
+        path.parent.mkdir()
+        path.write_text({"users.dat": USERS, "movies.dat": MOVIES}[name] + line + "\n", encoding="iso-8859-1")
+        files = dict(ml_files, **{name: str(path)})
+        with pytest.raises(corpus.LoadError, match=f"{message}$"):
+            corpus.parse_movielens(files["ratings.dat"], files["users.dat"], files["movies.dat"])
+
+    def test_id_listed_again_with_the_same_fields_parses_as_once(self, ml_files, tmp_path):
+        users = tmp_path / "users_again.dat"
+        users.write_text(USERS + "1::F::01::10::99999\n", encoding="iso-8859-1")  # another zip only
+        movies = tmp_path / "movies_again.dat"
+        movies.write_text(MOVIES + "661::Retitled::Musical|Animation|Children's\n", encoding="iso-8859-1")
+        want = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
+        got = corpus.parse_movielens(ml_files["ratings.dat"], str(users), str(movies))
+        for side in ("user", "item"):
+            a, b = getattr(got[1], f"{side}_attrs"), getattr(want[1], f"{side}_attrs")
+            assert np.array_equal(a.offsets, b.offsets) and np.array_equal(a.flat, b.flat)
+            assert getattr(got[1], f"{side}_vocab_size") == getattr(want[1], f"{side}_vocab_size")
+        assert np.array_equal(got[0].items, want[0].items)
 
     def test_rated_movie_without_genres_fails(self, ml_files, tmp_path):
         movies = tmp_path / "genreless.dat"
@@ -177,10 +206,9 @@ class TestParseGeneric:
 
     def test_minimum_interaction_filter(self, tmp_path):
         inter, uattr, iattr = self._files(tmp_path, {50: 9, 60: 10, 70: 12})
-        parsed = corpus.parse_generic(inter, uattr, iattr)
+        data, _ = corpus.parse_generic(inter, uattr, iattr)
         # user 50 has 9 interactions -> dropped; 10 is the retained boundary. Users 60 and 70
         # pinned raw items 9..18 and 19..30, which become dense users 0, 1 and items 0..21
-        data = parsed.interactions
         assert data.num_users == 2 and data.num_items == 22
         assert data.users.tolist() == [0] * 10 + [1] * 12 and data.items.tolist() == list(range(22))
 
@@ -193,8 +221,8 @@ class TestParseGeneric:
             corpus.parse_generic(inter, uattr, iattr)
 
     def test_negative_ids_parse(self, tmp_path):
-        parsed = corpus.parse_generic(*self._files(tmp_path, {10: 10, -3: 10}))
-        assert parsed.interactions.num_users == 2
+        data, _ = corpus.parse_generic(*self._files(tmp_path, {10: 10, -3: 10}))
+        assert data.num_users == 2
 
     def test_all_filtered_is_an_error(self, tmp_path):
         inter, uattr, iattr = self._files(tmp_path, {50: 3, 60: 4})
@@ -212,9 +240,9 @@ class TestParseGeneric:
             tmp_path / "cmap.tsv",
             "\n".join(f"{raw}\tmain{k % 3}" for k, raw in enumerate(raw_cats)) + "\n",
         )
-        parsed = corpus.parse_generic(inter, uattr, iattr, cmap)
+        _, catalog = corpus.parse_generic(inter, uattr, iattr, cmap)
         # 12 raw categories collapse to 3 mains (+1 pin-count bucket id)
-        assert parsed.catalog.user_vocab_size == 3 + 1
+        assert catalog.user_vocab_size == 3 + 1
 
     def test_468_categories_consolidate_to_45(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -229,8 +257,8 @@ class TestParseGeneric:
             tmp_path / "cmap45.tsv",
             "\n".join(f"{raw}\tmain_{k % 45:02d}" for k, raw in enumerate(raw_cats)) + "\n",
         )
-        parsed = corpus.parse_generic(inter, uattr, iattr, cmap)
-        assert parsed.catalog.user_vocab_size == 45 + 1  # mains + pin-count bucket
+        _, catalog = corpus.parse_generic(inter, uattr, iattr, cmap)
+        assert catalog.user_vocab_size == 45 + 1  # mains + pin-count bucket
 
     def test_unmapped_category_fails(self, tmp_path):
         inter, uattr, iattr = self._files(tmp_path, {60: 10, 70: 12})
@@ -241,9 +269,9 @@ class TestParseGeneric:
     def test_every_entity_has_attributes(self, tmp_path):
         # item attribute file is empty: exposure buckets must cover all items
         inter, uattr, iattr = self._files(tmp_path, {60: 10, 70: 12})
-        parsed = corpus.parse_generic(inter, uattr, iattr)
-        assert all(len(ids) >= 1 for ids in parsed.catalog.item_attrs)
-        assert all(len(ids) >= 2 for ids in parsed.catalog.user_attrs)  # category + bucket
+        _, catalog = corpus.parse_generic(inter, uattr, iattr)
+        assert catalog.item_attrs.lengths.min() >= 1
+        assert catalog.user_attrs.lengths.min() >= 2  # category + bucket
 
     @pytest.mark.parametrize("which, line", [
         ("inter.tsv", b"70\t\xe9\t5\n"), ("ua.tsv", b"70\tcaf\xe9\n"), ("cmap.tsv", b"caf\xe9\tmain\n"),
@@ -263,8 +291,8 @@ class TestParseGeneric:
             body = fh.read()
             fh.seek(0)
             fh.write("# comment line\n" + body)
-        parsed = corpus.parse_generic(inter, uattr, iattr)
-        assert parsed.interactions.num_users == 1
+        data, _ = corpus.parse_generic(inter, uattr, iattr)
+        assert data.num_users == 1
 
 
 # -- integer table reader ----------------------------------------------------
@@ -476,12 +504,12 @@ class TestIndexer:
 class TestAttributeCatalog:
     def test_unsorted_lists_stored_sorted(self):
         catalog = corpus.AttributeCatalog(
-            user_attrs=[[2, 0, 1], np.array([1]), (3, 0, 3)],
-            item_attrs=[[4, 1], [0]],
+            user_attrs=tc.Ragged.from_rows([[2, 0, 1], np.array([1]), (3, 0, 3)]),
+            item_attrs=tc.Ragged.from_rows([[4, 1], [0]]),
             user_vocab_size=4, item_vocab_size=5,
         )
-        assert [a.tolist() for a in catalog.user_attrs] == [[0, 1, 2], [1], [0, 3, 3]]
-        assert [a.tolist() for a in catalog.item_attrs] == [[1, 4], [0]]
+        assert [a.tolist() for a in rows_of(catalog.user_attrs)] == [[0, 1, 2], [1], [0, 3, 3]]
+        assert [a.tolist() for a in rows_of(catalog.item_attrs)] == [[1, 4], [0]]
         assert catalog.user_attrs.flat.dtype == catalog.item_attrs.flat.dtype == np.int64
 
     @pytest.mark.parametrize("user_attrs, item_attrs, message", [
@@ -495,7 +523,8 @@ class TestAttributeCatalog:
             "item-id-past-vocab", "users-checked-first"])
     def test_first_offending_entity_named(self, user_attrs, item_attrs, message):
         with pytest.raises(corpus.LoadError, match=f"^{message}$"):
-            corpus.AttributeCatalog(user_attrs, item_attrs, user_vocab_size=3, item_vocab_size=2)
+            corpus.AttributeCatalog(tc.Ragged.from_rows(user_attrs), tc.Ragged.from_rows(item_attrs),
+                                    user_vocab_size=3, item_vocab_size=2)
 
 
 # -- count buckets -------------------------------------------------------------
@@ -523,7 +552,7 @@ class TestCountBuckets:
             inter = _write(path / "inter.tsv", "".join(f"{u}\t{i}\t{k}\n" for k, (u, i) in enumerate(rows)))
             uattr = _write(path / "ua.tsv", "".join(f"{u}\tg{u % 4}\n" for u in counts if u % 3))
             iattr = _write(path / "ia.tsv", "".join(f"{i}\tc{i % 5}\n" for i in range(0, 1003, 3)))
-            catalog = corpus.parse_generic(inter, uattr, iattr).catalog
+            _, catalog = corpus.parse_generic(inter, uattr, iattr)
 
             kept = {u: n for u, n in counts.items() if n >= corpus.MIN_USER_INTERACTIONS}
             exposure = {i: 0 for u, i in rows if u in kept}
@@ -534,9 +563,9 @@ class TestCountBuckets:
             assert 1002 not in exposure and (exposure[1000], exposure[1001]) == (50, 51)
             sides = {
                 "user": (kept, {u: f"g{u % 4}" for u in kept if u % 3}, corpus.USER_BUCKET_SIZE,
-                         catalog.user_attrs),
+                         rows_of(catalog.user_attrs)),
                 "item": (exposure, {i: f"c{i % 5}" for i in exposure if i % 3 == 0}, corpus.ITEM_BUCKET_SIZE,
-                         catalog.item_attrs),
+                         rows_of(catalog.item_attrs)),
             }
             buckets = {}
             for label, (count_of, name_of, width, got) in sides.items():
@@ -553,8 +582,8 @@ class TestCountBuckets:
 
 def _bucket(count, width):
     """The bucket `_encode` gives one entity of `count` and no listed names."""
-    rows, _ = corpus._encode("counts.tsv", "user", {}, np.array([7]), np.array([count]), width)
-    return rows[0][0]
+    ragged, _ = corpus._encode("counts.tsv", "user", {}, np.array([7]), np.array([count]), width)
+    return ragged.flat.item()
 
 
 def _item_buckets(tmp_path, pins):
@@ -565,10 +594,10 @@ def _item_buckets(tmp_path, pins):
     rows = [(u, i) for u, items in pins.items() for i in items]
     inter = _write(tmp_path / "inter.tsv", "".join(f"{u}\t{i}\t{k}\n" for k, (u, i) in enumerate(rows)))
     attr = _write(tmp_path / "attr.tsv", "999999\tnone\n")
-    parsed = corpus.parse_generic(inter, attr, attr)
+    data, catalog = corpus.parse_generic(inter, attr, attr)
     kept = sorted({i for u, i in rows if len(pins[u]) >= corpus.MIN_USER_INTERACTIONS})
-    assert parsed.interactions.num_items == len(kept)
-    return {raw: row.tolist()[0] for raw, row in zip(kept, parsed.catalog.item_attrs)}
+    assert data.num_items == len(kept)
+    return {raw: row.tolist()[0] for raw, row in zip(kept, rows_of(catalog.item_attrs))}
 
 
 class TestBucketize:
@@ -639,7 +668,7 @@ def _reference_split(data, seed):
     positives = np.empty(data.num_users, dtype=np.int64)
     negatives = np.empty((data.num_users, 99), dtype=np.int64)
     all_items = np.arange(data.num_items, dtype=np.int64)
-    for u, mine in enumerate(data.per_user_items):
+    for u, mine in enumerate(rows_of(data.per_user_items)):
         rng = corpus.seeded_rng(seed, "split", u)
         positives[u] = mine[rng.integers(len(mine))]
         pool = np.setdiff1d(all_items, mine, assume_unique=True)
@@ -687,7 +716,7 @@ class TestLeaveOneOut:
         split = corpus.leave_one_out_split(data, seed=9)
         pos = split.test_positives[0]
         assert pos in (0, 1)
-        assert list(split.train.per_user_items[0]) == [1 - pos]
+        assert rows_of(split.train.per_user_items)[0].tolist() == [1 - pos]
 
     def test_forced_negative_set(self):
         # 101-item catalog, user touches exactly 2: negatives must be the other 99
@@ -702,12 +731,13 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(5)
         data = _random_interactions(rng)
         split = corpus.leave_one_out_split(data, seed=77)
-        for u in range(data.num_users):
+        train_rows = rows_of(split.train.per_user_items)
+        for u, mine in enumerate(rows_of(data.per_user_items)):
             negs = split.test_negatives[u]
             assert len(negs) == 99 and len(set(negs.tolist())) == 99
-            assert not set(negs.tolist()) & set(data.per_user_items[u].tolist())
-            assert split.test_positives[u] in data.per_user_items[u]
-            assert split.test_positives[u] not in split.train.per_user_items[u]
+            assert not set(negs.tolist()) & set(mine.tolist())
+            assert split.test_positives[u] in mine
+            assert split.test_positives[u] not in train_rows[u]
 
     def test_train_plus_positives_partition_original(self):
         rng = np.random.default_rng(6)
@@ -775,8 +805,9 @@ class TestLeaveOneOut:
         loaded = corpus.load_catalog(str(tmp_path / "attrs.npy"))
         assert loaded.user_vocab_size == tiny_catalog.user_vocab_size
         assert loaded.item_vocab_size == tiny_catalog.item_vocab_size
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.user_attrs, tiny_catalog.user_attrs))
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.item_attrs, tiny_catalog.item_attrs))
+        for side in ("user_attrs", "item_attrs"):
+            got, want = getattr(loaded, side), getattr(tiny_catalog, side)
+            assert np.array_equal(got.offsets, want.offsets) and np.array_equal(got.flat, want.flat)
 
     def test_prepared_fingerprint_chains_the_three_files(self, tmp_path):
         files = {corpus.TRAIN_FILE: b"train", corpus.SPLIT_FILE: bytes(range(256)) * 5000,
@@ -804,8 +835,7 @@ class TestInteractionSetInvariants:
 
     def test_per_user_items_sorted_and_complete(self):
         data = corpus.InteractionSet.from_arrays(2, 5, [0, 1, 0, 1], [4, 3, 1, 0], [0, 0, 0, 0])
-        assert list(data.per_user_items[0]) == [1, 4]
-        assert list(data.per_user_items[1]) == [0, 3]
+        assert [ids.tolist() for ids in rows_of(data.per_user_items)] == [[1, 4], [0, 3]]
 
 
 @st.composite

@@ -177,6 +177,34 @@ class TestEvaluate:
         assert path.read_text() == "0\t1\n1\t4\n2\t17\n"
 
 
+    def test_dead_last_layer_ties_at_sigmoid_out_b_ranked_pessimistically(self):
+        """A pair whose last hidden layer is all zero scores sigmoid(out_b), whatever its ids;
+        with out_b > 0 and a negative head weight such pairs tie above every live one, and a
+        positive among them ranks behind every negative it ties with."""
+        split, _ = rigged_split(None)
+        q = np.ones((300, 1))             # live: h = 1, below the tie
+        q[0:6] = -1.0                     # user 0: dead positive and 5 dead negatives -> rank 6
+        q[101:104] = -2.0                 # user 1: 3 dead negatives above a live positive -> rank 4
+        q[104:200] = 2.0                  #         (its other negatives score below it)
+        q[200:300] = 0.0                  # user 2: all 100 dead -> rank 100
+        config = models.ModelConfig("mlp", num_users=3, num_items=300, factors=1, mlp_layers=(1,))
+        store = models.init_params(config, 0)
+        store.set_value("user_emb", np.ones((3, 1)))
+        store.set_value("item_emb", q)
+        store.set_value("h0_w", [[0.0], [1.0]])   # h = relu(q): zero for q <= 0
+        store.set_value("h0_b", [[0.0]])
+        store.set_value("out_w", [[-1.0]])
+        store.set_value("out_b", [[0.25]])
+        tied = 1.0 / (1.0 + math.exp(-0.25))
+        for u in range(3):
+            items = np.concatenate([[split.test_positives[u]], split.test_negatives[u]])
+            tape = tc.Tape(store, record=False)
+            scores = models.predictions(models.score(tape, config, np.full(100, u), items))
+            dead = q[items, 0] <= 0.0
+            assert (scores[dead] == tied).all() and (scores[~dead] < tied).all()
+        assert evaluation.evaluate(config, store, split).per_user_ranks.tolist() == [6, 4, 100]
+
+
 NUM_ITEMS = 150
 
 
@@ -194,8 +222,10 @@ def random_run(num_users, seed=31):
         num_users, NUM_ITEMS, users, items, np.zeros(len(users), dtype=np.int64))
     split = corpus.SplitDataset(train, np.array(positives), np.stack(negatives))
     catalog = corpus.AttributeCatalog(
-        user_attrs=[rng.choice(5, rng.integers(1, 4), replace=False) for _ in range(num_users)],
-        item_attrs=[rng.choice(7, rng.integers(1, 4), replace=False) for _ in range(NUM_ITEMS)],
+        user_attrs=tc.Ragged.from_rows(
+            [rng.choice(5, rng.integers(1, 4), replace=False) for _ in range(num_users)]),
+        item_attrs=tc.Ragged.from_rows(
+            [rng.choice(7, rng.integers(1, 4), replace=False) for _ in range(NUM_ITEMS)]),
         user_vocab_size=5,
         item_vocab_size=7,
     )

@@ -74,16 +74,26 @@ def write_src(root, files):
 
 def test_src_line_counts_of_two_trees(tmp_path, capsys):
     write_src(tmp_path / "ref", {"crossrec/__init__.py": '"""doc"""\n',
-                                 "crossrec/cli.py": "a = 1\n\nb = 2\nc = 3\n"})
+                                 "crossrec/cli.py": "a = 1\n\nb = 2\nc = 3\n",
+                                 "crossrec/old.py": "x = 1\ny = 2\n"})
     write_src(tmp_path / "work", {"crossrec/__init__.py": '"""doc"""\n',
                                   "crossrec/cli.py": "a = 1\nb = 2\n",
+                                  "crossrec/new.py": "z = 3\n",
                                   "crossrec/__pycache__/cli.cpython-311.pyc": "x\n" * 50,
                                   "crossrec.egg-info/SOURCES.txt": "src/crossrec/cli.py\n"})
     tool = load_tool()
-    assert tool.src_lines(tmp_path / "ref") == 5
-    assert tool.src_lines(tmp_path / "work") == 3
+    assert tool.src_lines(tmp_path / "ref") == {
+        os.path.join("crossrec", "__init__.py"): 1, os.path.join("crossrec", "cli.py"): 4,
+        os.path.join("crossrec", "old.py"): 2}
+    assert sum(tool.src_lines(tmp_path / "work").values()) == 4
     tool.report_src_lines(tmp_path / "ref", tmp_path / "work", "HEAD~1")
-    assert capsys.readouterr().out == "src/ lines: 5 in HEAD~1, 3 in the working tree (-2)\n"
+    assert capsys.readouterr().out.splitlines() == [
+        "src/ lines: 7 in HEAD~1, 4 in the working tree (-3)",
+        "  crossrec/__init__.py      1      1  +0",
+        "  crossrec/cli.py           4      2  -2",
+        "  crossrec/new.py           0      1  +1",
+        "  crossrec/old.py           2      0  -2",
+    ]
 
 
 def test_crlf_copies_must_prepare_like_their_plain_copies(tmp_path, capsys):

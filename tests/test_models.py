@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import as_stored, merge, pool
+from conftest import as_stored, merge, pool, rows_of
 from crossrec import corpus, models
 from crossrec import tensorcore as tc
 
@@ -97,8 +97,8 @@ def pool_scalar(entity, attr_rows):
 def aadcf_scalar(store, config, catalog, u, i):
     ue = store.value("user_emb")[u]
     ie = store.value("item_emb")[i]
-    p = pool_scalar(ue, [store.value("user_attr_emb")[a] for a in catalog.user_attrs[u]])
-    q = pool_scalar(ie, [store.value("item_attr_emb")[a] for a in catalog.item_attrs[i]])
+    p = pool_scalar(ue, [store.value("user_attr_emb")[a] for a in rows_of(catalog.user_attrs)[u]])
+    q = pool_scalar(ie, [store.value("item_attr_emb")[a] for a in rows_of(catalog.item_attrs)[i]])
     x = [a * b for a, b in zip(p, q)]
     x = mlp_scalar(store, x, config.mlp_layers)
     return sigmoid(dense_scalar(x, store.value("out_w"), store.value("out_b"))[0])
@@ -109,11 +109,11 @@ def camf_scalar(store, config, catalog, u, i):
     p = [float(v) for v in store.value("user_emb")[u]]
     q = [float(v) for v in store.value("item_emb")[i]]
     a_u = [0.0] * d
-    for a in catalog.user_attrs[u]:
+    for a in rows_of(catalog.user_attrs)[u]:
         for k in range(d):
             a_u[k] += float(store.value("user_attr_emb")[a, k])
     a_i = [0.0] * d
-    for a in catalog.item_attrs[i]:
+    for a in rows_of(catalog.item_attrs)[i]:
         for k in range(d):
             a_i[k] += float(store.value("item_attr_emb")[a, k])
     z = p + a_u + q + a_i
@@ -311,7 +311,7 @@ class TestAadcf:
     def test_hand_set_tiny_instance(self):
         config = cfg("aadcf", num_users=1, num_items=1, factors=2, mlp_layers=(2,),
                      user_vocab_size=1, item_vocab_size=1)
-        catalog = corpus.AttributeCatalog([[0]], [[0]], 1, 1)
+        catalog = corpus.AttributeCatalog(tc.Ragged.from_rows([[0]]), tc.Ragged.from_rows([[0]]), 1, 1)
         store = models.init_params(config, 0)
         store.set_value("user_emb", [[1.0, 2.0]])
         store.set_value("item_emb", [[0.5, 1.0]])
@@ -418,8 +418,8 @@ class TestCamfForward:
         config = cfg("camf")
         store = models.init_params(config, 9)
         shuffled = corpus.AttributeCatalog(
-            [ids[::-1].copy() for ids in catalog.user_attrs],
-            [np.roll(ids, 1).copy() for ids in catalog.item_attrs],
+            tc.Ragged.from_rows([ids[::-1] for ids in rows_of(catalog.user_attrs)]),
+            tc.Ragged.from_rows([np.roll(ids, 1) for ids in rows_of(catalog.item_attrs)]),
             catalog.user_vocab_size,
             catalog.item_vocab_size,
         )
@@ -432,7 +432,7 @@ class TestCamfForward:
     def test_hand_set_tiny_instance(self):
         config = cfg("camf", num_users=1, num_items=1, factors=2, mlp_layers=(2,),
                      user_vocab_size=1, item_vocab_size=1)
-        catalog = corpus.AttributeCatalog([[0]], [[0]], 1, 1)
+        catalog = corpus.AttributeCatalog(tc.Ragged.from_rows([[0]]), tc.Ragged.from_rows([[0]]), 1, 1)
         store = models.init_params(config, 0)
         store.set_value("user_emb", [[1.0, 0.0]])
         store.set_value("item_emb", [[0.0, 1.0]])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import gradients
+from conftest import gradients, rows_of
 
 from crossrec import models
 from crossrec import tensorcore as tc
@@ -207,7 +207,7 @@ class TestPrimitives:
         store = make_store(emb=rng.normal(0, 1, (9, 5)))
         t = tc.Tape(store, record=False)
         ragged = tc.Ragged.from_rows([[2, 7, 5, 0], [0, 5, 7, 2]])
-        assert ragged[0].tolist() == ragged[1].tolist() == [0, 2, 5, 7]
+        assert ragged.flat.tolist() == [0, 2, 5, 7] * 2
         fwd, rev = t.embed_sum("emb", ragged, [0, 1]).value
         assert fwd.tobytes() == rev.tobytes()
 
@@ -542,13 +542,12 @@ class TestSegmentSum:
 
 
 class TestRagged:
-    def test_rows_index_and_iterate_as_sorted_views(self):
+    def test_from_rows_stores_each_row_sorted(self):
         ragged = tc.Ragged.from_rows([[3, 1], [], (2,)])
         assert len(ragged) == 3
-        assert [row.tolist() for row in ragged] == [[1, 3], [], [2]]
-        assert ragged[0].base is not None and ragged[-1].tolist() == [2]
-        with pytest.raises(IndexError):
-            ragged[3]
+        assert ragged.offsets.tolist() == [0, 2, 2, 3] and ragged.flat.tolist() == [1, 3, 2]
+        assert [row.tolist() for row in rows_of(ragged)] == [[1, 3], [], [2]]
+        assert rows_of(tc.Ragged.from_rows([])) == []
 
     def test_gather_is_segment_then_id_order(self):
         ragged = tc.Ragged.from_rows([[4, 0], [7], [], [5, 2, 2]])

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import time_bound
+from conftest import rows_of, time_bound
 from crossrec import corpus, models, training
 from crossrec import tensorcore as tc
 
@@ -25,10 +25,10 @@ def synthetic_split(seed=5, num_users=20, num_items=130):
 def synthetic_catalog(split, seed=5):
     rng = np.random.default_rng(seed + 1)
     return corpus.AttributeCatalog(
-        [rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
-         for _ in range(split.train.num_users)],
-        [rng.choice(6, size=int(rng.integers(1, 3)), replace=False)
-         for _ in range(split.train.num_items)],
+        tc.Ragged.from_rows([rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
+                             for _ in range(split.train.num_users)]),
+        tc.Ragged.from_rows([rng.choice(6, size=int(rng.integers(1, 3)), replace=False)
+                             for _ in range(split.train.num_items)]),
         5,
         6,
     )
@@ -47,17 +47,18 @@ class TestSampler:
 
     def test_negatives_avoid_the_full_interaction_set(self):
         split = synthetic_split()
+        train_rows = rows_of(split.train.per_user_items)
         full = {
             (u, int(i))
             for u in range(split.train.num_users)
-            for i in [*split.train.per_user_items[u], split.test_positives[u]]
+            for i in [*train_rows[u], split.test_positives[u]]
         }
         for batch in training.sample_training_batches(split, 4, 64, seed=3, epoch=2):
             for u, i, y in zip(batch.users, batch.items, batch.labels):
                 if y == 0.0:
                     assert (int(u), int(i)) not in full
                 else:
-                    assert int(i) in split.train.per_user_items[int(u)]
+                    assert int(i) in train_rows[int(u)]
 
     def test_test_positive_never_a_train_negative(self):
         split = synthetic_split()
@@ -235,7 +236,7 @@ class TestTrain:
         catalog = synthetic_catalog(split)
         train_users = split.train.users.copy()
         positives = split.test_positives.copy()
-        user_attrs = [a.copy() for a in catalog.user_attrs]
+        user_attrs = catalog.user_attrs.offsets.copy(), catalog.user_attrs.flat.copy()
         config = models.ModelConfig(
             "aadcf", split.train.num_users, split.train.num_items, factors=4,
             mlp_layers=(4, 2), user_vocab_size=5, item_vocab_size=6,
@@ -243,7 +244,8 @@ class TestTrain:
         training.train(config, split, catalog, seed=2, epochs=1)
         assert np.array_equal(split.train.users, train_users)
         assert np.array_equal(split.test_positives, positives)
-        assert all(np.array_equal(a, b) for a, b in zip(catalog.user_attrs, user_attrs))
+        assert np.array_equal(catalog.user_attrs.offsets, user_attrs[0])
+        assert np.array_equal(catalog.user_attrs.flat, user_attrs[1])
 
     def test_epoch_reports_flow_through_callback(self):
         split = synthetic_split()
@@ -303,8 +305,8 @@ class TestLearnsPlantedStructure:
         )
         split = corpus.leave_one_out_split(data, 3)
         catalog = corpus.AttributeCatalog(
-            [[int(np.argmax(user_pref[u]))] for u in range(num_users)],
-            [list(map(int, ts)) for ts in item_topics],
+            tc.Ragged.from_rows([[int(np.argmax(user_pref[u]))] for u in range(num_users)]),
+            tc.Ragged.from_rows([list(map(int, ts)) for ts in item_topics]),
             topics, topics,
         )
         config = models.ModelConfig("camf", num_users, num_items, factors=8,

@@ -44,10 +44,10 @@ their per-epoch seconds first. One table of digests is printed, and the
 exit code is 1 if any artifact differs or exists on one side only, or if,
 on either side, a CRLF copy's prepared files differ from its plain copy's.
 Then the lines of src/'s .py files are counted in REF and in the working
-tree, so a change's src/ delta comes from the run that shows its byte
-identity. Float bits depend on the CPU and the BLAS build, so the digests
-are only meaningful between two trees on one machine and are never kept
-as goldens. Each side takes about a minute on a 2-vCPU VM.
+tree, in all and per module (0 on a side that lacks it), so a change's src/
+delta, and where it went, comes from the run that shows its byte identity.
+Float bits depend on the CPU and the BLAS build, so the digests are only
+meaningful between two trees on one machine and are never kept as goldens. Each side takes about a minute on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -286,20 +286,29 @@ def compare_variants(tree, label):
 
 
 def src_lines(tree):
-    """Newlines in the .py files under tree/src, as `wc -l` counts them."""
-    total = 0
-    for dirpath, _dirnames, filenames in os.walk(os.path.join(tree, "src")):
+    """{path under src/: newlines} of the .py files under tree/src, as `wc -l` counts them."""
+    src, counts = os.path.join(tree, "src"), {}
+    for dirpath, _dirnames, filenames in os.walk(src):
         for name in filenames:
             if name.endswith(".py"):
-                with open(os.path.join(dirpath, name), "rb") as fh:
-                    total += fh.read().count(b"\n")
-    return total
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    counts[os.path.relpath(path, src)] = fh.read().count(b"\n")
+    return counts
 
 
 def report_src_lines(ref_tree, work_tree, ref_label="ref"):
-    """Print the src/ line counts of both trees and the change between them."""
+    """Print the src/ line counts of both trees and the change between them, in all
+    and then per module (0 on a side that lacks it)."""
     ref, work = src_lines(ref_tree), src_lines(work_tree)
-    print(f"src/ lines: {ref} in {ref_label}, {work} in the working tree ({work - ref:+d})")
+    total_ref, total_work = sum(ref.values()), sum(work.values())
+    print(f"src/ lines: {total_ref} in {ref_label}, {total_work} in the working tree "
+          f"({total_work - total_ref:+d})")
+    names = sorted(ref.keys() | work.keys())
+    width = max(map(len, names), default=0)
+    for name in names:
+        a, b = ref.get(name, 0), work.get(name, 0)
+        print(f"  {name:<{width}}  {a:>5}  {b:>5}  {b - a:+d}")
 
 
 # -- both sides ---------------------------------------------------------------------
