@@ -221,37 +221,31 @@ def cmd_prepare(config, log=print):
     return 0
 
 
-def _write_metrics_row(fh, epoch, config, stats, report):
-    fh.write(
-        f"{epoch},{config.model},{config.factors},{config.seed},"
-        f"{_float_repr(stats.mean_loss)},{_float_repr(report.hr_at_10)},"
-        f"{_float_repr(report.ndcg_at_10)},{_float_repr(stats.wall_seconds)}\n"
-    )
-
-
 def train_and_save(config, log=print):
-    """Train one model on the prepared split, write metrics CSV and checkpoint; return the TrainResult."""
+    """Train one model on the prepared split; return the TrainResult. Its metrics CSV is written beside
+    its path and renamed over it after the checkpoint, so only a run that succeeds replaces either."""
     split, catalog = corpus.load_prepared(config.out)
     model_config = _model_config(config, split, catalog)
     csv_file = metrics_path(config.out, config.model, config.factors)
+    checkpoint = ckpt_path(config.out, config.model, config.factors)
     header = {"model": config.model, "factors": config.factors, "layers": ",".join(map(str, config.layers)),
               "include_attr_cross": int(config.include_attr_cross),
               "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
-    with open(csv_file, "w", encoding="utf-8", newline="\n") as fh:
+    with tensorcore.replacing(csv_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 
         def on_epoch(stats, report, store):
-            _write_metrics_row(fh, stats.epoch, config, stats, report)
-            fh.flush()
+            fh.write(f"{stats.epoch},{config.model},{config.factors},{config.seed},"
+                     f"{_float_repr(stats.mean_loss)},{_float_repr(report.hr_at_10)},"
+                     f"{_float_repr(report.ndcg_at_10)},{_float_repr(stats.wall_seconds)}\n")
             log(
                 f"epoch {stats.epoch}/{config.epochs} loss={stats.mean_loss:.4f} "
                 f"hr10={report.hr_at_10:.4f} ndcg10={report.ndcg_at_10:.4f} "
                 f"({stats.wall_seconds:.1f}s)"
             )
             if config.checkpoint_every and stats.epoch % config.checkpoint_every == 0:
-                snapshot = ckpt_path(config.out, config.model, config.factors)
-                tensorcore.save_checkpoint(f"{snapshot}.epoch{stats.epoch}", store, header)
+                tensorcore.save_checkpoint(f"{checkpoint}.epoch{stats.epoch}", store, header)
 
         result = training.train(
             model_config, split, catalog,
@@ -259,8 +253,7 @@ def train_and_save(config, log=print):
             batch_size=config.batch_size, negative_ratio=config.neg_ratio,
             on_epoch=on_epoch,
         )
-
-    tensorcore.save_checkpoint(ckpt_path(config.out, config.model, config.factors), result.store, header)
+        tensorcore.save_checkpoint(checkpoint, result.store, header)
     if result.eval_reports:
         best = result.best_epoch()
         final = result.eval_reports[-1]
@@ -335,10 +328,10 @@ def cmd_gradcheck(config, log=print):
         )
     if report.ok:
         log(f"gradcheck {config.model}: PASS (max {report.max_relative_error:.3e} "
-            f"< {report.tolerance})")
+            f"< {training.GRADCHECK_TOLERANCE})")
         return 0
     log(f"gradcheck {config.model}: FAIL at parameter {report.worst()!r} "
-        f"({report.per_param[report.worst()]:.3e} >= {report.tolerance})")
+        f"({report.per_param[report.worst()]:.3e} >= {training.GRADCHECK_TOLERANCE})")
     return 1
 
 

@@ -217,14 +217,13 @@ def _int_rows(path, sep, width, encoding, labels):
     return table
 
 
-def _index(path, rows, min_user_interactions=1):
-    """(InteractionSet, raw user ids, raw item ids) from raw (user, item, timestamp) rows.
+def _index(path, table, min_user_interactions=1):
+    """(InteractionSet, raw user ids, raw item ids) from an (n, 3) int64 table of raw (user, item, timestamp) rows.
 
     The first occurrence of each (user, item) pair is kept, users left with
     fewer than `min_user_interactions` pairs are dropped, and the remaining
     raw ids map to dense ids in ascending raw-id order.
     """
-    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
     if not table.size:
         raise LoadError(f"{path}: no interactions")
     (_, users), (_, items) = (np.unique(raw, return_inverse=True) for raw in table.T[:2])
@@ -472,7 +471,7 @@ def load_catalog(path):
             sides.append(Ragged(offsets, flat))
         except ShapeError as exc:
             raise LoadError(f"{path}: attribute {exc}") from None
-        if flat.max(initial=-1) + 1 != size:  # prepare writes no unused (table-inflating) ids
+        if sides[-1].max_id + 1 != size:  # prepare writes no unused (table-inflating) ids
             raise LoadError(f"{path}: vocabulary size {size} is not the largest attribute id + 1")
     return AttributeCatalog(*sides, *vocab.tolist())
 

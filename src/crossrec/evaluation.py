@@ -63,19 +63,16 @@ def ndcg_at_k(rank):
 def evaluate(config, store, split, catalog=None):
     """Score each user's positive plus pre-drawn negatives and average HR/NDCG."""
     num_users = split.train.num_users
-    candidates = np.concatenate(
-        [np.asarray(split.test_positives)[:, None], split.test_negatives], axis=1
-    )
+    candidates = np.concatenate([split.test_positives[:, None], split.test_negatives], axis=1)
     # side rows are gathered by np.take, which would wrap a negative id
     check_rows(candidates, config.num_items, "candidate items")
-    sides = models.build_sides(Tape(store, record=False), config, np.arange(num_users),
-                               np.arange(config.num_items), catalog)
+    tape = Tape(store, record=False)  # one for the pass: a tape that does not record holds no state
+    sides = models.build_sides(tape, config, np.arange(num_users), np.arange(config.num_items), catalog)
     width = candidates.shape[1]
     ranks = np.empty(num_users, dtype=np.int64)
     for start in range(0, num_users, EVAL_USERS_PER_FORWARD):
         block = candidates[start:start + EVAL_USERS_PER_FORWARD]
         users = np.repeat(np.arange(start, start + len(block), dtype=np.int64), width)
-        tape = Tape(store, record=False)
         node = models.score(tape, config, users, block.reshape(-1), catalog, sides)
         scores = models.predictions(node).reshape(len(block), width)
         if not np.isfinite(scores).all():

@@ -161,7 +161,6 @@ def _side(tape, kind, who, ids, catalog):
     """The nodes `who` ("user" or "item") contributes: each row a function of its id alone."""
     if catalog is None and kind in ("aadcf", "camf"):
         raise ValueError(f"{kind} requires an attribute catalog")
-    ids = np.asarray(ids, dtype=np.int64)
     if kind == "neumf":
         return (tape.embed_lookup(f"gmf_{who}_emb", ids), tape.embed_lookup(f"mlp_{who}_emb", ids))
     emb = tape.embed_lookup(f"{who}_emb", ids)

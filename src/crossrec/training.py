@@ -22,6 +22,7 @@ DEFAULT_BATCH_SIZE = 256
 DEFAULT_NEGATIVE_RATIO = 4
 DEFAULT_EPOCHS = 20
 DEFAULT_LR = 0.001
+GRADCHECK_TOLERANCE = 1e-3  # gradcheck passes when every relative error is below it
 
 
 class TrainingError(RuntimeError):
@@ -62,8 +63,10 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     The draw is a function of (seed, epoch): replaying an epoch reproduces
     it exactly and consecutive epochs see different negatives. Rejected
     negatives are redrawn in ascending slot order, and each round rechecks
-    only the slots it redrew. Raises TrainingError, before drawing, if a
-    user with training positives has observed every item.
+    only the slots it redrew. Positives precede negatives before the shuffle,
+    so a label is 1 where the permutation took a slot below len(train).
+    Raises TrainingError, before drawing, if a user with training positives
+    has observed every item.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
@@ -89,9 +92,8 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
 
     users = np.concatenate([train.users, neg_users])
     items = np.concatenate([train.items, candidates])
-    labels = np.concatenate([np.ones(len(train)), np.zeros(neg_users.size)])
     order = rng.permutation(users.size)
-    users, items, labels = users[order], items[order], labels[order]
+    users, items, labels = users[order], items[order], (order < len(train)).astype(np.float64)
     for start in range(0, users.size, batch_size):
         stop = start + batch_size
         yield Batch(users[start:stop], items[start:stop], labels[start:stop])
@@ -173,7 +175,6 @@ class GradcheckReport:
     per_param: dict                  # name -> max relative error
     kink_skips: dict                 # name -> elements skipped at a relu kink
     grad_norms: dict                 # name -> max |analytic| entry (0 means untouched)
-    tolerance: float
 
     @property
     def max_relative_error(self):
@@ -181,7 +182,7 @@ class GradcheckReport:
 
     @property
     def ok(self):
-        return self.max_relative_error < self.tolerance
+        return self.max_relative_error < GRADCHECK_TOLERANCE
 
     def worst(self):
         return max(self.per_param, key=self.per_param.get)
@@ -232,7 +233,7 @@ class _LayerTape(tc.Tape):
         return super().relu(x)
 
 
-def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
+def gradcheck(kind, seed, h=1e-3):
     """Compare analytic batch-loss gradients with central finite differences.
 
     Differences are evaluated in float64 with the actually-achieved float32
@@ -242,7 +243,7 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
     flips a relu activation are skipped (the loss is not differentiable
     across the kink) and counted in the report. Relative error uses
     max(|analytic|, |numeric|, 1e-8) as the denominator; parameters a batch
-    never touches report exactly zero on both sides.
+    never touches report exactly zero on both sides; ok is all below GRADCHECK_TOLERANCE.
 
     Parameters are drawn at unit-ish scale rather than training init: at
     0.01 init a deep relu layer can go completely dead for the whole batch
@@ -300,4 +301,4 @@ def gradcheck(kind, seed, h=1e-3, tolerance=1e-3):
                 worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
         per_param[name] = worst
         kink_skips[name] = skipped
-    return GradcheckReport(per_param, kink_skips, grad_norms, tolerance)
+    return GradcheckReport(per_param, kink_skips, grad_norms)

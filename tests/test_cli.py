@@ -245,6 +245,24 @@ class TestTrain:
         code, _, err = run_cli(train_args(prepared, factors=factors, extra=("--config", str(cfg))), capsys)
         assert code == 1 and err.startswith(f"crossrec: error: Unable to allocate {size}")
 
+    def test_failed_rerun_keeps_the_earlier_csv_and_checkpoint(self, prepared, tmp_path, capsys):
+        assert run_cli(train_args(prepared), capsys)[0] == 0
+        paths = [cli.metrics_path(prepared, "gmf", 4), cli.ckpt_path(prepared, "gmf", 4)]
+        before = [Path(path).read_bytes() for path in paths]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("neg-ratio=100000000000000\n")  # the sampler cannot allocate its negatives
+        code, _, err = run_cli(train_args(prepared, extra=("--config", str(cfg))), capsys)
+        assert code == 1 and err.startswith("crossrec: error: Unable to allocate")
+        assert [Path(path).read_bytes() for path in paths] == before
+        assert not [name for name in os.listdir(prepared) if ".tmp." in name]
+
+    def test_unwritable_checkpoint_leaves_no_csv_and_no_temporary_file(self, prepared, capsys):
+        os.mkdir(cli.ckpt_path(prepared, "mlp", 4))
+        code, _, err = run_cli(train_args(prepared, model="mlp", epochs=1), capsys)
+        assert code == 2 and "Is a directory" in err
+        assert not os.path.exists(cli.metrics_path(prepared, "mlp", 4))
+        assert not [name for name in os.listdir(prepared) if ".tmp." in name]
+
     def test_writes_metrics_and_checkpoint(self, prepared, capsys):
         code, stdout, _ = run_cli(train_args(prepared), capsys)
         assert code == 0
@@ -566,6 +584,24 @@ class TestGradcheckCommand:
         assert code == 0
         names = [l.split("\t")[0] for l in stdout.splitlines() if "max_rel_err" in l]
         assert len(names) == len(set(names)) == 15
+
+    def test_skewed_backward_rule_fails_at_its_worst_parameter(self, capsys, monkeypatch):
+        original = tc.Tape.relu
+
+        def skewed_relu(self, x):
+            node = original(self, x)
+            if self.recording:  # the recorded rule's gradients come out 1% too large
+                real_node, real_back = self._ops[-1]
+                self._ops[-1] = (real_node, lambda g: real_back(g * 1.01))
+            return node
+
+        monkeypatch.setattr(tc.Tape, "relu", skewed_relu)
+        code, stdout, _ = run_cli(["gradcheck", "--model", "mlp", "--seed", "42"], capsys)
+        errors = dict(re.findall(r"^(\S+)\tmax_rel_err=(\S+)\t", stdout, re.M))
+        worst = re.fullmatch(r"gradcheck mlp: FAIL at parameter '(\S+)' \((\S+) >= 0\.001\)",
+                             stdout.splitlines()[-1])
+        assert code == 1 and worst
+        assert errors[worst[1]] == worst[2] == max(errors.values(), key=float)
 
     def test_unknown_model_is_validation_failure(self, capsys):
         code, _, err = run_cli(["gradcheck", "--model", "svd", "--seed", "1"], capsys)

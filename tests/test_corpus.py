@@ -482,12 +482,12 @@ class TestIndexer:
     @example([(10**18, k, k) for k in range(9)] * 2, 10)                # every user filtered
     def test_matches_set_and_dict_reference(self, triples, min_user_interactions):
         raw_users, raw_items, expected = _reference_index(triples, min_user_interactions)
-        flat = [value for row in triples for value in row]
+        table = np.array(triples, dtype=np.int64).reshape(-1, 3)  # the parsers' (n, 3) table
         if not expected:
             with pytest.raises(corpus.LoadError, match=r"^inter\.tsv: empty dataset after the >= 10"):
-                corpus._index("inter.tsv", flat, min_user_interactions)
+                corpus._index("inter.tsv", table, min_user_interactions)
             return
-        data, users, items = corpus._index("inter.tsv", flat, min_user_interactions)
+        data, users, items = corpus._index("inter.tsv", table, min_user_interactions)
         assert users.tolist() == raw_users and items.tolist() == raw_items
         assert (data.num_users, data.num_items) == (len(raw_users), len(raw_items))
         got = list(zip(data.users.tolist(), data.items.tolist(), data.timestamps.tolist()))
@@ -495,7 +495,7 @@ class TestIndexer:
 
     def test_no_rows_is_an_error(self):
         with pytest.raises(corpus.LoadError, match=r"^inter\.tsv: no interactions$"):
-            corpus._index("inter.tsv", [], 1)
+            corpus._index("inter.tsv", np.empty((0, 3), dtype=np.int64), 1)
 
 
 # -- attribute catalog -------------------------------------------------------

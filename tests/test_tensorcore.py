@@ -930,3 +930,23 @@ class TestCheckpoints:
         tc.adam_step(store, gradients(store, dense={"w": np.full((4, 1), 0.25)}))
         tc.adam_step(loaded, gradients(loaded, dense={"w": np.full((4, 1), 0.25)}))
         assert np.array_equal(store.value("w"), loaded.value("w"))
+
+    def test_save_over_a_directory_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "model.ckpt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            tc.save_checkpoint(str(tmp_path / "model.ckpt"), self._trained_store(), {})
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_replacing_keeps_the_target_when_the_block_raises(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with tc.replacing(str(path), "w") as fh:
+                fh.write("new\n")
+                raise RuntimeError("mid-write")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        with tc.replacing(str(path), "w") as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]

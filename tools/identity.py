@@ -20,6 +20,9 @@ pinned to one BLAS thread. It covers:
   aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
   at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
   `--layers 12,6`, so the parameter layout is held at other depths too;
+- `train` of gmf for 1 epoch over a copy of the finished gmf run, so a
+  rerun that replaces an earlier run's metrics CSV and checkpoint is
+  covered too;
 - `evaluate --ranks-out` of each of those checkpoints, given only
   `--model`, `--factors`, `--out` and `--ranks-out`, and `evaluate` of
   the camf one without `--ranks-out`, as perfbench's fixture check runs it;
@@ -78,6 +81,7 @@ TRAIN_RUNS = {  # directory -> (model, extra train flags)
     "mlp-16": ("mlp", ["--layers", "16"]),
     "neumf-12-6": ("neumf", ["--layers", "12,6"]),
 }
+RERUN = "gmf-rerun"  # train/gmf copied, then gmf trained over it
 CONFIG_RUN = "camf-config"
 CONFIG_FILE = f"""# every key train takes
 seed=42
@@ -184,6 +188,9 @@ def produce(out, datasets):
                               "--out", f"train/{name}"])
         run(f"evaluate-{name}", ["evaluate", "--model", model, "--factors", "8", "--out", f"train/{name}",
                                  "--ranks-out", f"train/{name}/ranks.tsv"])
+    shutil.copytree("train/gmf", f"train/{RERUN}")
+    run(f"train-{RERUN}", ["train", "--model", "gmf", "--factors", "8", "--epochs", "1",
+                           "--seed", str(SEEDS[0]), "--out", f"train/{RERUN}"])
     run("evaluate-camf-no-ranks", ["evaluate", "--model", "camf", "--factors", "8", "--out", "train/camf"])
     shutil.copytree(f"prepare/{WIDE_CORPUS}-{SEEDS[0]}", f"train/{WIDE_RUN}")
     run(f"train-{WIDE_RUN}", ["train", "--model", "aadcf", "--factors", "8", "--seed", str(SEEDS[0]),
