@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation or numeric failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -232,6 +233,9 @@ def train_and_save(config, log=print):
               "include_attr_cross": int(config.include_attr_cross),
               "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
+    for path in (csv_file, checkpoint):  # renamed over only after the last epoch: fail before the first
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     with tensorcore.replacing(csv_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 

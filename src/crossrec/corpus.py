@@ -15,10 +15,13 @@ with none and returns them as a Ragged: each parser returns its InteractionSet
 and an AttributeCatalog of two Ragged sides, the one form attributes keep from
 here to the tape. `SplitDataset.observed` is the one membership rule: a train
 pair or a user's test positive, which held-out and sampled negatives avoid.
+Train pairs are looked up in `InteractionSet.pair_bits`, one bit per
+(user, item) cell, built on the first query and kept with the set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tokenize
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorcore import Ragged, ShapeError, decimal_int, seeded_rng
+from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, seeded_rng
 
 
 class CorpusError(Exception):
@@ -51,6 +54,8 @@ class InteractionSet:
     """Deduplicated (user, item, timestamp) triples over dense 0-based ids.
 
     per_user_items is a Ragged with one row per user: its items, ascending.
+    contains answers membership from pair_bits, a bitmap it builds once, on
+    its first query, so load_split and every epoch's sampler share one.
     """
 
     num_users: int
@@ -82,15 +87,29 @@ class InteractionSet:
     def __len__(self):
         return len(self.users)
 
+    @functools.cached_property
+    def pair_bits(self):
+        """The set as packed bits over the num_users x num_items grid, built on first use.
+
+        Bit k % 8 of byte k // 8 is set for each pair k = user * num_items + item:
+        ceil(U * I / 8) bytes, 2.8 MB at MovieLens-1M's shape and 68 MB at
+        Pinterest's (55,187 x 9,916).
+        """
+        bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
+        keys = self.users * self.num_items + self.items
+        np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+        return bits
+
     def contains(self, users, items):
-        """Whether each (user, item), broadcast over the two id arrays, is a pair of this set."""
-        rows = self.per_user_items
-        keys = np.repeat(np.arange(self.num_users, dtype=np.int64) * self.num_items, rows.lengths)
-        keys += rows.flat  # ascending: users ascend and each row's items ascend
-        query = np.asarray(users, dtype=np.int64) * self.num_items + items
-        if not keys.size:
-            return np.zeros(query.shape, dtype=bool)
-        return keys.take(np.searchsorted(keys, query), mode="clip") == query
+        """Whether each (user, item), broadcast over the two id arrays, is a pair of this set.
+
+        ShapeError for an id outside [0, num_users) x [0, num_items): pair_bits would read another pair.
+        """
+        users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+        check_rows(users, self.num_users, "users")
+        check_rows(items, self.num_items, "items")
+        keys = users * self.num_items + items
+        return self.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
 
 
 @dataclass

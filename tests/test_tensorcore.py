@@ -689,7 +689,7 @@ def _reference_row_merge(chunks):
 
 
 class TestArenaRowMerge:
-    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3)}
+    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3), "bias": (1, 1)}
 
     def _values(self, rng, shape):
         # magnitudes over 16 decades and signed zeros, so any change of order shows
@@ -697,12 +697,14 @@ class TestArenaRowMerge:
         g[rng.random(shape) < 0.2] = -0.0
         return g
 
-    def _record(self, rng, tables):
+    def _record(self, rng, tables, before=()):
         """A tape holding 6-10 row ops on `tables` in a random interleaved order,
         half lookups and half attribute sums, every op's gradient drawn here;
         returns (store, buffer, the chunks the ops produce in the order
-        backward visits them, last op first)."""
-        store = make_store(**{name: rng.normal(0, 1, self.SHAPES[name]) for name in (*tables, "dense")})
+        backward visits them, last op first). The parameters named in `before`
+        lead the store's arena."""
+        names = (*before, *tables, "dense")
+        store = make_store(**{name: rng.normal(0, 1, self.SHAPES[name]) for name in names})
         t = tc.Tape(store)
         nodes, grads, chunks = [], [], []
         for name in rng.choice(tables, size=int(rng.integers(6, 11))):
@@ -722,16 +724,24 @@ class TestArenaRowMerge:
         out = t.custom(np.zeros((1, 1)), nodes, lambda g: grads)
         return store, t.backward(out, np.ones((1, 1))), chunks[::-1]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rows_equal_per_table_merge_bitwise(self, seed):
-        rng = np.random.default_rng(seed)
-        tables = ["a", "b", "c", "d"][:2 + seed % 3]
-        store, grads, chunks = self._record(rng, tables)
+    def _check_against_reference(self, rng, tables, before=()):
+        store, grads, chunks = self._record(rng, tables, before)
         want = _reference_row_merge(chunks)
         assert grads.names() == sorted(want)
         merged = gradients(store, rows=want)
         assert grads.index.tobytes() == merged.index.tobytes()
         assert grads.g.tobytes() == merged.g.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_per_table_merge_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        self._check_against_reference(rng, ["a", "b", "c", "d"][:2 + seed % 3])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tables_at_offsets_off_their_width_merge_as_per_table(self, seed):
+        # a (1, 1) parameter first puts every width-3 table at an offset that is no multiple of 3
+        rng = np.random.default_rng(50 + seed)
+        self._check_against_reference(rng, ["a", "b", "c", "d"][:2 + seed], before=("bias",))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_prepared_apply_equals_checked_apply_bitwise(self, seed):
