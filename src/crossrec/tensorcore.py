@@ -151,7 +151,7 @@ class GradientBuffer:
         layout = list(self.store._layout.items())
         starts = [offset for _, (offset, _) in layout]
         owners = np.searchsorted(starts, self.index if cells is None else cells, side="right") - 1
-        return sorted(layout[k][0] for k in np.unique(owners).tolist())
+        return sorted(layout[k][0] for k in np.flatnonzero(np.bincount(owners)).tolist())
 
     def as_dense(self, name):
         """The gradient of `name` at full parameter shape, zero at absent cells."""
@@ -265,12 +265,13 @@ class Tape:
     what evaluation uses. A tape is single-use: build one forward, call
     backward once.
 
-    Row gradients are kept by the arena cell of each row's first element,
-    in the order backward reaches their ops. backward marks the rows read in
-    a bool table over the arena's `width`-wide rows, ranks them in ascending
-    order, and one segment sum merges every table, each cell adding its
-    terms as a merge per table would; no sort or search is involved. A
-    tape's row tables share one width (every model's: `factors`).
+    Row gradients are kept by arena row, the arena read as rows of the
+    tables' width (so a recording tape reads a row table only if it starts
+    at a multiple of its width, as every model's does), in the order
+    backward reaches their ops. backward marks the rows read in a bool
+    table, ranks them in ascending order, and one segment sum merges every
+    table, each cell adding its terms as a merge per table would; no sort
+    or search is involved. A tape's row tables share one width (`factors`).
     A dense gradient (param, dense, mlp) is set, not summed: no model reads
     one dense parameter twice in a step.
     """
@@ -280,16 +281,19 @@ class Tape:
         self.recording = record
         self._ops = []          # (node, backward_fn(gout)) in forward order
         self._dense_grads = {}
-        self._row_chunks = []   # (table, arena cell of each row's first element, row gradients)
+        self._row_chunks = []   # (table, arena rows read, their gradients)
 
     # -- leaf reads ------------------------------------------------------
 
     def _leaf_rows(self, node, name, ids, pick=None):
-        """Record that row k of node's gradient (row pick[k], given `pick`) is row ids[k] of `name`'s."""
+        """Record that row k of node's gradient (row pick[k], given `pick`) is row ids[k] of `name`'s:
+        arena row offset // width + ids[k]. ShapeError unless the width is nonzero and divides offset."""
         offset, (_, cols) = self.store._layout[name]
-        cells = offset + ids * cols
+        if not cols or offset % cols:
+            raise ShapeError(f"row table {name!r} of width {cols} does not start on an arena row (cell {offset})")
+        rows = offset // cols + ids
         self._ops.append((node, lambda g: self._row_chunks.append(
-            (name, cells, g if pick is None else np.take(g, pick, axis=0)))))
+            (name, rows, g if pick is None else np.take(g, pick, axis=0)))))
 
     def param(self, name):
         """Read a full parameter matrix as a float64 leaf node."""
@@ -443,29 +447,25 @@ class Tape:
         for node, back in reversed(self._ops):
             if node.grad is not None:
                 back(node.grad)
-        tables, cells, chunks = zip(*self._row_chunks) if self._row_chunks else ((), (), ())
+        tables, rows, chunks = zip(*self._row_chunks) if self._row_chunks else ((), (), ())
         both = set(tables) & self._dense_grads.keys()
         if both:
             raise ShapeError(f"parameter {min(both)!r} has both a dense and a row gradient")
         widths = {chunk.shape[1] for chunk in chunks}
-        if len(widths) > 1:
+        if len(widths) > 1:  # their arena rows would collide
             raise ShapeError(f"row tables of widths {sorted(widths)} on one tape")
-        cells = np.concatenate([np.empty(0, dtype=np.int64), *cells])
-        # Rows of one width never overlap, so cell // width differs between rows and ascends
-        # with their cells, whatever a table's offset: the marked rows' flatnonzero gives the
-        # ascending distinct rows without a sort, and cell_of maps each one back to its cell.
-        width = max(widths, default=0) or 1  # a zero-width table's rows all share its offset
-        rows = cells // width
-        mark = np.zeros(self.store._value.size // width + 1, dtype=bool)
+        width = max(widths, default=1)
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+        # the marked rows' flatnonzero gives the distinct rows ascending without a sort
+        mark = np.zeros(self.store._value.size // width, dtype=bool)
         mark[rows] = True
         present = np.flatnonzero(mark)
-        cell_of, rank = np.empty(mark.size, dtype=np.int64), np.empty(mark.size, dtype=np.int64)
-        cell_of[rows] = cells
+        rank = np.empty(mark.size, dtype=np.int64)
         rank[present] = np.arange(present.size)
-        cells = cell_of[present]
-        g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), rank[rows], cells.size)
+        g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), rank[rows], present.size)
         dense = self._dense_grads
-        index = np.concatenate([(cells[:, None] + np.arange(g.shape[1])).ravel(), self.store.cells(tuple(dense))])
+        cells = (present[:, None] * width + np.arange(width)).ravel()
+        index = np.concatenate([cells, self.store.cells(tuple(dense))])
         flat = np.concatenate([g.ravel(), *(grad.ravel() for grad in dense.values())])
         buffer = GradientBuffer(self.store, index, flat)
         self._ops = []

@@ -598,16 +598,16 @@ class TestGradcheckCommand:
         assert len(names) == len(set(names)) == 15
 
     def test_skewed_backward_rule_fails_at_its_worst_parameter(self, capsys, monkeypatch):
-        original = tc.Tape.relu
+        original = tc.Tape.sigmoid  # every kind's output goes through it
 
-        def skewed_relu(self, x):
+        def skewed_sigmoid(self, x):
             node = original(self, x)
             if self.recording:  # the recorded rule's gradients come out 1% too large
                 real_node, real_back = self._ops[-1]
                 self._ops[-1] = (real_node, lambda g: real_back(g * 1.01))
             return node
 
-        monkeypatch.setattr(tc.Tape, "relu", skewed_relu)
+        monkeypatch.setattr(tc.Tape, "sigmoid", skewed_sigmoid)
         code, stdout, _ = run_cli(["gradcheck", "--model", "mlp", "--seed", "42"], capsys)
         errors = dict(re.findall(r"^(\S+)\tmax_rel_err=(\S+)\t", stdout, re.M))
         worst = re.fullmatch(r"gradcheck mlp: FAIL at parameter '(\S+)' \((\S+) >= 0\.001\)",

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+
 from conftest import gradients, rows_of
 
 from crossrec import models
@@ -370,7 +372,7 @@ def arena_state(store):
 
 
 class TestAdamArena:
-    SHAPES = {"emb": (9, 4), "w": (4, 3), "b": (1, 3), "items": (6, 2), "idle": (2, 2)}
+    SHAPES = {"emb": (9, 4), "items": (6, 2), "w": (4, 3), "b": (1, 3), "idle": (2, 2)}
 
     def _store(self, rng):
         return make_store(**{name: rng.normal(0, 1, shape) for name, shape in self.SHAPES.items()})
@@ -624,6 +626,41 @@ def _uncached_buffer(store, rows, dense):
     return np.concatenate(index), np.concatenate(flat)
 
 
+def _owners_by_scan(store, cells):
+    """The sorted names of the parameters whose arena span holds one of `cells`, found one cell at a time."""
+    owners = set()
+    for cell in cells:
+        for name in store.names():
+            offset = store._layout[name][0]
+            if offset <= cell < offset + math.prod(store.shape(name)):
+                owners.add(name)
+    return sorted(owners)
+
+
+@st.composite
+def _layout_and_cells(draw):
+    """Parameter shapes, (1, 1) and zero-row ones among them, and a sorted subset of the arena's cells."""
+    shapes = draw(st.lists(st.one_of(st.just((1, 1)), st.tuples(st.integers(0, 4), st.integers(1, 3))),
+                           min_size=1, max_size=8))
+    total = sum(rows * cols for rows, cols in shapes)
+    return shapes, sorted(draw(st.sets(st.integers(0, total - 1)))) if total else []
+
+
+class TestGradientBufferNames:
+    @given(_layout_and_cells())
+    @example(([(0, 2), (1, 1), (3, 2), (0, 3)], list(range(7))))  # zero-row parameters share an offset
+    def test_names_equal_owners_found_by_scan(self, layout):
+        shapes, cells = layout
+        store = make_store(**{f"p{k}": np.zeros(shape) for k, shape in enumerate(shapes)})
+        buffer = tc.GradientBuffer(store, np.array(cells[::-1], dtype=np.int64), np.zeros(len(cells)))
+        assert buffer.names() == buffer.names(np.array(cells, dtype=np.int64)) == _owners_by_scan(store, cells)
+        assert buffer.names(np.empty(0, dtype=np.int64)) == []
+        for name in store.names():
+            offset, size = store._layout[name][0], math.prod(store.shape(name))
+            for cell in {offset, offset + size - 1} if size else ():
+                assert buffer.names(np.array([cell])) == [name]
+
+
 class TestDenseIndexCache:
     """Tape.backward reads its dense-gradient cells from ParameterStore.cells,
     cached by the tuple of parameter names on the store itself, so stores of
@@ -632,7 +669,7 @@ class TestDenseIndexCache:
     LAYOUTS = [
         {"emb": (5, 2), "w": (2, 3), "b": (1, 3), "v": (4, 1)},
         {"w": (3, 3), "emb": (6, 3), "b": (2, 3)},
-        {"b": (1, 1), "emb": (3, 4), "w": (4, 4), "v": (1, 4)},
+        {"emb": (3, 4), "b": (1, 1), "w": (4, 4), "v": (1, 4)},
     ]
 
     def _backward(self, store, rng, read):
@@ -689,7 +726,7 @@ def _reference_row_merge(chunks):
 
 
 class TestArenaRowMerge:
-    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3), "bias": (1, 1)}
+    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3)}
 
     def _values(self, rng, shape):
         # magnitudes over 16 decades and signed zeros, so any change of order shows
@@ -697,13 +734,12 @@ class TestArenaRowMerge:
         g[rng.random(shape) < 0.2] = -0.0
         return g
 
-    def _record(self, rng, tables, before=()):
+    def _record(self, rng, tables):
         """A tape holding 6-10 row ops on `tables` in a random interleaved order,
         half lookups and half attribute sums, every op's gradient drawn here;
         returns (store, buffer, the chunks the ops produce in the order
-        backward visits them, last op first). The parameters named in `before`
-        lead the store's arena."""
-        names = (*before, *tables, "dense")
+        backward visits them, last op first)."""
+        names = (*tables, "dense")
         store = make_store(**{name: rng.normal(0, 1, self.SHAPES[name]) for name in names})
         t = tc.Tape(store)
         nodes, grads, chunks = [], [], []
@@ -724,8 +760,8 @@ class TestArenaRowMerge:
         out = t.custom(np.zeros((1, 1)), nodes, lambda g: grads)
         return store, t.backward(out, np.ones((1, 1))), chunks[::-1]
 
-    def _check_against_reference(self, rng, tables, before=()):
-        store, grads, chunks = self._record(rng, tables, before)
+    def _check_against_reference(self, rng, tables):
+        store, grads, chunks = self._record(rng, tables)
         want = _reference_row_merge(chunks)
         assert grads.names() == sorted(want)
         merged = gradients(store, rows=want)
@@ -737,11 +773,12 @@ class TestArenaRowMerge:
         rng = np.random.default_rng(seed)
         self._check_against_reference(rng, ["a", "b", "c", "d"][:2 + seed % 3])
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_tables_at_offsets_off_their_width_merge_as_per_table(self, seed):
-        # a (1, 1) parameter first puts every width-3 table at an offset that is no multiple of 3
-        rng = np.random.default_rng(50 + seed)
-        self._check_against_reference(rng, ["a", "b", "c", "d"][:2 + seed], before=("bias",))
+    def test_table_off_its_width_rejected_when_recording(self):
+        # a (1, 1) parameter first puts the width-3 table at arena cell 1, between two arena rows
+        store = make_store(bias=np.ones((1, 1)), a=np.arange(21.0).reshape(7, 3))
+        with pytest.raises(tc.ShapeError, match=r"'a' of width 3 does not start on an arena row \(cell 1\)"):
+            tc.Tape(store).embed_lookup("a", [0, 4])
+        assert tc.Tape(store, record=False).embed_lookup("a", [0, 4]).value.tolist() == [[0, 1, 2], [12, 13, 14]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_prepared_apply_equals_checked_apply_bitwise(self, seed):
@@ -754,7 +791,7 @@ class TestArenaRowMerge:
         assert arena_state(store) == arena_state(twin)
 
     def test_row_tables_of_two_widths_rejected(self):
-        store = make_store(a=np.ones((3, 2)), b=np.ones((3, 4)))
+        store = make_store(b=np.ones((3, 4)), a=np.ones((3, 2)))
         t = tc.Tape(store)
         out = t.concat([t.embed_lookup("a", [0]), t.embed_lookup("b", [1])])
         with pytest.raises(tc.ShapeError, match=r"widths \[2, 4\]"):

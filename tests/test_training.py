@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -343,9 +344,10 @@ class TestGradcheck:
             assert len(report.per_param) == len(expected)
 
     def test_corrupted_backward_rule_is_caught(self, monkeypatch):
-        original = tc.Tape.relu
+        # every kind's output goes through sigmoid, so its rule is on every training step
+        original = tc.Tape.sigmoid
 
-        def corrupted_relu(self, x):
+        def corrupted_sigmoid(self, x):
             node = original(self, x)
             if self.recording:
                 # skew the recorded rule: gradients come out 1% too large
@@ -353,18 +355,35 @@ class TestGradcheck:
                 self._ops[-1] = (real_node, lambda g: real_back(g * 1.01))
             return node
 
-        monkeypatch.setattr(tc.Tape, "relu", corrupted_relu)
+        monkeypatch.setattr(tc.Tape, "sigmoid", corrupted_sigmoid)
         report = training.gradcheck("mlp", seed=42)
         assert not report.ok
         assert report.per_param[report.worst()] >= 1e-3
         assert report.worst() in report.per_param
 
-    def test_steps_across_a_relu_kink_are_skipped(self):
+    def test_steps_across_a_relu_kink_are_skipped(self, monkeypatch):
         # a wide step flips activations; those elements are counted, not compared
-        report = training.gradcheck("mlp", seed=0, h=0.2)
+        monkeypatch.setattr(training, "GRADCHECK_STEP", 0.2)
+        report = training.gradcheck("mlp", seed=0)
         assert sum(report.kink_skips.values()) > 0
         # gmf has no relu, so nothing is ever skipped
-        assert not any(training.gradcheck("gmf", seed=0, h=0.2).kink_skips.values())
+        assert not any(training.gradcheck("gmf", seed=0).kink_skips.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_camf_attribute_cross_passes(self, monkeypatch, seed):
+        # the a_u * a_i cross widens the tower's input from 3 to 4 * factors columns
+        fixture, configs = training._tiny_fixture, []
+
+        def with_cross(kind, seed):
+            config, catalog, batch = fixture(kind, seed)
+            configs.append(dataclasses.replace(config, include_attr_cross=True))
+            return configs[-1], catalog, batch
+
+        monkeypatch.setattr(training, "_tiny_fixture", with_cross)
+        report = training.gradcheck("camf", seed)
+        assert report.ok, (report.worst(), report.max_relative_error)
+        assert all(v > 0 for v in report.grad_norms.values())
+        assert dict(models.parameter_shapes(*configs))["h0_w"][0] == 4 * configs[0].factors
 
     def test_unused_item_row_zero_on_both_sides(self):
         config = models.ModelConfig("gmf", num_users=3, num_items=4, factors=3)

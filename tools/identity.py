@@ -34,7 +34,7 @@ pinned to one BLAS thread. It covers:
   `--config` file (CONFIG_FILE below): each key `train` takes, at values
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
   `train` does not take;
-- a 2x2 `sweep` and `gradcheck` for all five kinds;
+- a 2x2 `sweep`, and `gradcheck` for all five kinds at both seeds;
 - every checkpoint and `.epochN` snapshot written above, also decoded by
   that side's own `load_checkpoint` into decoded/<path>.txt: its Adam
   step and, per parameter in arena order, its name, its shape and the
@@ -206,7 +206,8 @@ def produce(out, datasets):
     run("sweep", ["sweep", "--model", "gmf,mlp", "--factors", "8,16", "--epochs", "2",
                   "--seed", str(SEEDS[0]), "--out", "sweep"])
     for kind in KINDS:
-        run(f"gradcheck-{kind}", ["gradcheck", "--model", kind, "--seed", str(SEEDS[0])])
+        for seed in SEEDS:
+            run(f"gradcheck-{kind}-{seed}", ["gradcheck", "--model", kind, "--seed", str(seed)])
     checkpoints = [os.path.join(dirpath, name) for dirpath, _dirnames, filenames in os.walk(".")
                    for name in filenames if _CHECKPOINT.search(name)]
     for path in checkpoints:
