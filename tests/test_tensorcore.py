@@ -726,7 +726,7 @@ def _reference_row_merge(chunks):
 
 
 class TestArenaRowMerge:
-    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3)}
+    SHAPES = {"a": (7, 3), "dense": (2, 2), "b": (5, 3), "c": (9, 3), "d": (4, 3), "bias": (1, 1)}
 
     def _values(self, rng, shape):
         # magnitudes over 16 decades and signed zeros, so any change of order shows
@@ -734,12 +734,13 @@ class TestArenaRowMerge:
         g[rng.random(shape) < 0.2] = -0.0
         return g
 
-    def _record(self, rng, tables):
+    def _record(self, rng, tables, after=()):
         """A tape holding 6-10 row ops on `tables` in a random interleaved order,
         half lookups and half attribute sums, every op's gradient drawn here;
         returns (store, buffer, the chunks the ops produce in the order
-        backward visits them, last op first)."""
-        names = (*tables, "dense")
+        backward visits them, last op first). The parameters named in `after`
+        end the store's arena."""
+        names = (*tables, "dense", *after)
         store = make_store(**{name: rng.normal(0, 1, self.SHAPES[name]) for name in names})
         t = tc.Tape(store)
         nodes, grads, chunks = [], [], []
@@ -760,8 +761,8 @@ class TestArenaRowMerge:
         out = t.custom(np.zeros((1, 1)), nodes, lambda g: grads)
         return store, t.backward(out, np.ones((1, 1))), chunks[::-1]
 
-    def _check_against_reference(self, rng, tables):
-        store, grads, chunks = self._record(rng, tables)
+    def _check_against_reference(self, rng, tables, after=()):
+        store, grads, chunks = self._record(rng, tables, after)
         want = _reference_row_merge(chunks)
         assert grads.names() == sorted(want)
         merged = gradients(store, rows=want)
@@ -772,6 +773,21 @@ class TestArenaRowMerge:
     def test_rows_equal_per_table_merge_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         self._check_against_reference(rng, ["a", "b", "c", "d"][:2 + seed % 3])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tables_at_offsets_off_their_width_merge_as_per_table(self, seed):
+        # a (1, 1) parameter first puts every width-3 table at an offset that is no multiple
+        # of 3: a recording tape refuses each at its first read, lookup or attribute sum, so
+        # none reaches the merge; with the tables first, the same draw merges as per table
+        tables = ["a", "b", "c", "d"][:2 + seed]
+        store = make_store(bias=np.ones((1, 1)), **{name: np.ones(self.SHAPES[name]) for name in tables})
+        ragged = tc.Ragged.from_rows([[0, 1], []])
+        for name in tables:
+            message = rf"'{name}' of width 3 does not start on an arena row \(cell {store._layout[name][0]}\)"
+            for read in (lambda t: t.embed_lookup(name, [0]), lambda t: t.embed_sum(name, ragged, [0, 1])):
+                with pytest.raises(tc.ShapeError, match=message):
+                    read(tc.Tape(store))
+        self._check_against_reference(np.random.default_rng(50 + seed), tables, after=("bias",))
 
     def test_table_off_its_width_rejected_when_recording(self):
         # a (1, 1) parameter first puts the width-3 table at arena cell 1, between two arena rows
