@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, seeded_rng
+from .tensorcore import Ragged, ShapeError, check_rows, decimal_int
 
 
 class CorpusError(Exception):
@@ -363,13 +363,104 @@ def parse_generic(
     return interactions, AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
 
 
-def leave_one_out_split(data, seed):
-    """Hold out one seeded-random interaction per user plus 99 fresh negatives.
+_GAMMA, _MIX1, _MIX2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U32, _LOW32, _2_32 = np.uint64(32), np.uint64(0xFFFFFFFF), np.uint64(1 << 32)
+_BITS = np.left_shift(1, np.arange(8)).astype(np.uint8)
+_SPLIT_TAG = int.from_bytes(b"split", "little")
+SPLIT_TABLE_BYTES = 1 << 22  # Floyd's taken bits per chunk of users: a few MB stays in cache
 
-    Each user draws from an independent stream derived from (seed, user), so
-    the split does not depend on iteration order. Negatives are sampled
-    without replacement from items the user never touched anywhere; slot j of
-    that ascending pool is item j + #{t : mine[t] - t <= j}.
+
+def splitmix64(states):
+    """SplitMix64's output for each state of a uint64 array: the state plus the golden gamma, mixed.
+
+    States 0, gamma and 2 * gamma give the generator's first three outputs from
+    state 0. Every operand is uint64, so the products wrap without a warning
+    (and no operand is promoted to float64, as uint64 mixed with int64 would be).
+    """
+    z = states + _GAMMA
+    z = (z ^ z >> np.uint64(30)) * _MIX1
+    z = (z ^ z >> np.uint64(27)) * _MIX2
+    return z ^ z >> np.uint64(31)
+
+
+def split_keys(seed, users):
+    """Each user's uint64 key: SplitMix64 folded over the seed's word count, its 64-bit
+    words (low first; a seed may pass 64 bits), the split's tag and the user."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> shift & 0xFFFFFFFFFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = np.zeros(1, dtype=np.uint64)
+    for word in (len(words), *words, _SPLIT_TAG):
+        key = splitmix64(key ^ np.array([word], dtype=np.uint64))
+    return splitmix64(key ^ users.astype(np.uint64))
+
+
+def uniform_below(keys, bounds, slot):
+    """One exactly uniform draw from [0, bound) per lane of the uint64 arrays (1 <= bound < 2**32).
+
+    Lemire's method on the high 32 bits of SplitMix64(key ^ (slot | attempt << 32)):
+    a lane whose low product word falls under (2**32 - bound) % bound is
+    rejected and draws again at the next attempt.
+    """
+    draws = np.empty_like(bounds)
+    lanes, attempt = slice(None), 0
+    while True:
+        n = bounds[lanes]
+        wide = (splitmix64(keys[lanes] ^ np.uint64(slot | attempt << 32)) >> _U32) * n
+        draws[lanes] = wide >> _U32
+        rejected = np.flatnonzero(wide & _LOW32 < (_2_32 - n) % n)
+        if not rejected.size:
+            return draws
+        lanes, attempt = np.arange(bounds.size)[lanes][rejected], attempt + 1
+
+
+def _floyd_slots(keys, pools, out):
+    """Fill `out` (rows, 99) with 99 distinct uniform slots of [0, pool) per row, unsorted.
+
+    Floyd's algorithm, one vectorised round per column: round r draws t from
+    [0, last] with last = pool - 99 + r, at slot 1 + r, and keeps t, or last
+    when t is already taken; one bit per (row, slot) records what is taken.
+    """
+    width = -(-int(pools.max()) // 8)
+    taken = np.zeros(pools.size * width, dtype=np.uint8)
+    base = np.arange(pools.size, dtype=np.int64) * (8 * width)
+    top = pools - NUM_TEST_NEGATIVES
+    for r in range(NUM_TEST_NEGATIVES):
+        last = top + r
+        pick = uniform_below(keys, (last + 1).astype(np.uint64), 1 + r).astype(np.int64)
+        cell = base + pick
+        pick = np.where(taken[cell >> 3] & _BITS[cell & 7], last, pick)
+        cell = base + pick
+        taken[cell >> 3] |= _BITS[cell & 7]
+        out[:, r] = pick
+
+
+def _split_draws(seed, lengths, num_items):
+    """(picks, slots): each user's held-out index into its items, drawn at slot 0, and its
+    99 distinct unobserved-pool slots, drawn by Floyd's algorithm in chunks of users."""
+    keys = split_keys(seed, np.arange(lengths.size))
+    picks = uniform_below(keys, lengths.astype(np.uint64), 0).astype(np.int64)
+    slots = np.empty((lengths.size, NUM_TEST_NEGATIVES), dtype=np.int64)
+    pools = num_items - lengths
+    budget = min(SPLIT_TABLE_BYTES, slots.nbytes)  # no larger than the slots it fills, or one user's row
+    chunk = max(1, budget * 8 // int(pools.max(initial=1)))
+    for lo in range(0, lengths.size, chunk):
+        _floyd_slots(keys[lo:lo + chunk], pools[lo:lo + chunk], slots[lo:lo + chunk])
+    return picks, slots
+
+
+def leave_one_out_split(data, seed):
+    """Hold out one uniform interaction per user plus 99 uniform distinct unobserved items.
+
+    Every draw is integer arithmetic on a counter hash, SplitMix64 keyed by
+    (seed, user, slot, attempt): slot 0 picks the held-out interaction among
+    the user's items, slots 1-99 run Floyd's algorithm over the user's pool of
+    untouched items (uniform_below, _floyd_slots). A user's draws depend only
+    on the seed, the user, its item count and num_items: not on the order
+    users are visited in, nor on numpy's sampling algorithms, so split.npy is
+    a function of the raw files and the seed alone. Slot j of the ascending
+    pool is item j + #{t : mine[t] - t <= j}.
     """
     offsets, flat, lengths = data.per_user_items.offsets, data.per_user_items.flat, data.per_user_items.lengths
     bad = np.flatnonzero((lengths < 2) | (data.num_items - lengths < NUM_TEST_NEGATIVES))
@@ -378,12 +469,7 @@ def leave_one_out_split(data, seed):
         if n < 2:
             raise SplitError(f"user {u} has {n} interaction(s); need at least 2")
         raise SplitError(f"user {u} has only {data.num_items - n} unobserved items; need {NUM_TEST_NEGATIVES}")
-    picks = np.empty(data.num_users, dtype=np.int64)
-    slots = np.empty((data.num_users, NUM_TEST_NEGATIVES), dtype=np.int64)
-    for u, n in enumerate(lengths.tolist()):
-        rng = seeded_rng(seed, "split", u)
-        picks[u] = rng.integers(n)
-        slots[u] = rng.choice(data.num_items - n, NUM_TEST_NEGATIVES, replace=False)
+    picks, slots = _split_draws(seed, lengths, data.num_items)
     row_keys = np.arange(data.num_users, dtype=np.int64) * data.num_items  # keeps rows apart
     keys = flat - np.arange(flat.size) + np.repeat(row_keys + offsets[:-1], lengths)
     slots.sort(axis=1)

@@ -111,6 +111,16 @@ class TestPrepare:
             b = Path(outs[1], name).read_bytes()
             assert a == b, name
 
+    def test_prepare_builds_no_generator(self, generic_dataset, tmp_path, capsys, monkeypatch):
+        # split.npy comes from crossrec's own integer draws, not numpy's sampling algorithms
+        def refuse(*args, **kwargs):
+            raise AssertionError("prepare built a Generator")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(tc, "seeded_rng", refuse)
+        monkeypatch.setattr(corpus, "seeded_rng", refuse, raising=False)
+        code, _, err = run_cli(prepare_args(generic_dataset, str(tmp_path / "run")), capsys)
+        assert (code, err) == (0, "")
+
     def test_missing_input_file_is_io_failure(self, generic_dataset, tmp_path, capsys):
         inter, uattr, _ = generic_dataset
         missing = str(tmp_path / "nope.tsv")

@@ -1,6 +1,7 @@
 import collections
 import importlib.util
 import os
+import warnings
 import zlib
 
 import numpy as np
@@ -663,18 +664,105 @@ def _random_interactions(rng, num_users=12, num_items=130, lo=2, hi=12):
     return corpus.InteractionSet.from_arrays(num_users, num_items, users, items, stamps)
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(state):
+    """SplitMix64's output for one state, in Python ints."""
+    z = (state + 0x9E3779B97F4A7C15) & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def _below(key, bound, slot):
+    """Lemire's bounded draw with its exact rejection, in Python ints: the next attempt until accepted."""
+    attempt = 0
+    while True:
+        wide = (_splitmix64(key ^ (slot | attempt << 32)) >> 32) * bound
+        if wide & 0xFFFFFFFF >= ((1 << 32) - bound) % bound:
+            return wide >> 32
+        attempt += 1
+
+
+def _user_key(seed, user):
+    words = [seed >> shift & _M64 for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = 0
+    for word in (len(words), *words, int.from_bytes(b"split", "little")):
+        key = _splitmix64(key ^ word)
+    return _splitmix64(key ^ user)
+
+
 def _reference_split(data, seed):
-    """The split as a per-user loop: set difference, choice over the pool, sort."""
+    """The split as a per-user loop in Python ints: hash, Lemire, Floyd with a set, setdiff1d."""
     positives = np.empty(data.num_users, dtype=np.int64)
     negatives = np.empty((data.num_users, 99), dtype=np.int64)
     all_items = np.arange(data.num_items, dtype=np.int64)
     for u, mine in enumerate(rows_of(data.per_user_items)):
-        rng = corpus.seeded_rng(seed, "split", u)
-        positives[u] = mine[rng.integers(len(mine))]
+        key = _user_key(seed, u)
+        positives[u] = mine[_below(key, len(mine), 0)]
         pool = np.setdiff1d(all_items, mine, assume_unique=True)
-        negatives[u] = np.sort(rng.choice(pool, size=99, replace=False))
+        chosen = set()
+        for r, last in enumerate(range(len(pool) - 99, len(pool))):
+            t = _below(key, last + 1, 1 + r)
+            chosen.add(last if t in chosen else t)
+        negatives[u] = pool[sorted(chosen)]
     keep = positives[data.users] != data.items
     return positives, negatives, (data.users[keep], data.items[keep], data.timestamps[keep])
+
+
+# the chi-square distribution's 0.999 quantile by degrees of freedom (tables; no scipy here)
+CHI2_999 = {1: 10.828, 2: 13.816, 4: 18.467, 7: 24.322, 139: 196.266}
+
+
+def _uniform_chi2(counts, expected, scale=1.0):
+    """Pearson's statistic of `counts` against `expected`, times `scale`."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return float(((counts - expected) ** 2 / expected).sum() * scale)
+
+
+class TestSplitHash:
+    GAMMA = 0x9E3779B97F4A7C15
+
+    def test_splitmix64_from_state_zero_gives_the_standard_outputs(self):
+        states = np.array([0, self.GAMMA, 2 * self.GAMMA & _M64], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = corpus.splitmix64(states)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_splitmix64_matches_python_ints_where_every_step_wraps(self):
+        states = [0, 1, 2**63, _M64, _M64 - self.GAMMA, 0x0123456789ABCDEF]
+        assert corpus.splitmix64(np.array(states, dtype=np.uint64)).tolist() == [
+            _splitmix64(state) for state in states]
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 2**31 + 1, 2**32 - 1])
+    def test_uniform_below_stays_in_range_and_matches_python_ints(self, bound):
+        # at 2**31 + 1 the threshold is 2**31 - 1: about half the first attempts are rejected
+        keys = corpus.splitmix64(np.arange(2000, dtype=np.uint64))
+        bounds = np.full(keys.size, bound, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = corpus.uniform_below(keys, bounds, 5)
+        assert draws.dtype == np.uint64
+        assert int(draws.max()) < bound
+        assert draws.tolist() == [_below(key, bound, 5) for key in keys.tolist()]
+
+    def test_uniform_below_mixed_bounds_per_lane(self):
+        # lanes redrawn at attempts 1, 2, ... sit between lanes accepted at attempt 0
+        keys = corpus.splitmix64(np.arange(600, dtype=np.uint64) + np.uint64(7))
+        bounds = np.resize(np.array([1, 2, 2**32 - 1, 2**31 + 1, 99, 2**31 + 3], dtype=np.uint64), 600)
+        draws = corpus.uniform_below(keys, bounds, 0)
+        assert draws.tolist() == [_below(k, b, 0) for k, b in zip(keys.tolist(), bounds.tolist())]
+
+    def test_split_keys_take_every_seed_word(self):
+        users = np.arange(3)
+        keys = [corpus.split_keys(seed, users).tolist() for seed in (42, 2**64 + 42, 2**127 - 1)]
+        assert keys[0] != keys[1] and keys[1] != keys[2]
+        assert keys[1] == [_user_key(2**64 + 42, u) for u in range(3)]
+        with pytest.raises(ValueError, match="non-negative"):
+            corpus.split_keys(-1, users)
 
 
 class TestLeaveOneOut:
@@ -762,16 +850,85 @@ class TestLeaveOneOut:
         assert blobs[0] == blobs[1]
 
     def test_frozen_split_regression(self):
-        # anchors the rng derivation: any change to the per-user stream or
-        # draw order shows up as a golden-value mismatch
+        # integer arithmetic only: these values hold on every numpy version
         users = [0, 0, 0, 1, 1, 2, 2, 2, 2]
         items = [3, 7, 120, 5, 44, 0, 1, 2, 100]
         data = corpus.InteractionSet.from_arrays(3, 130, users, items, list(range(9)))
         split = corpus.leave_one_out_split(data, seed=2024)
-        assert split.test_positives.tolist() == [3, 44, 100]
-        assert split.test_negatives[0][:5].tolist() == [0, 1, 2, 4, 5]
-        assert split.test_negatives[1][:5].tolist() == [1, 3, 4, 7, 9]
-        assert [int(split.test_negatives[u].sum()) for u in range(3)] == [6300, 6725, 6586]
+        assert split.test_positives.tolist() == [7, 44, 0]
+        assert split.test_negatives[0][:5].tolist() == [1, 2, 4, 6, 8]
+        assert split.test_negatives[1][:5].tolist() == [1, 2, 3, 8, 9]
+        assert [int(split.test_negatives[u].sum()) for u in range(3)] == [6316, 6649, 6525]
+
+    def test_appending_a_user_leaves_earlier_draws_unchanged(self):
+        rng = np.random.default_rng(12)
+        data = _random_interactions(rng, num_users=40, num_items=150, lo=2, hi=30)
+        extra = rng.choice(150, 17, replace=False)
+        grown = corpus.InteractionSet.from_arrays(
+            41, 150, np.concatenate([data.users, [40] * 17]), np.concatenate([data.items, extra]),
+            np.concatenate([data.timestamps, np.arange(17)]))
+        before, after = (corpus.leave_one_out_split(d, seed=5) for d in (data, grown))
+        assert np.array_equal(after.test_positives[:40], before.test_positives)
+        assert np.array_equal(after.test_negatives[:40], before.test_negatives)
+
+    def test_chunks_of_one_user_give_the_same_split(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        data = _random_interactions(rng, num_users=20, num_items=300, lo=2, hi=40)
+        whole = corpus.leave_one_out_split(data, seed=6)
+        monkeypatch.setattr(corpus, "SPLIT_TABLE_BYTES", 1)  # one user per chunk
+        chunked = corpus.leave_one_out_split(data, seed=6)
+        assert np.array_equal(chunked.test_positives, whole.test_positives)
+        assert np.array_equal(chunked.test_negatives, whole.test_negatives)
+
+    def test_seed_words_past_64_bits_change_the_split(self):
+        rng = np.random.default_rng(14)
+        data = _random_interactions(rng)
+        low, high = (corpus.leave_one_out_split(data, seed) for seed in (42, 2**64 + 42))
+        assert not np.array_equal(low.test_negatives, high.test_negatives)
+        assert not np.array_equal(low.test_positives, high.test_positives)
+
+    def test_no_generator_on_the_split_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Generator was built on the split path")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(tc, "seeded_rng", refuse)
+        monkeypatch.setattr(corpus, "seeded_rng", refuse, raising=False)
+        rng = np.random.RandomState(15)  # the legacy generator builds no Generator
+        users = np.repeat(np.arange(6), 12)
+        items = np.concatenate([rng.choice(140, 12, replace=False) for _ in range(6)])
+        data = corpus.InteractionSet.from_arrays(6, 140, users, items, np.zeros(72))
+        split = corpus.leave_one_out_split(data, seed=3)
+        assert split.test_negatives.shape == (6, 99)
+
+    def test_held_out_picks_are_uniform_over_each_users_items(self):
+        # 3,000 users at each of 2, 3, 5 and 8 items; the pick's index among the user's items
+        counts = (2, 3, 5, 8)
+        users = np.repeat(np.arange(3000 * len(counts)), np.repeat(counts, 3000))
+        items = np.concatenate([np.arange(n) for n in np.repeat(counts, 3000)])
+        data = corpus.InteractionSet.from_arrays(users[-1] + 1, 200, users, items, np.zeros(users.size))
+        for seed in (0, 2**64 + 1):
+            picks = corpus.leave_one_out_split(data, seed).test_positives.reshape(len(counts), 3000)
+            for n, row in zip(counts, picks):
+                stat = _uniform_chi2(np.bincount(row, minlength=n), 3000 / n)
+                assert stat < CHI2_999[n - 1], (seed, n, stat)
+
+    def test_each_pool_item_is_a_negative_at_the_same_rate(self):
+        # 3,000 users with 10 random items of 150 each: pools of 140, of which 99 are drawn.
+        # A slot's inclusion count is Binomial(N, p = 99/140); the fixed total leaves 139
+        # degrees of freedom and scales the sum by m / (m - 1), undone here.
+        rng = np.random.default_rng(16)
+        num_users, num_items, pool = 3000, 150, 140
+        items = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :10]
+        data = corpus.InteractionSet.from_arrays(
+            num_users, num_items, np.repeat(np.arange(num_users), 10), items.ravel(), np.zeros(items.size))
+        mine = np.sort(items, axis=1)
+        for seed in (1, 77):
+            negatives = corpus.leave_one_out_split(data, seed).test_negatives
+            ranks = negatives - (mine[:, None, :] < negatives[:, :, None]).sum(axis=2)  # pool positions
+            p = 99 / pool
+            stat = _uniform_chi2(np.bincount(ranks.ravel(), minlength=pool), num_users * p,
+                                 scale=(pool - 1) / pool / (1 - p))
+            assert stat < CHI2_999[pool - 1], (seed, stat)
 
     def test_single_interaction_user_errors_by_name(self):
         users = [0] + [1] * 3
