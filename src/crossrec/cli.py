@@ -222,6 +222,14 @@ def cmd_prepare(config, log=print):
     return 0
 
 
+def _refuse_directories(*paths):
+    """IsADirectoryError for the first of `paths` that is a directory: files renamed
+    over only when a run ends are checked before it starts."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def train_and_save(config, log=print):
     """Train one model on the prepared split; return the TrainResult. Its metrics CSV is written beside
     its path and renamed over it after the checkpoint, so only a run that succeeds replaces either."""
@@ -233,9 +241,7 @@ def train_and_save(config, log=print):
               "include_attr_cross": int(config.include_attr_cross),
               "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
-    for path in (csv_file, checkpoint):  # renamed over only after the last epoch: fail before the first
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    _refuse_directories(csv_file, checkpoint)
     with tensorcore.replacing(csv_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 
@@ -296,6 +302,8 @@ def _header_options(path, header):
 
 def cmd_evaluate(config, log=print):
     """Evaluate a written checkpoint on the prepared split."""
+    if config.ranks_out:
+        _refuse_directories(config.ranks_out)
     split, catalog = corpus.load_prepared(config.out)
     path = ckpt_path(config.out, config.model, config.factors)
     store, header = tensorcore.load_checkpoint(path)
@@ -345,9 +353,11 @@ def cmd_sweep(config, log=print):
     config.model and config.factors are the grid's lists. Emits a combined
     table (rows = factor counts, columns = models in the requested order)
     using each cell's best-epoch metrics; cell failures are reported and the
-    sweep continues.
+    sweep continues. The table replaces sweep.csv only once it is complete.
     """
     model_list, factors_list = config.model, config.factors
+    table = os.path.join(config.out, "sweep.csv")
+    _refuse_directories(table)
     best = {}  # (model, factors) -> EvalReport of the cell's best epoch
     failures = []
     for model in model_list:
@@ -364,7 +374,7 @@ def cmd_sweep(config, log=print):
     columns = ["factors"]
     for model in model_list:
         columns += [f"{model}_hr10", f"{model}_ndcg10"]
-    with open(os.path.join(config.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
+    with tensorcore.replacing(table, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         log("\t".join(columns))
         for factors in factors_list:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .tensorcore import Tape, check_rows
+from .tensorcore import Tape, check_rows, replacing
 
 
 # users per score call: 16 x 100 rows keeps the interaction's temporaries small
@@ -80,6 +80,6 @@ def evaluate(config, store, split, catalog=None):
 
 
 def save_ranks(report, path):
-    """Per-user rank dump: 'user<TAB>rank' lines, written at once."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Per-user rank dump: 'user<TAB>rank' lines, written beside `path` and renamed over it."""
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"{u}\t{rank}\n" for u, rank in enumerate(report.per_user_ranks.tolist())))

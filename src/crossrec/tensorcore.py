@@ -45,18 +45,12 @@ class NumericsError(ArithmeticError):
 def seeded_rng(seed, *tags):
     """Generator derived from (seed, tags); tags keep parallel streams disjoint.
 
-    Seeded with the uint32 words SeedSequence makes of [seed, *tags] (a str as
-    its UTF-8 bytes, an int as little-endian 32-bit words), built here."""
-    words = []
-    for value in (int(seed), *tags):
-        if isinstance(value, str):
-            words.extend(value.encode("utf-8"))
-            continue
-        value = int(value)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words.extend(value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32))
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+    Seeded with numpy's SeedSequence of the list [seed, *tags], a str tag
+    spelled as its UTF-8 bytes; a negative entry raises its ValueError."""
+    entropy = [int(seed)]
+    for tag in tags:
+        entropy.extend(tag.encode("utf-8") if isinstance(tag, str) else [int(tag)])
+    return np.random.default_rng(entropy)
 
 
 def gaussian_init(name, shape, seed):
@@ -282,6 +276,7 @@ class Tape:
         self._ops = []          # (node, backward_fn(gout)) in forward order
         self._dense_grads = {}
         self._row_chunks = []   # (table, arena rows read, their gradients)
+        self.relu_masks = []    # each relu layer's y > 0 pattern, in forward order
 
     # -- leaf reads ------------------------------------------------------
 
@@ -367,7 +362,7 @@ class Tape:
         """x through each (weight, bias or None) name pair of `layers` as
         h @ W (+ b), each followed by relu when `relu` is set, as one op.
 
-        Only a recording tape keeps each layer's input and relu mask.
+        Only a recording tape keeps each layer's input and relu mask, the mask in relu_masks too.
         """
         h, saved = x.value, []
         for weight_name, bias_name in layers:
@@ -385,6 +380,8 @@ class Tape:
                 y += b
             if self.recording:
                 saved.append((weight_name, bias_name, h, w, y > 0.0 if relu else None))
+                if relu:
+                    self.relu_masks.append(saved[-1][4])
             h = np.maximum(y, 0.0, out=y) if relu else y
 
         def backward(g):
@@ -418,7 +415,8 @@ class Tape:
 
         Value and gradients are bitwise the layer-by-layer dense + relu
         chain's, down to the `+ 0.0` of the chain's first bump of each dense
-        output.
+        output. A recording tape appends each layer's mask, dense output > 0,
+        to relu_masks: gradcheck compares them to find a relu kink.
         """
         return self._layers(x, layers, relu=True)
 
@@ -471,6 +469,7 @@ class Tape:
         self._ops = []
         self._dense_grads = {}
         self._row_chunks = []
+        self.relu_masks = []
         return buffer
 
 

@@ -4,6 +4,9 @@ Each epoch redraws its negatives from a stream derived from (seed, epoch),
 shuffles all instances with a seeded permutation, and walks fixed-size
 batches. Negatives are uniform over the items a user has not observed
 (`corpus.SplitDataset.observed`), so the held-out test positive is never one.
+
+gradcheck holds a step's gradient to central finite differences of its
+loss, taken with the same forward on the same recording Tape as train.
 """
 
 from __future__ import annotations
@@ -215,36 +218,19 @@ def _tiny_fixture(kind, seed):
     return config, catalog, batch
 
 
-class _LayerTape(tc.Tape):
-    """A value-only tape that runs relu stacks layer by layer (the chain
-    Tape.mlp is held to) and keeps each relu's activation pattern, so a
-    finite difference whose two sides straddle a kink can be told apart."""
-
-    def __init__(self, store):
-        super().__init__(store, record=False)
-        self.masks = []
-
-    def mlp(self, x, layers):
-        for weight_name, bias_name in layers:
-            x = self.relu(self.dense(x, weight_name, bias_name))
-        return x
-
-    def relu(self, x):
-        self.masks.append((x.value > 0.0).tobytes())
-        return super().relu(x)
-
-
 def gradcheck(kind, seed):
     """Compare training's analytic batch-loss gradient with central finite differences.
 
     Differences take a step of GRADCHECK_STEP, are evaluated in float64
     with the actually-achieved float32 parameter perturbation in the
     denominator, and are compared with the gradient training's tape takes,
-    once, at the checked point. Elements whose perturbation
-    flips a relu activation are skipped (the loss is not differentiable
-    across the kink) and counted in the report. Relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator; parameters a batch
-    never touches report exactly zero on both sides; ok is all below GRADCHECK_TOLERANCE.
+    once, at the checked point. Each side of a difference is a forward on
+    the recording Tape that training runs, whose relu_masks give every relu
+    layer's activation pattern; an element whose perturbation flips one is
+    skipped (the loss is not differentiable across the kink) and counted
+    in the report. Relative error uses max(|analytic|, |numeric|, 1e-8) as
+    the denominator; parameters a batch never touches report exactly zero
+    on both sides; ok is all below GRADCHECK_TOLERANCE.
 
     Parameters are drawn at unit-ish scale rather than training init: at
     0.01 init a deep relu layer can go completely dead for the whole batch
@@ -255,9 +241,9 @@ def gradcheck(kind, seed):
     store = models.init_params(config, seed)
 
     def loss_and_masks():
-        tape = _LayerTape(store)
+        tape = tc.Tape(store)
         node = models.score(tape, config, batch.users, batch.items, catalog)
-        return log_loss(models.predictions(node), batch.labels), tuple(tape.masks)
+        return log_loss(models.predictions(node), batch.labels), [m.tobytes() for m in tape.relu_masks]
 
     # Re-roll the point if a narrow relu layer went dead for the whole batch
     # (gradient identically zero upstream would make the check vacuous).

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import ml1m_dir, requires_ml1m, time_bound, write_generic_dataset
-from crossrec import cli, corpus, models
+from crossrec import cli, corpus, evaluation, models
 from crossrec import tensorcore as tc
 
 
@@ -465,6 +465,20 @@ class TestEvaluate:
         ranks = [int(l.split("\t")[1]) for l in lines]
         assert all(1 <= r <= 100 for r in ranks)
 
+    def test_directory_at_the_rank_dump_path_fails_before_the_pass(self, prepared, tmp_path, capsys,
+                                                                    monkeypatch):
+        run_cli(train_args(prepared, epochs=1), capsys)
+        dump = tmp_path / "ranks.tsv"
+        dump.mkdir()
+        monkeypatch.setattr(evaluation, "evaluate", lambda *args: pytest.fail("evaluated"))
+        code, out, err = run_cli(
+            ["evaluate", "--model", "gmf", "--factors", "4", "--out", prepared,
+             "--ranks-out", str(dump)], capsys,
+        )
+        assert code == 2 and f"Is a directory: '{dump}'" in err
+        assert out == "" and list(dump.iterdir()) == []
+        assert not [name for name in os.listdir(tmp_path) if ".tmp." in name]
+
 
 class TestTracer:
     """perfbench/tracer.py wraps crossrec functions by name and reads
@@ -697,6 +711,36 @@ class TestSweep:
         assert os.path.exists(cli.ckpt_path(prepared, "gmf", 4)) and not os.path.exists(snapshot)
         assert run_cli(["train", "--config", str(cfg)], capsys)[0] == 0
         assert os.path.exists(snapshot)
+
+    def test_directory_at_the_table_path_fails_before_the_first_cell(self, prepared, capsys):
+        table = os.path.join(prepared, "sweep.csv")
+        os.mkdir(table)
+        code, out, err = run_cli(
+            ["sweep", "--model", "gmf", "--factors", "4,8", "--layers", "8,4",
+             "--epochs", "1", "--seed", "11", "--out", prepared],
+            capsys,
+        )
+        assert code == 2 and "Is a directory" in err and table in err
+        assert out == ""
+        assert sorted(os.listdir(prepared)) == sorted((*PREPARED_FILES, "sweep.csv"))   # no cell's files
+        assert os.listdir(table) == []
+
+    def test_failed_table_write_keeps_the_earlier_table(self, prepared, capsys):
+        argv = ["sweep", "--model", "gmf", "--factors", "4,8", "--layers", "8,4", "--epochs", "1",
+                "--out", prepared, "--seed"]
+        assert run_cli([*argv, "11"], capsys)[0] == 0
+        table = Path(prepared, "sweep.csv")
+        before = table.read_bytes()
+
+        def log(line):  # the table's lines are logged as they are written: fail after its first row
+            if line.startswith("4\t"):
+                raise BrokenPipeError("synthetic failure mid-table")
+
+        _, config = cli.parse_command_line([*argv, "12"])
+        with pytest.raises(BrokenPipeError, match="mid-table"):
+            cli.cmd_sweep(config, log)
+        assert table.read_bytes() == before
+        assert not [name for name in os.listdir(prepared) if ".tmp." in name]
 
     def test_failed_cell_reported_and_sweep_continues(self, prepared, capsys, monkeypatch):
         calls = []

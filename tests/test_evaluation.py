@@ -177,6 +177,22 @@ class TestEvaluate:
         evaluation.save_ranks(report, str(path))
         assert path.read_text() == "0\t1\n1\t4\n2\t17\n"
 
+    def test_failed_rank_dump_keeps_the_earlier_file(self, tmp_path):
+        split, q = rigged_split(None)
+        config, store = self._store(q)
+        report = evaluation.evaluate(config, store, split)
+        path = tmp_path / "ranks.tsv"
+        evaluation.save_ranks(report, str(path))
+
+        class Unlistable:
+            def tolist(self):
+                raise MemoryError("synthetic failure while the dump is built")
+
+        report.per_user_ranks = Unlistable()
+        with pytest.raises(MemoryError, match="synthetic"):
+            evaluation.save_ranks(report, str(path))
+        assert path.read_text() == "0\t1\n1\t4\n2\t17\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ranks.tsv"]   # no temporary file left
 
     def test_dead_last_layer_ties_at_sigmoid_out_b_ranked_pessimistically(self):
         """A pair whose last hidden layer is all zero scores sigmoid(out_b), whatever its ids;

@@ -1,4 +1,4 @@
-"""Every .py file under src/, tests/ and tools/ parses as Python 3.10.
+"""Every .py file under src/, tests/, tools/ and perfbench/ parses as Python 3.10.
 
 pyproject.toml declares requires-python >= 3.10 while the suite may run on
 a newer interpreter. This checks grammar only, with
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py"))
+SOURCES = sorted(path for top in ("src", "tests", "tools", "perfbench") for path in (ROOT / top).rglob("*.py"))
 
 
 def parse_as_310(text, filename="<text>"):

@@ -19,15 +19,23 @@ def make_store(**tables):
 # -- initialization ----------------------------------------------------------
 
 
+def _seed_words(seed, *tags):
+    """The uint32 words SeedSequence makes of [seed, *tags], built by hand: a str as
+    its UTF-8 bytes, an int as its little-endian 32-bit words (one word for 0)."""
+    words = []
+    for value in (seed, *tags):
+        if isinstance(value, str):
+            words.extend(value.encode("utf-8"))
+        else:
+            words.extend(value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32))
+    return np.array(words, dtype=np.uint32)
+
+
 class TestSeededRng:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5])
     @pytest.mark.parametrize("tags", [(), ("split", 7), ("epoch", 2**32), ("init", "user_emb"), (2**40 + 9, 0)])
     def test_stream_is_seedsequence_of_the_list(self, seed, tags):
-        # SeedSequence's own coercion of [seed, *tags], str tags spelled as their bytes
-        entropy = [seed]
-        for tag in tags:
-            entropy.extend(tag.encode("utf-8") if isinstance(tag, str) else [tag])
-        want = np.random.default_rng(entropy)
+        want = np.random.default_rng(_seed_words(seed, *tags))
         got = tc.seeded_rng(seed, *tags)
         assert np.array_equal(got.integers(2**62, size=8), want.integers(2**62, size=8))
         assert np.array_equal(got.choice(500, 99, replace=False), want.choice(500, 99, replace=False))
@@ -857,18 +865,24 @@ class TestFusedMlp:
     LAYERS = [(f"h{k}_w", f"h{k}_b") for k in range(len(WIDTHS))]
 
     def _run(self, store, x, seed_grad, fused):
-        """(value, input gradient, gradient buffer, matmul operand log) of the stack."""
+        """(value, input gradient, gradient buffer, matmul operand log, relu masks) of the
+        stack: the fused stack's masks as its tape recorded them, the chain's its dense outputs > 0."""
         t = tc.Tape(store)
         xn = t.custom(x.copy().view(_Operands), (), lambda g: ())
         xn.value.log = []
         if fused:
             out = t.mlp(xn, self.LAYERS)
+            masks = list(t.relu_masks)
         else:
-            out = xn
+            out, masks = xn, []
             for w, b in self.LAYERS:
-                out = t.relu(t.dense(out, w, b))
+                pre = t.dense(out, w, b)
+                masks.append(pre.value > 0.0)
+                out = t.relu(pre)
+            assert t.relu_masks == []   # Tape.relu records no mask
         grads = t.backward(out, seed_grad)
-        return out.value, xn.grad, grads, xn.value.log
+        assert t.relu_masks == []       # cleared with the rest of the step
+        return out.value, xn.grad, grads, xn.value.log, masks
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_dense_relu_chain_bitwise(self, seed):
@@ -889,17 +903,27 @@ class TestFusedMlp:
         g = np.frombuffer(fused[3][1]).reshape(9, 8)
         assert not g[:, [1, 6]].any() and not np.signbit(g[:, [1, 6]]).any()
         assert not fused[2].as_dense("h1_b")[0, 2] and not np.signbit(fused[2].as_dense("h1_b")[0, 2])
+        # one mask per layer, in forward order, each the chain's pre-relu pattern
+        assert [(m.dtype, m.shape, m.tobytes()) for m in fused[4]] == \
+            [(m.dtype, m.shape, m.tobytes()) for m in chain[4]]
+        assert [m.shape for m in fused[4]] == [(9, 8), (9, 5), (9, 1)]
+        assert not fused[4][0][:, [1, 6]].any() and not fused[4][1][:, 2].any() and fused[4][2].all()
 
     def test_value_only_forward_equals_chain_bitwise(self):
         rng = np.random.default_rng(60)
         store = _stack_store(rng, self.WIDTHS, {1: [0]})
         x = tc.Node(rng.normal(0, 1, (9, 6)))
         t = tc.Tape(store, record=False)
-        chain = x
+        chain, patterns = x, []
         for w, b in self.LAYERS:
-            chain = t.relu(t.dense(chain, w, b))
+            pre = t.dense(chain, w, b)
+            patterns.append((pre.value > 0.0).tobytes())
+            chain = t.relu(pre)
         assert t.mlp(x, self.LAYERS).value.tobytes() == chain.value.tobytes()
-        assert not t._ops
+        assert not t._ops and not t.relu_masks
+        recording = tc.Tape(store)
+        assert recording.mlp(x, self.LAYERS).value.tobytes() == chain.value.tobytes()
+        assert [m.tobytes() for m in recording.relu_masks] == patterns
 
 
 # -- checkpoints ---------------------------------------------------------------
