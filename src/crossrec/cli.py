@@ -241,7 +241,10 @@ def train_and_save(config, log=print):
               "include_attr_cross": int(config.include_attr_cross),
               "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
-    _refuse_directories(csv_file, checkpoint)
+    every = config.checkpoint_every  # 0: no snapshots
+    snapshots = {epoch: f"{checkpoint}.epoch{epoch}"
+                 for epoch in (range(every, config.epochs + 1, every) if every else ())}
+    _refuse_directories(csv_file, checkpoint, *snapshots.values())
     with tensorcore.replacing(csv_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 
@@ -254,8 +257,8 @@ def train_and_save(config, log=print):
                 f"hr10={report.hr_at_10:.4f} ndcg10={report.ndcg_at_10:.4f} "
                 f"({stats.wall_seconds:.1f}s)"
             )
-            if config.checkpoint_every and stats.epoch % config.checkpoint_every == 0:
-                tensorcore.save_checkpoint(f"{checkpoint}.epoch{stats.epoch}", store, header)
+            if stats.epoch in snapshots:
+                tensorcore.save_checkpoint(snapshots[stats.epoch], store, header)
 
         result = training.train(
             model_config, split, catalog,

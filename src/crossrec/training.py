@@ -27,6 +27,7 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LR = 0.001
 GRADCHECK_TOLERANCE = 1e-3  # gradcheck passes when every relative error is below it
 GRADCHECK_STEP = 1e-3  # gradcheck's finite-difference step
+SAMPLER_CHUNK = 1 << 14  # negative slots per membership check, instances per shuffled-array fill
 
 
 class TrainingError(RuntimeError):
@@ -61,6 +62,11 @@ class TrainResult:
         return 1 + max(range(len(self.eval_reports)), key=lambda i: self.eval_reports[i].hr_at_10)
 
 
+def _id_dtype(bound):
+    """The dtype an epoch keeps ids in [0, bound) in: int32 where they fit, else int64."""
+    return np.int32 if bound <= 2**31 else np.int64
+
+
 def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     """Yield shuffled batches of one epoch's positives plus fresh negatives.
 
@@ -68,9 +74,19 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     it exactly and consecutive epochs see different negatives. Rejected
     negatives are redrawn in ascending slot order, and each round rechecks
     only the slots it redrew. Positives precede negatives before the shuffle,
-    so a label is 1 where the permutation took a slot below len(train).
+    so a label is 1 where the permutation took a slot below len(train); the
+    negative in slot j belongs to the user of positive j // negative_ratio.
     Raises TrainingError, before drawing, if a user with training positives
     has observed every item.
+
+    An epoch of n instances (positives plus negatives) holds 9 bytes per
+    instance while it is walked: int32 user and item ids (int64 past the
+    int32 range) and a bool label, each batch widening its slice to int64,
+    int64 and float64. Setting it up also holds the int64 candidates
+    (8 * ratio / (ratio + 1) bytes per instance) and the int32 permutation
+    (4 bytes), about 19 bytes per instance at ratio 4, plus temporaries of
+    SAMPLER_CHUNK slots: membership is checked, and the shuffled arrays are
+    filled, one chunk at a time.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
@@ -84,23 +100,48 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
             "no negative can be drawn"
         )
     rng = tc.seeded_rng(seed, "epoch", epoch)
-
-    neg_users = np.repeat(train.users, negative_ratio)
-    candidates = rng.integers(0, train.num_items, size=neg_users.size, dtype=np.int64)
-    pending = np.arange(neg_users.size)
-    while True:
-        pending = pending[split.observed(neg_users[pending], candidates[pending])]
-        if not pending.size:
-            break
-        candidates[pending] = rng.integers(0, train.num_items, size=pending.size, dtype=np.int64)
-
-    users = np.concatenate([train.users, neg_users])
-    items = np.concatenate([train.items, candidates])
-    order = rng.permutation(users.size)
-    users, items, labels = users[order], items[order], (order < len(train)).astype(np.float64)
+    users, items, labels = _shuffled(rng, train, _negatives(rng, split, negative_ratio), negative_ratio)
     for start in range(0, users.size, batch_size):
         stop = start + batch_size
-        yield Batch(users[start:stop], items[start:stop], labels[start:stop])
+        yield Batch(users[start:stop].astype(np.int64), items[start:stop].astype(np.int64),
+                    labels[start:stop].astype(np.float64))
+
+
+def _negatives(rng, split, negative_ratio):
+    """int64 item per negative slot: all drawn at once, observed ones redrawn in ascending slot order."""
+    train = split.train
+    candidates = rng.integers(0, train.num_items, size=len(train) * negative_ratio, dtype=np.int64)
+
+    def rejected(slots):  # the slots whose candidate the user has observed
+        return slots[split.observed(train.users[slots // negative_ratio], candidates[slots])]
+
+    pending = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        rejected(np.arange(start, min(start + SAMPLER_CHUNK, candidates.size)))
+        for start in range(0, candidates.size, SAMPLER_CHUNK)])
+    while pending.size:
+        candidates[pending] = rng.integers(0, train.num_items, size=pending.size, dtype=np.int64)
+        pending = np.concatenate([rejected(pending[start:start + SAMPLER_CHUNK])
+                                  for start in range(0, pending.size, SAMPLER_CHUNK)])
+    return candidates
+
+
+def _shuffled(rng, train, candidates, negative_ratio):
+    """(users, items, labels) of the positives then the negative slots, in rng.permutation's order."""
+    size = len(train) + candidates.size
+    order = np.arange(size, dtype=_id_dtype(size))
+    rng.shuffle(order)  # rng.permutation(size): the same swaps on an int64 arange
+    users = np.empty(size, dtype=_id_dtype(train.num_users))
+    items = np.empty(size, dtype=_id_dtype(train.num_items))
+    labels = np.empty(size, dtype=bool)
+    for start in range(0, size, SAMPLER_CHUNK):
+        taken = order[start:start + SAMPLER_CHUNK]
+        slot = taken - len(train)  # the negative slot, below 0 for a positive
+        positive = slot < 0
+        chunk = slice(start, start + taken.size)
+        labels[chunk] = positive
+        users[chunk] = train.users[np.where(positive, taken, slot // negative_ratio)]
+        items[chunk] = np.where(positive, train.items.take(taken, mode="clip"), candidates.take(slot, mode="clip"))
+    return users, items, labels
 
 
 def log_loss(preds, labels):

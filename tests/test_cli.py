@@ -244,7 +244,7 @@ def train_args(out, model="gmf", factors=4, epochs=2, seed=11, extra=()):
 
 class TestTrain:
     @pytest.mark.parametrize("factors, config, size", [
-        (4, "neg-ratio=100000000000000\n", "409. PiB"),       # np.repeat in the sampler
+        (4, "neg-ratio=100000000000000\n", "409. PiB"),       # the sampler's candidates
         (10**16, "", "2.08 EiB"),                            # gaussian_init's table
     ], ids=["neg-ratio", "factors"])
     def test_allocation_that_cannot_be_made_exits_1(self, prepared, tmp_path, capsys, factors, config, size):
@@ -336,6 +336,18 @@ class TestTrain:
         base = cli.ckpt_path(prepared, "gmf", 4)
         assert os.path.exists(base + ".epoch1")
         assert os.path.exists(base + ".epoch2")
+
+    def test_directory_at_a_snapshot_path_fails_before_the_first_epoch(self, prepared, capsys):
+        base = cli.ckpt_path(prepared, "gmf", 4)
+        os.mkdir(base + ".epoch2")
+        code, out, err = run_cli(train_args(prepared, extra=("--checkpoint-every", "1")), capsys)
+        assert code == 2 and "Is a directory" in err and base + ".epoch2" in err
+        assert "epoch" not in out
+        assert sorted(name for name in os.listdir(prepared) if name.startswith("checkpoint_")) == \
+            [os.path.basename(base) + ".epoch2"]
+        assert not os.path.exists(cli.metrics_path(prepared, "gmf", 4))
+        # a snapshot the run does not write is not checked: every 3rd epoch of 2 is none
+        assert run_cli(train_args(prepared, extra=("--checkpoint-every", "3")), capsys)[0] == 0
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_checkpoint_every_rejected(self, prepared, tmp_path, capsys, source):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,15 @@ def dense_split(seed):
     return corpus.leave_one_out_split(data, seed=seed)
 
 
+def wide_split(seed=0):
+    """2,600 users who each observed 21 of 3,000 items: 52,000 train pairs, 260,000 instances at ratio 4."""
+    rng = np.random.default_rng(seed)
+    items = np.concatenate([rng.choice(3000, size=21, replace=False) for _ in range(2600)])
+    users = np.repeat(np.arange(2600), 21)
+    data = corpus.InteractionSet.from_arrays(2600, 3000, users, items, rng.integers(10_000, size=users.size))
+    return corpus.leave_one_out_split(data, seed=seed)
+
+
 def full_recheck_epoch(split, negative_ratio, seed, epoch):
     """Reference sampler that rechecks every negative each round; (users, items, labels, rounds)."""
     train = split.train
@@ -134,6 +144,14 @@ def full_recheck_epoch(split, negative_ratio, seed, epoch):
     return users[order], items[order], labels[order], rounds
 
 
+def assert_batches_equal(batches, users, items, labels):
+    """Every batch keeps Batch's int64, int64 and float64 fields, and together they equal the reference's bytes."""
+    assert {(b.users.dtype, b.items.dtype, b.labels.dtype) for b in batches} == \
+        {(np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))}
+    for name, expected in (("users", users), ("items", items), ("labels", labels)):
+        assert np.concatenate([getattr(b, name) for b in batches]).tobytes() == expected.tobytes(), name
+
+
 class TestSamplerRecheck:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batches_equal_full_recheck_reference_bitwise(self, seed):
@@ -142,9 +160,27 @@ class TestSamplerRecheck:
             users, items, labels, rounds = full_recheck_epoch(split, 4, seed, epoch)
             assert rounds >= 4, rounds
             batches = list(training.sample_training_batches(split, 4, 64, seed, epoch))
-            assert np.concatenate([b.users for b in batches]).tobytes() == users.tobytes()
-            assert np.concatenate([b.items for b in batches]).tobytes() == items.tobytes()
-            assert np.concatenate([b.labels for b in batches]).tobytes() == labels.tobytes()
+            assert_batches_equal(batches, users, items, labels)
+
+    @pytest.mark.parametrize("ratio", [1, 3, 4, 7])
+    def test_epochs_of_many_chunks_equal_the_reference_bitwise(self, ratio, monkeypatch):
+        # 37 slots a chunk divides neither a ratio nor a batch: an epoch of a few thousand
+        # instances spans dozens of chunks, and 100 a batch leaves a short tail
+        monkeypatch.setattr(training, "SAMPLER_CHUNK", 37)
+        split = dense_split(ratio)
+        for epoch in (1, 2):
+            users, items, labels, rounds = full_recheck_epoch(split, ratio, ratio, epoch)
+            assert rounds >= 3 and users.size > 20 * 37 and users.size % 100, (rounds, users.size)
+            batches = list(training.sample_training_batches(split, ratio, 100, ratio, epoch))
+            assert [len(b) for b in batches[:-1]] == [100] * (len(batches) - 1) and 0 < len(batches[-1]) < 100
+            assert_batches_equal(batches, users, items, labels)
+
+    def test_wide_epoch_equals_the_reference_bitwise(self):
+        split = wide_split()  # 208,000 negative slots: 13 chunks at the module's chunk size
+        assert len(split.train) * 4 > 12 * training.SAMPLER_CHUNK
+        users, items, labels, _rounds = full_recheck_epoch(split, 4, 3, 1)
+        batches = list(training.sample_training_batches(split, 4, 256, 3, 1))
+        assert_batches_equal(batches, users, items, labels)
 
     def test_user_who_observed_every_item_fails_fast(self):
         # user 1 trained on items 0-3 and holds out item 4: no unobserved item is left
@@ -159,6 +195,47 @@ class TestSamplerRecheck:
         with time_bound():  # one batch holds the epoch's 25 instances
             batch = next(training.sample_training_batches(split, 4, 100, seed=0, epoch=1))
         assert batch.items[(batch.users == 1) & (batch.labels == 0.0)].tolist() == [4] * 16
+
+
+class TestSamplerMemory:
+    """What the sampler's compact epoch relies on, and what it saves."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000, 70_001])
+    def test_int32_shuffle_is_numpys_permutation(self, size):
+        # the sampler shuffles an int32 arange where Generator.permutation shuffles an int64
+        # one: the swaps must match and leave the generator in the same state, or every
+        # checkpoint trained since changes with no test naming why
+        shuffled, permuted = tc.seeded_rng(7, "epoch", 1), tc.seeded_rng(7, "epoch", 1)
+        order = np.arange(size, dtype=np.int32)
+        shuffled.shuffle(order)
+        assert np.array_equal(order, permuted.permutation(size))
+        assert shuffled.integers(0, 2**40, size=3).tolist() == permuted.integers(0, 2**40, size=3).tolist()
+
+    def test_ids_narrow_to_int32_only_inside_its_range(self):
+        # ids lie in [0, bound): 2**31 - 1 is the largest int32
+        assert training._id_dtype(1) is np.int32
+        assert training._id_dtype(2**31) is np.int32
+        assert training._id_dtype(2**31 + 1) is np.int64
+        assert training._id_dtype(2**40) is np.int64
+
+    def test_setup_peak_is_at_most_28_bytes_per_instance(self):
+        split = wide_split()
+        instances = len(split.train) * 5
+        assert instances >= 250_000
+        split.train.pair_bits  # a loaded split has its bitmap already: it is not the epoch's
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            batches = training.sample_training_batches(split, 4, 256, seed=0, epoch=1)
+            next(batches)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 28 * instances, peak / instances
 
 
 # -- log loss --------------------------------------------------------------------

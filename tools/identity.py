@@ -30,6 +30,10 @@ pinned to one BLAS thread. It covers:
   8000-user corpus, as perfbench's eval-wide fixture is trained, then
   `evaluate --ranks-out` of it, so the side gathers over 8,000 users are
   covered too;
+- `train` of gmf for 2 epochs at `--neg-ratio 3` on the 8000-user corpus,
+  then `evaluate --ranks-out` of it: its epochs span many of the sampler's
+  chunks, and 3 divides no power-of-two chunk size, so a negative slot
+  paired with the wrong positive's user at a chunk boundary shows;
 - `train` and then `evaluate` of camf with every option from one
   `--config` file (CONFIG_FILE below): each key `train` takes, at values
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
@@ -101,6 +105,7 @@ dataset-kind=movielens
 """
 WIDE_CORPUS, WIDE_RUN = "generic8000", "aadcf-wide"  # aadcf, as perfbench's eval-wide fixture
 WIDE_TRAIN = ["--epochs", "1", "--batch-size", "512", "--lr", "0.01"]
+RATIO3_RUN = "gmf-wide-ratio3"  # gmf at --neg-ratio 3 on WIDE_CORPUS
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
 VARIANTS = {  # -> plain copy; all but the -whole ones open with a "#" line, so are read line by line
     "movielens600-crlf": "movielens600",
@@ -197,6 +202,11 @@ def produce(out, datasets):
                               *WIDE_TRAIN, "--out", f"train/{WIDE_RUN}"])
     run(f"evaluate-{WIDE_RUN}", ["evaluate", "--model", "aadcf", "--factors", "8", "--out", f"train/{WIDE_RUN}",
                                  "--ranks-out", f"train/{WIDE_RUN}/ranks.tsv"])
+    shutil.copytree(f"prepare/{WIDE_CORPUS}-{SEEDS[0]}", f"train/{RATIO3_RUN}")
+    run(f"train-{RATIO3_RUN}", ["train", "--model", "gmf", "--neg-ratio", "3", *common,
+                                "--out", f"train/{RATIO3_RUN}"])
+    run(f"evaluate-{RATIO3_RUN}", ["evaluate", "--model", "gmf", "--factors", "8", "--out", f"train/{RATIO3_RUN}",
+                                   "--ranks-out", f"train/{RATIO3_RUN}/ranks.tsv"])
     shutil.copytree(prepared, f"train/{CONFIG_RUN}")
     with open(f"{CONFIG_RUN}.cfg", "w", encoding="utf-8") as fh:
         fh.write(CONFIG_FILE)
