@@ -513,7 +513,7 @@ def _read_records(path, shapes):
                 if np.lib.format.read_magic(fh) != (1, 0):
                     raise ValueError("not a version 1.0 .npy record")
                 shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            except (ValueError, SyntaxError, tokenize.TokenError) as exc:  # header text
+            except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:  # header text
                 raise LoadError(f"{path}: record {k}: {exc}") from None
             count = math.prod(shape)
             if (dtype != "<i8" or fortran or len(shape) != len(want) or count * 8 > size - fh.tell()

@@ -1254,10 +1254,17 @@ def _huge_header(records):
     return buf.getvalue() + bytes(64)
 
 
+def _bytes_key_header(records):
+    """A header dict with one bytes key: numpy raises TypeError sorting its keys."""
+    blob = npy_bytes(records)
+    return blob.replace(b" 'shape'", b"b'shape'", 1)
+
+
 NAMED_DAMAGE = {
     "empty": lambda records: b"",
     "old-tsv": _old_tsv,
     "huge-header": _huge_header,
+    "bytes-key-header": _bytes_key_header,
     "float64-record": lambda records: npy_bytes([records[0].astype(np.float64), *records[1:]]),
     "wrong-ndim": lambda records: npy_bytes([records[0][None, :], *records[1:]]),
 }
