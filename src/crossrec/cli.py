@@ -134,7 +134,6 @@ OPTIONS = (
     Option("batch_size", _positive, training.DEFAULT_BATCH_SIZE, _TRAINING_RUNS),
     Option("neg_ratio", _positive, training.DEFAULT_NEGATIVE_RATIO, _TRAINING_RUNS),
     Option("include_attr_cross", _bool, False, _TRAINING_RUNS),
-    Option("checkpoint_every", _count, 0, ("train",)),
     Option("ranks_out", _text, None, ("evaluate",)),
 )
 _BY_KEY = {opt.key: opt for opt in OPTIONS}
@@ -196,6 +195,14 @@ def _model_config(config, split, catalog):
     )
 
 
+def _refuse_directories(*paths):
+    """IsADirectoryError for the first of `paths` that is a directory: files renamed
+    over only when a run ends are checked before it starts."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_prepare(config, log=print):
     """Parse the raw dataset, split it, and write the prepared artifacts."""
     kind = config.dataset_kind
@@ -208,6 +215,7 @@ def cmd_prepare(config, log=print):
             raise CliError(f"{_BY_KEY[key].flag} is required for --dataset-kind {kind}")
         if given and key not in required + optional:
             raise CliError(f"{_BY_KEY[key].flag} is not read for --dataset-kind {kind}")
+    _refuse_directories(*(os.path.join(config.out, name) for name in corpus.PREPARED_FILES))
     # looked up at call time, as perfbench/tracer.py times the parsers by replacing them
     data, catalog = getattr(corpus, f"parse_{kind}")(*(getattr(config, key) for key in required + optional))
 
@@ -222,14 +230,6 @@ def cmd_prepare(config, log=print):
     return 0
 
 
-def _refuse_directories(*paths):
-    """IsADirectoryError for the first of `paths` that is a directory: files renamed
-    over only when a run ends are checked before it starts."""
-    for path in paths:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-
-
 def train_and_save(config, log=print):
     """Train one model on the prepared split; return the TrainResult. Its metrics CSV is written beside
     its path and renamed over it after the checkpoint, so only a run that succeeds replaces either."""
@@ -241,14 +241,11 @@ def train_and_save(config, log=print):
               "include_attr_cross": int(config.include_attr_cross),
               "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
-    every = config.checkpoint_every  # 0: no snapshots
-    snapshots = {epoch: f"{checkpoint}.epoch{epoch}"
-                 for epoch in (range(every, config.epochs + 1, every) if every else ())}
-    _refuse_directories(csv_file, checkpoint, *snapshots.values())
+    _refuse_directories(csv_file, checkpoint)
     with tensorcore.replacing(csv_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 
-        def on_epoch(stats, report, store):
+        def on_epoch(stats, report, _store):
             fh.write(f"{stats.epoch},{config.model},{config.factors},{config.seed},"
                      f"{_float_repr(stats.mean_loss)},{_float_repr(report.hr_at_10)},"
                      f"{_float_repr(report.ndcg_at_10)},{_float_repr(stats.wall_seconds)}\n")
@@ -257,8 +254,6 @@ def train_and_save(config, log=print):
                 f"hr10={report.hr_at_10:.4f} ndcg10={report.ndcg_at_10:.4f} "
                 f"({stats.wall_seconds:.1f}s)"
             )
-            if stats.epoch in snapshots:
-                tensorcore.save_checkpoint(snapshots[stats.epoch], store, header)
 
         result = training.train(
             model_config, split, catalog,
@@ -325,6 +320,9 @@ def cmd_evaluate(config, log=print):
     if options.prepared != prepared:
         raise CliError(f"checkpoint {path} was trained on prepared run {options.prepared}, but "
                        f"{config.out} holds prepared run {prepared}; train it again on this run")
+    if (options.model, options.factors) != (config.model, config.factors):
+        raise CliError(f"checkpoint {path} holds a {options.model} model at {options.factors} factors, "
+                       f"not the {config.model} at {config.factors} that --model and --factors name")
     report = evaluation.evaluate(model_config, store, split, catalog)
     if config.ranks_out:
         evaluation.save_ranks(report, config.ranks_out)

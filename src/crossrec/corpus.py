@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorcore import Ragged, ShapeError, check_rows, decimal_int
+from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, replacing
 
 
 class CorpusError(Exception):
@@ -491,11 +491,11 @@ def leave_one_out_split(data, seed):
 # attributes.npy [user_vocab, item_vocab], then each side's Ragged as its
 # offsets and flat ids (sorted within each row), which load_catalog wraps as is.
 
-TRAIN_FILE, SPLIT_FILE, ATTRS_FILE = "train.npy", "split.npy", "attributes.npy"
+TRAIN_FILE, SPLIT_FILE, ATTRS_FILE = PREPARED_FILES = "train.npy", "split.npy", "attributes.npy"
 
 
 def _write_records(path, records):
-    with open(path, "wb") as fh:  # a handle: np.save given a name appends ".npy"
+    with replacing(path) as fh:  # a handle: np.save given a name appends ".npy"
         for record in records:
             np.save(fh, np.ascontiguousarray(record, dtype="<i8"), allow_pickle=False)
 
@@ -592,7 +592,7 @@ def save_prepared(out_dir, split, catalog):
 def prepared_fingerprint(out_dir):
     """crc32 of the prepared run's three files, chained in save_prepared's order, as 8 hex digits."""
     crc = 0
-    for name in (TRAIN_FILE, SPLIT_FILE, ATTRS_FILE):
+    for name in PREPARED_FILES:
         with open(os.path.join(out_dir, name), "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 crc = zlib.crc32(chunk, crc)

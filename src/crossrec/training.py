@@ -174,9 +174,9 @@ def train(
 ):
     """Run the optimization loop; returns the store plus per-epoch records.
 
-    Every epoch ends with an evaluation pass. on_epoch, when given, is
-    called with (EpochStats, EvalReport, store) after each epoch, letting
-    callers stream metrics and snapshot checkpoints as they appear.
+    Every epoch ends with an evaluation pass. on_epoch, when given, is called with
+    (EpochStats, EvalReport, store) after each epoch, the one route to per-epoch state:
+    the live store after epoch k equals a k-epoch run's final store, bit for bit.
     """
     store = models.init_params(config, seed)
     result = TrainResult(store)

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import errno
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import ml1m_dir, requires_ml1m, time_bound, write_generic_dataset
-from crossrec import cli, corpus, evaluation, models
+from crossrec import cli, corpus, evaluation, models, training
 from crossrec import tensorcore as tc
 
 
@@ -110,6 +111,37 @@ class TestPrepare:
             a = Path(outs[0], name).read_bytes()
             b = Path(outs[1], name).read_bytes()
             assert a == b, name
+
+    def test_directory_at_a_prepared_path_fails_before_parsing(self, generic_dataset, tmp_path, capsys,
+                                                               monkeypatch):
+        out = str(tmp_path / "run")
+        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
+        attrs = os.path.join(out, corpus.ATTRS_FILE)
+        os.remove(attrs)
+        os.mkdir(attrs)
+        before = {name: Path(out, name).read_bytes() for name in (corpus.TRAIN_FILE, corpus.SPLIT_FILE)}
+        monkeypatch.setattr(corpus, "parse_generic", lambda *args: pytest.fail("parsed"))
+        code, stdout, err = run_cli(prepare_args(generic_dataset, out, seed=12), capsys)
+        assert code == 2 and f"Is a directory: '{attrs}'" in err and stdout == ""
+        assert {name: Path(out, name).read_bytes() for name in before} == before
+        assert sorted(os.listdir(out)) == sorted(PREPARED_FILES) and os.listdir(attrs) == []
+
+    def test_failed_write_keeps_the_earlier_file(self, generic_dataset, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "run")
+        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
+        before = {name: Path(out, name).read_bytes() for name in PREPARED_FILES}
+        save = np.save
+
+        def full_disk(fh, record, **kwargs):  # train.npy's second record does not fit
+            if record.ndim == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            save(fh, record, **kwargs)
+
+        monkeypatch.setattr(np, "save", full_disk)
+        code, _, err = run_cli(prepare_args(generic_dataset, out, seed=12), capsys)
+        assert code == 2 and "No space left on device" in err
+        assert {name: Path(out, name).read_bytes() for name in PREPARED_FILES} == before
+        assert sorted(os.listdir(out)) == sorted(PREPARED_FILES)
 
     def test_prepare_builds_no_generator(self, generic_dataset, tmp_path, capsys, monkeypatch):
         # split.npy comes from crossrec's own integer draws, not numpy's sampling algorithms
@@ -216,7 +248,7 @@ def prepared(generic_dataset, tmp_path, capsys):
     return out
 
 
-PREPARED_FILES = (corpus.TRAIN_FILE, corpus.SPLIT_FILE, corpus.ATTRS_FILE)
+PREPARED_FILES = corpus.PREPARED_FILES
 
 
 def read_records(path):
@@ -330,34 +362,28 @@ class TestTrain:
         )
         assert rebuilt == Path(path).read_text()
 
-    def test_checkpoint_every_writes_snapshots(self, prepared, capsys):
-        code, _, _ = run_cli(train_args(prepared, extra=("--checkpoint-every", "1")), capsys)
-        assert code == 0
-        base = cli.ckpt_path(prepared, "gmf", 4)
-        assert os.path.exists(base + ".epoch1")
-        assert os.path.exists(base + ".epoch2")
+    @pytest.mark.parametrize("model", models.KINDS)
+    def test_store_after_epoch_k_saves_as_the_checkpoint_of_k_epochs(self, prepared, tmp_path, capsys, model):
+        """A longer run's store after epoch k, saved with train's header, is `train --epochs k`'s checkpoint."""
+        expected = {}
+        for k in (1, 2):
+            assert run_cli(train_args(prepared, model=model, epochs=k), capsys)[0] == 0
+            expected[k] = Path(cli.ckpt_path(prepared, model, 4)).read_bytes()
+        _, header = tc.load_checkpoint(cli.ckpt_path(prepared, model, 4))
+        _, config = cli.parse_command_line(train_args(prepared, model=model, epochs=3))
+        split, catalog = corpus.load_prepared(prepared)
+        saved = {}
 
-    def test_directory_at_a_snapshot_path_fails_before_the_first_epoch(self, prepared, capsys):
-        base = cli.ckpt_path(prepared, "gmf", 4)
-        os.mkdir(base + ".epoch2")
-        code, out, err = run_cli(train_args(prepared, extra=("--checkpoint-every", "1")), capsys)
-        assert code == 2 and "Is a directory" in err and base + ".epoch2" in err
-        assert "epoch" not in out
-        assert sorted(name for name in os.listdir(prepared) if name.startswith("checkpoint_")) == \
-            [os.path.basename(base) + ".epoch2"]
-        assert not os.path.exists(cli.metrics_path(prepared, "gmf", 4))
-        # a snapshot the run does not write is not checked: every 3rd epoch of 2 is none
-        assert run_cli(train_args(prepared, extra=("--checkpoint-every", "3")), capsys)[0] == 0
+        def save(stats, _report, store):
+            path = tmp_path / f"epoch{stats.epoch}.ckpt"
+            tc.save_checkpoint(str(path), store, header)
+            saved[stats.epoch] = path.read_bytes()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_negative_checkpoint_every_rejected(self, prepared, tmp_path, capsys, source):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("checkpoint-every=-1\n")
-        extra = (("--checkpoint-every", "-1") if source == "flag" else ("--config", str(cfg)))
-        code, _, err = run_cli(train_args(prepared, epochs=3, extra=extra), capsys)
-        assert code == 1
-        assert "--checkpoint-every must be non-negative" in err
-        assert not [name for name in os.listdir(prepared) if name.startswith("checkpoint_")]
+        training.train(cli._model_config(config, split, catalog), split, catalog, seed=config.seed,
+                       lr=config.lr, epochs=config.epochs, batch_size=config.batch_size,
+                       negative_ratio=config.neg_ratio, on_epoch=save)
+        assert sorted(saved) == [1, 2, 3]
+        assert saved[1] == expected[1] and saved[2] == expected[2]
 
     def test_config_file_with_flag_override(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -476,6 +502,28 @@ class TestEvaluate:
         assert len(lines) == 30
         ranks = [int(l.split("\t")[1]) for l in lines]
         assert all(1 <= r <= 100 for r in ranks)
+
+    def test_ranks_out_in_config_reaches_evaluate_not_train(self, prepared, tmp_path, capsys):
+        dump = tmp_path / "ranks.tsv"
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"model=gmf\nfactors=4\nlayers=8,4\nepochs=1\nseed=11\nout={prepared}\n"
+                       f"ranks-out={dump}\n")
+        assert run_cli(["train", "--config", str(cfg)], capsys)[0] == 0
+        assert os.path.exists(cli.ckpt_path(prepared, "gmf", 4)) and not dump.exists()
+        assert run_cli(["evaluate", "--config", str(cfg)], capsys)[0] == 0
+        assert len(dump.read_text().splitlines()) == 30
+
+    @pytest.mark.parametrize("model, factors", [("gmf", 16), ("camf", 16), ("gmf", 4)],
+                             ids=["other-model-and-factors", "other-factors", "other-model"])
+    def test_checkpoint_of_another_model_exits_1(self, prepared, capsys, model, factors):
+        assert run_cli(train_args(prepared, model="camf", epochs=1), capsys)[0] == 0
+        path = cli.ckpt_path(prepared, model, factors)
+        shutil.copy(cli.ckpt_path(prepared, "camf", 4), path)
+        code, out, err = run_cli(["evaluate", "--model", model, "--factors", str(factors), "--out", prepared],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert (f"checkpoint {path} holds a camf model at 4 factors, not the {model} at {factors} "
+                "that --model and --factors name") in err
 
     def test_directory_at_the_rank_dump_path_fails_before_the_pass(self, prepared, tmp_path, capsys,
                                                                     monkeypatch):
@@ -714,16 +762,6 @@ class TestSweep:
         assert code == 1 and f"{flag} lists {repeated} more than once" in err
         assert sorted(os.listdir(prepared)) == sorted(PREPARED_FILES)
 
-    def test_checkpoint_every_in_config_reaches_train_not_sweep(self, prepared, tmp_path, capsys):
-        cfg = tmp_path / "shared.cfg"
-        cfg.write_text(f"model=gmf\nfactors=4\nlayers=8,4\nepochs=1\nseed=11\nout={prepared}\n"
-                       "checkpoint-every=1\n")
-        snapshot = cli.ckpt_path(prepared, "gmf", 4) + ".epoch1"
-        assert run_cli(["sweep", "--config", str(cfg)], capsys)[0] == 0
-        assert os.path.exists(cli.ckpt_path(prepared, "gmf", 4)) and not os.path.exists(snapshot)
-        assert run_cli(["train", "--config", str(cfg)], capsys)[0] == 0
-        assert os.path.exists(snapshot)
-
     def test_directory_at_the_table_path_fails_before_the_first_cell(self, prepared, capsys):
         table = os.path.join(prepared, "sweep.csv")
         os.mkdir(table)
@@ -945,7 +983,7 @@ SAMPLES = {
     "model": ("camf", "neumf"), "factors": ("16", "4"), "layers": ("16,8", "64,32,16"),
     "lr": ("0.01", "2.5e-4"), "epochs": ("3", "0"), "batch_size": ("64", "1024"),
     "neg_ratio": ("2", "7"), "include_attr_cross": ("false", "true"),
-    "checkpoint_every": ("2", "5"), "ranks_out": ("ranks1.tsv", "ranks2.tsv"),
+    "ranks_out": ("ranks1.tsv", "ranks2.tsv"),
 }
 
 # (command, key, bad text, message): each must exit 1 from a flag and from a config line
@@ -968,7 +1006,6 @@ BAD_VALUES = [
     ("train", "epochs", "-1", "--epochs must be non-negative"),
     ("train", "batch_size", "0", "--batch-size must be positive"),
     ("train", "neg_ratio", "-2", "--neg-ratio must be positive"),
-    ("train", "checkpoint_every", "-1", "--checkpoint-every must be non-negative"),
     # past int()'s own 4,300-digit limit, whose message names no flag or line
     ("train", "epochs", "9" * 5000, f"bad --epochs value '{'9' * 5000}'"),
 ]
@@ -982,8 +1019,7 @@ SUBCOMMAND_FLAGS = {
 }
 _TRAINING_FLAGS = {"--config", "--seed", "--out", "--model", "--factors", "--layers", "--lr",
                    "--epochs", "--batch-size", "--neg-ratio", "--include-attr-cross"}
-SUBCOMMAND_FLAGS["train"] = _TRAINING_FLAGS | {"--checkpoint-every"}
-SUBCOMMAND_FLAGS["sweep"] = _TRAINING_FLAGS
+SUBCOMMAND_FLAGS["train"] = SUBCOMMAND_FLAGS["sweep"] = _TRAINING_FLAGS
 
 
 def _required(command, but=None):
@@ -1057,9 +1093,9 @@ class TestOptionTable:
 
     def test_bad_value_of_key_not_taken_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("checkpoint-every=-1\n")
-        code, _, err = run_cli(["sweep", *_required("sweep"), "--config", str(cfg)], capsys)
-        assert code == 1 and f"{cfg}:1: --checkpoint-every must be non-negative" in err
+        cfg.write_text("lr=-1\n")
+        code, _, err = run_cli(["evaluate", *_required("evaluate"), "--config", str(cfg)], capsys)
+        assert code == 1 and f"{cfg}:1: --lr must be positive and finite" in err
 
     @pytest.mark.parametrize("command, key, text, message", BAD_VALUES,
                              ids=[f"{c}-{k}-{t[:12]}" for c, k, t, _ in BAD_VALUES])
@@ -1141,7 +1177,7 @@ class TestOptionsRead:
         out = str(tmp_path / "run")
         argv = {
             "prepare": prepare_args(generic_dataset, out),
-            "train": train_args(out, epochs=1, extra=("--checkpoint-every", "1")),
+            "train": train_args(out, epochs=1),
             "evaluate": ["evaluate", "--model", "gmf", "--factors", "4", "--seed", "11", "--out", out,
                          "--ranks-out", str(tmp_path / "ranks.tsv")],
             "gradcheck": ["gradcheck", "--model", "gmf", "--seed", "11"],

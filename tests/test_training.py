@@ -334,6 +334,29 @@ class TestTrain:
         assert [e for e, _ in seen] == [1, 2]
         assert all(r is not None and 0 <= r.hr_at_10 <= 1 for _, r in seen)
 
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_state_after_epoch_k_is_a_k_epoch_runs_final_state(self, kind):
+        """on_epoch of one run gives every epoch's state: values, moments, step, loss and ranks."""
+        split = synthetic_split()
+        catalog = synthetic_catalog(split)
+        config = models.ModelConfig(
+            kind, split.train.num_users, split.train.num_items, factors=4,
+            mlp_layers=(8, 4), user_vocab_size=5, item_vocab_size=6,
+        )
+
+        def state(stats, report, store):
+            arenas = {name: [a.tobytes() for a in (store.value(name), *store.moments(name))]
+                      for name in store.names()}
+            return store.step, stats.epoch, stats.mean_loss, report.per_user_ranks.tobytes(), arenas
+
+        seen = []
+        training.train(config, split, catalog, seed=13, epochs=3,
+                       on_epoch=lambda *args: seen.append(state(*args)))
+        assert [epoch for _, epoch, *_ in seen] == [1, 2, 3]
+        for k in (1, 2):
+            result = training.train(config, split, catalog, seed=13, epochs=k)
+            assert seen[k - 1] == state(result.epoch_stats[-1], result.eval_reports[-1], result.store)
+
 
 class TestLearnsPlantedStructure:
     """End-to-end: models must beat the 0.10 random-ranker HR@10 baseline."""

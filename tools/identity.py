@@ -16,10 +16,10 @@ pinned to one BLAS thread. It covers:
   interactions file has CRLF line ends and a leading `#` line, so it is
   read line by line; and on a copy of the 600-user corpus with CRLF line
   ends alone, which is read whole;
-- `train` for 2 epochs with `--checkpoint-every 1` for gmf, mlp, neumf,
-  aadcf, camf and camf `--include-attr-cross` on the 600-user corpus, all
-  at the default 32-16-8 tower, and for mlp `--layers 16` and neumf
-  `--layers 12,6`, so the parameter layout is held at other depths too;
+- `train` for 2 epochs for gmf, mlp, neumf, aadcf, camf and camf
+  `--include-attr-cross` on the 600-user corpus, all at the default
+  32-16-8 tower, and for mlp `--layers 16` and neumf `--layers 12,6`, so
+  the parameter layout is held at other depths too;
 - `train` of gmf for 1 epoch over a copy of the finished gmf run, so a
   rerun that replaces an earlier run's metrics CSV and checkpoint is
   covered too;
@@ -39,11 +39,11 @@ pinned to one BLAS thread. It covers:
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
   `train` does not take;
 - a 2x2 `sweep`, and `gradcheck` for all five kinds at both seeds;
-- every checkpoint and `.epochN` snapshot written above, also decoded by
-  that side's own `load_checkpoint` into decoded/<path>.txt: its Adam
-  step and, per parameter in arena order, its name, its shape and the
-  sha256 of its value, m and v bytes. A change of checkpoint format then
-  shows the raw checkpoints differing and their content equal.
+- every checkpoint written above, also decoded by that side's own
+  `load_checkpoint` into decoded/<path>.txt: its Adam step and, per
+  parameter in arena order, its name, its shape and the sha256 of its
+  value, m and v bytes. A change of checkpoint format then shows the raw
+  checkpoints differing and their content equal.
 
 Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
@@ -98,7 +98,6 @@ epochs=2
 batch-size=128
 neg-ratio=2
 include-attr-cross=true
-checkpoint-every=1
 # and two it does not: evaluate takes ranks-out, only prepare dataset-kind
 ranks-out=train/{CONFIG_RUN}/ranks.tsv
 dataset-kind=movielens
@@ -189,8 +188,7 @@ def produce(out, datasets):
     common = ["--factors", "8", "--epochs", "2", "--seed", str(SEEDS[0])]
     for name, (model, flags) in TRAIN_RUNS.items():
         shutil.copytree(prepared, f"train/{name}")
-        run(f"train-{name}", ["train", "--model", model, *flags, *common, "--checkpoint-every", "1",
-                              "--out", f"train/{name}"])
+        run(f"train-{name}", ["train", "--model", model, *flags, *common, "--out", f"train/{name}"])
         run(f"evaluate-{name}", ["evaluate", "--model", model, "--factors", "8", "--out", f"train/{name}",
                                  "--ranks-out", f"train/{name}/ranks.tsv"])
     shutil.copytree("train/gmf", f"train/{RERUN}")
@@ -227,7 +225,7 @@ def produce(out, datasets):
             fh.write(decoded_checkpoint(path))
 
 
-_CHECKPOINT = re.compile(r"\.ckpt(\.epoch\d+)?$")
+_CHECKPOINT = re.compile(r"\.ckpt$")
 
 
 def decoded_checkpoint(path):
