@@ -242,7 +242,7 @@ def train_and_save(config, log=print):
               "prepared": corpus.prepared_fingerprint(config.out), "seed": config.seed}
 
     _refuse_directories(csv_file, checkpoint)
-    with tensorcore.replacing(csv_file, "w", encoding="utf-8", newline="\n") as fh:
+    with tensorcore.replacing(csv_file) as [tmp], open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 
         def on_epoch(stats, report, _store):
@@ -375,7 +375,7 @@ def cmd_sweep(config, log=print):
     columns = ["factors"]
     for model in model_list:
         columns += [f"{model}_hr10", f"{model}_ndcg10"]
-    with tensorcore.replacing(table, "w", encoding="utf-8", newline="\n") as fh:
+    with tensorcore.replacing(table) as [tmp], open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         log("\t".join(columns))
         for factors in factors_list:

@@ -495,7 +495,7 @@ TRAIN_FILE, SPLIT_FILE, ATTRS_FILE = PREPARED_FILES = "train.npy", "split.npy", 
 
 
 def _write_records(path, records):
-    with replacing(path) as fh:  # a handle: np.save given a name appends ".npy"
+    with open(path, "wb") as fh:  # a handle: np.save given a name appends ".npy"
         for record in records:
             np.save(fh, np.ascontiguousarray(record, dtype="<i8"), allow_pickle=False)
 
@@ -582,11 +582,14 @@ def load_catalog(path):
 
 
 def save_prepared(out_dir, split, catalog):
-    """Write the prepared run (train set, split, attribute catalog) into out_dir."""
+    """Write the prepared run (train set, split, attribute catalog) into out_dir, each file beside
+    its path first: none is renamed over an earlier run's file until all three are complete."""
     os.makedirs(out_dir, exist_ok=True)
-    save_interactions(split.train, os.path.join(out_dir, TRAIN_FILE))
-    save_split(split, os.path.join(out_dir, SPLIT_FILE))
-    save_catalog(catalog, os.path.join(out_dir, ATTRS_FILE))
+    paths = [os.path.join(out_dir, name) for name in PREPARED_FILES]
+    with replacing(*paths) as [train_path, split_path, attrs_path]:
+        save_interactions(split.train, train_path)
+        save_split(split, split_path)
+        save_catalog(catalog, attrs_path)
 
 
 def prepared_fingerprint(out_dir):

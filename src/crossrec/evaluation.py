@@ -81,5 +81,5 @@ def evaluate(config, store, split, catalog=None):
 
 def save_ranks(report, path):
     """Per-user rank dump: 'user<TAB>rank' lines, written beside `path` and renamed over it."""
-    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as [tmp], open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"{u}\t{rank}\n" for u, rank in enumerate(report.per_user_ranks.tolist())))

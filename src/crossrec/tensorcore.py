@@ -506,17 +506,19 @@ def adam_step(store, grads, lr=0.001):
 
 
 @contextlib.contextmanager
-def replacing(path, mode="wb", **kwargs):
-    """A file open(mode, **kwargs) beside `path`, renamed over it when the block ends; if the
-    block, a write or the rename raises, it is removed and `path` keeps what it held."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    fh = open(tmp, mode, **kwargs)
+def replacing(*paths):
+    """A temporary path beside each of `paths`, each renamed over its path, in order, once the
+    block ends; if the block or a rename raises, every temporary file is removed and each path
+    not yet renamed over keeps what it held, so a block that raises replaces none of them."""
+    tmps = [f"{path}.tmp.{os.getpid()}" for path in paths]
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
@@ -541,7 +543,7 @@ def save_checkpoint(path, store, header=None):
     payload = b"".join(buf.astype("<f4", copy=False).tobytes() for buf in (store._value, store._m, store._v))
     prefix = "".join(line + "\n" for line in lines).encode("utf-8")
     tail = f"crc32 {zlib.crc32(payload, zlib.crc32(prefix))}\ndata {len(payload)}\n"
-    with replacing(path) as fh:
+    with replacing(path) as [tmp], open(tmp, "wb") as fh:
         fh.write(prefix + tail.encode("utf-8") + payload)
 
 

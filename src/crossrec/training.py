@@ -27,7 +27,7 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LR = 0.001
 GRADCHECK_TOLERANCE = 1e-3  # gradcheck passes when every relative error is below it
 GRADCHECK_STEP = 1e-3  # gradcheck's finite-difference step
-SAMPLER_CHUNK = 1 << 14  # negative slots per membership check, instances per shuffled-array fill
+SAMPLER_CHUNK = 1 << 14  # negative slots per membership check, about the instances a chunk of batches builds
 
 
 class TrainingError(RuntimeError):
@@ -63,7 +63,7 @@ class TrainResult:
 
 
 def _id_dtype(bound):
-    """The dtype an epoch keeps ids in [0, bound) in: int32 where they fit, else int64."""
+    """The dtype of an epoch's permutation of [0, bound): int32 where it fits, else int64."""
     return np.int32 if bound <= 2**31 else np.int64
 
 
@@ -79,14 +79,13 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     Raises TrainingError, before drawing, if a user with training positives
     has observed every item.
 
-    An epoch of n instances (positives plus negatives) holds 9 bytes per
-    instance while it is walked: int32 user and item ids (int64 past the
-    int32 range) and a bool label, each batch widening its slice to int64,
-    int64 and float64. Setting it up also holds the int64 candidates
-    (8 * ratio / (ratio + 1) bytes per instance) and the int32 permutation
-    (4 bytes), about 19 bytes per instance at ratio 4, plus temporaries of
-    SAMPLER_CHUNK slots: membership is checked, and the shuffled arrays are
-    filled, one chunk at a time.
+    An epoch of n instances (positives plus negatives) holds, while it is
+    walked, its int32 permutation (int64 past the int32 range) and the int64
+    candidates: 4 + 8 * ratio / (ratio + 1) bytes per instance, about 10.4 at
+    ratio 4. Each chunk of whole batches (about SAMPLER_CHUNK instances)
+    builds its int64 users and items and float64 labels when it is reached,
+    and each batch is a slice of it; with membership checked SAMPLER_CHUNK
+    slots at a time, the peak is that plus one chunk's temporaries.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
@@ -100,11 +99,20 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
             "no negative can be drawn"
         )
     rng = tc.seeded_rng(seed, "epoch", epoch)
-    users, items, labels = _shuffled(rng, train, _negatives(rng, split, negative_ratio), negative_ratio)
-    for start in range(0, users.size, batch_size):
-        stop = start + batch_size
-        yield Batch(users[start:stop].astype(np.int64), items[start:stop].astype(np.int64),
-                    labels[start:stop].astype(np.float64))
+    candidates = _negatives(rng, split, negative_ratio)
+    size = len(train) + candidates.size
+    order = np.arange(size, dtype=_id_dtype(size))
+    rng.shuffle(order)  # rng.permutation(size): the same swaps on an int64 arange
+    step = batch_size * max(1, SAMPLER_CHUNK // batch_size)
+    for start in range(0, size, step):
+        taken = order[start:start + step]
+        slot = taken - len(train)  # the negative slot, below 0 for a positive
+        positive = slot < 0
+        users = train.users[np.where(positive, taken, slot // negative_ratio)]
+        items = np.where(positive, train.items.take(taken, mode="clip"), candidates.take(slot, mode="clip"))
+        labels = positive.astype(np.float64)
+        for lo in range(0, taken.size, batch_size):
+            yield Batch(users[lo:lo + batch_size], items[lo:lo + batch_size], labels[lo:lo + batch_size])
 
 
 def _negatives(rng, split, negative_ratio):
@@ -123,25 +131,6 @@ def _negatives(rng, split, negative_ratio):
         pending = np.concatenate([rejected(pending[start:start + SAMPLER_CHUNK])
                                   for start in range(0, pending.size, SAMPLER_CHUNK)])
     return candidates
-
-
-def _shuffled(rng, train, candidates, negative_ratio):
-    """(users, items, labels) of the positives then the negative slots, in rng.permutation's order."""
-    size = len(train) + candidates.size
-    order = np.arange(size, dtype=_id_dtype(size))
-    rng.shuffle(order)  # rng.permutation(size): the same swaps on an int64 arange
-    users = np.empty(size, dtype=_id_dtype(train.num_users))
-    items = np.empty(size, dtype=_id_dtype(train.num_items))
-    labels = np.empty(size, dtype=bool)
-    for start in range(0, size, SAMPLER_CHUNK):
-        taken = order[start:start + SAMPLER_CHUNK]
-        slot = taken - len(train)  # the negative slot, below 0 for a positive
-        positive = slot < 0
-        chunk = slice(start, start + taken.size)
-        labels[chunk] = positive
-        users[chunk] = train.users[np.where(positive, taken, slot // negative_ratio)]
-        items[chunk] = np.where(positive, train.items.take(taken, mode="clip"), candidates.take(slot, mode="clip"))
-    return users, items, labels
 
 
 def log_loss(preds, labels):
@@ -219,7 +208,6 @@ def train(
 class GradcheckReport:
     per_param: dict                  # name -> max relative error
     kink_skips: dict                 # name -> elements skipped at a relu kink
-    grad_norms: dict                 # name -> max |analytic| entry (0 means untouched)
 
     @property
     def max_relative_error(self):
@@ -302,10 +290,8 @@ def gradcheck(kind, seed):
 
     per_param = {}
     kink_skips = {}
-    grad_norms = {}
     for name in store.names():
         analytic = grads.as_dense(name)
-        grad_norms[name] = float(np.abs(analytic).max())
         value = store.value(name)
         worst = 0.0
         skipped = 0
@@ -326,4 +312,4 @@ def gradcheck(kind, seed):
             worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
         per_param[name] = worst
         kink_skips[name] = skipped
-    return GradcheckReport(per_param, kink_skips, grad_norms)
+    return GradcheckReport(per_param, kink_skips)

@@ -126,22 +126,36 @@ class TestPrepare:
         assert {name: Path(out, name).read_bytes() for name in before} == before
         assert sorted(os.listdir(out)) == sorted(PREPARED_FILES) and os.listdir(attrs) == []
 
-    def test_failed_write_keeps_the_earlier_file(self, generic_dataset, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def prepare_over_a_run_with_a_full_disk_at(name, dataset, tmp_path, capsys, monkeypatch):
+        """A --seed 12 prepare over a --seed 11 run, whose write of `name`'s second record
+        fails: it exits 2 and leaves the earlier run's three files as they were, and no other."""
         out = str(tmp_path / "run")
-        assert run_cli(prepare_args(generic_dataset, out), capsys)[0] == 0
-        before = {name: Path(out, name).read_bytes() for name in PREPARED_FILES}
-        save = np.save
+        assert run_cli(prepare_args(dataset, out), capsys)[0] == 0
+        before = {file: Path(out, file).read_bytes() for file in PREPARED_FILES}
+        save, written = np.save, []
 
-        def full_disk(fh, record, **kwargs):  # train.npy's second record does not fit
-            if record.ndim == 2:
+        def full_disk(fh, record, **kwargs):
+            written.append(os.path.basename(fh.name).partition(".tmp.")[0])
+            if written.count(name) == 2:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             save(fh, record, **kwargs)
 
         monkeypatch.setattr(np, "save", full_disk)
-        code, _, err = run_cli(prepare_args(generic_dataset, out, seed=12), capsys)
+        code, _, err = run_cli(prepare_args(dataset, out, seed=12), capsys)
         assert code == 2 and "No space left on device" in err
-        assert {name: Path(out, name).read_bytes() for name in PREPARED_FILES} == before
+        assert {file: Path(out, file).read_bytes() for file in PREPARED_FILES} == before
         assert sorted(os.listdir(out)) == sorted(PREPARED_FILES)
+
+    def test_failed_write_keeps_the_earlier_file(self, generic_dataset, tmp_path, capsys, monkeypatch):
+        self.prepare_over_a_run_with_a_full_disk_at(corpus.TRAIN_FILE, generic_dataset, tmp_path, capsys,
+                                                    monkeypatch)
+
+    @pytest.mark.parametrize("name", [corpus.SPLIT_FILE, corpus.ATTRS_FILE])
+    def test_failed_write_of_a_later_file_keeps_every_earlier_file(self, name, generic_dataset, tmp_path,
+                                                                   capsys, monkeypatch):
+        # the files written before it are not renamed over the earlier run's either
+        self.prepare_over_a_run_with_a_full_disk_at(name, generic_dataset, tmp_path, capsys, monkeypatch)
 
     def test_prepare_builds_no_generator(self, generic_dataset, tmp_path, capsys, monkeypatch):
         # split.npy comes from crossrec's own integer draws, not numpy's sampling algorithms

@@ -1025,15 +1025,20 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_replacing_keeps_the_target_when_the_block_raises(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        path.write_text("old\n")
-        with pytest.raises(RuntimeError, match="mid-write"):
-            with tc.replacing(str(path), "w") as fh:
-                fh.write("new\n")
-                raise RuntimeError("mid-write")
-        assert path.read_text() == "old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
-        with tc.replacing(str(path), "w") as fh:
-            fh.write("new\n")
-        assert path.read_text() == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        paths = [tmp_path / "metrics.csv", tmp_path / "ranks.tsv"]
+        for path in paths:
+            path.write_text("old\n")
+        for written in (1, 2):  # the second temporary file not yet made, or complete
+            with pytest.raises(RuntimeError, match="mid-write"):
+                with tc.replacing(*map(str, paths)) as tmps:
+                    for tmp in tmps[:written]:
+                        Path(tmp).write_text("new\n")
+                    raise RuntimeError("mid-write")
+            assert [path.read_text() for path in paths] == ["old\n", "old\n"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "ranks.tsv"]
+        with tc.replacing(*map(str, paths)) as tmps:
+            for tmp in tmps:
+                Path(tmp).write_text("new\n")
+            assert [path.read_text() for path in paths] == ["old\n", "old\n"]
+        assert [path.read_text() for path in paths] == ["new\n", "new\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "ranks.tsv"]

@@ -164,16 +164,19 @@ class TestSamplerRecheck:
 
     @pytest.mark.parametrize("ratio", [1, 3, 4, 7])
     def test_epochs_of_many_chunks_equal_the_reference_bitwise(self, ratio, monkeypatch):
-        # 37 slots a chunk divides neither a ratio nor a batch: an epoch of a few thousand
-        # instances spans dozens of chunks, and 100 a batch leaves a short tail
+        # 37 slots a chunk divides no ratio: an epoch of a few thousand instances spans dozens
+        # of chunks. The walk builds whole batches a chunk: three of 10 (30 instances, not 37),
+        # one of 37, or one of 100, which outgrows the chunk; 100 also leaves a short tail
         monkeypatch.setattr(training, "SAMPLER_CHUNK", 37)
         split = dense_split(ratio)
         for epoch in (1, 2):
             users, items, labels, rounds = full_recheck_epoch(split, ratio, ratio, epoch)
             assert rounds >= 3 and users.size > 20 * 37 and users.size % 100, (rounds, users.size)
-            batches = list(training.sample_training_batches(split, ratio, 100, ratio, epoch))
-            assert [len(b) for b in batches[:-1]] == [100] * (len(batches) - 1) and 0 < len(batches[-1]) < 100
-            assert_batches_equal(batches, users, items, labels)
+            for size in (10, 37, 100):
+                batches = list(training.sample_training_batches(split, ratio, size, ratio, epoch))
+                assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1)
+                assert 0 < len(batches[-1]) <= size and sum(map(len, batches)) == users.size
+                assert_batches_equal(batches, users, items, labels)
 
     def test_wide_epoch_equals_the_reference_bitwise(self):
         split = wide_split()  # 208,000 negative slots: 13 chunks at the module's chunk size
@@ -218,7 +221,10 @@ class TestSamplerMemory:
         assert training._id_dtype(2**31 + 1) is np.int64
         assert training._id_dtype(2**40) is np.int64
 
-    def test_setup_peak_is_at_most_28_bytes_per_instance(self):
+    def test_setup_peak_is_at_most_14_bytes_per_instance(self):
+        # the walk holds the int32 permutation and the int64 candidates, 10.4 bytes per
+        # instance at ratio 4; one chunk of batches and its temporaries bring the peak to
+        # about 12.8 here
         split = wide_split()
         instances = len(split.train) * 5
         assert instances >= 250_000
@@ -235,7 +241,7 @@ class TestSamplerMemory:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 28 * instances, peak / instances
+        assert peak <= 14 * instances, peak / instances
 
 
 # -- log loss --------------------------------------------------------------------
@@ -425,15 +431,19 @@ class TestGradcheck:
         report = training.gradcheck(kind, seed=42)
         assert report.ok, (kind, report.worst(), report.max_relative_error)
         assert report.max_relative_error < 1e-3
-        # the check must not be vacuous
-        assert all(v > 0 for v in report.grad_norms.values())
 
     def test_camf_gate_and_shared_vector_covered(self):
         report = training.gradcheck("camf", seed=0)
         for name in ("gate_w", "gate_b", "u_shared"):
             assert name in report.per_param
             assert report.per_param[name] < 1e-3
-            assert report.grad_norms[name] > 0
+
+    def test_point_where_a_parameter_gets_no_gradient_is_refused(self, monkeypatch):
+        # the check is never vacuous: a report comes only from a point where every parameter's
+        # analytic gradient has a nonzero entry, and 50 points without one raise
+        monkeypatch.setattr(training, "log_loss_grad", lambda preds, labels: np.zeros(len(preds)))
+        with pytest.raises(training.TrainingError, match="non-degenerate point for gmf"):
+            training.gradcheck("gmf", seed=0)
 
     def test_report_lists_every_parameter_once(self):
         for kind in models.KINDS:
@@ -484,7 +494,6 @@ class TestGradcheck:
         monkeypatch.setattr(training, "_tiny_fixture", with_cross)
         report = training.gradcheck("camf", seed)
         assert report.ok, (report.worst(), report.max_relative_error)
-        assert all(v > 0 for v in report.grad_norms.values())
         assert dict(models.parameter_shapes(*configs))["h0_w"][0] == 4 * configs[0].factors
 
     def test_unused_item_row_zero_on_both_sides(self):

@@ -16,6 +16,9 @@ pinned to one BLAS thread. It covers:
   interactions file has CRLF line ends and a leading `#` line, so it is
   read line by line; and on a copy of the 600-user corpus with CRLF line
   ends alone, which is read whole;
+- `prepare` of the 600-user corpus at the second seed over a copy of its
+  finished run at the first, so a prepare that replaces an earlier
+  prepared run is covered too;
 - `train` for 2 epochs for gmf, mlp, neumf, aadcf, camf and camf
   `--include-attr-cross` on the 600-user corpus, all at the default
   32-16-8 tower, and for mlp `--layers 16` and neumf `--layers 12,6`, so
@@ -23,6 +26,9 @@ pinned to one BLAS thread. It covers:
 - `train` of gmf for 1 epoch over a copy of the finished gmf run, so a
   rerun that replaces an earlier run's metrics CSV and checkpoint is
   covered too;
+- `train` of gmf for 1 epoch at `--batch-size 1000` on the 600-user
+  corpus, then `evaluate --ranks-out` of it: 1000 divides no power-of-two
+  chunk size, so the sampler's walk in chunks of whole batches is covered;
 - `evaluate --ranks-out` of each of those checkpoints, given only
   `--model`, `--factors`, `--out` and `--ranks-out`, and `evaluate` of
   the camf one without `--ranks-out`, as perfbench's fixture check runs it;
@@ -86,6 +92,8 @@ TRAIN_RUNS = {  # directory -> (model, extra train flags)
     "neumf-12-6": ("neumf", ["--layers", "12,6"]),
 }
 RERUN = "gmf-rerun"  # train/gmf copied, then gmf trained over it
+REPREPARE = f"{TRAIN_CORPUS}-reprepared"  # its SEEDS[0] run copied, then prepared at SEEDS[1] over it
+BATCH_RUN = "gmf-batch1000"  # gmf for 1 epoch at --batch-size 1000 on TRAIN_CORPUS
 CONFIG_RUN = "camf-config"
 CONFIG_FILE = f"""# every key train takes
 seed=42
@@ -185,26 +193,28 @@ def produce(out, datasets):
             run(f"prepare-{name}-{seed}", ["prepare", "--dataset-kind", kind, *files,
                                            "--seed", str(seed), "--out", f"prepare/{name}-{seed}"])
     prepared = f"prepare/{TRAIN_CORPUS}-{SEEDS[0]}"
-    common = ["--factors", "8", "--epochs", "2", "--seed", str(SEEDS[0])]
-    for name, (model, flags) in TRAIN_RUNS.items():
-        shutil.copytree(prepared, f"train/{name}")
-        run(f"train-{name}", ["train", "--model", model, *flags, *common, "--out", f"train/{name}"])
+    shutil.copytree(prepared, f"prepare/{REPREPARE}")
+    kind, files = datasets[TRAIN_CORPUS]
+    run(f"prepare-{REPREPARE}", ["prepare", "--dataset-kind", kind, *files,
+                                 "--seed", str(SEEDS[1]), "--out", f"prepare/{REPREPARE}"])
+
+    def train_and_evaluate(name, source, model, flags):
+        shutil.copytree(source, f"train/{name}")
+        run(f"train-{name}", ["train", "--model", model, "--factors", "8", *flags, "--out", f"train/{name}"])
         run(f"evaluate-{name}", ["evaluate", "--model", model, "--factors", "8", "--out", f"train/{name}",
                                  "--ranks-out", f"train/{name}/ranks.tsv"])
+
+    common = ["--epochs", "2", "--seed", str(SEEDS[0])]
+    for name, (model, flags) in TRAIN_RUNS.items():
+        train_and_evaluate(name, prepared, model, [*flags, *common])
     shutil.copytree("train/gmf", f"train/{RERUN}")
     run(f"train-{RERUN}", ["train", "--model", "gmf", "--factors", "8", "--epochs", "1",
                            "--seed", str(SEEDS[0]), "--out", f"train/{RERUN}"])
     run("evaluate-camf-no-ranks", ["evaluate", "--model", "camf", "--factors", "8", "--out", "train/camf"])
-    shutil.copytree(f"prepare/{WIDE_CORPUS}-{SEEDS[0]}", f"train/{WIDE_RUN}")
-    run(f"train-{WIDE_RUN}", ["train", "--model", "aadcf", "--factors", "8", "--seed", str(SEEDS[0]),
-                              *WIDE_TRAIN, "--out", f"train/{WIDE_RUN}"])
-    run(f"evaluate-{WIDE_RUN}", ["evaluate", "--model", "aadcf", "--factors", "8", "--out", f"train/{WIDE_RUN}",
-                                 "--ranks-out", f"train/{WIDE_RUN}/ranks.tsv"])
-    shutil.copytree(f"prepare/{WIDE_CORPUS}-{SEEDS[0]}", f"train/{RATIO3_RUN}")
-    run(f"train-{RATIO3_RUN}", ["train", "--model", "gmf", "--neg-ratio", "3", *common,
-                                "--out", f"train/{RATIO3_RUN}"])
-    run(f"evaluate-{RATIO3_RUN}", ["evaluate", "--model", "gmf", "--factors", "8", "--out", f"train/{RATIO3_RUN}",
-                                   "--ranks-out", f"train/{RATIO3_RUN}/ranks.tsv"])
+    train_and_evaluate(BATCH_RUN, prepared, "gmf", ["--epochs", "1", "--batch-size", "1000", "--seed", str(SEEDS[0])])
+    wide = f"prepare/{WIDE_CORPUS}-{SEEDS[0]}"
+    train_and_evaluate(WIDE_RUN, wide, "aadcf", ["--seed", str(SEEDS[0]), *WIDE_TRAIN])
+    train_and_evaluate(RATIO3_RUN, wide, "gmf", ["--neg-ratio", "3", *common])
     shutil.copytree(prepared, f"train/{CONFIG_RUN}")
     with open(f"{CONFIG_RUN}.cfg", "w", encoding="utf-8") as fh:
         fh.write(CONFIG_FILE)
