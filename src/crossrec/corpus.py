@@ -32,6 +32,8 @@ import numpy as np
 
 from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, replacing
 
+MEMBERSHIP_CHUNK = 1 << 14  # pairs per InteractionSet.contains step, as many as a sampler call checks
+
 
 class CorpusError(Exception):
     """Base for dataset ingestion failures."""
@@ -103,13 +105,21 @@ class InteractionSet:
     def contains(self, users, items):
         """Whether each (user, item), broadcast over the two id arrays, is a pair of this set.
 
-        ShapeError for an id outside [0, num_users) x [0, num_items): pair_bits would read another pair.
+        The result is filled in C order, at most MEMBERSHIP_CHUNK pairs at a
+        time, so a query's int64 keys never outgrow one chunk. ShapeError for
+        an id outside [0, num_users) x [0, num_items), before any pair is
+        looked up: pair_bits would read another pair.
         """
         users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
         check_rows(users, self.num_users, "users")
         check_rows(items, self.num_items, "items")
-        keys = users * self.num_items + items
-        return self.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
+        with np.nditer([users, items, None], ["buffered", "external_loop", "zerosize_ok"],
+                       [["readonly"], ["readonly"], ["writeonly", "allocate"]], op_dtypes=[None, None, bool],
+                       order="C", buffersize=MEMBERSHIP_CHUNK) as chunks:
+            for chunk_users, chunk_items, found in chunks:
+                keys = chunk_users * self.num_items + chunk_items
+                found[...] = self.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
+            return chunks.operands[2]
 
 
 @dataclass

@@ -15,7 +15,7 @@ id alone (embedding rows, camf's attribute sum, aadcf's pooled vector), an
 item side likewise, and an interaction over row-aligned rows of the two
 (camf's gate, merge and crosses, the MLP stacks, the output). `score`
 composes them; training builds the sides per batch, evaluation builds them
-once over every id and gathers rows. Everything reads the store through a
+over chunks of ids and gathers rows. Everything reads the store through a
 Tape and mutates nothing; each relu stack is one Tape.mlp op, so a camf
 training step records 16 ops. Attribute models additionally take an
 AttributeCatalog, whose user and item sides are each one tc.Ragged of

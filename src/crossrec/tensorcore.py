@@ -403,7 +403,7 @@ class Tape:
         BLAS so a single instance scores bit-identically whatever batch it
         rides in; wider outputs take the fast matmul. Batched evaluation
         relies on every row being independent of the rows batched with it:
-        in its side pass, which builds every user's and item's side at once
+        in its side pass, which builds the sides of thousands of ids at once
         for gathering, and in the interaction's matmuls, for which BLAS
         promises nothing; TestChunkedEvaluate.test_matches_per_user_oracle_bitwise
         in tests/test_evaluation.py guards both for every model kind.

@@ -1050,3 +1050,42 @@ class TestMembership:
         split.observed(np.arange(3)[:, None], np.arange(5))
         list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
         assert vars(train)["pair_bits"] is bits
+
+    def _dense_set(self, seed=3):
+        """40 users over 23 items, each pair present with chance 0.3."""
+        rng = np.random.default_rng(seed)
+        users, items = np.nonzero(rng.random((40, 23)) < 0.3)
+        return corpus.InteractionSet.from_arrays(40, 23, users, items, np.zeros(users.size, dtype=np.int64))
+
+    @staticmethod
+    def _one_shot(train, users, items):
+        # contains as one broadcast expression over every pair at once
+        keys = np.asarray(users, dtype=np.int64) * train.num_items + np.asarray(items, dtype=np.int64)
+        return train.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
+
+    @pytest.mark.parametrize("shape", ["0-d", "1-D", "column-by-rows", "no-rows"])
+    def test_chunks_equal_the_one_shot_lookup(self, shape, monkeypatch):
+        # 7 pairs a chunk splits every row of 23 items and leaves a short last chunk
+        monkeypatch.setattr(corpus, "MEMBERSHIP_CHUNK", 7)
+        train = self._dense_set()
+        rng = np.random.default_rng(5)
+        users, items = {
+            "0-d": (np.int64(17), np.int64(4)),
+            "1-D": (rng.integers(40, size=101), rng.integers(23, size=101)),
+            "column-by-rows": (np.arange(40)[:, None], np.tile(np.arange(23), (40, 1))),
+            "no-rows": (np.zeros((0, 1), dtype=np.int64), np.zeros((0, 23), dtype=np.int64)),
+        }[shape]
+        found, want = train.contains(users, items), self._one_shot(train, users, items)
+        assert found.shape == want.shape and found.dtype == bool
+        assert found.tolist() == want.tolist()
+        assert 0 < self._one_shot(train, np.arange(40)[:, None], np.arange(23)).mean() < 1  # both answers occur
+
+    @pytest.mark.parametrize("bad", [(40, 22), (39, 23), (39, -1)], ids=["user", "item", "negative-item"])
+    def test_id_outside_the_grid_in_the_last_chunk_raises_before_any_lookup(self, bad, monkeypatch):
+        monkeypatch.setattr(corpus, "MEMBERSHIP_CHUNK", 7)
+        train = self._dense_set()
+        users, items = np.repeat(np.arange(40), 23), np.tile(np.arange(23), 40)
+        users[-1], items[-1] = bad
+        with pytest.raises(tc.ShapeError, match="out of range"):
+            train.contains(users, items)
+        assert "pair_bits" not in vars(train)  # refused before the bitmap was even built

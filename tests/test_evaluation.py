@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,3 +327,66 @@ class TestChunkedEvaluate:
         config, store = random_model(kind, 17)
         with pytest.raises(tc.ShapeError, match="out of range"):
             evaluation.evaluate(config, store, split, catalog)
+
+    @pytest.mark.parametrize("kind", [*models.KINDS, "camf-cross"])
+    def test_side_pass_in_chunks_ranks_bitwise_like_one_pass(self, kind, monkeypatch):
+        # 200 users and 150 items in chunks of 64 ids: the chunk at 192 holds users and no items
+        split, catalog = random_run(200)
+        config, store = random_model(kind, 200)
+        whole = evaluation.evaluate(config, store, split, catalog)
+        calls = []
+        build_sides = models.build_sides
+
+        def recording_build_sides(tape, config, users, items, catalog=None):
+            calls.append((users.size, items.size))
+            return build_sides(tape, config, users, items, catalog)
+
+        monkeypatch.setattr(evaluation, "SIDE_CHUNK", 64)
+        monkeypatch.setattr(models, "build_sides", recording_build_sides)
+        chunked = evaluation.evaluate(config, store, split, catalog)
+        assert calls == [(64, 64), (64, 64), (64, 22), (8, 0)]
+        assert chunked.per_user_ranks.tobytes() == whole.per_user_ranks.tobytes()
+        assert (chunked.hr_at_10, chunked.ndcg_at_10) == (whole.hr_at_10, whole.ndcg_at_10)
+
+
+def traced_peak_above_held(call):
+    """(result, tracemalloc peak during call() above what is held when it returns, in bytes)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - held
+
+
+class TestReadPathMemory:
+    """The read path's temporaries are bounded chunks, not (users x 99) tables."""
+
+    USERS = 3000
+
+    def test_load_split_checks_peak_at_most_300_bytes_per_user(self, tmp_path):
+        # one whole (users x 99) int64 key table is 792 bytes per user, so the membership
+        # check must build its keys a chunk at a time; observed's and the ordering check's
+        # bool (users x 99) arrays are what is left, about 280 bytes per user here
+        split, _ = random_run(self.USERS)
+        path = str(tmp_path / corpus.SPLIT_FILE)
+        corpus.save_split(split, path)
+        split.train.pair_bits  # a loaded train set's bitmap: built before the split is read
+        loaded, peak = traced_peak_above_held(lambda: corpus.load_split(path, split.train))
+        assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
+        assert peak <= 300 * self.USERS, peak / self.USERS
+
+    def test_evaluate_pass_peak_at_most_800_bytes_per_user(self):
+        # camf's user side arrays (two of users x 8 float64) and the ranks take 136 bytes per
+        # user, and one side chunk's temporaries bring the peak to about 750 here; a whole
+        # (users x 100) int64 candidate table alone would be 800
+        split, catalog = random_run(self.USERS)
+        config, store = random_model("camf", self.USERS)
+        report, peak = traced_peak_above_held(lambda: evaluation.evaluate(config, store, split, catalog))
+        assert report.per_user_ranks.size == self.USERS
+        assert peak <= 800 * self.USERS, peak / self.USERS

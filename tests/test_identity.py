@@ -24,8 +24,9 @@ def make_tree(root, wall="0.5", epoch_seconds="1.2"):
             fh.write(data.encode() if isinstance(data, str) else data)
 
 
-def compare(a, b):
-    return subprocess.run([sys.executable, TOOL, "--compare", str(a), str(b)],
+def compare(a, b, *expect):
+    flags = [flag for pattern in expect for flag in ("--expect", pattern)]
+    return subprocess.run([sys.executable, TOOL, "--compare", str(a), str(b), *flags],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -131,3 +132,53 @@ def test_decoded_checkpoints_of_equal_content_are_equal(tmp_path):
     assert decoded[0].splitlines()[0] == "step 7"
     assert [line.split()[:3] for line in decoded[0].splitlines()[1:]] == \
         [["user_emb", "3", "4"], ["out_b", "1", "1"]]
+
+
+def flip_byte(path, at=517):
+    data = bytearray(path.read_bytes())
+    data[at] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def differing(done):
+    """{artifact: status} of the table rows that are not equal."""
+    rows = (line.split() for line in done.stdout.splitlines())
+    return {row[0]: row[-1] for row in rows if len(row) == 4 and row[-1] in ("NO", "expected")}
+
+
+def test_listed_flip_exits_zero(tmp_path):
+    make_tree(tmp_path / "a")
+    make_tree(tmp_path / "b")
+    flip_byte(tmp_path / "b" / "prepare" / "run" / "split.npy")
+    done = compare(tmp_path / "a", tmp_path / "b", "prepare/*/split.npy")
+    assert done.returncode == 0, done.stdout
+    assert differing(done) == {os.path.join("prepare", "run", "split.npy"): "expected"}
+    assert "2 of 3 artifacts equal, 1 differing as expected" in done.stdout
+
+
+def test_unlisted_flip_exits_one(tmp_path):
+    make_tree(tmp_path / "a")
+    make_tree(tmp_path / "b")
+    flip_byte(tmp_path / "b" / "prepare" / "run" / "split.npy")
+    flip_byte(tmp_path / "b" / "logs" / "train-gmf.log", at=3)
+    done = compare(tmp_path / "a", tmp_path / "b", "prepare/*")
+    assert done.returncode == 1
+    assert differing(done) == {os.path.join("prepare", "run", "split.npy"): "expected",
+                               os.path.join("logs", "train-gmf.log"): "NO"}
+
+
+def test_stale_pattern_exits_one(tmp_path):
+    make_tree(tmp_path / "a")
+    make_tree(tmp_path / "b", wall="7.25")
+    done = compare(tmp_path / "a", tmp_path / "b", "train/*/*.ckpt")
+    assert done.returncode == 1
+    assert differing(done) == {}
+    assert "identity: expected difference 'train/*/*.ckpt' matches no differing artifact" in done.stdout
+
+
+def test_expected_file_lists_one_pattern_a_line(tmp_path):
+    path = tmp_path / "expected.txt"
+    path.write_text("# checkpoints change format\ntrain/*.ckpt\n\n  decoded/*  \n", encoding="utf-8")
+    assert load_tool().read_expected(str(path)) == ["train/*.ckpt", "decoded/*"]
+    path.write_text("", encoding="utf-8")
+    assert load_tool().read_expected(str(path)) == []

@@ -2,6 +2,7 @@
 
     python tools/identity.py REF             # REF: a commit, branch or tag
     python tools/identity.py --compare A B   # digest two output trees, compare
+    python tools/identity.py REF --expect 'train/*.ckpt'  # may differ (repeatable)
 
 REF's src/ is exported with `git archive` into a temporary directory (no
 network, and nothing registered in the repository). One fixed script,
@@ -54,19 +55,29 @@ pinned to one BLAS thread. It covers:
 Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
 their per-epoch seconds first. One table of digests is printed, and the
-exit code is 1 if any artifact differs or exists on one side only, or if,
-on either side, a CRLF copy's prepared files differ from its plain copy's.
+exit code is 1 if any artifact differs or exists on one side only and no
+expected difference (below) names it, or if, on either side, a CRLF copy's prepared files differ from its plain copy's.
 Then the lines of src/'s .py files are counted in REF and in the working
 tree, in all and per module (0 on a side that lacks it), so a change's src/
 delta, and where it went, comes from the run that shows its byte identity.
 Float bits depend on the CPU and the BLAS build, so the digests are only
 meaningful between two trees on one machine and are never kept as goldens. Each side takes about a minute on a 2-vCPU VM.
+
+A change that alters output bytes on purpose lists the artifacts it means
+to alter: fnmatch patterns over the artifact paths of the table, given by
+`--expect PATTERN` and, when comparing with REF, read from
+tools/identity_expected.txt (one pattern a line; blank lines and `#`
+lines are skipped), which a change that alters no byte leaves empty. A
+differing artifact that a pattern matches is marked `expected` and does not
+fail the run; a pattern that matches no differing artifact does, so the
+list cannot outlive the difference it names.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import io
 import json
@@ -79,6 +90,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXPECTED_FILE = os.path.join(ROOT, "tools", "identity_expected.txt")
 SEEDS = (42, 2**40 + 9)
 TRAIN_CORPUS = "movielens600"
 TRAIN_RUNS = {  # directory -> (model, extra train flags)
@@ -282,20 +294,35 @@ def digests(tree):
     return found
 
 
-def compare(ref_tree, work_tree, ref_label="ref", work_label="work"):
-    """Print one digest table of the two trees; 0 if every artifact is equal, else 1."""
+def read_expected(path):
+    """The patterns listed in `path`, one a line, blank lines and `#` lines skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip() and not line.lstrip().startswith("#")]
+
+
+def compare(ref_tree, work_tree, ref_label="ref", work_label="work", expected=()):
+    """Print one digest table of the two trees; 0 if every artifact is equal or differs as
+    an `expected` pattern allows and every pattern matches a differing artifact, else 1."""
     ref, work = digests(ref_tree), digests(work_tree)
     names = sorted(set(ref) | set(work))
     width = max([len("artifact"), *map(len, names)])
     print(f"{'artifact':<{width}}  {ref_label:<16}  {work_label:<16}  equal")
-    differ = 0
+    differ, unexpected = [], 0
     for name in names:
         a, b = ref.get(name, "-"), work.get(name, "-")
-        same = a == b and a != "-"
-        differ += not same
-        print(f"{name:<{width}}  {a[:16]:<16}  {b[:16]:<16}  {'yes' if same else 'NO'}")
-    print(f"{len(names) - differ} of {len(names)} artifacts equal")
-    return 1 if differ or not names else 0
+        if a == b and a != "-":
+            status = "yes"
+        else:
+            differ.append(name)
+            status = "expected" if any(fnmatch.fnmatchcase(name, p) for p in expected) else "NO"
+            unexpected += status == "NO"
+        print(f"{name:<{width}}  {a[:16]:<16}  {b[:16]:<16}  {status}")
+    print(f"{len(names) - len(differ)} of {len(names)} artifacts equal, "
+          f"{len(differ) - unexpected} differing as expected")
+    stale = [p for p in expected if not any(fnmatch.fnmatchcase(name, p) for name in differ)]
+    for pattern in stale:
+        print(f"identity: expected difference {pattern!r} matches no differing artifact")
+    return 1 if unexpected or stale or not names else 0
 
 
 def compare_variants(tree, label):
@@ -367,10 +394,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", nargs="?", help="git revision to compare the working tree with")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="only digest and compare two trees")
+    parser.add_argument("--expect", action="append", default=[], metavar="PATTERN",
+                        help="fnmatch pattern of artifact paths that may differ (repeatable); "
+                             "with REF, tools/identity_expected.txt's patterns are added")
     parser.add_argument("--produce", nargs=2, metavar=("OUT", "INPUTS"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, ref_label="A", work_label="B")
+        return compare(*args.compare, ref_label="A", work_label="B", expected=args.expect)
     if args.produce:
         out, inputs = args.produce
         import crossrec
@@ -382,6 +412,7 @@ def main(argv=None):
         return 0
     if not args.ref:
         parser.error("give REF, or --compare A B")
+    expected = args.expect + read_expected(EXPECTED_FILE)
 
     workdir = tempfile.mkdtemp(prefix="crossrec-identity-")
     try:
@@ -399,7 +430,8 @@ def main(argv=None):
         if any(codes.values()):
             print(f"identity: the script failed: exit codes {codes}", file=sys.stderr)
             return 1
-        code = compare(os.path.join(workdir, "out-ref"), os.path.join(workdir, "out-work"))
+        code = compare(os.path.join(workdir, "out-ref"), os.path.join(workdir, "out-work"),
+                       expected=expected)
         for label in ("ref", "work"):
             code |= compare_variants(os.path.join(workdir, f"out-{label}"), label)
         report_src_lines(os.path.join(workdir, "ref"), ROOT, args.ref)
