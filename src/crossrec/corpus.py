@@ -32,8 +32,6 @@ import numpy as np
 
 from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, replacing
 
-MEMBERSHIP_CHUNK = 1 << 14  # pairs per InteractionSet.contains step, as many as a sampler call checks
-
 
 class CorpusError(Exception):
     """Base for dataset ingestion failures."""
@@ -105,21 +103,13 @@ class InteractionSet:
     def contains(self, users, items):
         """Whether each (user, item), broadcast over the two id arrays, is a pair of this set.
 
-        The result is filled in C order, at most MEMBERSHIP_CHUNK pairs at a
-        time, so a query's int64 keys never outgrow one chunk. ShapeError for
-        an id outside [0, num_users) x [0, num_items), before any pair is
-        looked up: pair_bits would read another pair.
+        ShapeError for an id outside [0, num_users) x [0, num_items): pair_bits would read another pair.
         """
         users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
         check_rows(users, self.num_users, "users")
         check_rows(items, self.num_items, "items")
-        with np.nditer([users, items, None], ["buffered", "external_loop", "zerosize_ok"],
-                       [["readonly"], ["readonly"], ["writeonly", "allocate"]], op_dtypes=[None, None, bool],
-                       order="C", buffersize=MEMBERSHIP_CHUNK) as chunks:
-            for chunk_users, chunk_items, found in chunks:
-                keys = chunk_users * self.num_items + chunk_items
-                found[...] = self.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
-            return chunks.operands[2]
+        keys = users * self.num_items + items
+        return self.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
 
 
 @dataclass
@@ -167,6 +157,7 @@ class SplitDataset:
 
 
 NUM_TEST_NEGATIVES = 99
+SPLIT_CHECK_USERS = (1 << 14) // NUM_TEST_NEGATIVES  # users per block of load_split's (users x 99) checks
 MIN_USER_INTERACTIONS = 10  # generic layout: sparser users are dropped
 USER_BUCKET_SIZE = 40       # generic layout: interactions per user-activity bucket
 ITEM_BUCKET_SIZE = 50       # generic layout: pins per item-exposure bucket
@@ -562,11 +553,13 @@ def load_split(path, train):
         raise LoadError(f"{path}: split counts do not match the train set")
     if any(ids.size and (ids.min() < 0 or ids.max() >= train.num_items) for ids in (positives, negatives)):
         raise LoadError(f"{path}: a test item lies outside [0, {train.num_items})")
-    if (negatives[:, 1:] <= negatives[:, :-1]).any():
+    blocks = [slice(start, start + SPLIT_CHECK_USERS) for start in range(0, train.num_users, SPLIT_CHECK_USERS)]
+    if any((negatives[b, 1:] <= negatives[b, :-1]).any() for b in blocks):
         raise LoadError(f"{path}: test negatives are not strictly increasing per user")
     split = SplitDataset(train, positives, negatives)
     users = np.arange(train.num_users)
-    if train.contains(users, positives).any() or split.observed(users[:, None], negatives).any():
+    if train.contains(users, positives).any() or any(
+            split.observed(users[b, None], negatives[b]).any() for b in blocks):
         raise LoadError(f"{path}: a test item is already an observed item of its user")
     return split
 

@@ -1051,41 +1051,35 @@ class TestMembership:
         list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
         assert vars(train)["pair_bits"] is bits
 
-    def _dense_set(self, seed=3):
-        """40 users over 23 items, each pair present with chance 0.3."""
-        rng = np.random.default_rng(seed)
-        users, items = np.nonzero(rng.random((40, 23)) < 0.3)
-        return corpus.InteractionSet.from_arrays(40, 23, users, items, np.zeros(users.size, dtype=np.int64))
+    def _split_of_40_users(self):
+        """40 users over 140 items: items 0-2 train, 3 the test positive and 4-102 the negatives."""
+        users = np.repeat(np.arange(40), 3)
+        train = corpus.InteractionSet.from_arrays(40, 140, users, np.tile(np.arange(3), 40), np.zeros(120))
+        return corpus.SplitDataset(train, np.full(40, 3), np.tile(np.arange(4, 103), (40, 1)))
 
-    @staticmethod
-    def _one_shot(train, users, items):
-        # contains as one broadcast expression over every pair at once
-        keys = np.asarray(users, dtype=np.int64) * train.num_items + np.asarray(items, dtype=np.int64)
-        return train.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
+    def _load(self, split, path):
+        corpus.save_split(split, str(path))
+        return corpus.load_split(str(path), split.train)
 
-    @pytest.mark.parametrize("shape", ["0-d", "1-D", "column-by-rows", "no-rows"])
-    def test_chunks_equal_the_one_shot_lookup(self, shape, monkeypatch):
-        # 7 pairs a chunk splits every row of 23 items and leaves a short last chunk
-        monkeypatch.setattr(corpus, "MEMBERSHIP_CHUNK", 7)
-        train = self._dense_set()
-        rng = np.random.default_rng(5)
-        users, items = {
-            "0-d": (np.int64(17), np.int64(4)),
-            "1-D": (rng.integers(40, size=101), rng.integers(23, size=101)),
-            "column-by-rows": (np.arange(40)[:, None], np.tile(np.arange(23), (40, 1))),
-            "no-rows": (np.zeros((0, 1), dtype=np.int64), np.zeros((0, 23), dtype=np.int64)),
-        }[shape]
-        found, want = train.contains(users, items), self._one_shot(train, users, items)
-        assert found.shape == want.shape and found.dtype == bool
-        assert found.tolist() == want.tolist()
-        assert 0 < self._one_shot(train, np.arange(40)[:, None], np.arange(23)).mean() < 1  # both answers occur
+    def test_blocks_of_users_load_the_same_split(self, tmp_path, monkeypatch):
+        # blocks of 7 users leave a short last block of 5
+        monkeypatch.setattr(corpus, "SPLIT_CHECK_USERS", 7)
+        split = self._split_of_40_users()
+        loaded = self._load(split, tmp_path / "split.npy")
+        assert loaded.test_positives.tolist() == split.test_positives.tolist()
+        assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
 
-    @pytest.mark.parametrize("bad", [(40, 22), (39, 23), (39, -1)], ids=["user", "item", "negative-item"])
-    def test_id_outside_the_grid_in_the_last_chunk_raises_before_any_lookup(self, bad, monkeypatch):
-        monkeypatch.setattr(corpus, "MEMBERSHIP_CHUNK", 7)
-        train = self._dense_set()
-        users, items = np.repeat(np.arange(40), 23), np.tile(np.arange(23), 40)
-        users[-1], items[-1] = bad
-        with pytest.raises(tc.ShapeError, match="out of range"):
-            train.contains(users, items)
-        assert "pair_bits" not in vars(train)  # refused before the bitmap was even built
+    @pytest.mark.parametrize("fault", ["unordered", "observed", "positive", "both"])
+    def test_fault_in_any_block_is_refused_in_check_order(self, fault, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "SPLIT_CHECK_USERS", 7)
+        split = self._split_of_40_users()
+        if fault in ("unordered", "both"):
+            split.test_negatives[39, [5, 6]] = split.test_negatives[39, [6, 5]]  # the last block's last user
+        if fault in ("observed", "both"):
+            split.test_negatives[0, 0] = 2  # the first block's first user: a train item
+        if fault == "positive":
+            split.test_negatives[36, 98] = 103
+            split.test_positives[36] = 103
+        message = "strictly increasing" if fault in ("unordered", "both") else "already an observed item"
+        with pytest.raises(corpus.LoadError, match=message):
+            self._load(split, tmp_path / "split.npy")

@@ -369,17 +369,16 @@ class TestReadPathMemory:
 
     USERS = 3000
 
-    def test_load_split_checks_peak_at_most_300_bytes_per_user(self, tmp_path):
-        # one whole (users x 99) int64 key table is 792 bytes per user, so the membership
-        # check must build its keys a chunk at a time; observed's and the ordering check's
-        # bool (users x 99) arrays are what is left, about 280 bytes per user here
+    def test_load_split_checks_peak_at_most_120_bytes_per_user(self, tmp_path):
+        # one whole (users x 99) int64 key table is 792 bytes per user and each whole bool
+        # one 99, so the checks must walk blocks of users; about 107 bytes per user here
         split, _ = random_run(self.USERS)
         path = str(tmp_path / corpus.SPLIT_FILE)
         corpus.save_split(split, path)
         split.train.pair_bits  # a loaded train set's bitmap: built before the split is read
         loaded, peak = traced_peak_above_held(lambda: corpus.load_split(path, split.train))
         assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
-        assert peak <= 300 * self.USERS, peak / self.USERS
+        assert peak <= 120 * self.USERS, peak / self.USERS
 
     def test_evaluate_pass_peak_at_most_800_bytes_per_user(self):
         # camf's user side arrays (two of users x 8 float64) and the ranks take 136 bytes per

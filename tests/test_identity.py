@@ -24,9 +24,8 @@ def make_tree(root, wall="0.5", epoch_seconds="1.2"):
             fh.write(data.encode() if isinstance(data, str) else data)
 
 
-def compare(a, b, *expect):
-    flags = [flag for pattern in expect for flag in ("--expect", pattern)]
-    return subprocess.run([sys.executable, TOOL, "--compare", str(a), str(b), *flags],
+def compare(a, b):
+    return subprocess.run([sys.executable, TOOL, "--compare", str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -140,40 +139,46 @@ def flip_byte(path, at=517):
     path.write_bytes(bytes(data))
 
 
-def differing(done):
+def compare_expecting(a, b, expected, capsys):
+    """(exit code, printed table) of the tool's compare of two trees under `expected` patterns."""
+    code = load_tool().compare(str(a), str(b), expected=expected)
+    return code, capsys.readouterr().out
+
+
+def differing(table):
     """{artifact: status} of the table rows that are not equal."""
-    rows = (line.split() for line in done.stdout.splitlines())
+    rows = (line.split() for line in table.splitlines())
     return {row[0]: row[-1] for row in rows if len(row) == 4 and row[-1] in ("NO", "expected")}
 
 
-def test_listed_flip_exits_zero(tmp_path):
+def test_listed_flip_exits_zero(tmp_path, capsys):
     make_tree(tmp_path / "a")
     make_tree(tmp_path / "b")
     flip_byte(tmp_path / "b" / "prepare" / "run" / "split.npy")
-    done = compare(tmp_path / "a", tmp_path / "b", "prepare/*/split.npy")
-    assert done.returncode == 0, done.stdout
-    assert differing(done) == {os.path.join("prepare", "run", "split.npy"): "expected"}
-    assert "2 of 3 artifacts equal, 1 differing as expected" in done.stdout
+    code, table = compare_expecting(tmp_path / "a", tmp_path / "b", ["prepare/*/split.npy"], capsys)
+    assert code == 0, table
+    assert differing(table) == {os.path.join("prepare", "run", "split.npy"): "expected"}
+    assert "2 of 3 artifacts equal, 1 differing as expected" in table
 
 
-def test_unlisted_flip_exits_one(tmp_path):
+def test_unlisted_flip_exits_one(tmp_path, capsys):
     make_tree(tmp_path / "a")
     make_tree(tmp_path / "b")
     flip_byte(tmp_path / "b" / "prepare" / "run" / "split.npy")
     flip_byte(tmp_path / "b" / "logs" / "train-gmf.log", at=3)
-    done = compare(tmp_path / "a", tmp_path / "b", "prepare/*")
-    assert done.returncode == 1
-    assert differing(done) == {os.path.join("prepare", "run", "split.npy"): "expected",
-                               os.path.join("logs", "train-gmf.log"): "NO"}
+    code, table = compare_expecting(tmp_path / "a", tmp_path / "b", ["prepare/*"], capsys)
+    assert code == 1
+    assert differing(table) == {os.path.join("prepare", "run", "split.npy"): "expected",
+                                os.path.join("logs", "train-gmf.log"): "NO"}
 
 
-def test_stale_pattern_exits_one(tmp_path):
+def test_stale_pattern_exits_one(tmp_path, capsys):
     make_tree(tmp_path / "a")
     make_tree(tmp_path / "b", wall="7.25")
-    done = compare(tmp_path / "a", tmp_path / "b", "train/*/*.ckpt")
-    assert done.returncode == 1
-    assert differing(done) == {}
-    assert "identity: expected difference 'train/*/*.ckpt' matches no differing artifact" in done.stdout
+    code, table = compare_expecting(tmp_path / "a", tmp_path / "b", ["train/*/*.ckpt"], capsys)
+    assert code == 1
+    assert differing(table) == {}
+    assert "identity: expected difference 'train/*/*.ckpt' matches no differing artifact" in table
 
 
 def test_expected_file_lists_one_pattern_a_line(tmp_path):

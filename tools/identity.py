@@ -2,7 +2,6 @@
 
     python tools/identity.py REF             # REF: a commit, branch or tag
     python tools/identity.py --compare A B   # digest two output trees, compare
-    python tools/identity.py REF --expect 'train/*.ckpt'  # may differ (repeatable)
 
 REF's src/ is exported with `git archive` into a temporary directory (no
 network, and nothing registered in the repository). One fixed script,
@@ -64,10 +63,10 @@ Float bits depend on the CPU and the BLAS build, so the digests are only
 meaningful between two trees on one machine and are never kept as goldens. Each side takes about a minute on a 2-vCPU VM.
 
 A change that alters output bytes on purpose lists the artifacts it means
-to alter: fnmatch patterns over the artifact paths of the table, given by
-`--expect PATTERN` and, when comparing with REF, read from
-tools/identity_expected.txt (one pattern a line; blank lines and `#`
-lines are skipped), which a change that alters no byte leaves empty. A
+to alter: fnmatch patterns over the artifact paths of the table, one a
+line in tools/identity_expected.txt (blank lines and `#` lines are
+skipped), which a change that alters no byte leaves empty. Comparing with
+REF reads them; `--compare A B` uses none. A
 differing artifact that a pattern matches is marked `expected` and does not
 fail the run; a pattern that matches no differing artifact does, so the
 list cannot outlive the difference it names.
@@ -394,13 +393,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", nargs="?", help="git revision to compare the working tree with")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="only digest and compare two trees")
-    parser.add_argument("--expect", action="append", default=[], metavar="PATTERN",
-                        help="fnmatch pattern of artifact paths that may differ (repeatable); "
-                             "with REF, tools/identity_expected.txt's patterns are added")
     parser.add_argument("--produce", nargs=2, metavar=("OUT", "INPUTS"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, ref_label="A", work_label="B", expected=args.expect)
+        return compare(*args.compare, ref_label="A", work_label="B")
     if args.produce:
         out, inputs = args.produce
         import crossrec
@@ -412,7 +408,7 @@ def main(argv=None):
         return 0
     if not args.ref:
         parser.error("give REF, or --compare A B")
-    expected = args.expect + read_expected(EXPECTED_FILE)
+    expected = read_expected(EXPECTED_FILE)
 
     workdir = tempfile.mkdtemp(prefix="crossrec-identity-")
     try:
