@@ -93,11 +93,14 @@ class InteractionSet:
 
         Bit k % 8 of byte k // 8 is set for each pair k = user * num_items + item:
         ceil(U * I / 8) bytes, 2.8 MB at MovieLens-1M's shape and 68 MB at
-        Pinterest's (55,187 x 9,916).
+        Pinterest's (55,187 x 9,916). The pairs are set PAIR_CHUNK at a time,
+        so the build holds the bitmap and one chunk's keys; OR does not depend
+        on order, so the bits are those of one pass over every pair.
         """
         bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
-        keys = self.users * self.num_items + self.items
-        np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+        for start in range(0, len(self.users), PAIR_CHUNK):
+            keys = self.users[start:start + PAIR_CHUNK] * self.num_items + self.items[start:start + PAIR_CHUNK]
+            np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
         return bits
 
     def contains(self, users, items):
@@ -157,7 +160,8 @@ class SplitDataset:
 
 
 NUM_TEST_NEGATIVES = 99
-SPLIT_CHECK_USERS = (1 << 14) // NUM_TEST_NEGATIVES  # users per block of load_split's (users x 99) checks
+PAIR_CHUNK = 1 << 14  # (user, item) pairs per block of a pair_bits build or a membership check
+SPLIT_CHECK_USERS = PAIR_CHUNK // NUM_TEST_NEGATIVES  # users per block of load_split's (users x 99) checks
 MIN_USER_INTERACTIONS = 10  # generic layout: sparser users are dropped
 USER_BUCKET_SIZE = 40       # generic layout: interactions per user-activity bucket
 ITEM_BUCKET_SIZE = 50       # generic layout: pins per item-exposure bucket

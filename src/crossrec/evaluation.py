@@ -74,7 +74,7 @@ def _sides(tape, config, num_users, catalog):
 def evaluate(config, store, split, catalog=None):
     """Score each user's positive plus pre-drawn negatives and average HR/NDCG."""
     num_users = split.train.num_users
-    # side rows are gathered by np.take, which would wrap a negative id
+    # side rows are gathered by ndarray.take, which would wrap a negative id
     check_rows(split.test_positives, config.num_items, "candidate items")
     check_rows(split.test_negatives, config.num_items, "candidate items")
     tape = Tape(store, record=False)  # one for the pass: a tape that does not record holds no state

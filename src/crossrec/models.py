@@ -134,7 +134,7 @@ def _pool(tape, entity, table_name, ragged, ids):
     value = (t * t - e * e - sq) / 2.0
 
     def backward(g):
-        return g * s, np.take(g, segments, axis=0) * (np.take(t, segments, axis=0) - rows.value)
+        return g * s, g.take(segments, axis=0) * (t.take(segments, axis=0) - rows.value)
 
     return tape.custom(value, (entity, rows), backward)
 
@@ -236,8 +236,8 @@ def score(tape, config, users, items, catalog=None, sides=None):
     elif tape.recording:
         raise tc.ShapeError("gathered sides carry no gradient; score them on a record=False tape")
     else:
-        user = tuple(tc.Node(np.take(node.value, users, axis=0)) for node in sides[0])
-        item = tuple(tc.Node(np.take(node.value, items, axis=0)) for node in sides[1])
+        user = tuple(tc.Node(node.value.take(users, axis=0)) for node in sides[0])
+        item = tuple(tc.Node(node.value.take(items, axis=0)) for node in sides[1])
     return interaction(tape, config, user, item)
 
 

@@ -12,11 +12,14 @@ and Adam never touches the others. Every op but the leaf reads records
 through Tape._op; Tape.dense and Tape.mlp share one layer routine, so a
 relu stack is one op.
 
-Rows of a 2-D array are gathered with np.take(a, ids, axis=0), here and
-in models: it copies the same rows as a[ids], but numpy's fancy indexing
-has a per-call and per-row cost that, for the factors-wide rows of every
-step, is several times the copy's (about 11 against 2 us for 768 rows of
-a (30, 8) table on numpy 2.4). 1-D gathers gain nothing and keep a[ids].
+Rows of a 2-D array are gathered with a.take(ids, axis=0), here and in
+models: it copies the same rows as a[ids], but numpy's fancy indexing has
+a per-call and per-row cost that, for the factors-wide rows of every step,
+is several times the copy's (about 11 against 2 us for 768 rows of a
+(30, 8) table on numpy 2.4). A batch's 1-D gathers keep a[ids]; adam_step
+takes its thousands of cells with .take. The step path calls ndarray
+methods (take, repeat, cumsum, nonzero) where the numpy function is a
+Python wrapper that only forwards to the method, about 1 us a call.
 """
 
 from __future__ import annotations
@@ -232,9 +235,22 @@ class Ragged:
         rows = _as_ids(rows)
         check_rows(rows, len(self), "ragged")
         lengths = self.lengths[rows]
-        segments = np.repeat(np.arange(rows.size, dtype=np.int64), lengths)
-        shift = (self.offsets[rows] - (np.cumsum(lengths) - lengths))[segments]
+        segments = np.arange(rows.size, dtype=np.int64).repeat(lengths)
+        shift = (self.offsets[rows] - (lengths.cumsum() - lengths))[segments]
         return self.flat[np.arange(segments.size, dtype=np.int64) + shift], segments
+
+
+_COLUMNS = {}  # cols -> 0, 1, .., cols - 1 tiled over the most rows one _cells call has asked for
+
+
+def _cells(rows, cols):
+    """The flat cells rows[k] * cols + j of a (len(rows), cols) block, row by row: the rows
+    repeated plus a column pattern, the integers of a broadcast add at about half its cost."""
+    n = rows.size * cols
+    pattern = _COLUMNS.get(cols)
+    if pattern is None or pattern.size < n:
+        pattern = _COLUMNS[cols] = np.tile(np.arange(cols, dtype=np.int64), rows.size)
+    return (rows * cols).repeat(cols) + pattern[:n]
 
 
 def segment_sum(values, segments, count):
@@ -246,8 +262,7 @@ def segment_sum(values, segments, count):
     (np.add.reduceat reduces runs of 8 or more pairwise and would not.)
     """
     cols = values.shape[1]
-    cells = (segments[:, None] * cols + np.arange(cols)).ravel()
-    out = np.bincount(cells, weights=values.ravel(), minlength=count * cols)
+    out = np.bincount(_cells(segments, cols), weights=values.ravel(), minlength=count * cols)
     # with no cells at all bincount returns int64 zeros
     return out.astype(np.float64, copy=False).reshape(count, cols)
 
@@ -288,7 +303,7 @@ class Tape:
             raise ShapeError(f"row table {name!r} of width {cols} does not start on an arena row (cell {offset})")
         rows = offset // cols + ids
         self._ops.append((node, lambda g: self._row_chunks.append(
-            (name, rows, g if pick is None else np.take(g, pick, axis=0)))))
+            (name, rows, g if pick is None else g.take(pick, axis=0)))))
 
     def param(self, name):
         """Read a full parameter matrix as a float64 leaf node."""
@@ -303,7 +318,7 @@ class Tape:
         ids = _as_ids(ids)
         table = self.store.value(name)
         check_rows(ids, table.shape[0], name)
-        node = Node(np.take(table, ids, axis=0).astype(np.float64))
+        node = Node(table.take(ids, axis=0).astype(np.float64))
         if self.recording:
             self._leaf_rows(node, name, ids)
         return node
@@ -322,7 +337,7 @@ class Tape:
         table = self.store.value(name)
         if ragged.min_id < 0 or ragged.max_id >= table.shape[0]:
             raise ShapeError(f"row id out of range for {name!r} ({table.shape[0]} rows)")
-        node = Node(segment_sum(np.take(table, flat, axis=0).astype(np.float64), segments, ids.size))
+        node = Node(segment_sum(table.take(flat, axis=0).astype(np.float64), segments, ids.size))
         if self.recording:
             self._leaf_rows(node, name, flat, segments)
         return node
@@ -427,7 +442,7 @@ class Tape:
         """1 / (1 + exp(-v)), as exp(v) / (1 + exp(v)) for v < 0 so no exp overflows."""
         v = x.value
         e = np.exp(-np.abs(v))
-        out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out = np.where(v >= 0, 1.0, e) / (1.0 + e)
         return self._op(out, (x,), lambda g: (g * out * (1.0 - out),))
 
     # -- reverse pass ----------------------------------------------------
@@ -454,16 +469,15 @@ class Tape:
             raise ShapeError(f"row tables of widths {sorted(widths)} on one tape")
         width = max(widths, default=1)
         rows = np.concatenate([np.empty(0, dtype=np.int64), *rows])
-        # the marked rows' flatnonzero gives the distinct rows ascending without a sort
+        # the marked rows' nonzero gives the distinct rows ascending without a sort
         mark = np.zeros(self.store._value.size // width, dtype=bool)
         mark[rows] = True
-        present = np.flatnonzero(mark)
+        present = mark.nonzero()[0]
         rank = np.empty(mark.size, dtype=np.int64)
         rank[present] = np.arange(present.size)
         g = segment_sum(np.concatenate(chunks) if chunks else np.empty((0, 0)), rank[rows], present.size)
         dense = self._dense_grads
-        cells = (present[:, None] * width + np.arange(width)).ravel()
-        index = np.concatenate([cells, self.store.cells(tuple(dense))])
+        index = np.concatenate([_cells(present, width), self.store.cells(tuple(dense))])
         flat = np.concatenate([g.ravel(), *(grad.ravel() for grad in dense.values())])
         buffer = GradientBuffer(self.store, index, flat)
         self._ops = []
@@ -494,10 +508,10 @@ def adam_step(store, grads, lr=0.001):
     t = store.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    m64 = ADAM_BETA1 * store._m[index].astype(np.float64) + (1.0 - ADAM_BETA1) * g
-    v64 = ADAM_BETA2 * store._v[index].astype(np.float64) + (1.0 - ADAM_BETA2) * g * g
+    m64 = ADAM_BETA1 * store._m.take(index).astype(np.float64) + (1.0 - ADAM_BETA1) * g
+    v64 = ADAM_BETA2 * store._v.take(index).astype(np.float64) + (1.0 - ADAM_BETA2) * g * g
     step = lr * (m64 / c1) / (np.sqrt(v64 / c2) + ADAM_EPS)
-    store._value[index] = (store._value[index].astype(np.float64) - step).astype(np.float32)
+    store._value[index] = (store._value.take(index).astype(np.float64) - step).astype(np.float32)
     store._m[index] = m64.astype(np.float32)
     store._v[index] = v64.astype(np.float32)
 

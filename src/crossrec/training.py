@@ -11,6 +11,7 @@ loss, taken with the same forward on the same recording Tape as train.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -134,10 +135,13 @@ def _negatives(rng, split, negative_ratio):
 
 
 def log_loss(preds, labels):
-    """Mean binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7]."""
+    """Mean binary cross-entropy with predictions clamped to [1e-7, 1 - 1e-7].
+
+    The mean is the sum over the count, the two steps np.mean takes, without its wrapper."""
     p = np.minimum(np.maximum(np.asarray(preds, dtype=np.float64), LOSS_CLAMP), 1.0 - LOSS_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+    x = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    return float(x.sum() / x.size)
 
 
 def log_loss_grad(preds, labels):
@@ -180,7 +184,7 @@ def train(
             node = models.score(tape, config, batch.users, batch.items, catalog)
             preds = models.predictions(node)
             loss = log_loss(preds, batch.labels)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx} "
                     f"({len(batch)} instances)"

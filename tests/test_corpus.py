@@ -1,6 +1,7 @@
 import collections
 import importlib.util
 import os
+import tracemalloc
 import warnings
 import zlib
 
@@ -1050,6 +1051,44 @@ class TestMembership:
         split.observed(np.arange(3)[:, None], np.arange(5))
         list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
         assert vars(train)["pair_bits"] is bits
+
+    def _bits_oracle(self, num_users, num_items, users, items):
+        bits = bytearray(-(-num_users * num_items // 8))
+        for user, item in zip(users, items):
+            key = user * num_items + item
+            bits[key >> 3] |= 1 << (key & 7)
+        return list(bits)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 53, 1 << 14])
+    def test_pair_bits_built_in_chunks_equal_one_pass(self, chunk, monkeypatch):
+        # 53 pairs in chunks of 7 leave a short last chunk of 4; 53 is itself one chunk
+        monkeypatch.setattr(corpus, "PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        keys = rng.choice(9 * 13, size=53, replace=False)
+        users, items = keys // 13, keys % 13
+        train = corpus.InteractionSet.from_arrays(9, 13, users, items, np.zeros(53))
+        assert train.pair_bits.tolist() == self._bits_oracle(9, 13, users.tolist(), items.tolist())
+
+    def test_pair_bits_build_holds_the_bitmap_and_one_chunk(self):
+        # one pass over every pair held four int64 temporaries and a uint8 one per pair, about
+        # 33 bytes; chunks of PAIR_CHUNK pairs hold about 0.5 byte per pair here
+        num_users, num_items, pairs = 2000, 1000, 1 << 20
+        rng = np.random.default_rng(6)
+        train = corpus.InteractionSet(num_users, num_items, rng.integers(0, num_users, pairs),
+                                      rng.integers(0, num_items, pairs), np.zeros(pairs, dtype=np.int64), None)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bits = train.pair_bits
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert bits.nbytes == num_users * num_items // 8
+        assert peak - bits.nbytes <= 2 * pairs, (peak - bits.nbytes) / pairs
 
     def _split_of_40_users(self):
         """40 users over 140 items: items 0-2 train, 3 the test positive and 4-102 the negatives."""

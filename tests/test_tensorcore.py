@@ -494,6 +494,25 @@ class TestSegmentSum:
         assert got.shape == (count, width)
         assert got.tobytes() == _add_at_oracle(values, segments, count).tobytes()
 
+    def test_cached_column_pattern_equals_per_cell_oracle(self, monkeypatch):
+        # a small call, a larger one that grows the width's pattern, then a small one again,
+        # which reads a prefix of it; values of -0.0 sum to +0.0 from a +0.0 start
+        monkeypatch.setattr(tc, "_COLUMNS", {})
+        rng = np.random.default_rng(25)
+        for rows, count in [(5, 3), (300, 40), (9, 4)]:
+            values = self._values(rng, rows, d=7)
+            values[rng.random((rows, 7)) < 0.3] = -0.0
+            values[:, 0] = -0.0  # a column of -0.0 alone in every segment
+            segments = rng.integers(0, count, rows)
+            want = np.zeros((count, 7))
+            for i in range(rows):
+                for j in range(7):
+                    want[segments[i], j] = float(want[segments[i], j]) + float(values[i, j])
+            got = tc.segment_sum(values, segments, count)
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got[:, 0]).any()
+        assert tc._COLUMNS[7].size == 300 * 7  # no larger than the largest call's cells
+
     def test_no_rows_gives_zeros(self):
         got = tc.segment_sum(np.empty((0, 3)), np.empty(0, dtype=np.int64), 4)
         assert got.shape == (4, 3) and got.dtype == np.float64 and not got.any()
@@ -564,6 +583,16 @@ class TestRagged:
         flat, segments = ragged.gather([3, 0, 2, 3])
         assert flat.tolist() == [2, 2, 5, 0, 4, 2, 2, 5]
         assert segments.tolist() == [0, 0, 0, 1, 1, 3, 3, 3]
+
+    def test_gather_equals_per_row_oracle(self):
+        rng = np.random.default_rng(26)
+        rows = [rng.integers(-5, 50, int(n)) for n in rng.integers(0, 6, 40)]
+        ragged = tc.Ragged.from_rows(rows)
+        for selector in ([], [7], rng.integers(0, 40, 300), np.arange(40)[::-1]):
+            flat, segments = ragged.gather(selector)
+            want = [(k, int(i)) for k, r in enumerate(selector) for i in np.sort(rows[r])]
+            assert flat.dtype == segments.dtype == np.int64
+            assert list(zip(segments.tolist(), flat.tolist())) == want
 
     @pytest.mark.parametrize("rows, lengths, bounds", [
         ([[4, 0], [7], [], [5, 2, 2]], [2, 1, 0, 3], (0, 7)),

@@ -262,6 +262,17 @@ class TestLogLoss:
         labels = rng.integers(0, 2, size=500).astype(float)
         assert training.log_loss(np.full(500, 0.5), labels) == pytest.approx(math.log(2.0))
 
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 1024])
+    def test_mean_is_np_mean_bitwise(self, size):
+        # the sum over the count, with predictions past both clamps and exactly at them
+        rng = np.random.default_rng(size)
+        preds = rng.uniform(-0.1, 1.1, size) ** rng.choice([1, 9], size)
+        preds[rng.random(size) < 0.2] = rng.choice([0.0, 1.0, 1e-9, 1 - 1e-9, 1e-7, 1 - 1e-7])
+        labels = rng.integers(0, 2, size).astype(float)
+        p = np.minimum(np.maximum(preds, 1e-7), 1 - 1e-7)
+        want = float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))))
+        assert training.log_loss(preds, labels) == want
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         preds = rng.uniform(0.05, 0.95, size=12)
