@@ -1,6 +1,6 @@
 """Training-step time of a git revision against the working tree, in one process.
 
-    python tools/stepfit.py REF [--steps N] [--kinds gmf,camf] [--json PATH]
+    python tools/stepfit.py REF [--steps N]
 
 REF's src/crossrec is exported with `git archive` (through tools/identity.py's
 export) and imported under another package name, crossrec_ref, beside the
@@ -33,7 +33,6 @@ import gc
 import importlib
 import io
 import itertools
-import json
 import os
 import shutil
 import statistics
@@ -172,8 +171,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git revision to compare the working tree with")
     parser.add_argument("--steps", type=int, default=200, help="steps per kind and batch size (default 200)")
-    parser.add_argument("--kinds", default=",".join(KINDS), help="comma-separated model kinds (default gmf,camf)")
-    parser.add_argument("--json", help="also write the rows and fits to this JSON file")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "tools"))
     import identity
@@ -191,12 +188,9 @@ def main(argv=None):
         prepared = prepare(workdir)
         print(f"stepfit: {args.ref} ({sha[:12]}) against the working tree; {USERS} users, factors {FACTORS}, "
               f"{args.steps} steps per batch size, one BLAS thread")
-        code, results = report(packages, prepared, args.kinds.split(","), BATCHES, args.steps)
+        code, _ = report(packages, prepared, steps=args.steps)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"ref": args.ref, "sha": sha, "steps": args.steps, **results}, fh, indent=1)
     return code
 
 
