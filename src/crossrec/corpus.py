@@ -388,17 +388,18 @@ def splitmix64(states):
     return z ^ z >> np.uint64(31)
 
 
-def split_keys(seed, users):
-    """Each user's uint64 key: SplitMix64 folded over the seed's word count, its 64-bit
-    words (low first; a seed may pass 64 bits), the split's tag and the user."""
+def split_keys(seed, lanes, *tags):
+    """Each lane's uint64 key: SplitMix64 folded over the seed's word count, its 64-bit
+    words (low first; a seed may pass 64 bits), the tag words (the split's tag when none
+    are given) and the lane: a user for the split, a negative slot for the sampler."""
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [seed >> shift & 0xFFFFFFFFFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 64)]
     key = np.zeros(1, dtype=np.uint64)
-    for word in (len(words), *words, _SPLIT_TAG):
+    for word in (len(words), *words, *(tags or (_SPLIT_TAG,))):
         key = splitmix64(key ^ np.array([word], dtype=np.uint64))
-    return splitmix64(key ^ users.astype(np.uint64))
+    return splitmix64(key ^ lanes.astype(np.uint64))
 
 
 def uniform_below(keys, bounds, slot):

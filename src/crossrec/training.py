@@ -1,9 +1,11 @@
 """Epoch-driven optimization: negative resampling, log loss, Adam updates.
 
-Each epoch redraws its negatives from a stream derived from (seed, epoch),
-shuffles all instances with a seeded permutation, and walks fixed-size
-batches. Negatives are uniform over the items a user has not observed
-(`corpus.SplitDataset.observed`), so the held-out test positive is never one.
+Each epoch shuffles its instances with a permutation seeded by (seed, epoch)
+and walks fixed-size batches, drawing each negative as the walk reaches it
+with the split's counter hash (corpus.split_keys, corpus.uniform_below),
+keyed by (seed, epoch, slot, attempt). Negatives are uniform over the items a
+user has not observed (`corpus.SplitDataset.observed`), so the held-out test
+positive is never one. An epoch holds 4 bytes per instance, its order.
 
 gradcheck holds a step's gradient to central finite differences of its
 loss, taken with the same forward on the same recording Tape as train.
@@ -28,7 +30,7 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LR = 0.001
 GRADCHECK_TOLERANCE = 1e-3  # gradcheck passes when every relative error is below it
 GRADCHECK_STEP = 1e-3  # gradcheck's finite-difference step
-SAMPLER_CHUNK = 1 << 14  # negative slots per membership check, about the instances a chunk of batches builds
+_EPOCH_TAG = int.from_bytes(b"epoch", "little")  # the sampler's tag word in corpus.split_keys
 
 
 class TrainingError(RuntimeError):
@@ -72,21 +74,22 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     """Yield shuffled batches of one epoch's positives plus fresh negatives.
 
     The draw is a function of (seed, epoch): replaying an epoch reproduces
-    it exactly and consecutive epochs see different negatives. Rejected
-    negatives are redrawn in ascending slot order, and each round rechecks
-    only the slots it redrew. Positives precede negatives before the shuffle,
-    so a label is 1 where the permutation took a slot below len(train); the
-    negative in slot j belongs to the user of positive j // negative_ratio.
-    Raises TrainingError, before drawing, if a user with training positives
-    has observed every item.
+    it exactly and consecutive epochs see different negatives. Negative slot
+    j draws its item with corpus.uniform_below over num_items, keyed by the
+    split's counter hash of (seed, the epoch tag, epoch, j), at attempt 0,
+    and again at the next attempt while the user has observed it; so a
+    slot's item depends on nothing else. Positives precede negatives before
+    the shuffle, so a label is 1 where the permutation took a slot below
+    len(train); the negative in slot j belongs to the user of positive
+    j // negative_ratio. Raises TrainingError, before drawing, if a user with
+    training positives has observed every item.
 
-    An epoch of n instances (positives plus negatives) holds, while it is
-    walked, its int32 permutation (int64 past the int32 range) and the int64
-    candidates: 4 + 8 * ratio / (ratio + 1) bytes per instance, about 10.4 at
-    ratio 4. Each chunk of whole batches (about SAMPLER_CHUNK instances)
-    builds its int64 users and items and float64 labels when it is reached,
-    and each batch is a slice of it; with membership checked SAMPLER_CHUNK
-    slots at a time, the peak is that plus one chunk's temporaries.
+    An epoch holds, while it is walked, only its shuffled int32 order (int64
+    past the int32 range): 4 bytes per instance of positives plus negatives.
+    The walk takes whole batches of about corpus.PAIR_CHUNK instances at a
+    time; for each it draws the negatives, checks their membership, and builds
+    the int64 users and items and float64 labels that its batches slice, so
+    the peak is the order plus one chunk's arrays.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
@@ -99,39 +102,27 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
             f"user {int(full[0])} has observed all {train.num_items} items; "
             "no negative can be drawn"
         )
-    rng = tc.seeded_rng(seed, "epoch", epoch)
-    candidates = _negatives(rng, split, negative_ratio)
-    size = len(train) + candidates.size
+    size = len(train) * (negative_ratio + 1)
     order = np.arange(size, dtype=_id_dtype(size))
+    rng = tc.seeded_rng(seed, "epoch", epoch)
     rng.shuffle(order)  # rng.permutation(size): the same swaps on an int64 arange
-    step = batch_size * max(1, SAMPLER_CHUNK // batch_size)
+    step = batch_size * max(1, corpus.PAIR_CHUNK // batch_size)
     for start in range(0, size, step):
         taken = order[start:start + step]
         slot = taken - len(train)  # the negative slot, below 0 for a positive
         positive = slot < 0
         users = train.users[np.where(positive, taken, slot // negative_ratio)]
-        items = np.where(positive, train.items.take(taken, mode="clip"), candidates.take(slot, mode="clip"))
+        items = train.items.take(taken, mode="clip")
+        lanes = np.flatnonzero(~positive)
+        keys, attempt = corpus.split_keys(seed, slot[lanes], _EPOCH_TAG, epoch), 0
+        while lanes.size:  # draw every pending slot at this attempt; the observed ones stay pending
+            bounds = np.full(lanes.size, train.num_items, dtype=np.uint64)
+            items[lanes] = corpus.uniform_below(keys, bounds, attempt)
+            redraw = split.observed(users[lanes], items[lanes])
+            lanes, keys, attempt = lanes[redraw], keys[redraw], attempt + 1
         labels = positive.astype(np.float64)
         for lo in range(0, taken.size, batch_size):
             yield Batch(users[lo:lo + batch_size], items[lo:lo + batch_size], labels[lo:lo + batch_size])
-
-
-def _negatives(rng, split, negative_ratio):
-    """int64 item per negative slot: all drawn at once, observed ones redrawn in ascending slot order."""
-    train = split.train
-    candidates = rng.integers(0, train.num_items, size=len(train) * negative_ratio, dtype=np.int64)
-
-    def rejected(slots):  # the slots whose candidate the user has observed
-        return slots[split.observed(train.users[slots // negative_ratio], candidates[slots])]
-
-    pending = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        rejected(np.arange(start, min(start + SAMPLER_CHUNK, candidates.size)))
-        for start in range(0, candidates.size, SAMPLER_CHUNK)])
-    while pending.size:
-        candidates[pending] = rng.integers(0, train.num_items, size=pending.size, dtype=np.int64)
-        pending = np.concatenate([rejected(pending[start:start + SAMPLER_CHUNK])
-                                  for start in range(0, pending.size, SAMPLER_CHUNK)])
-    return candidates
 
 
 def log_loss(preds, labels):

@@ -82,6 +82,47 @@ def rows_of(ragged):
     return [ragged.flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+M64 = (1 << 64) - 1
+
+
+def splitmix64(state):
+    """SplitMix64's output for one state, in Python ints."""
+    z = (state + 0x9E3779B97F4A7C15) & M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
+    return z ^ z >> 31
+
+
+def below(key, bound, slot):
+    """Lemire's bounded draw with its exact rejection, in Python ints: the next attempt until accepted."""
+    attempt = 0
+    while True:
+        wide = (splitmix64(key ^ (slot | attempt << 32)) >> 32) * bound
+        if wide & 0xFFFFFFFF >= ((1 << 32) - bound) % bound:
+            return wide >> 32
+        attempt += 1
+
+
+def lane_key(seed, lane, *tags):
+    """One lane's key in Python ints: SplitMix64 folded over the seed's word count, its
+    64-bit words, the tag words (the split's tag when none are given) and the lane."""
+    words = [seed >> shift & M64 for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = 0
+    for word in (len(words), *words, *(tags or (int.from_bytes(b"split", "little"),))):
+        key = splitmix64(key ^ word)
+    return splitmix64(key ^ lane)
+
+
+# the chi-square distribution's 0.999 quantile by degrees of freedom (tables; no scipy here)
+CHI2_999 = {1: 10.828, 2: 13.816, 4: 18.467, 7: 24.322, 18: 42.312, 139: 196.266}
+
+
+def uniform_chi2(counts, expected, scale=1.0):
+    """Pearson's statistic of `counts` against `expected`, times `scale`."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return float(((counts - expected) ** 2 / expected).sum() * scale)
+
+
 def gradients(store, dense=None, rows=None):
     """The GradientBuffer of full-shape `dense` gradients and `rows` entries
     of (distinct row ids, per-row gradients), each keyed by parameter name,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import rows_of
+from conftest import CHI2_999, M64, below, lane_key, rows_of, splitmix64, uniform_chi2
 from crossrec import corpus, training
 from crossrec import tensorcore as tc
 
@@ -665,68 +665,29 @@ def _random_interactions(rng, num_users=12, num_items=130, lo=2, hi=12):
     return corpus.InteractionSet.from_arrays(num_users, num_items, users, items, stamps)
 
 
-_M64 = (1 << 64) - 1
-
-
-def _splitmix64(state):
-    """SplitMix64's output for one state, in Python ints."""
-    z = (state + 0x9E3779B97F4A7C15) & _M64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
-    return z ^ z >> 31
-
-
-def _below(key, bound, slot):
-    """Lemire's bounded draw with its exact rejection, in Python ints: the next attempt until accepted."""
-    attempt = 0
-    while True:
-        wide = (_splitmix64(key ^ (slot | attempt << 32)) >> 32) * bound
-        if wide & 0xFFFFFFFF >= ((1 << 32) - bound) % bound:
-            return wide >> 32
-        attempt += 1
-
-
-def _user_key(seed, user):
-    words = [seed >> shift & _M64 for shift in range(0, max(seed.bit_length(), 1), 64)]
-    key = 0
-    for word in (len(words), *words, int.from_bytes(b"split", "little")):
-        key = _splitmix64(key ^ word)
-    return _splitmix64(key ^ user)
-
-
 def _reference_split(data, seed):
     """The split as a per-user loop in Python ints: hash, Lemire, Floyd with a set, setdiff1d."""
     positives = np.empty(data.num_users, dtype=np.int64)
     negatives = np.empty((data.num_users, 99), dtype=np.int64)
     all_items = np.arange(data.num_items, dtype=np.int64)
     for u, mine in enumerate(rows_of(data.per_user_items)):
-        key = _user_key(seed, u)
-        positives[u] = mine[_below(key, len(mine), 0)]
+        key = lane_key(seed, u)
+        positives[u] = mine[below(key, len(mine), 0)]
         pool = np.setdiff1d(all_items, mine, assume_unique=True)
         chosen = set()
         for r, last in enumerate(range(len(pool) - 99, len(pool))):
-            t = _below(key, last + 1, 1 + r)
+            t = below(key, last + 1, 1 + r)
             chosen.add(last if t in chosen else t)
         negatives[u] = pool[sorted(chosen)]
     keep = positives[data.users] != data.items
     return positives, negatives, (data.users[keep], data.items[keep], data.timestamps[keep])
 
 
-# the chi-square distribution's 0.999 quantile by degrees of freedom (tables; no scipy here)
-CHI2_999 = {1: 10.828, 2: 13.816, 4: 18.467, 7: 24.322, 139: 196.266}
-
-
-def _uniform_chi2(counts, expected, scale=1.0):
-    """Pearson's statistic of `counts` against `expected`, times `scale`."""
-    counts = np.asarray(counts, dtype=np.float64)
-    return float(((counts - expected) ** 2 / expected).sum() * scale)
-
-
 class TestSplitHash:
     GAMMA = 0x9E3779B97F4A7C15
 
     def test_splitmix64_from_state_zero_gives_the_standard_outputs(self):
-        states = np.array([0, self.GAMMA, 2 * self.GAMMA & _M64], dtype=np.uint64)
+        states = np.array([0, self.GAMMA, 2 * self.GAMMA & M64], dtype=np.uint64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = corpus.splitmix64(states)
@@ -734,9 +695,9 @@ class TestSplitHash:
         assert got.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     def test_splitmix64_matches_python_ints_where_every_step_wraps(self):
-        states = [0, 1, 2**63, _M64, _M64 - self.GAMMA, 0x0123456789ABCDEF]
+        states = [0, 1, 2**63, M64, M64 - self.GAMMA, 0x0123456789ABCDEF]
         assert corpus.splitmix64(np.array(states, dtype=np.uint64)).tolist() == [
-            _splitmix64(state) for state in states]
+            splitmix64(state) for state in states]
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 2**31 + 1, 2**32 - 1])
     def test_uniform_below_stays_in_range_and_matches_python_ints(self, bound):
@@ -748,20 +709,23 @@ class TestSplitHash:
             draws = corpus.uniform_below(keys, bounds, 5)
         assert draws.dtype == np.uint64
         assert int(draws.max()) < bound
-        assert draws.tolist() == [_below(key, bound, 5) for key in keys.tolist()]
+        assert draws.tolist() == [below(key, bound, 5) for key in keys.tolist()]
 
     def test_uniform_below_mixed_bounds_per_lane(self):
         # lanes redrawn at attempts 1, 2, ... sit between lanes accepted at attempt 0
         keys = corpus.splitmix64(np.arange(600, dtype=np.uint64) + np.uint64(7))
         bounds = np.resize(np.array([1, 2, 2**32 - 1, 2**31 + 1, 99, 2**31 + 3], dtype=np.uint64), 600)
         draws = corpus.uniform_below(keys, bounds, 0)
-        assert draws.tolist() == [_below(k, b, 0) for k, b in zip(keys.tolist(), bounds.tolist())]
+        assert draws.tolist() == [below(k, b, 0) for k, b in zip(keys.tolist(), bounds.tolist())]
 
     def test_split_keys_take_every_seed_word(self):
         users = np.arange(3)
         keys = [corpus.split_keys(seed, users).tolist() for seed in (42, 2**64 + 42, 2**127 - 1)]
         assert keys[0] != keys[1] and keys[1] != keys[2]
-        assert keys[1] == [_user_key(2**64 + 42, u) for u in range(3)]
+        assert keys[1] == [lane_key(2**64 + 42, u) for u in range(3)]
+        assert corpus.split_keys(42, users, int.from_bytes(b"split", "little")).tolist() == keys[0]
+        tagged = corpus.split_keys(42, users, 7, 1).tolist()
+        assert tagged != keys[0] and tagged == [lane_key(42, u, 7, 1) for u in range(3)]
         with pytest.raises(ValueError, match="non-negative"):
             corpus.split_keys(-1, users)
 
@@ -910,7 +874,7 @@ class TestLeaveOneOut:
         for seed in (0, 2**64 + 1):
             picks = corpus.leave_one_out_split(data, seed).test_positives.reshape(len(counts), 3000)
             for n, row in zip(counts, picks):
-                stat = _uniform_chi2(np.bincount(row, minlength=n), 3000 / n)
+                stat = uniform_chi2(np.bincount(row, minlength=n), 3000 / n)
                 assert stat < CHI2_999[n - 1], (seed, n, stat)
 
     def test_each_pool_item_is_a_negative_at_the_same_rate(self):
@@ -927,7 +891,7 @@ class TestLeaveOneOut:
             negatives = corpus.leave_one_out_split(data, seed).test_negatives
             ranks = negatives - (mine[:, None, :] < negatives[:, :, None]).sum(axis=2)  # pool positions
             p = 99 / pool
-            stat = _uniform_chi2(np.bincount(ranks.ravel(), minlength=pool), num_users * p,
+            stat = uniform_chi2(np.bincount(ranks.ravel(), minlength=pool), num_users * p,
                                  scale=(pool - 1) / pool / (1 - p))
             assert stat < CHI2_999[pool - 1], (seed, stat)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rows_of, time_bound
+from conftest import CHI2_999, below, lane_key, rows_of, time_bound, uniform_chi2
 from crossrec import corpus, models, training
 from crossrec import tensorcore as tc
 
@@ -70,6 +70,24 @@ class TestSampler:
                     if y == 0.0:
                         assert int(i) != int(split.test_positives[int(u)])
 
+    @pytest.mark.parametrize("seed", [8, 2**64 + 1])
+    def test_negatives_are_uniform_over_each_users_unobserved_items(self, seed):
+        # 6 users who each observed 101 of 120 items, 100 in train and 1 held out: each draws
+        # 1,200 negatives over 3 epochs at ratio 4, about 63 of each of its 19 unobserved items
+        rng = np.random.default_rng(21)
+        picks = [rng.permutation(120)[:101] for _ in range(6)]
+        train = corpus.InteractionSet.from_arrays(
+            6, 120, np.repeat(np.arange(6), 100), np.concatenate([p[:100] for p in picks]), np.zeros(600))
+        split = corpus.SplitDataset(train, np.array([p[100] for p in picks]), np.zeros((6, 0), dtype=np.int64))
+        counts = np.zeros((6, 120), dtype=np.int64)
+        for epoch in (1, 2, 3):
+            for b in training.sample_training_batches(split, 4, 256, seed, epoch):
+                np.add.at(counts, (b.users[b.labels == 0.0], b.items[b.labels == 0.0]), 1)
+        for u, mine in enumerate(picks):
+            assert counts[u, mine].sum() == 0
+            stat = uniform_chi2(np.delete(counts[u], mine), 1200 / 19)
+            assert stat < CHI2_999[18], (u, stat)
+
     def test_epochs_differ_but_replays_match(self):
         split = synthetic_split()
 
@@ -119,29 +137,30 @@ def wide_split(seed=0):
     return corpus.leave_one_out_split(data, seed=seed)
 
 
-def full_recheck_epoch(split, negative_ratio, seed, epoch):
-    """Reference sampler that rechecks every negative each round; (users, items, labels, rounds)."""
+EPOCH_TAG = int.from_bytes(b"epoch", "little")
+
+
+def reference_epoch(split, negative_ratio, seed, epoch):
+    """Reference sampler, one negative slot at a time in Python ints; (users, items, labels, most attempts).
+
+    Slot j takes the first Lemire draw below num_items, at attempts 0, 1, ..., keyed by
+    (seed, the epoch tag, epoch, j), that is neither the user's train pair nor its test
+    positive; the epoch's Generator permutes the positives followed by the negatives."""
     train = split.train
-    pairs = np.concatenate([train.users * train.num_items + train.items,
-                            np.arange(train.num_users) * train.num_items + split.test_positives])
-    observed = np.sort(pairs)  # every train pair and test positive, encoded here
-    rng = tc.seeded_rng(seed, "epoch", epoch)
+    observed = set(zip(train.users.tolist(), train.items.tolist())) | set(enumerate(split.test_positives.tolist()))
     neg_users = np.repeat(train.users, negative_ratio)
-    candidates = rng.integers(0, train.num_items, size=neg_users.size, dtype=np.int64)
-    rounds = 0
-    while True:
-        rounds += 1
-        enc = neg_users * train.num_items + candidates
-        hit = np.minimum(np.searchsorted(observed, enc), observed.size - 1)
-        bad = observed[hit] == enc
-        if not bad.any():
-            break
-        candidates[bad] = rng.integers(0, train.num_items, size=int(bad.sum()), dtype=np.int64)
+    candidates, most = [], 0
+    for j, u in enumerate(neg_users.tolist()):
+        key, attempt = lane_key(seed, j, EPOCH_TAG, epoch), 0
+        while (u, below(key, train.num_items, attempt)) in observed:
+            attempt += 1
+        candidates.append(below(key, train.num_items, attempt))
+        most = max(most, attempt)
     users = np.concatenate([train.users, neg_users])
-    items = np.concatenate([train.items, candidates])
+    items = np.concatenate([train.items, np.array(candidates, dtype=np.int64)])
     labels = np.concatenate([np.ones(len(train)), np.zeros(neg_users.size)])
-    order = rng.permutation(users.size)
-    return users[order], items[order], labels[order], rounds
+    order = tc.seeded_rng(seed, "epoch", epoch).permutation(users.size)
+    return users[order], items[order], labels[order], most
 
 
 def assert_batches_equal(batches, users, items, labels):
@@ -157,21 +176,21 @@ class TestSamplerRecheck:
     def test_batches_equal_full_recheck_reference_bitwise(self, seed):
         split = dense_split(seed)
         for epoch in (1, 2, 3):
-            users, items, labels, rounds = full_recheck_epoch(split, 4, seed, epoch)
-            assert rounds >= 4, rounds
+            users, items, labels, most = reference_epoch(split, 4, seed, epoch)
+            assert most >= 4, most
             batches = list(training.sample_training_batches(split, 4, 64, seed, epoch))
             assert_batches_equal(batches, users, items, labels)
 
     @pytest.mark.parametrize("ratio", [1, 3, 4, 7])
     def test_epochs_of_many_chunks_equal_the_reference_bitwise(self, ratio, monkeypatch):
-        # 37 slots a chunk divides no ratio: an epoch of a few thousand instances spans dozens
-        # of chunks. The walk builds whole batches a chunk: three of 10 (30 instances, not 37),
+        # 37 instances a chunk divides no ratio: an epoch of a few thousand instances spans
+        # dozens of chunks. The walk builds whole batches a chunk: three of 10 (30 instances, not 37),
         # one of 37, or one of 100, which outgrows the chunk; 100 also leaves a short tail
-        monkeypatch.setattr(training, "SAMPLER_CHUNK", 37)
+        monkeypatch.setattr(corpus, "PAIR_CHUNK", 37)
         split = dense_split(ratio)
         for epoch in (1, 2):
-            users, items, labels, rounds = full_recheck_epoch(split, ratio, ratio, epoch)
-            assert rounds >= 3 and users.size > 20 * 37 and users.size % 100, (rounds, users.size)
+            users, items, labels, most = reference_epoch(split, ratio, ratio, epoch)
+            assert most >= 3 and users.size > 20 * 37 and users.size % 100, (most, users.size)
             for size in (10, 37, 100):
                 batches = list(training.sample_training_batches(split, ratio, size, ratio, epoch))
                 assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1)
@@ -179,11 +198,21 @@ class TestSamplerRecheck:
                 assert_batches_equal(batches, users, items, labels)
 
     def test_wide_epoch_equals_the_reference_bitwise(self):
-        split = wide_split()  # 208,000 negative slots: 13 chunks at the module's chunk size
-        assert len(split.train) * 4 > 12 * training.SAMPLER_CHUNK
-        users, items, labels, _rounds = full_recheck_epoch(split, 4, 3, 1)
+        split = wide_split()  # 260,000 instances: 16 chunks at the module's chunk size
+        assert len(split.train) * 5 > 15 * corpus.PAIR_CHUNK
+        users, items, labels, _most = reference_epoch(split, 4, 3, 1)
         batches = list(training.sample_training_batches(split, 4, 256, 3, 1))
         assert_batches_equal(batches, users, items, labels)
+
+    def test_batches_are_equal_for_any_chunk_size(self, monkeypatch):
+        # a slot's item depends only on (seed, epoch, slot, attempt): not on the chunk that
+        # holds it, nor on the other slots its membership check sees
+        split = dense_split(5)
+        want = [np.concatenate(field) for field in
+                zip(*((b.users, b.items, b.labels) for b in training.sample_training_batches(split, 4, 64, 5, 1)))]
+        for chunk in (1, 37, 64, 1000, 1 << 20):
+            monkeypatch.setattr(corpus, "PAIR_CHUNK", chunk)
+            assert_batches_equal(list(training.sample_training_batches(split, 4, 64, 5, 1)), *want)
 
     def test_user_who_observed_every_item_fails_fast(self):
         # user 1 trained on items 0-3 and holds out item 4: no unobserved item is left
@@ -221,10 +250,9 @@ class TestSamplerMemory:
         assert training._id_dtype(2**31 + 1) is np.int64
         assert training._id_dtype(2**40) is np.int64
 
-    def test_setup_peak_is_at_most_14_bytes_per_instance(self):
-        # the walk holds the int32 permutation and the int64 candidates, 10.4 bytes per
-        # instance at ratio 4; one chunk of batches and its temporaries bring the peak to
-        # about 12.8 here
+    def test_setup_peak_is_at_most_9_bytes_per_instance(self):
+        # the walk holds the int32 permutation, 4 bytes per instance; one chunk of batches,
+        # its draws and their temporaries bring the peak to about 8.7 here
         split = wide_split()
         instances = len(split.train) * 5
         assert instances >= 250_000
@@ -241,7 +269,7 @@ class TestSamplerMemory:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 14 * instances, peak / instances
+        assert peak <= 9 * instances, peak / instances
 
 
 # -- log loss --------------------------------------------------------------------
