@@ -15,8 +15,10 @@ with none and returns them as a Ragged: each parser returns its InteractionSet
 and an AttributeCatalog of two Ragged sides, the one form attributes keep from
 here to the tape. `SplitDataset.observed` is the one membership rule: a train
 pair or a user's test positive, which held-out and sampled negatives avoid.
-Train pairs are looked up in `InteractionSet.pair_bits`, one bit per
-(user, item) cell, built on the first query and kept with the set.
+The sampler looks train pairs up in `InteractionSet.pair_bits`, one bit per
+(user, item) cell, built on its first query and kept with the set;
+`load_split` checks the same rule a block of users at a time, each block
+against a bitmap of its own rows, so `evaluate` never builds the whole grid.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, replacing
+from .tensorcore import Ragged, ShapeError, check_rows, decimal_int, id_dtype, replacing
 
 
 class CorpusError(Exception):
@@ -55,7 +57,7 @@ class InteractionSet:
 
     per_user_items is a Ragged with one row per user: its items, ascending.
     contains answers membership from pair_bits, a bitmap it builds once, on
-    its first query, so load_split and every epoch's sampler share one.
+    its first query, so every epoch's sampler shares one. load_split builds none.
     """
 
     num_users: int
@@ -99,8 +101,8 @@ class InteractionSet:
         """
         bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
         for start in range(0, len(self.users), PAIR_CHUNK):
-            keys = self.users[start:start + PAIR_CHUNK] * self.num_items + self.items[start:start + PAIR_CHUNK]
-            np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+            chunk = slice(start, start + PAIR_CHUNK)
+            _set_bits(bits, self.users[chunk] * self.num_items + self.items[chunk])
         return bits
 
     def contains(self, users, items):
@@ -111,8 +113,17 @@ class InteractionSet:
         users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
         check_rows(users, self.num_users, "users")
         check_rows(items, self.num_items, "items")
-        keys = users * self.num_items + items
-        return self.pair_bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
+        return _bits_at(self.pair_bits, users * self.num_items + items)
+
+
+def _set_bits(bits, keys):
+    """Set bit k % 8 of byte k // 8 of the uint8 array `bits` for each int64 key k."""
+    np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+
+
+def _bits_at(bits, keys):
+    """Whether bit k % 8 of byte k // 8 of `bits` is set, for each int64 key k."""
+    return bits.take(keys >> 3) >> (keys & 7).astype(np.uint8) & np.uint8(1) != 0
 
 
 @dataclass
@@ -152,7 +163,10 @@ class SplitDataset:
 
     train: InteractionSet
     test_positives: np.ndarray       # (num_users,)
-    test_negatives: np.ndarray       # (num_users, 99)
+    test_negatives: np.ndarray       # (num_users, 99), held as id_dtype(num_items): int32 where ids fit
+
+    def __post_init__(self):
+        self.test_negatives = np.asarray(self.test_negatives, dtype=id_dtype(self.train.num_items))
 
     def observed(self, users, items):
         """Whether each (user, item) is a train pair or the user's test positive: never a negative."""
@@ -388,10 +402,10 @@ def splitmix64(states):
     return z ^ z >> np.uint64(31)
 
 
-def split_keys(seed, lanes, *tags):
-    """Each lane's uint64 key: SplitMix64 folded over the seed's word count, its 64-bit
-    words (low first; a seed may pass 64 bits), the tag words (the split's tag when none
-    are given) and the lane: a user for the split, a negative slot for the sampler."""
+def seed_key(seed, *tags):
+    """SplitMix64 folded over the seed's word count, its 64-bit words (low first; a seed
+    may pass 64 bits) and the tag words (the split's tag when none are given), as a
+    1-element uint64 array: the prefix split_keys folds each lane into."""
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -399,7 +413,13 @@ def split_keys(seed, lanes, *tags):
     key = np.zeros(1, dtype=np.uint64)
     for word in (len(words), *words, *(tags or (_SPLIT_TAG,))):
         key = splitmix64(key ^ np.array([word], dtype=np.uint64))
-    return splitmix64(key ^ lanes.astype(np.uint64))
+    return key
+
+
+def split_keys(seed, lanes, *tags):
+    """Each lane's uint64 key: seed_key(seed, *tags) with the lane folded in: a user for
+    the split, a negative slot for the sampler."""
+    return splitmix64(seed_key(seed, *tags) ^ lanes.astype(np.uint64))
 
 
 def uniform_below(keys, bounds, slot):
@@ -506,10 +526,11 @@ def _write_records(path, records):
             np.save(fh, np.ascontiguousarray(record, dtype="<i8"), allow_pickle=False)
 
 
-def _read_records(path, shapes):
+def _read_records(path, shapes, read_last=None):
     """One int64 record per expected shape (None: any length) from `path`.
 
     Headers are checked before data is read: no claimed shape outgrows the file.
+    Given read_last, the last record is read_last(fh, shape), which reads its data.
     """
     records = []
     with open(path, "rb") as fh:
@@ -526,7 +547,10 @@ def _read_records(path, shapes):
                     or any(n < 0 or (w is not None and n != w) for n, w in zip(shape, want))):
                 raise LoadError(f"{path}: record {k} is {dtype} {shape}, expected C-order "
                                 f"int64 {want} within the file")
-            records.append(np.fromfile(fh, dtype="<i8", count=count).reshape(shape))
+            if read_last is not None and k == len(shapes) - 1:
+                records.append(read_last(fh, shape))
+            else:
+                records.append(np.fromfile(fh, dtype="<i8", count=count).reshape(shape))
         if fh.tell() != size:
             raise LoadError(f"{path}: {size - fh.tell()} bytes after the last record")
     return records
@@ -551,22 +575,43 @@ def save_split(split, path):
 
 
 def load_split(path, train):
-    """The split of `train`, checked for what sampling and evaluation rely on."""
+    """The split of `train`, checked for what sampling and evaluation rely on.
+
+    Users are read and checked in blocks of SPLIT_CHECK_USERS: the int64 negatives go
+    into one array of id_dtype(num_items), and a block's test items are looked up in a
+    bitmap of that block's rows of the train set alone, so train.pair_bits is not built.
+    """
+    num_users, num_items = train.num_users, train.num_items
+    blocks = [slice(start, min(start + SPLIT_CHECK_USERS, num_users))
+              for start in range(0, num_users, SPLIT_CHECK_USERS)]
+    outside = []  # whether each block read a negative outside [0, num_items), refused after the counts
+
+    def read_negatives(fh, shape):
+        negatives = np.empty(shape, dtype=id_dtype(num_items))
+        for b in blocks:
+            block = np.fromfile(fh, dtype="<i8", count=negatives[b].size)
+            outside.append(block.min() < 0 or block.max() >= num_items)
+            negatives[b] = block.reshape(-1, NUM_TEST_NEGATIVES)
+        return negatives
+
     counts, positives, negatives = _read_records(
-        path, [(2,), (train.num_users,), (train.num_users, NUM_TEST_NEGATIVES)])
-    if counts.tolist() != [train.num_users, train.num_items]:
+        path, [(2,), (num_users,), (num_users, NUM_TEST_NEGATIVES)], read_negatives)
+    if counts.tolist() != [num_users, num_items]:
         raise LoadError(f"{path}: split counts do not match the train set")
-    if any(ids.size and (ids.min() < 0 or ids.max() >= train.num_items) for ids in (positives, negatives)):
-        raise LoadError(f"{path}: a test item lies outside [0, {train.num_items})")
-    blocks = [slice(start, start + SPLIT_CHECK_USERS) for start in range(0, train.num_users, SPLIT_CHECK_USERS)]
+    if any(outside) or positives.size and (positives.min() < 0 or positives.max() >= num_items):
+        raise LoadError(f"{path}: a test item lies outside [0, {num_items})")
     if any((negatives[b, 1:] <= negatives[b, :-1]).any() for b in blocks):
         raise LoadError(f"{path}: test negatives are not strictly increasing per user")
-    split = SplitDataset(train, positives, negatives)
-    users = np.arange(train.num_users)
-    if train.contains(users, positives).any() or any(
-            split.observed(users[b, None], negatives[b]).any() for b in blocks):
-        raise LoadError(f"{path}: a test item is already an observed item of its user")
-    return split
+    offsets, flat, lengths = train.per_user_items.offsets, train.per_user_items.flat, train.per_user_items.lengths
+    grid = np.arange(SPLIT_CHECK_USERS, dtype=np.int64) * num_items  # each row's first key in a block's own grid
+    for b in blocks:
+        rows, mine, n = grid[:b.stop - b.start], flat[offsets[b.start]:offsets[b.stop]], lengths[b]
+        bits = np.zeros(-(-rows.size * num_items // 8), dtype=np.uint8)
+        _set_bits(bits, rows.repeat(n) + mine)
+        if ((positives[b].repeat(n) == mine).any() or (negatives[b] == positives[b, None]).any()
+                or _bits_at(bits, rows[:, None] + negatives[b]).any()):
+            raise LoadError(f"{path}: a test item is already an observed item of its user")
+    return SplitDataset(train, positives, negatives)
 
 
 def save_catalog(catalog, path):

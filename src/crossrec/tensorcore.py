@@ -183,6 +183,11 @@ def check_rows(ids, rows, name):
         raise ShapeError(f"row id out of range for {name!r} ({rows} rows)")
 
 
+def id_dtype(bound):
+    """The dtype of ids in [0, bound): int32 where it fits, else int64."""
+    return np.int32 if bound <= 2**31 else np.int64
+
+
 def _as_ids(ids):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:

@@ -65,11 +65,6 @@ class TrainResult:
         return 1 + max(range(len(self.eval_reports)), key=lambda i: self.eval_reports[i].hr_at_10)
 
 
-def _id_dtype(bound):
-    """The dtype of an epoch's permutation of [0, bound): int32 where it fits, else int64."""
-    return np.int32 if bound <= 2**31 else np.int64
-
-
 def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     """Yield shuffled batches of one epoch's positives plus fresh negatives.
 
@@ -103,10 +98,11 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
             "no negative can be drawn"
         )
     size = len(train) * (negative_ratio + 1)
-    order = np.arange(size, dtype=_id_dtype(size))
+    order = np.arange(size, dtype=tc.id_dtype(size))
     rng = tc.seeded_rng(seed, "epoch", epoch)
     rng.shuffle(order)  # rng.permutation(size): the same swaps on an int64 arange
     step = batch_size * max(1, corpus.PAIR_CHUNK // batch_size)
+    epoch_key = corpus.seed_key(seed, _EPOCH_TAG, epoch)  # corpus.split_keys' prefix, folded once
     for start in range(0, size, step):
         taken = order[start:start + step]
         slot = taken - len(train)  # the negative slot, below 0 for a positive
@@ -114,7 +110,7 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
         users = train.users[np.where(positive, taken, slot // negative_ratio)]
         items = train.items.take(taken, mode="clip")
         lanes = np.flatnonzero(~positive)
-        keys, attempt = corpus.split_keys(seed, slot[lanes], _EPOCH_TAG, epoch), 0
+        keys, attempt = corpus.splitmix64(epoch_key ^ slot[lanes].astype(np.uint64)), 0
         while lanes.size:  # draw every pending slot at this attempt; the observed ones stay pending
             bounds = np.full(lanes.size, train.num_items, dtype=np.uint64)
             items[lanes] = corpus.uniform_below(keys, bounds, attempt)

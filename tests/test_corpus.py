@@ -1,5 +1,6 @@
 import collections
 import importlib.util
+import io
 import os
 import tracemalloc
 import warnings
@@ -922,6 +923,21 @@ class TestLeaveOneOut:
         assert np.array_equal(train.users, split.train.users)
         assert np.array_equal(train.timestamps, split.train.timestamps)
 
+    def test_negatives_are_int32_and_saved_as_the_int64_record(self, tmp_path):
+        # every item id fits 32 bits, so the (users x 99) table is held at half int64's bytes;
+        # split.npy keeps its int64 records, byte for byte
+        data = _random_interactions(np.random.default_rng(10))
+        split = corpus.leave_one_out_split(data, seed=2)
+        path = str(tmp_path / "split.npy")
+        corpus.save_split(split, path)
+        loaded = corpus.load_split(path, split.train)
+        assert split.test_negatives.dtype == loaded.test_negatives.dtype == np.int32
+        assert np.array_equal(loaded.test_negatives, split.test_negatives)
+        records = io.BytesIO()
+        for record in ([data.num_users, data.num_items], split.test_positives, split.test_negatives):
+            np.save(records, np.asarray(record, dtype="<i8"), allow_pickle=False)
+        assert (tmp_path / "split.npy").read_bytes() == records.getvalue()
+
     def test_catalog_round_trip(self, tmp_path, tiny_catalog):
         corpus.save_catalog(tiny_catalog, str(tmp_path / "attrs.npy"))
         loaded = corpus.load_catalog(str(tmp_path / "attrs.npy"))
@@ -1016,6 +1032,23 @@ class TestMembership:
         list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
         assert vars(train)["pair_bits"] is bits
 
+    def test_load_prepared_builds_no_bitmap_and_the_first_batch_builds_it(self, tmp_path):
+        # evaluate queries no membership, so it never pays for the whole grid; train builds it
+        # on its first epoch's first query and every later epoch shares it
+        data = _random_interactions(np.random.default_rng(3))
+        split = corpus.leave_one_out_split(data, seed=1)
+        catalog = corpus.AttributeCatalog(tc.Ragged.from_rows([[0]] * data.num_users),
+                                          tc.Ragged.from_rows([[0]] * data.num_items), 1, 1)
+        corpus.save_prepared(str(tmp_path), split, catalog)
+        loaded, _ = corpus.load_prepared(str(tmp_path))
+        assert "pair_bits" not in vars(loaded.train)
+        next(training.sample_training_batches(loaded, 4, 8, seed=1, epoch=1))
+        bits = vars(loaded.train)["pair_bits"]
+        assert bits.tolist() == self._bits_oracle(data.num_users, data.num_items, loaded.train.users.tolist(),
+                                                  loaded.train.items.tolist())
+        next(training.sample_training_batches(loaded, 4, 8, seed=1, epoch=2))
+        assert vars(loaded.train)["pair_bits"] is bits
+
     def _bits_oracle(self, num_users, num_items, users, items):
         bits = bytearray(-(-num_users * num_items // 8))
         for user, item in zip(users, items):
@@ -1085,4 +1118,21 @@ class TestMembership:
             split.test_positives[36] = 103
         message = "strictly increasing" if fault in ("unordered", "both") else "already an observed item"
         with pytest.raises(corpus.LoadError, match=message):
+            self._load(split, tmp_path / "split.npy")
+
+    @pytest.mark.parametrize("user", [6, 13, 34, 39])
+    def test_observed_negative_of_a_blocks_last_user_is_refused(self, user, tmp_path, monkeypatch):
+        # blocks of 7: users 6, 13 and 34 end a block, 39 the short last one. Only this user's
+        # train row holds item 103, so a block that took another user's row would miss it
+        monkeypatch.setattr(corpus, "SPLIT_CHECK_USERS", 7)
+        items = np.tile(np.arange(3), 40)
+        items[3 * user + 2] = 103
+        train = corpus.InteractionSet.from_arrays(40, 140, np.repeat(np.arange(40), 3), items, np.zeros(120))
+        negatives = np.tile(np.arange(4, 103), (40, 1))
+        negatives[:, 98] = 120
+        split = corpus.SplitDataset(train, np.full(40, 3), negatives)
+        loaded = self._load(split, tmp_path / "clean.npy")
+        assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
+        split.test_negatives[user, 98] = 103
+        with pytest.raises(corpus.LoadError, match="already an observed item"):
             self._load(split, tmp_path / "split.npy")

@@ -349,19 +349,21 @@ class TestChunkedEvaluate:
         assert (chunked.hr_at_10, chunked.ndcg_at_10) == (whole.hr_at_10, whole.ndcg_at_10)
 
 
-def traced_peak_above_held(call):
-    """(result, tracemalloc peak during call() above what is held when it returns, in bytes)."""
+def traced(call):
+    """(result, bytes held when call() returns above those held before it, tracemalloc
+    peak during it above those held when it returns)."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = call()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
-    return result, peak - held
+    return result, held - before, peak - held
 
 
 class TestReadPathMemory:
@@ -375,10 +377,21 @@ class TestReadPathMemory:
         split, _ = random_run(self.USERS)
         path = str(tmp_path / corpus.SPLIT_FILE)
         corpus.save_split(split, path)
-        split.train.pair_bits  # a loaded train set's bitmap: built before the split is read
-        loaded, peak = traced_peak_above_held(lambda: corpus.load_split(path, split.train))
+        loaded, _, peak = traced(lambda: corpus.load_split(path, split.train))
         assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
         assert peak <= 120 * self.USERS, peak / self.USERS
+
+    def test_load_split_holds_at_most_410_bytes_per_user(self, tmp_path):
+        # int32 negatives take 4 x 99 bytes per user and int64 positives 8: 404 in all. int64
+        # negatives alone would hold 792, and a whole-grid bitmap another NUM_ITEMS / 8
+        split, _ = random_run(self.USERS)
+        path = str(tmp_path / corpus.SPLIT_FILE)
+        corpus.save_split(split, path)
+        assert "pair_bits" not in vars(split.train)
+        loaded, held, _ = traced(lambda: corpus.load_split(path, split.train))
+        assert "pair_bits" not in vars(split.train)
+        assert loaded.test_negatives.dtype == np.int32
+        assert held <= 410 * self.USERS, held / self.USERS
 
     def test_evaluate_pass_peak_at_most_800_bytes_per_user(self):
         # camf's user side arrays (two of users x 8 float64) and the ranks take 136 bytes per
@@ -386,6 +399,6 @@ class TestReadPathMemory:
         # (users x 100) int64 candidate table alone would be 800
         split, catalog = random_run(self.USERS)
         config, store = random_model("camf", self.USERS)
-        report, peak = traced_peak_above_held(lambda: evaluation.evaluate(config, store, split, catalog))
+        report, _, peak = traced(lambda: evaluation.evaluate(config, store, split, catalog))
         assert report.per_user_ranks.size == self.USERS
         assert peak <= 800 * self.USERS, peak / self.USERS

@@ -245,10 +245,10 @@ class TestSamplerMemory:
 
     def test_ids_narrow_to_int32_only_inside_its_range(self):
         # ids lie in [0, bound): 2**31 - 1 is the largest int32
-        assert training._id_dtype(1) is np.int32
-        assert training._id_dtype(2**31) is np.int32
-        assert training._id_dtype(2**31 + 1) is np.int64
-        assert training._id_dtype(2**40) is np.int64
+        assert tc.id_dtype(1) is np.int32
+        assert tc.id_dtype(2**31) is np.int32
+        assert tc.id_dtype(2**31 + 1) is np.int64
+        assert tc.id_dtype(2**40) is np.int64
 
     def test_setup_peak_is_at_most_9_bytes_per_instance(self):
         # the walk holds the int32 permutation, 4 bytes per instance; one chunk of batches,
@@ -256,7 +256,7 @@ class TestSamplerMemory:
         split = wide_split()
         instances = len(split.train) * 5
         assert instances >= 250_000
-        split.train.pair_bits  # a loaded split has its bitmap already: it is not the epoch's
+        split.train.pair_bits  # built on train's first query and kept for every later epoch: not the epoch's
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
