@@ -1,12 +1,13 @@
 """Dataset ingestion: one read -> index -> encode pipeline, the leave-one-out
 split, and the prepared-run files.
 
-Both raw layouts run the same three steps. `_records` is the one line reader
-for the MovieLens-1M "::"-separated trio (ratings/users/movies, ISO-8859-1)
-and the generic tab-separated UTF-8 layout for pin-style data (interactions,
-per-entity attribute name files, an optional category consolidation map);
-`_int_rows` converts a ratings or interactions file in the plain all-integer
-form whole, with the same result. `_index` turns the interaction rows into
+Both raw layouts run the same three steps. `_records` is the one line reader,
+and so what a raw file means, for the MovieLens-1M "::"-separated trio
+(ratings/users/movies, ISO-8859-1) and the generic tab-separated UTF-8 layout
+for pin-style data (interactions, per-entity attribute name files, an optional
+category consolidation map). A file in a plain form is read whole, to the same
+result or error: a ratings or interactions file by `_int_rows`, a generic
+attribute file by `_read_attr_file`. `_index` turns the interaction rows into
 dense ids: every rating or pin is an implicit positive, the first occurrence
 of a repeated (user, item) pair wins, and raw ids map to 0-based ids in
 ascending raw-id order, so the mapping is reproducible. `_encode` numbers each
@@ -179,6 +180,7 @@ SPLIT_CHECK_USERS = PAIR_CHUNK // NUM_TEST_NEGATIVES  # users per block of load_
 MIN_USER_INTERACTIONS = 10  # generic layout: sparser users are dropped
 USER_BUCKET_SIZE = 40       # generic layout: interactions per user-activity bucket
 ITEM_BUCKET_SIZE = 50       # generic layout: pins per item-exposure bucket
+_NOT_DELIMITERS = bytes(set(range(256)) - set(b"\t\n"))
 
 
 def _records(path, sep, width, encoding):
@@ -215,28 +217,31 @@ def _plain_int_table(data, sep, width):
     """The (n, width) int64 table of a raw file's bytes if they are in the plain form, else None.
 
     Plain: every line (the last may lack its "\n") is `width` fields split by
-    `sep`, each an optional "-" and ASCII digits, 1-18 bytes in all (so it fits
-    int64); lines may end in "\r\n", which `_records` strips as it does "\n".
-    Files of that form are a subset of what `_records` + `_parse_int` accept,
-    and they read them to the same table.
+    `sep` ("\t" or "::"), each an optional "-" and ASCII digits, 1-18 bytes in
+    all (so it fits int64); lines may end in "\r\n", which `_records` strips as
+    it does "\n". Files of that form are a subset of what `_records` +
+    `_parse_int` accept, and they read them to the same table.
     """
-    sep = sep.encode()
     if b"\r" in data:  # one memchr; counting "\r\n" would cost a slower pass over every file
         data = data.replace(b"\r\n", b"\n")
-    tabbed = data.replace(sep, b"\t")  # leftmost first, as str.split
-    if data.translate(None, sep + b"0123456789-\n") or tabbed.translate(None, b"\t0123456789-\n"):
-        return None  # a "#", any other "\r", non-ASCII or stray separator byte
-    tabbed = b"\n" + tabbed + b"\n"[tabbed.endswith(b"\n"):]  # every field between two delimiters
-    buf = np.frombuffer(tabbed, dtype=np.uint8)
+    if data.translate(None, sep.encode() + b"0123456789-\n"):
+        return None  # a "#", any other "\r", non-ASCII or foreign separator byte
+    if sep != "\t":  # "::" as two tabs, a byte map: np.fromstring splits on whitespace only
+        data = data.translate(bytes.maketrans(b":", b"\t"))
+    data = b"\n" + data + b"\n"[data.endswith(b"\n"):]  # every field between two delimiters
+    buf = np.frombuffer(data, dtype=np.uint8)
     delims = np.flatnonzero(buf <= ord("\n"))
-    lengths, closers = np.diff(delims) - 1, buf[delims[1:]]  # closers: the byte after each field
-    minus = np.flatnonzero(buf == ord("-"))
-    if (closers.size % width or lengths.min() < 1 or lengths.max() > 18
-            or (closers.reshape(-1, width) != [ord("\t")] * (width - 1) + [ord("\n")]).any()
-            or (buf[minus - 1] > ord("\n")).any() or (buf[minus + 1] < ord("0")).any()):
+    span = len(sep) * (width - 1) + 1  # delimiters closing a line's fields and its separators' empty gaps
+    lengths, closers = np.diff(delims) - 1, buf[delims[1:]]
+    if closers.size % span or (closers.reshape(-1, span) != [ord("\t")] * (span - 1) + [ord("\n")]).any():
         return None
+    lengths, field = lengths.reshape(-1, span), np.arange(span) % len(sep) == 0
+    minus = np.flatnonzero(buf == ord("-"))
+    if (lengths[:, field].min() < 1 or lengths[:, field].max() > 18 or lengths[:, ~field].any()
+            or (buf[minus - 1] > ord("\n")).any() or (buf[minus + 1] < ord("0")).any()):
+        return None  # an empty, 19-byte or stray-colon field, or a "-" inside one
     # only now: fromstring stops silently at a token it cannot parse
-    return np.fromstring(tabbed, dtype=np.int64, sep=" ").reshape(-1, width)
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, width)
 
 
 def _int_rows(path, sep, width, encoding, labels):
@@ -260,47 +265,67 @@ def _index(path, table, min_user_interactions=1):
 
     The first occurrence of each (user, item) pair is kept, users left with
     fewer than `min_user_interactions` pairs are dropped, and the remaining
-    raw ids map to dense ids in ascending raw-id order.
+    raw ids map to dense ids in ascending raw-id order: each one's rank among
+    the survivors of the one sort of all raw ids.
     """
     if not table.size:
         raise LoadError(f"{path}: no interactions")
-    (_, users), (_, items) = (np.unique(raw, return_inverse=True) for raw in table.T[:2])
+    (raw_users, users), (raw_items, items) = (np.unique(raw, return_inverse=True) for raw in table.T[:2])
     _, first = np.unique(users * (items.max() + 1) + items, return_index=True)  # first occurrences
     keep = np.sort(first)
     keep = keep[np.bincount(users[keep])[users[keep]] >= min_user_interactions]
     if not keep.size:
         raise LoadError(f"{path}: empty dataset after the >= {min_user_interactions} filter")
-    table = table[keep]
-    (raw_users, users), (raw_items, items) = (np.unique(raw, return_inverse=True)
-                                              for raw in table.T[:2])
-    interactions = InteractionSet.from_arrays(
-        len(raw_users), len(raw_items), users, items, table[:, 2])
+    dense = []  # each surviving raw id's rank among the survivors, from a presence mask
+    for raw, ids in ((raw_users, users[keep]), (raw_items, items[keep])):
+        present = np.zeros(raw.size, dtype=bool)
+        present[ids] = True
+        dense += [raw[present], (np.cumsum(present) - 1)[ids]]
+    raw_users, users, raw_items, items = dense
+    interactions = InteractionSet.from_arrays(len(raw_users), len(raw_items), users, items, table[keep, 2])
     return interactions, raw_users, raw_items
 
 
-def _encode(path, label, named, raw_ids, counts=None, width=None):
-    """(Ragged of per-entity attribute ids, vocabulary size) from each entity's set of names.
+def _encode(path, label, listed, raw_ids, counts=None, width=None):
+    """(Ragged of per-entity attribute ids, vocabulary size) from `listed` = (entity raw ids, name ids, names).
 
-    `named` maps a raw id to its names; the names held by `raw_ids` are
-    numbered in sorted order. Given per-entity `counts`, a count c falls in
-    bucket b = (c - 1) // width, which adds the id (name count + b), so the
-    vocabulary runs on to the largest bucket. An entity left with no ids
-    raises LoadError naming `path`.
+    Entity e holds each name listed beside raw_ids[e] (ascending, distinct)
+    once; the names held by `raw_ids` are numbered in sorted order, and the
+    rows built from (entity, id) arrays. Given per-entity `counts`, a count c
+    falls in bucket b = (c - 1) // width, which adds the id (name count + b),
+    so the vocabulary runs on to the largest bucket. An entity left with no
+    ids raises LoadError naming `path`.
     """
-    raw_ids = raw_ids.tolist()
-    sets = [named.get(raw, ()) for raw in raw_ids]
-    index = {name: k for k, name in enumerate(sorted(set().union(*sets)))}
-    rows = [[index[name] for name in names] for names in sets]
-    size = len(index)
+    ents, codes, names = listed
+    rows = np.searchsorted(raw_ids, ents)
+    held = raw_ids.take(rows, mode="clip") == ents
+    rows, codes = rows[held], codes[held]
+    order = sorted(np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist(), key=names.__getitem__)
+    ids = np.zeros(len(names), dtype=np.int64)
+    ids[order] = np.arange(len(order))
+    ids, size = ids[codes], len(order)
     if counts is not None:
         buckets = (counts - 1) // width
-        for row, bucket in zip(rows, buckets.tolist()):
-            row.append(size + bucket)
+        rows, ids = np.concatenate([rows, np.arange(raw_ids.size)]), np.concatenate([ids, size + buckets])
         size += int(buckets.max()) + 1
-    empty = [raw for raw, row in zip(raw_ids, rows) if not row]
-    if empty:
-        raise LoadError(f"{path}: {label} {empty[0]} has zero attributes")
-    return Ragged.from_rows(rows), size
+    keys = np.sort(rows * size + ids)  # not np.unique: without return_* it imports numpy.ma on first use
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # each (entity, id) once, in that order
+    lengths = np.bincount(keys // size, minlength=raw_ids.size)
+    if not lengths.all():
+        raise LoadError(f"{path}: {label} {raw_ids[lengths.argmin()]} has zero attributes")
+    return Ragged(np.concatenate([[0], np.cumsum(lengths)]), keys % size), size
+
+
+def _numbered(names):
+    """(codes, distinct): each of `names` as an index into `distinct`, its names in order of first listing."""
+    code_of = {}
+    return np.array([code_of.setdefault(name, len(code_of)) for name in names], dtype=np.int64), list(code_of)
+
+
+def _listed(named):
+    """The (entity raw ids, name ids, names) `_encode` takes, of a raw id -> set of names dict."""
+    pairs = [(raw, name) for raw, names in named.items() for name in names]
+    return np.array([raw for raw, _ in pairs], dtype=np.int64), *_numbered([name for _, name in pairs])
 
 
 def parse_movielens(ratings_path, users_path, items_path):
@@ -322,29 +347,60 @@ def parse_movielens(ratings_path, users_path, items_path):
                    (2, _parse_int(occupation, users_path, n, "occupation"))}
         if profiles.setdefault(user, profile) != profile:
             raise LoadError(f"{users_path}:{n}: user {user} listed twice with another gender, age or occupation")
-    user_attrs, user_vocab = _encode(users_path, "user", profiles, user_ids)
+    user_attrs, user_vocab = _encode(users_path, "user", _listed(profiles), user_ids)
 
     genres = {}  # movies.dat: MovieID::Title::Genre|Genre|...
     for n, (item, _, names) in _records(items_path, "::", 3, "iso-8859-1"):
         item, names = _parse_int(item, items_path, n, "movie id"), set(names.split("|")) - {""}
         if genres.setdefault(item, names) != names:
             raise LoadError(f"{items_path}:{n}: movie {item} listed twice with other genres")
-    item_attrs, item_vocab = _encode(items_path, "item", genres, item_ids)
+    item_attrs, item_vocab = _encode(items_path, "item", _listed(genres), item_ids)
 
     return interactions, AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
 
 
+def _plain_attr_lines(data):
+    """(int64 ids, names) of an attribute file's bytes in the plain form, else None. Plain: UTF-8 lines
+    without "\r" of an id in `_plain_int_table`'s form (so no blank or "#" line), a tab and a name."""
+    if b"\r" in data:
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    closers = data.translate(None, _NOT_DELIMITERS) + b"\n"[data.endswith(b"\n"):]
+    if closers != b"\t\n" * (len(closers) // 2):
+        return None
+    fields = text.removesuffix("\n").replace("\n", "\t").split("\t")
+    ids = _plain_int_table("\n".join(fields[::2]).encode(), "\t", 1)
+    return None if ids is None else (ids[:, 0], fields[1::2])
+
+
 def _read_attr_file(path, category_map):
-    """Raw entity id -> its set of attribute names (mapped through `category_map`)."""
-    named = {}
-    for n, (raw, name) in _records(path, "\t", 2, "utf-8"):
-        raw = _parse_int(raw, path, n, "entity id")
-        if category_map is not None:
-            if name not in category_map:
+    """The (entity raw ids, name ids, names) of an attribute file's lines, names mapped through `category_map`.
+
+    A plain file is read whole; any other by `_records` and `_parse_int`, each
+    line's id and then its category checked in turn, to the same result or error.
+    """
+    with open(path, "rb") as fh:
+        lines = _plain_attr_lines(fh.read())
+    if lines is None:
+        ents, names = [], []
+        for n, (raw, name) in _records(path, "\t", 2, "utf-8"):
+            ents.append(_parse_int(raw, path, n, "entity id"))
+            if category_map is not None and name not in category_map:
                 raise LoadError(f"{path}:{n}: unmapped category {name!r}")
-            name = category_map[name]
-        named.setdefault(raw, set()).add(name)
-    return named
+            names.append(name)
+        lines = np.array(ents, dtype=np.int64), names
+    ents, (codes, names) = lines[0], _numbered(lines[1])
+    if category_map is not None:
+        unmapped = [name for name in names if name not in category_map]
+        if unmapped:  # read whole, so no line was skipped: its first listing k is line k + 1
+            raise LoadError(f"{path}:{np.argmax(codes == names.index(unmapped[0])) + 1}: "
+                            f"unmapped category {unmapped[0]!r}")
+        mapped, names = _numbered([category_map[name] for name in names])
+        codes = mapped[codes]
+    return ents, codes, names
 
 
 def parse_generic(
@@ -427,7 +483,7 @@ def uniform_below(keys, bounds, slot):
 
     Lemire's method on the high 32 bits of SplitMix64(key ^ (slot | attempt << 32)):
     a lane whose low product word falls under (2**32 - bound) % bound is
-    rejected and draws again at the next attempt.
+    rejected and draws again at the next attempt (only a low word below bound can be).
     """
     draws = np.empty_like(bounds)
     lanes, attempt = slice(None), 0
@@ -435,7 +491,8 @@ def uniform_below(keys, bounds, slot):
         n = bounds[lanes]
         wide = (splitmix64(keys[lanes] ^ np.uint64(slot | attempt << 32)) >> _U32) * n
         draws[lanes] = wide >> _U32
-        rejected = np.flatnonzero(wide & _LOW32 < (_2_32 - n) % n)
+        near = np.flatnonzero(wide & _LOW32 < n)  # the threshold (2**32 - n) % n is below n
+        rejected = near[wide[near] & _LOW32 < (_2_32 - n[near]) % n[near]]
         if not rejected.size:
             return draws
         lanes, attempt = np.arange(bounds.size)[lanes][rejected], attempt + 1
@@ -486,7 +543,8 @@ def leave_one_out_split(data, seed):
     on the seed, the user, its item count and num_items: not on the order
     users are visited in, nor on numpy's sampling algorithms, so split.npy is
     a function of the raw files and the seed alone. Slot j of the ascending
-    pool is item j + #{t : mine[t] - t <= j}.
+    pool is item j + #{t : mine[t] - t <= j}, counted by one search of the
+    sorted keys into the sorted slots. Train rows are the full rows less the held-out item.
     """
     offsets, flat, lengths = data.per_user_items.offsets, data.per_user_items.flat, data.per_user_items.lengths
     bad = np.flatnonzero((lengths < 2) | (data.num_items - lengths < NUM_TEST_NEGATIVES))
@@ -499,14 +557,15 @@ def leave_one_out_split(data, seed):
     row_keys = np.arange(data.num_users, dtype=np.int64) * data.num_items  # keeps rows apart
     keys = flat - np.arange(flat.size) + np.repeat(row_keys + offsets[:-1], lengths)
     slots.sort(axis=1)
-    negatives = slots + np.searchsorted(keys, slots + row_keys[:, None], side="right") - offsets[:-1, None]
-    positives = flat[offsets[:-1] + picks]
+    # keys <= each needle: both sorted, so each key's place among the needles, counted and summed
+    below = np.bincount(np.searchsorted((slots + row_keys[:, None]).ravel(), keys), minlength=slots.size + 1)
+    negatives = slots + below[:-1].cumsum().reshape(slots.shape) - offsets[:-1, None]
+    held = offsets[:-1] + picks
+    positives = flat[held]
 
     keep = positives[data.users] != data.items
-    train = InteractionSet.from_arrays(
-        data.num_users, data.num_items,
-        data.users[keep], data.items[keep], data.timestamps[keep],
-    )
+    train = InteractionSet(data.num_users, data.num_items, data.users[keep], data.items[keep],
+                           data.timestamps[keep], Ragged(offsets - np.arange(offsets.size), np.delete(flat, held)))
     return SplitDataset(train, positives, negatives)
 
 

@@ -452,6 +452,140 @@ class TestIntRows:
             assert np.array_equal(corpus._int_rows(*_int_rows_args(tmp_path / name, sep)), expected)
 
 
+# -- attribute file reader --------------------------------------------------
+
+
+def _reference_attr_file(path, category_map):
+    """The per-line reader: raw id -> its set of (mapped) names, each line checked in turn."""
+    named = {}
+    for n, (raw, name) in corpus._records(path, "\t", 2, "utf-8"):
+        raw = corpus._parse_int(raw, path, n, "entity id")
+        if category_map is not None:
+            if name not in category_map:
+                raise corpus.LoadError(f"{path}:{n}: unmapped category {name!r}")
+            name = category_map[name]
+        named.setdefault(raw, set()).add(name)
+    return named
+
+
+def _as_named(listed):
+    """The raw id -> set of names dict of _read_attr_file's (entity raw ids, name ids, names)."""
+    ents, codes, names = listed
+    named = {}
+    for raw, code in zip(ents.tolist(), codes.tolist()):
+        named.setdefault(raw, set()).add(names[code])
+    return named
+
+
+def _outcome(read):
+    """read()'s value, or the class and text of the CorpusError it raised."""
+    try:
+        return read()
+    except corpus.CorpusError as exc:
+        return type(exc), str(exc)
+
+
+_ATTR_IDS = ["1", "2", "100", "105", "109", "7"]  # user 1 is kept, user 2 dropped by the >= 10 filter
+_ATTR_BAD_IDS = ["-0", "+5", "1_0", "0" * 16 + "105", "١", "", "1 "]  # "-0" and 19 digits are ids
+_ATTR_NAMES = ["art", "tech", "food", "", "café", "art ", "zzz", "105"]
+_ATTR_MAP = {"art": "A", "tech": "A", "food": "F", "": "E", "café": "F", "105": "E"}  # "art ", "zzz" unmapped
+
+
+@st.composite
+def _attr_files(draw):
+    """(file bytes, whether the category map applies): attribute lines, a few damaged."""
+    lines = ["\t".join(line) for line in draw(st.lists(
+        st.tuples(st.sampled_from(_ATTR_IDS), st.sampled_from(_ATTR_NAMES)), min_size=1, max_size=8))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["comment", "blank", "3 fields", "non-UTF-8", "bad id"]))
+        if how == "comment":
+            lines.insert(k, "# a note\tx")
+        elif how == "blank":
+            lines.insert(k, "")
+        elif how == "3 fields":
+            lines[k] += "\t" + draw(st.sampled_from(_ATTR_NAMES))
+        elif how == "non-UTF-8":
+            lines[k] += "\udce9"
+        else:
+            lines[k] = draw(st.sampled_from(_ATTR_BAD_IDS)) + "\t" + lines[k].partition("\t")[2]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text[:-1]  # no final "\n"
+    return text.encode("utf-8", "surrogateescape"), draw(st.booleans())
+
+
+_ATTR_INTERACTIONS = "".join(f"1\t{item}\t{item}\n" for item in range(100, 110)) + "2\t100\t5\n2\t101\t6\n"
+
+
+class TestAttrFile:
+    @settings(max_examples=300, deadline=None)
+    @given(_attr_files())
+    @example((b"1\tart\r\n100\tfood\r\n", True))
+    @example((b"1\tart\r\r\n100\tfood\r\r\n", False))
+    @example((b"1\tart\n# a note\n100\tfood\n", False))
+    @example((b"1\tart\n\n100\tfood\n", True))
+    @example((b"1\tart\n100\tf\xe9\n", False))
+    @example((b"1\tart\n100\tfood\textra\n", False))
+    @example((b"1\t105\t1\n105\n", False))         # 3 fields, then 1: two id-name pairs if not split by line
+    @example((b"+5\tart\n", False))
+    @example((b"1_0\tart\n", False))
+    @example((b"0000000000000000105\tart\n1\ttech\n", True))
+    @example((b"-0\tart\n1\tfood", False))
+    @example((b"1\tart\n2\tzzz\n", True))             # unmapped, on a user the >= 10 filter drops
+    @example((b"1\tzzz\n+5\tart\n", True))            # unmapped before a bad id
+    @example((b"+5\tart\n1\tzzz\n", True))            # and after it
+    @example((b"1\tart\n1\tart\n100\t\n100\t\n", True))  # duplicate lines, an empty name
+    @example((b"1\tart\n100\t\n", False))
+    def test_matches_per_line_reader(self, tmp_path_factory, case):
+        body, mapped = case
+        directory = tmp_path_factory.getbasetemp()
+        attrs, inter, cmap = directory / "attrs.tsv", directory / "inter.tsv", directory / "cmap.tsv"
+        attrs.write_bytes(body)
+        inter.write_text(_ATTR_INTERACTIONS, encoding="utf-8")
+        cmap.write_text("".join(f"{raw}\t{main}\n" for raw, main in _ATTR_MAP.items()), encoding="utf-8")
+        category_map = _ATTR_MAP if mapped else None
+        expected = _outcome(lambda: _reference_attr_file(str(attrs), category_map))
+        assert _outcome(lambda: _as_named(corpus._read_attr_file(str(attrs), category_map))) == expected
+        if isinstance(expected, dict):  # parse's catalog: each side's kept entities' sets and one bucket
+            named, expected = expected, ([], [])
+            for raws in ([1], range(100, 110)):
+                vocab = sorted(set().union(*(named.get(raw, set()) for raw in raws)))
+                expected[0].append([sorted(map(vocab.index, named.get(raw, ()))) + [len(vocab)] for raw in raws])
+                expected[1].append(len(vocab) + 1)
+
+        def parse():
+            _, catalog = corpus.parse_generic(str(inter), str(attrs), str(attrs), str(cmap) if mapped else None)
+            sides = (catalog.user_attrs, catalog.item_attrs)
+            return [[row.tolist() for row in rows_of(side)] for side in sides], \
+                [catalog.user_vocab_size, catalog.item_vocab_size]
+
+        assert _outcome(parse) == expected
+        with pytest.MonkeyPatch.context() as patch:  # every file read line by line
+            patch.setattr(corpus, "_plain_attr_lines", lambda data: None)
+            assert _outcome(parse) == expected
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_plain_file_is_read_whole(self, generated_interactions, mapped, monkeypatch, tmp_path):
+        directory = generated_interactions["\t"].parent
+        with open(directory / "category_map.tsv", encoding="utf-8") as fh:
+            category_map = dict(line.rstrip("\n").split("\t") for line in fh) if mapped else None
+        path, commented = directory / "user_attrs.tsv", tmp_path / "commented.tsv"
+        commented.write_bytes(b"# generated\n" + path.read_bytes())
+        expected = corpus._read_attr_file(str(commented), category_map)
+        assert _as_named(expected) == _reference_attr_file(str(path), category_map)
+
+        def per_line(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(corpus, "_records", per_line)
+        got = corpus._read_attr_file(str(path), category_map)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        with pytest.raises(AssertionError, match="read line by line"):
+            corpus._read_attr_file(str(commented), category_map)
+
+
 # -- interaction indexer -----------------------------------------------------
 
 
@@ -585,7 +719,7 @@ class TestCountBuckets:
 
 def _bucket(count, width):
     """The bucket `_encode` gives one entity of `count` and no listed names."""
-    ragged, _ = corpus._encode("counts.tsv", "user", {}, np.array([7]), np.array([count]), width)
+    ragged, _ = corpus._encode("counts.tsv", "user", corpus._listed({}), np.array([7]), np.array([count]), width)
     return ragged.flat.item()
 
 
@@ -957,6 +1091,24 @@ class TestLeaveOneOut:
         assert corpus.prepared_fingerprint(str(tmp_path)) == f"{crc:08x}"
         (tmp_path / corpus.SPLIT_FILE).write_bytes(files[corpus.SPLIT_FILE][:-1] + b"\x00")
         assert corpus.prepared_fingerprint(str(tmp_path)) != f"{crc:08x}"
+
+
+class TestSplitTrainRows:
+    @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 + 3])
+    def test_train_rows_equal_an_index_of_the_train_columns(self, seed):
+        # the train rows are the full rows less each held-out item, built without a sort; on
+        # TestLeaveOneOut's corpora: random users beside pools of exactly 99 and 100 items, and seed 5's
+        rng = np.random.default_rng(seed % 1000)
+        data = _random_interactions(rng, num_users=30, num_items=140, lo=2, hi=40)
+        users = np.concatenate([data.users, [30] * 41, [31] * 40])
+        items = np.concatenate([data.items, rng.choice(140, 41, replace=False), rng.choice(140, 40, replace=False)])
+        pools = corpus.InteractionSet.from_arrays(32, 140, users, items, np.arange(users.size))
+        for data in (pools, _random_interactions(np.random.default_rng(5))):
+            train = corpus.leave_one_out_split(data, seed).train
+            fresh = corpus.InteractionSet.from_arrays(
+                train.num_users, train.num_items, train.users, train.items, train.timestamps)
+            assert np.array_equal(train.per_user_items.offsets, fresh.per_user_items.offsets)
+            assert np.array_equal(train.per_user_items.flat, fresh.per_user_items.flat)
 
 
 class TestInteractionSetInvariants:

@@ -12,10 +12,12 @@ pinned to one BLAS thread. It covers:
 - `prepare` on the tier-1 test fixtures, on `write_movielens(dir, 600, 1)`
   and on `write_generic(dir, 8000, 2000, 1)` (perfbench/corpus_gen.py),
   the last both without and with its `--category-map`, for seeds 42 and
-  2**40+9; on a copy of the first two of those corpora whose ratings or
-  interactions file has CRLF line ends and a leading `#` line, so it is
-  read line by line; and on a copy of the 600-user corpus with CRLF line
-  ends alone, which is read whole;
+  2**40+9; on copies of the first two of those corpora whose ratings or
+  interactions file, or both attribute files (`users.dat` and `movies.dat`,
+  `user_attrs.tsv` and `item_attrs.tsv`, the latter also with the map), have
+  CRLF line ends and a leading `#` line, so they are read line by line; and
+  on a copy of the 600-user corpus whose ratings file has CRLF line ends
+  alone, which is read whole;
 - `prepare` of the 600-user corpus at the second seed over a copy of its
   finished run at the first, so a prepare that replaces an earlier
   prepared run is covered too;
@@ -55,7 +57,9 @@ Every file written, and each command's output and exit code, is hashed
 with sha256; metrics CSVs lose their wall-clock column and training logs
 their per-epoch seconds first. One table of digests is printed, and the
 exit code is 1 if any artifact differs or exists on one side only and no
-expected difference (below) names it, or if, on either side, a CRLF copy's prepared files differ from its plain copy's.
+expected difference (below) names it, or if, on either side, a CRLF copy's
+prepared files differ from its plain copy's: so the whole-file readers and
+the per-line reader they fall back to are held to the same files.
 Then the lines of src/'s .py files are counted in REF and in the working
 tree, in all and per module (0 on a side that lacks it), so a change's src/
 delta, and where it went, comes from the run that shows its byte identity.
@@ -125,10 +129,15 @@ WIDE_CORPUS, WIDE_RUN = "generic8000", "aadcf-wide"  # aadcf, as perfbench's eva
 WIDE_TRAIN = ["--epochs", "1", "--batch-size", "512", "--lr", "0.01"]
 RATIO3_RUN = "gmf-wide-ratio3"  # gmf at --neg-ratio 3 on WIDE_CORPUS
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
-VARIANTS = {  # -> plain copy; all but the -whole ones open with a "#" line, so are read line by line
+VARIANTS = {  # -> plain copy. The -attrs ones copy both attribute files with CRLF line ends, the others
+    # the ratings or interactions file; all but the -whole one open each copy with a "#" line, so it is
+    # read line by line
     "movielens600-crlf": "movielens600",
     "generic8000-crlf": "generic8000",
     "movielens600-crlf-whole": "movielens600",
+    "movielens600-crlf-attrs": "movielens600",
+    "generic8000-crlf-attrs": "generic8000",
+    "generic8000-map-crlf-attrs": "generic8000-map",
 }
 PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -163,14 +172,17 @@ def write_inputs(directory):
     *files, category_map = corpus_gen.write_generic(path, 8000, 2000, 1)
     datasets["generic8000"] = generic(files)
     datasets["generic8000-map"] = "generic", [*datasets["generic8000"][1], "--category-map", category_map]
-    for variant, plain in VARIANTS.items():  # the same interactions with CRLF line ends
+    for variant, plain in VARIANTS.items():  # the same files, some with CRLF line ends
         kind, flags = datasets[plain]
-        path = os.path.join(directory, variant, os.path.basename(flags[1]))
-        os.makedirs(os.path.dirname(path))
-        first = b"" if variant.endswith("-whole") else b"# CRLF line ends\r\n"
-        with open(flags[1], "rb") as plain_file, open(path, "wb") as fh:
-            fh.write(first + plain_file.read().replace(b"\n", b"\r\n"))
-        datasets[variant] = kind, [flags[0], path, *flags[2:]]
+        flags = list(flags)  # --ratings/--interactions, then the user and the item attribute file
+        os.makedirs(os.path.join(directory, variant))
+        for k in (3, 5) if variant.endswith("-attrs") else (1,):
+            path = os.path.join(directory, variant, os.path.basename(flags[k]))
+            first = b"" if variant.endswith("-whole") else b"# CRLF line ends\r\n"
+            with open(flags[k], "rb") as plain_file, open(path, "wb") as fh:
+                fh.write(first + plain_file.read().replace(b"\n", b"\r\n"))
+            flags[k] = path
+        datasets[variant] = kind, flags
     return datasets
 
 
