@@ -3,7 +3,11 @@
 Ties count against the positive: its rank is one plus the number of its
 negatives scoring at least as high, so a constant scorer earns zero rather
 than inflated metrics. evaluate counts that for a whole block of users at
-once; it is the one ranking rule here. A pass builds the models' user and
+once, as the scores at least the positive's (its own among them); it is
+the one ranking rule here. A pass scores on one tape that does not
+record, which keeps float64 copies and row tiles of the dense parameters
+for the pass (see tensorcore.Tape), so the store must not change during
+it; the next pass makes a new tape. A pass builds the models' user and
 item sides once, in chunks of SIDE_CHUNK user and item ids written into
 whole side arrays, then scores EVAL_USERS_PER_FORWARD users per
 models.score call, each user's positive followed by its negatives, from side
@@ -77,7 +81,7 @@ def evaluate(config, store, split, catalog=None):
     # side rows are gathered by ndarray.take, which would wrap a negative id
     check_rows(split.test_positives, config.num_items, "candidate items")
     check_rows(split.test_negatives, config.num_items, "candidate items")
-    tape = Tape(store, record=False)  # one for the pass: a tape that does not record holds no state
+    tape = Tape(store, record=False)  # one for the pass: it keeps copies of the store's dense parameters
     sides = _sides(tape, config, num_users, catalog)
     ranks = np.empty(num_users, dtype=np.int64)
     for start in range(0, num_users, EVAL_USERS_PER_FORWARD):
@@ -88,9 +92,9 @@ def evaluate(config, store, split, catalog=None):
         scores = models.predictions(node).reshape(block.shape)
         if not np.isfinite(scores).all():
             raise EvaluationError("non-finite score in ranking")
-        # pessimistic ties: the positive ranks behind every score equal to it
-        positive = scores[:, :1]
-        ranks[start:stop] = (scores > positive).sum(1) + (scores == positive).sum(1)
+        # pessimistic ties: the positive ranks behind every score equal to it, and counting
+        # its own score makes the count its rank (the scores are finite, so none is NaN)
+        ranks[start:stop] = (scores >= scores[:, :1]).sum(1)
     hr_total = 0.0
     ndcg_total = 0.0
     for rank in ranks.tolist():

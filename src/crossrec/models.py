@@ -190,6 +190,17 @@ def _camf_gate(tape, user, item):
     return tape.sigmoid(tape.dense(tape.concat([p, a_u, q, a_i]), "gate_w", "gate_b"))
 
 
+def _camf_crosses(tape, config, user, item):
+    """CAMF's crosses, concatenated. Built here, so that a tape that does not record frees
+    the gate, the merge and each cross before the relu stack runs."""
+    (p, a_u), (q, a_i) = user, item
+    merged = _merge(tape, tape.param("u_shared"), p, _camf_gate(tape, user, item))
+    crosses = [tape.hadamard(merged, q), tape.hadamard(merged, a_i), tape.hadamard(q, a_u)]
+    if config.include_attr_cross:
+        crosses.append(tape.hadamard(a_u, a_i))
+    return tape.concat(crosses)
+
+
 def interaction(tape, config, user, item):
     """The (B, 1) score node from row-aligned user and item sides.
 
@@ -214,12 +225,7 @@ def interaction(tape, config, user, item):
     elif kind == "aadcf":
         x = _mlp_stack(tape, tape.hadamard(user[0], item[0]), config.mlp_layers)
     else:
-        (p, a_u), (q, a_i) = user, item
-        merged = _merge(tape, tape.param("u_shared"), p, _camf_gate(tape, user, item))
-        crosses = [tape.hadamard(merged, q), tape.hadamard(merged, a_i), tape.hadamard(q, a_u)]
-        if config.include_attr_cross:
-            crosses.append(tape.hadamard(a_u, a_i))
-        x = _mlp_stack(tape, tape.concat(crosses), config.mlp_layers)
+        x = _mlp_stack(tape, _camf_crosses(tape, config, user, item), config.mlp_layers)
     return tape.sigmoid(tape.dense(x, "out_w", "out_b"))
 
 

@@ -25,6 +25,7 @@ Python wrapper that only forwards to the method, about 1 us a call.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import zlib
@@ -35,6 +36,8 @@ INIT_STD = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the experiment fixes them; lr is a flag
 
 CHECKPOINT_MAGIC = "CROSSREC-CKPT 2"
+
+_HALF_BUFFER = np.getbufsize() // 2  # elements; see _span
 
 
 class ShapeError(ValueError):
@@ -272,12 +275,44 @@ def segment_sum(values, segments, count):
     return out.astype(np.float64, copy=False).reshape(count, cols)
 
 
+@functools.cache
+def _span(rows, cols):
+    """The least divisor t of `rows` with t * cols above half numpy's ufunc buffer, else rows.
+    numpy copies a broadcast operand through that buffer when the broadcast rows are at most
+    half its length, and runs wider ones directly: a (1600, 32) += (1, 32) bias add took
+    22 us, and the same add viewed as (10, 5120) += (1, 5120) 10.7 us (numpy 2.4.6)."""
+    return next((t for t in range(_HALF_BUFFER // cols + 1, rows) if rows % t == 0), rows)
+
+
+def _row_sum(p):
+    """p.sum(axis=1, keepdims=True), bit for bit, in the order Tape.dense writes out: whole-column
+    adds up to 8 columns (12 against numpy's 30 us at (1600, 8)), numpy's own sum above."""
+    k = p.shape[1]
+    if not 0 < k <= 8:
+        return p.sum(axis=1, keepdims=True)
+    c = [p[:, j] for j in range(k)]
+    if k == 8:
+        s = (c[0] + c[1]) + (c[2] + c[3])
+        s += (c[4] + c[5]) + (c[6] + c[7])
+    else:
+        s = c[0].copy()
+        for column in c[1:]:
+            s += column
+    s += 0.0
+    return s.reshape(-1, 1)
+
+
 class Tape:
     """Records forward primitives for reverse-mode gradient accumulation.
 
     With record=False the same call surface computes values only, which is
     what evaluation uses. A tape is single-use: build one forward, call
-    backward once.
+    backward once. A tape that does not record may score many blocks: it
+    keeps for its life each dense parameter's float64 copy and each bias
+    and width-1 weight row tiled (see _spread), so later blocks skip the
+    cast and add or multiply by those rows without numpy's per-row
+    broadcast. So it must not outlive a change to the store;
+    evaluation.evaluate makes one per pass.
 
     Row gradients are kept by arena row, the arena read as rows of the
     tables' width (so a recording tape reads a row table only if it starts
@@ -297,6 +332,8 @@ class Tape:
         self._dense_grads = {}
         self._row_chunks = []   # (table, arena rows read, their gradients)
         self.relu_masks = []    # each relu layer's y > 0 pattern, in forward order
+        self._kept = {}         # not recording: name -> float64 copy of a dense parameter
+        self._tiles = {}        # not recording: name -> its (1, n) row tiled, see _spread
 
     # -- leaf reads ------------------------------------------------------
 
@@ -310,9 +347,31 @@ class Tape:
         self._ops.append((node, lambda g: self._row_chunks.append(
             (name, rows, g if pick is None else g.take(pick, axis=0)))))
 
+    def _read(self, name):
+        """`name`'s value as float64: a fresh copy, which a tape that does not record keeps."""
+        value = self._kept.get(name)
+        if value is None:
+            value = self.store.value(name).astype(np.float64)
+            if not self.recording:
+                self._kept[name] = value
+        return value
+
+    def _spread(self, a, name, row):
+        """(a, `name`'s (1, n) `row`) for an elementwise op applying `row` to each row of the
+        (rows, n) C-contiguous `a`: as they are, to broadcast, on a recording tape; on one that
+        does not, `a` viewed as (rows / t, t * n) and `row` tiled t = _span(rows, n) times, the
+        tile kept by name."""
+        if self.recording or not a.size:
+            return a, row
+        t = _span(*a.shape)
+        tile = self._tiles.get(name)
+        if tile is None or tile.shape[0] < t:
+            tile = self._tiles[name] = np.tile(row, (t, 1))
+        return a.reshape(-1, t * a.shape[1]), tile[:t].reshape(1, -1)
+
     def param(self, name):
         """Read a full parameter matrix as a float64 leaf node."""
-        node = Node(self.store.value(name).astype(np.float64))
+        node = Node(self._read(name))
         if self.recording:
             self._ops.append((node, lambda g: self._dense_grads.update({name: g})))
         return node
@@ -386,18 +445,20 @@ class Tape:
         """
         h, saved = x.value, []
         for weight_name, bias_name in layers:
-            w = self.store.value(weight_name).astype(np.float64)
+            w = self._read(weight_name)
             if h.shape[1] != w.shape[0]:
                 raise ShapeError(f"dense input width {h.shape[1]} does not match {weight_name!r} {w.shape}")
             if w.shape[1] == 1:
-                y = (h * w[:, 0]).sum(axis=1, keepdims=True)
+                hs, ws = self._spread(h, weight_name, w.T)
+                y = _row_sum((hs * ws).reshape(h.shape))
             else:
                 y = h @ w
             if bias_name is not None:
-                b = self.store.value(bias_name).astype(np.float64)
+                b = self._read(bias_name)
                 if b.shape != (1, w.shape[1]):
                     raise ShapeError(f"bias {bias_name!r} must have shape (1, {w.shape[1]})")
-                y += b
+                ys, bs = self._spread(y, bias_name, b)
+                ys += bs
             if self.recording:
                 saved.append((weight_name, bias_name, h, w, y > 0.0 if relu else None))
                 if relu:
@@ -421,7 +482,11 @@ class Tape:
 
         Width-1 outputs are reduced with numpy's pairwise row sum rather than
         BLAS so a single instance scores bit-identically whatever batch it
-        rides in; wider outputs take the fast matmul. Batched evaluation
+        rides in; wider outputs take the fast matmul. With K inputs, each
+        output is 0.0 + the sum of the products c_j = x[:, j] * W[j, 0]:
+        at K = 8, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)); below
+        8, (((-0.0 + c0) + c1) + ..) + c_(K-1), left to right (-0.0 + c0 is
+        c0); above 8, numpy's own .sum(axis=1). Batched evaluation
         relies on every row being independent of the rows batched with it:
         in its side pass, which builds the sides of thousands of ids at once
         for gathering, and in the interaction's matmuls, for which BLAS

@@ -297,6 +297,35 @@ class TestChunkedEvaluate:
             ndcg += evaluation.ndcg_at_k(rank)
         assert report.hr_at_10 == hr / num_users and report.ndcg_at_10 == ndcg / num_users
 
+    @pytest.mark.parametrize("kind", ["mlp", "aadcf", "camf"])
+    def test_copies_of_the_store_die_with_the_pass(self, kind):
+        # each pass scores on its own tape, whose float64 copies and tiles are the store's then
+        split, catalog = random_run(17)
+        config, store = random_model(kind, 17)
+        before = evaluation.evaluate(config, store, split, catalog).per_user_ranks
+        rng = np.random.default_rng(7)
+        store.set_value("h0_b", rng.normal(0, 1, store.shape("h0_b")))
+        store.set_value("out_w", -store.value("out_w"))
+        report = evaluation.evaluate(config, store, split, catalog)
+        assert report.per_user_ranks.tobytes() != before.tobytes()
+        for u in range(17):
+            items = np.concatenate([[split.test_positives[u]], split.test_negatives[u]])
+            want = models.score(tc.Tape(store, record=False), config, np.full(100, u), items, catalog)
+            assert report.per_user_ranks[u] == rank_position(models.predictions(want), 0)
+
+    @pytest.mark.parametrize("kind", [*models.KINDS, "camf-cross"])
+    def test_one_tape_scores_blocks_of_two_heights_like_fresh_tapes(self, kind):
+        split, catalog = random_run(16)
+        config, store = random_model(kind, 16)
+        rng = np.random.default_rng(3)
+        blocks = [(rng.integers(0, 16, rows), rng.integers(0, NUM_ITEMS, rows)) for rows in (1600, 100)]
+        for order in (blocks, blocks[::-1]):
+            tape = tc.Tape(store, record=False)
+            for users, items in order:
+                got = models.score(tape, config, users, items, catalog).value
+                want = models.score(tc.Tape(store, record=False), config, users, items, catalog).value
+                assert got.tobytes() == want.tobytes()
+
     def test_ranks_vary_across_users(self):
         # guards the oracle test against a model so flat that every rank agrees
         split, catalog = random_run(17)

@@ -955,6 +955,65 @@ class TestFusedMlp:
         assert [m.tobytes() for m in recording.relu_masks] == patterns
 
 
+def _wild(rng, shape, low, high, tiny):
+    """Floats of random sign and log-uniform magnitude in [10**low, 10**high], about a
+    tenth each +0.0, -0.0 and a subnormal multiple of `tiny`."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, high, shape)
+    kind = rng.integers(0, 10, shape)
+    x[kind == 0] = 0.0
+    x[kind == 1] = -0.0
+    x[kind == 2] = rng.choice([-1.0, 1.0], (kind == 2).sum()) * tiny * rng.integers(1, 1000, (kind == 2).sum())
+    return x
+
+
+class TestWidthOneHead:
+    """Tape.dense to one output sums h * w's rows itself up to 8 inputs; it must give numpy's bits."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("rows", [1, 7, 256, 1600])
+    @pytest.mark.parametrize("k", [*range(1, 17), 24, 32, 128])
+    def test_equals_numpy_row_sum_bitwise(self, k, rows, record):
+        rng = np.random.default_rng(1000 * k + rows)
+        h = _wild(rng, (rows, k), -150, 150, 5e-324)
+        # the store holds float32: its magnitudes and subnormals are float32's
+        w = _wild(rng, (k, 1), -30, 30, 1e-45).astype(np.float32)
+        b = _wild(rng, (1, 1), -30, 30, 1e-45).astype(np.float32)
+        store = make_store(w=w, b=b)
+        w64, b64 = w.astype(np.float64), b.astype(np.float64)
+        want = (h * w64[:, 0]).sum(axis=1, keepdims=True) + b64
+        t = tc.Tape(store, record=record)
+        got = t.dense(tc.Node(h), "w", "b").value
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a second block on the same tape reads the same copies
+        assert t.dense(tc.Node(h[::-1].copy()), "w", "b").value.tobytes() == want[::-1].tobytes()
+        if k == 8 and rows == 1600:
+            # the data tells numpy's order from a left-to-right column sum
+            p = h * w64[:, 0]
+            left_to_right = sum((p[:, j:j + 1] for j in range(1, k)), p[:, :1]) + 0.0 + b64
+            assert left_to_right.tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 100, 256, 300, 1600, 1601])
+    def test_wide_bias_add_equals_broadcast_bitwise(self, rows):
+        # a tape that does not record adds a bias through a tile of it, viewed wider
+        rng = np.random.default_rng(rows)
+        widths = (24, 32, 16, 8)
+        layers = [(f"h{k}_w", f"h{k}_b") for k in range(len(widths) - 1)]
+        store = make_store(**{name: rng.normal(0, 1, shape) for k, (w, b) in enumerate(layers)
+                              for name, shape in ((w, widths[k:k + 2]), (b, (1, widths[k + 1])))})
+        x = tc.Node(rng.normal(0, 1, (rows, widths[0])))
+
+        def broadcast(h):
+            for w, b in layers:
+                h = np.maximum(h @ store.value(w).astype(np.float64) + store.value(b).astype(np.float64), 0.0)
+            return h
+
+        t = tc.Tape(store, record=False)
+        assert t.mlp(x, layers).value.tobytes() == broadcast(x.value).tobytes()
+        # a shorter block on the same tape: its tiles are cut, or made again for a taller one
+        for part in (x.value[:rows // 3 + 1].copy(), x.value):
+            assert t.mlp(tc.Node(part), layers).value.tobytes() == broadcast(part).tobytes()
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 
