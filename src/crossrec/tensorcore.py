@@ -286,18 +286,12 @@ def _span(rows, cols):
 
 def _row_sum(p):
     """p.sum(axis=1, keepdims=True), bit for bit, in the order Tape.dense writes out: whole-column
-    adds up to 8 columns (12 against numpy's 30 us at (1600, 8)), numpy's own sum above."""
-    k = p.shape[1]
-    if not 0 < k <= 8:
+    adds at 8 columns (12 against numpy's 30 us at (1600, 8)), numpy's own sum at any other width."""
+    if p.shape[1] != 8:
         return p.sum(axis=1, keepdims=True)
-    c = [p[:, j] for j in range(k)]
-    if k == 8:
-        s = (c[0] + c[1]) + (c[2] + c[3])
-        s += (c[4] + c[5]) + (c[6] + c[7])
-    else:
-        s = c[0].copy()
-        for column in c[1:]:
-            s += column
+    c = [p[:, j] for j in range(8)]
+    s = (c[0] + c[1]) + (c[2] + c[3])
+    s += (c[4] + c[5]) + (c[6] + c[7])
     s += 0.0
     return s.reshape(-1, 1)
 
@@ -360,9 +354,12 @@ class Tape:
         """(a, `name`'s (1, n) `row`) for an elementwise op applying `row` to each row of the
         (rows, n) C-contiguous `a`: as they are, to broadcast, on a recording tape; on one that
         does not, `a` viewed as (rows / t, t * n) and `row` tiled t = _span(rows, n) times, the
-        tile kept by name."""
+        tile kept by name. ValueError for an `a` that is not C-contiguous: its reshape would be
+        a copy, and an in-place op through that would not write `a`."""
         if self.recording or not a.size:
             return a, row
+        if not a.flags.c_contiguous:
+            raise ValueError(f"{name!r} would be applied to a copy of a block that is not C-contiguous")
         t = _span(*a.shape)
         tile = self._tiles.get(name)
         if tile is None or tile.shape[0] < t:
@@ -483,10 +480,9 @@ class Tape:
         Width-1 outputs are reduced with numpy's pairwise row sum rather than
         BLAS so a single instance scores bit-identically whatever batch it
         rides in; wider outputs take the fast matmul. With K inputs, each
-        output is 0.0 + the sum of the products c_j = x[:, j] * W[j, 0]:
-        at K = 8, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)); below
-        8, (((-0.0 + c0) + c1) + ..) + c_(K-1), left to right (-0.0 + c0 is
-        c0); above 8, numpy's own .sum(axis=1). Batched evaluation
+        output is numpy's .sum(axis=1) of the products c_j = x[:, j] * W[j, 0];
+        at K = 8 that is 0.0 + (((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))),
+        computed as whole-column adds. Batched evaluation
         relies on every row being independent of the rows batched with it:
         in its side pass, which builds the sides of thousands of ids at once
         for gathering, and in the interaction's matmuls, for which BLAS

@@ -967,7 +967,7 @@ def _wild(rng, shape, low, high, tiny):
 
 
 class TestWidthOneHead:
-    """Tape.dense to one output sums h * w's rows itself up to 8 inputs; it must give numpy's bits."""
+    """Tape.dense to one output sums h * w's rows itself at 8 inputs; it must give numpy's bits."""
 
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("rows", [1, 7, 256, 1600])
@@ -1012,6 +1012,15 @@ class TestWidthOneHead:
         # a shorter block on the same tape: its tiles are cut, or made again for a taller one
         for part in (x.value[:rows // 3 + 1].copy(), x.value):
             assert t.mlp(tc.Node(part), layers).value.tobytes() == broadcast(part).tobytes()
+
+    def test_tiled_op_refuses_a_block_it_would_copy(self):
+        # a bias added in place through a copy would be lost without an error
+        t = tc.Tape(make_store(b=np.ones((1, 4), np.float32)), record=False)
+        block = np.zeros((1600, 8))[:, ::2]
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            t._spread(block, "b", t._read("b"))
+        rows, tile = t._spread(block.copy(), "b", t._read("b"))
+        assert rows.base is not None and tile.shape[1] == rows.shape[1]
 
 
 # -- checkpoints ---------------------------------------------------------------
