@@ -8,18 +8,18 @@ for pin-style data (interactions, per-entity attribute name files, an optional
 category consolidation map). A file in a plain form is read whole, to the same
 result or error: a ratings or interactions file by `_int_rows`, a generic
 attribute file by `_read_attr_file`. `_index` turns the interaction rows into
-dense ids: every rating or pin is an implicit positive, the first occurrence
-of a repeated (user, item) pair wins, and raw ids map to 0-based ids in
-ascending raw-id order, so the mapping is reproducible. `_encode` numbers each
-entity's attribute names over their sorted vocabulary, rejects an entity left
-with none and returns them as a Ragged: each parser returns its InteractionSet
-and an AttributeCatalog of two Ragged sides, the one form attributes keep from
-here to the tape. `SplitDataset.observed` is the one membership rule: a train
-pair or a user's test positive, which held-out and sampled negatives avoid.
-The sampler looks train pairs up in `InteractionSet.pair_bits`, one bit per
-(user, item) cell, built on its first query and kept with the set;
-`load_split` checks the same rule a block of users at a time, each block
-against a bitmap of its own rows, so `evaluate` never builds the whole grid.
+dense ids: every rating or pin is an implicit positive, a repeated (user, item)
+pair counts once, raw ids map to 0-based ids in ascending raw-id order, and
+timestamps are checked but not kept. `_encode` numbers each entity's attribute
+names over their sorted vocabulary and rejects an entity left with none. Each
+parser returns an InteractionSet, one Ragged row of items per user, and an
+AttributeCatalog of two Ragged sides: the one form both keep to the tape and
+on disk. `SplitDataset.observed` is the one membership rule: a train pair or
+a user's test positive, which held-out and sampled negatives avoid. The
+sampler looks train pairs up in `InteractionSet.pair_bits`, one bit per (user,
+item) cell, built on its first query and kept with the set; `load_split`
+checks the same rule a block of users at a time, each block against a bitmap
+of its own rows, so `evaluate` never builds the whole grid.
 """
 
 from __future__ import annotations
@@ -54,41 +54,34 @@ class SplitError(CorpusError):
 
 @dataclass
 class InteractionSet:
-    """Deduplicated (user, item, timestamp) triples over dense 0-based ids.
+    """(user, item) pairs over dense 0-based ids: row u of per_user_items holds user u's items.
 
-    per_user_items is a Ragged with one row per user: its items, ascending.
-    contains answers membership from pair_bits, a bitmap it builds once, on
-    its first query, so every epoch's sampler shares one. load_split builds none.
+    Each row strictly ascends within [0, num_items), or LoadError, so pair k is
+    the k-th pair in (user, item) order. pair_users and pair_bits are built on
+    first use and kept, so every epoch's sampler shares them; evaluate builds neither.
     """
 
     num_users: int
     num_items: int
-    users: np.ndarray
-    items: np.ndarray
-    timestamps: np.ndarray
     per_user_items: Ragged = field(repr=False)
 
-    @classmethod
-    def from_arrays(cls, num_users, num_items, users, items, timestamps):
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        timestamps = np.asarray(timestamps, dtype=np.int64)
-        if not (len(users) == len(items) == len(timestamps)):
-            raise LoadError("interaction columns have mismatched lengths")
-        if len(users) and (users.min() < 0 or users.max() >= num_users):
-            raise LoadError("user id out of range")
-        if len(items) and (items.min() < 0 or items.max() >= num_items):
-            raise LoadError("item id out of range")
-        encoded = users * num_items + items
-        order = np.argsort(encoded, kind="stable")
-        encoded = encoded[order]
-        if (encoded[1:] == encoded[:-1]).any():
-            raise LoadError("duplicate (user, item) pair")
-        bounds = np.searchsorted(encoded, np.arange(num_users + 1) * num_items)
-        return cls(num_users, num_items, users, items, timestamps, Ragged(bounds, items[order]))
+    def __post_init__(self):
+        rows = self.per_user_items
+        if not 0 < self.num_users == len(rows):
+            raise LoadError(f"{self.num_users} users and {len(rows)} rows of items do not fit together")
+        if rows.min_id < 0 or rows.max_id >= self.num_items:
+            raise LoadError(f"an item lies outside [0, {self.num_items})")
+        repeats = np.flatnonzero(rows.flat[1:] == rows.flat[:-1]) + 1  # allowed only where a row starts
+        if (rows.offsets[rows.offsets.searchsorted(repeats)] != repeats).any():
+            raise LoadError("a user's items do not strictly ascend")
 
     def __len__(self):
-        return len(self.users)
+        return self.per_user_items.flat.size
+
+    @functools.cached_property
+    def pair_users(self):
+        """Each pair's user, int64, from the row lengths: 8 bytes per pair, built on first use."""
+        return np.arange(self.num_users, dtype=np.int64).repeat(self.per_user_items.lengths)
 
     @functools.cached_property
     def pair_bits(self):
@@ -97,13 +90,14 @@ class InteractionSet:
         Bit k % 8 of byte k // 8 is set for each pair k = user * num_items + item:
         ceil(U * I / 8) bytes, 2.8 MB at MovieLens-1M's shape and 68 MB at
         Pinterest's (55,187 x 9,916). The pairs are set PAIR_CHUNK at a time,
-        so the build holds the bitmap and one chunk's keys; OR does not depend
-        on order, so the bits are those of one pass over every pair.
+        so the build holds the bitmap and one chunk's keys besides pair_users;
+        OR does not depend on order, so the bits are those of one pass over every pair.
         """
         bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
-        for start in range(0, len(self.users), PAIR_CHUNK):
+        flat = self.per_user_items.flat
+        for start in range(0, flat.size, PAIR_CHUNK):
             chunk = slice(start, start + PAIR_CHUNK)
-            _set_bits(bits, self.users[chunk] * self.num_items + self.items[chunk])
+            _set_bits(bits, self.pair_users[chunk] * self.num_items + flat[chunk])
         return bits
 
     def contains(self, users, items):
@@ -206,7 +200,7 @@ def _records(path, sep, width, encoding):
 
 
 def _parse_int(text, path, lineno, what):
-    # ids and timestamps are stored as int64; "1_0" or "+10" would merge distinct raw ids
+    # ids and timestamps are read as int64; "1_0" or "+10" would merge distinct raw ids
     try:
         return decimal_int(text, 64)
     except ValueError as exc:
@@ -261,29 +255,29 @@ def _int_rows(path, sep, width, encoding, labels):
 
 
 def _index(path, table, min_user_interactions=1):
-    """(InteractionSet, raw user ids, raw item ids) from an (n, 3) int64 table of raw (user, item, timestamp) rows.
+    """(InteractionSet, raw user ids, raw item ids) from an int64 table of raw rows, user and item ids first.
 
-    The first occurrence of each (user, item) pair is kept, users left with
-    fewer than `min_user_interactions` pairs are dropped, and the remaining
-    raw ids map to dense ids in ascending raw-id order: each one's rank among
-    the survivors of the one sort of all raw ids.
+    Each distinct (user, item) pair is kept once, users left with fewer than
+    `min_user_interactions` pairs are dropped, and the remaining raw ids map to
+    dense ids in ascending raw-id order: each one's rank among the survivors
+    of the one sort of all raw ids. The sorted pair keys are the rows, in
+    order; the other columns are not kept.
     """
     if not table.size:
         raise LoadError(f"{path}: no interactions")
     (raw_users, users), (raw_items, items) = (np.unique(raw, return_inverse=True) for raw in table.T[:2])
-    _, first = np.unique(users * (items.max() + 1) + items, return_index=True)  # first occurrences
-    keep = np.sort(first)
-    keep = keep[np.bincount(users[keep])[users[keep]] >= min_user_interactions]
-    if not keep.size:
+    width = items.max() + 1
+    keys = np.sort(users * width + items)  # not np.unique: without return_* it imports numpy.ma on first use
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # each pair once, in (user, item) order
+    counts = np.bincount(keys // width)  # each raw user's pairs, in raw-id order
+    kept = counts >= min_user_interactions
+    if not kept.any():
         raise LoadError(f"{path}: empty dataset after the >= {min_user_interactions} filter")
-    dense = []  # each surviving raw id's rank among the survivors, from a presence mask
-    for raw, ids in ((raw_users, users[keep]), (raw_items, items[keep])):
-        present = np.zeros(raw.size, dtype=bool)
-        present[ids] = True
-        dense += [raw[present], (np.cumsum(present) - 1)[ids]]
-    raw_users, users, raw_items, items = dense
-    interactions = InteractionSet.from_arrays(len(raw_users), len(raw_items), users, items, table[keep, 2])
-    return interactions, raw_users, raw_items
+    items = keys[kept.repeat(counts)] % width
+    present = np.zeros(raw_items.size, dtype=bool)  # each surviving item's rank among the survivors
+    present[items] = True
+    rows = Ragged(np.concatenate([[0], counts[kept].cumsum()]), (present.cumsum() - 1)[items])
+    return InteractionSet(int(kept.sum()), int(present.sum()), rows), raw_users[kept], raw_items[present]
 
 
 def _encode(path, label, listed, raw_ids, counts=None, width=None):
@@ -338,7 +332,7 @@ def parse_movielens(ratings_path, users_path, items_path):
     attributes each time, or LoadError names the later line.
     """
     ratings = _int_rows(ratings_path, "::", 4, "iso-8859-1", ("user id", "movie id", "rating", "timestamp"))
-    interactions, user_ids, item_ids = _index(ratings_path, ratings[:, [0, 1, 3]])
+    interactions, user_ids, item_ids = _index(ratings_path, ratings)
 
     profiles = {}  # users.dat: UserID::Gender::Age::Occupation::Zip
     for n, (user, gender, age, occupation, _) in _records(users_path, "::", 5, "iso-8859-1"):
@@ -432,7 +426,7 @@ def parse_generic(
 
     counts = interactions.per_user_items.lengths
     exposure = np.zeros(interactions.num_items, dtype=np.int64)  # > 0: every item keeps a pin
-    np.add.at(exposure, interactions.items, counts[interactions.users])
+    np.add.at(exposure, interactions.per_user_items.flat, counts.repeat(counts))
     user_attrs, user_vocab = _encode(user_attr_path, "user", user_named, user_ids, counts, USER_BUCKET_SIZE)
     item_attrs, item_vocab = _encode(item_attr_path, "item", item_named, item_ids, exposure, ITEM_BUCKET_SIZE)
     return interactions, AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
@@ -563,18 +557,16 @@ def leave_one_out_split(data, seed):
     held = offsets[:-1] + picks
     positives = flat[held]
 
-    keep = positives[data.users] != data.items
-    train = InteractionSet(data.num_users, data.num_items, data.users[keep], data.items[keep],
-                           data.timestamps[keep], Ragged(offsets - np.arange(offsets.size), np.delete(flat, held)))
-    return SplitDataset(train, positives, negatives)
+    train = Ragged(offsets - np.arange(offsets.size), np.delete(flat, held))
+    return SplitDataset(InteractionSet(data.num_users, data.num_items, train), positives, negatives)
 
 
 # -- prepared run ----------------------------------------------------------
 # Three files of little-endian int64 .npy (v1.0) records, counts first, read in
-# order by numpy.load(fh, allow_pickle=False): train.npy [U, I], (3, n) users/
-# items/timestamps; split.npy [U, I], positives (U,), negatives (U, 99);
-# attributes.npy [user_vocab, item_vocab], then each side's Ragged as its
-# offsets and flat ids (sorted within each row), which load_catalog wraps as is.
+# order by numpy.load(fh, allow_pickle=False): train.npy [U, I], then the train
+# rows as offsets (U + 1,) and flat items (n,); split.npy [U, I], positives (U,),
+# negatives (U, 99); attributes.npy [user_vocab, item_vocab], then each side's
+# rows the same way. Ids ascend within each row, and the loaders wrap them as is.
 
 TRAIN_FILE, SPLIT_FILE, ATTRS_FILE = PREPARED_FILES = "train.npy", "split.npy", "attributes.npy"
 
@@ -615,17 +607,26 @@ def _read_records(path, shapes, read_last=None):
     return records
 
 
+def _write_rows(path, counts, *sides):
+    """Write the counts record, then each Ragged side's offsets and flat ids."""
+    _write_records(path, [counts, *(ids for rows in sides for ids in (rows.offsets, rows.flat))])
+
+
+def _read_rows(path, sides, build):
+    """build(*counts, *one Ragged per side) of a file _write_rows wrote; its ShapeError or LoadError names `path`."""
+    counts, *csr = _read_records(path, [(2,)] + [(None,)] * (2 * sides))
+    try:
+        return build(*counts.tolist(), *(Ragged(offsets, flat) for offsets, flat in zip(csr[::2], csr[1::2])))
+    except (ShapeError, LoadError) as exc:
+        raise LoadError(f"{path}: {exc}") from None
+
+
 def save_interactions(iset, path):
-    _write_records(path, [[iset.num_users, iset.num_items], [iset.users, iset.items, iset.timestamps]])
+    _write_rows(path, [iset.num_users, iset.num_items], iset.per_user_items)
 
 
 def load_interactions(path):
-    counts, columns = _read_records(path, [(2,), (3, None)])
-    num_users, num_items = counts.tolist()
-    if not 0 < num_users <= columns.shape[1] or num_items < 0:  # each user keeps a train item
-        raise LoadError(f"{path}: {num_users} users, {num_items} items and "
-                        f"{columns.shape[1]} interactions do not fit together")
-    return InteractionSet.from_arrays(num_users, num_items, *columns)
+    return _read_rows(path, 1, InteractionSet)
 
 
 def save_split(split, path):
@@ -674,23 +675,18 @@ def load_split(path, train):
 
 
 def save_catalog(catalog, path):
-    records = [[catalog.user_vocab_size, catalog.item_vocab_size]]
-    for attrs in (catalog.user_attrs, catalog.item_attrs):
-        records += [attrs.offsets, attrs.flat]
-    _write_records(path, records)
+    _write_rows(path, [catalog.user_vocab_size, catalog.item_vocab_size], catalog.user_attrs, catalog.item_attrs)
 
 
 def load_catalog(path):
-    vocab, *csr = _read_records(path, [(2,)] + [(None,)] * 4)
-    sides = []
-    for offsets, flat, size in zip(csr[::2], csr[1::2], vocab.tolist()):
-        try:
-            sides.append(Ragged(offsets, flat))
-        except ShapeError as exc:
-            raise LoadError(f"{path}: attribute {exc}") from None
-        if sides[-1].max_id + 1 != size:  # prepare writes no unused (table-inflating) ids
-            raise LoadError(f"{path}: vocabulary size {size} is not the largest attribute id + 1")
-    return AttributeCatalog(*sides, *vocab.tolist())
+    return _read_rows(path, 2, _catalog)
+
+
+def _catalog(user_vocab, item_vocab, user_attrs, item_attrs):
+    for rows, size in ((user_attrs, user_vocab), (item_attrs, item_vocab)):
+        if rows.max_id + 1 != size:  # prepare writes no unused (table-inflating) ids
+            raise LoadError(f"vocabulary size {size} is not the largest attribute id + 1")
+    return AttributeCatalog(user_attrs, item_attrs, user_vocab, item_vocab)
 
 
 def save_prepared(out_dir, split, catalog):

@@ -12,11 +12,11 @@ item sides once, in chunks of SIDE_CHUNK user and item ids written into
 whole side arrays, then scores EVAL_USERS_PER_FORWARD users per
 models.score call, each user's positive followed by its negatives, from side
 rows gathered by id; the block's candidates are put together when it is
-reached, so no (users x 100) table is built. Every primitive
-computes a row independently of the other rows in its batch (for matmul see
-Tape.dense), so a user's scores are bitwise those of a forward over that
-user alone; the tests hold them to that per-user forward and its ranks to a
-per-user ranking oracle. The averages accumulate in user-id order, which
+reached, so no (users x 100) table is built. A row's bits need not survive
+every block height (BLAS's one-row `h @ w` can differ from a taller block's
+row by about 2e-15), but blocks of 100 rows or more agree: a user's scores
+are bitwise those of a forward over its 100 rows alone (TestChunkedEvaluate
+checks them and the ranks). The averages accumulate in user-id order, which
 makes the report independent of any evaluation-side reordering.
 """
 

@@ -73,18 +73,20 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     j draws its item with corpus.uniform_below over num_items, keyed by the
     split's counter hash of (seed, the epoch tag, epoch, j), at attempt 0,
     and again at the next attempt while the user has observed it; so a
-    slot's item depends on nothing else. Positives precede negatives before
-    the shuffle, so a label is 1 where the permutation took a slot below
+    slot's item depends on nothing else. Positive slot k is the train set's
+    pair k, in (user, item) order, and positives precede negatives before the
+    shuffle, so a label is 1 where the permutation took a slot below
     len(train); the negative in slot j belongs to the user of positive
     j // negative_ratio. Raises TrainingError, before drawing, if a user with
     training positives has observed every item.
 
     An epoch holds, while it is walked, only its shuffled int32 order (int64
-    past the int32 range): 4 bytes per instance of positives plus negatives.
-    The walk takes whole batches of about corpus.PAIR_CHUNK instances at a
-    time; for each it draws the negatives, checks their membership, and builds
-    the int64 users and items and float64 labels that its batches slice, so
-    the peak is the order plus one chunk's arrays.
+    past the int32 range): 4 bytes per instance of positives plus negatives;
+    train.pair_users and train.pair_bits are the set's, built once. The walk
+    takes whole batches of about corpus.PAIR_CHUNK instances at a time; for
+    each it draws the negatives, checks their membership, and builds the
+    int64 users and items and float64 labels that its batches slice, so the
+    peak is the order plus one chunk's arrays.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
@@ -107,8 +109,8 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
         taken = order[start:start + step]
         slot = taken - len(train)  # the negative slot, below 0 for a positive
         positive = slot < 0
-        users = train.users[np.where(positive, taken, slot // negative_ratio)]
-        items = train.items.take(taken, mode="clip")
+        users = train.pair_users[np.where(positive, taken, slot // negative_ratio)]
+        items = train.per_user_items.flat.take(taken, mode="clip")
         lanes = np.flatnonzero(~positive)
         keys, attempt = corpus.splitmix64(epoch_key ^ slot[lanes].astype(np.uint64)), 0
         while lanes.size:  # draw every pending slot at this attempt; the observed ones stay pending

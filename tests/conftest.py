@@ -82,6 +82,19 @@ def rows_of(ragged):
     return [ragged.flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def interaction_set(num_users, num_items, users, items):
+    """The InteractionSet of the pairs (users[k], items[k]), listed in any order."""
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    offsets = np.concatenate([[0], np.bincount(users, minlength=num_users).cumsum()])
+    return corpus.InteractionSet(num_users, num_items, tc.Ragged(offsets, items[np.lexsort((items, users))]))
+
+
+def pairs_of(iset):
+    """The (user, item) pairs of an InteractionSet as Python ints, in (user, item) order: pair k is k-th."""
+    rows = iset.per_user_items
+    return list(zip(np.arange(len(rows)).repeat(rows.lengths).tolist(), rows.flat.tolist()))
+
+
 M64 = (1 << 64) - 1
 
 

@@ -93,7 +93,7 @@ class TestPrepare:
             for name in PREPARED_FILES
         }
         train_pairs = int(lines["interactions"]) - users
-        assert shapes[corpus.TRAIN_FILE] == [(2,), (3, train_pairs)]
+        assert shapes[corpus.TRAIN_FILE] == [(2,), (users + 1,), (train_pairs,)]
         assert shapes[corpus.SPLIT_FILE] == [(2,), (users,), (users, 99)]
         vocab, user_offsets, _, item_offsets, _ = shapes[corpus.ATTRS_FILE]
         assert (vocab, user_offsets, item_offsets) == ((2,), (users + 1,), (items + 1,))
@@ -1229,18 +1229,32 @@ class TestEntryPoint:
 # -- damaged prepared runs -----------------------------------------------------
 
 
+# train.npy's records: counts [U, I], the rows' offsets (U + 1,) and their flat items (n,)
 def _user0_train_items(train):
-    _, columns = train
-    return columns[1][columns[0] == 0]
+    _, offsets, flat = train
+    return flat[offsets[0]:offsets[1]]
 
 
 def _own_every_item(records, train):
     # user 0 observes the whole catalog in train, their positive included:
     # no unobserved item is left for the sampler to draw
-    counts, columns = records
-    missing = np.setdiff1d(np.arange(counts[1]), _user0_train_items(train))
-    extra = np.stack([np.zeros_like(missing), missing, np.zeros_like(missing)])
-    return [counts, np.concatenate([columns, extra], axis=1)]
+    counts, offsets, flat = records
+    grown = counts[1] - (offsets[1] - offsets[0])
+    return [counts, np.concatenate([[0], offsets[1:] + grown]),
+            np.concatenate([np.arange(counts[1]), flat[offsets[1]:]])]
+
+
+def _swap_first_two(records, _train):
+    # row 0 descends: its first two items change places
+    records[2][:2] = records[2][1::-1].copy()
+    return records
+
+
+def _old_train_layout(records, _train):
+    # the (3, n) users / items / timestamps record that earlier builds wrote
+    counts, offsets, flat = records
+    users = np.repeat(np.arange(counts[0]), np.diff(offsets))
+    return [counts, np.stack([users, flat, np.zeros_like(flat)])]
 
 
 def _negative_observed(records, train):
@@ -1271,8 +1285,13 @@ def _set(index, position, value):
 # name -> (file, mutation(records, train records) -> records, expected message)
 VIOLATIONS = {
     "more-users-than-interactions": (
-        corpus.TRAIN_FILE, _set(0, 0, lambda r, _t: r[1].shape[1] + 1), "do not fit"),
+        corpus.TRAIN_FILE, _set(0, 0, lambda r, _t: r[2].size + 1), "do not fit"),
     "every-item-observed": (corpus.TRAIN_FILE, _own_every_item, "already an observed item"),
+    "train-item-repeated": (corpus.TRAIN_FILE, _set(2, 1, lambda r, _t: r[2][0]), "do not strictly ascend"),
+    "train-row-descending": (corpus.TRAIN_FILE, _swap_first_two, "not sorted within each row"),
+    "train-item-past-num-items": (corpus.TRAIN_FILE, _set(2, -1, lambda r, _t: r[0][1]), "lies outside"),
+    "train-offsets-short-of-flat": (corpus.TRAIN_FILE, _set(1, -1, lambda r, _t: r[1][-1] - 1), "offsets"),
+    "train-old-3-by-n-layout": (corpus.TRAIN_FILE, _old_train_layout, "expected C-order int64"),
     "split-counts": (corpus.SPLIT_FILE, _set(0, 1, lambda r, _t: r[0][1] + 1), "split counts"),
     "positive-out-of-range": (
         corpus.SPLIT_FILE, _set(1, 0, lambda r, _t: r[0][1]), "lies outside"),
@@ -1347,6 +1366,18 @@ class TestDamagedPreparedRun:
         code, _, err = run_cli(train_args(str(tmp_path), model="camf", epochs=1), capsys)
         assert code == 1
         assert "crossrec: error:" in err and message in err
+
+    @pytest.mark.parametrize("violation", [v for v in sorted(VIOLATIONS) if v.startswith("train-")]
+                             + ["more-users-than-interactions"])
+    def test_broken_train_rows_fail_evaluate_naming_the_file(self, pristine_run, tmp_path, capsys, violation):
+        # evaluate loads the prepared run before it looks for a checkpoint
+        name, mutate, message = VIOLATIONS[violation]
+        records = mutate(read_records(os.path.join(pristine_run, name)), None)
+        _damaged_copy(pristine_run, str(tmp_path), name, npy_bytes(records))
+        code, _, err = run_cli(["evaluate", "--model", "camf", "--factors", "4", "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith(f"crossrec: error: {os.path.join(str(tmp_path), name)}: ") and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", sorted(NAMED_DAMAGE))
     @pytest.mark.parametrize("name", PREPARED_FILES)

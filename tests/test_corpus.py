@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import importlib.util
 import io
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CHI2_999, M64, below, lane_key, rows_of, splitmix64, uniform_chi2
+from conftest import CHI2_999, M64, below, interaction_set, lane_key, pairs_of, rows_of, splitmix64, uniform_chi2
 from crossrec import corpus, training
 from crossrec import tensorcore as tc
 
@@ -55,14 +56,13 @@ def ml_files(tmp_path):
 class TestParseMovielens:
     def test_triples_remap_and_label_semantics(self, ml_files):
         data, _ = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        # raw ids 1,2,5 -> 0,1,2 and 661,914,1193 -> 0,1,2 (sorted by raw id), in file order:
-        # (1,1193) (1,661) (2,1193) (2,914) (5,914) (5,661)
-        assert list(zip(data.users.tolist(), data.items.tolist())) == [(0, 2), (0, 0), (1, 2), (1, 1), (2, 1), (2, 0)]
+        # raw ids 1,2,5 -> 0,1,2 and 661,914,1193 -> 0,1,2 (sorted by raw id), in (user, item) order:
+        # (1,661) (1,1193) (2,914) (2,1193) (5,661) (5,914)
+        assert pairs_of(data) == [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
         assert data.num_users == 3 and data.num_items == 3
-        # the "1::1193::5::978300760" line: user map[1]=0, item map[1193]=2
-        assert (data.users[0], data.items[0], data.timestamps[0]) == (0, 2, 978300760)
-        # every rating value became a positive, rating magnitude ignored
+        # every rating value became a positive, rating magnitude ignored; timestamps are not kept
         assert len(data) == 6
+        assert [f.name for f in dataclasses.fields(data)] == ["num_users", "num_items", "per_user_items"]
 
     def test_user_attribute_triple(self, ml_files):
         _, cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
@@ -88,8 +88,8 @@ class TestParseMovielens:
     def test_deterministic_reruns(self, ml_files):
         a, a_cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
         b, b_cat = corpus.parse_movielens(ml_files["ratings.dat"], ml_files["users.dat"], ml_files["movies.dat"])
-        assert np.array_equal(a.users, b.users)
-        assert np.array_equal(a.items, b.items)
+        assert np.array_equal(a.per_user_items.offsets, b.per_user_items.offsets)
+        assert np.array_equal(a.per_user_items.flat, b.per_user_items.flat)
         assert np.array_equal(a_cat.user_attrs.offsets, b_cat.user_attrs.offsets)
         assert np.array_equal(a_cat.user_attrs.flat, b_cat.user_attrs.flat)
 
@@ -122,9 +122,8 @@ class TestParseMovielens:
         dup = tmp_path / "dup.dat"
         dup.write_text(RATINGS + "1::1193::4::999999999\n", encoding="iso-8859-1")
         data, _ = corpus.parse_movielens(str(dup), ml_files["users.dat"], ml_files["movies.dat"])
-        assert len(data) == 6                            # first occurrence wins
-        pair = (data.users == 0) & (data.items == 2)     # raw user 1, raw movie 1193
-        assert data.timestamps[pair].tolist() == [978300760]
+        assert len(data) == 6                            # the pair counts once
+        assert pairs_of(data).count((0, 2)) == 1         # raw user 1, raw movie 1193
 
     @pytest.mark.parametrize("line, what", [
         ("1::F::x1::10::48067", "age"), ("1::F::1::1e1::48067", "occupation"),
@@ -172,7 +171,7 @@ class TestParseMovielens:
             a, b = getattr(got[1], f"{side}_attrs"), getattr(want[1], f"{side}_attrs")
             assert np.array_equal(a.offsets, b.offsets) and np.array_equal(a.flat, b.flat)
             assert getattr(got[1], f"{side}_vocab_size") == getattr(want[1], f"{side}_vocab_size")
-        assert np.array_equal(got[0].items, want[0].items)
+        assert np.array_equal(got[0].per_user_items.flat, want[0].per_user_items.flat)
 
     def test_rated_movie_without_genres_fails(self, ml_files, tmp_path):
         movies = tmp_path / "genreless.dat"
@@ -213,7 +212,7 @@ class TestParseGeneric:
         # user 50 has 9 interactions -> dropped; 10 is the retained boundary. Users 60 and 70
         # pinned raw items 9..18 and 19..30, which become dense users 0, 1 and items 0..21
         assert data.num_users == 2 and data.num_items == 22
-        assert data.users.tolist() == [0] * 10 + [1] * 12 and data.items.tolist() == list(range(22))
+        assert pairs_of(data) == [(0, i) for i in range(10)] + [(1, i) for i in range(10, 22)]
 
     @pytest.mark.parametrize("raw", ["1_0", " 10 ", "+10", "\u0661\u0660"])
     def test_non_decimal_id_names_line(self, tmp_path, raw):
@@ -590,19 +589,15 @@ class TestAttrFile:
 
 
 def _reference_index(triples, min_user_interactions):
-    """The set/dict indexer: first occurrence of each pair, the count filter, a sorted remap."""
-    seen, kept = set(), []
-    for user, item, stamp in triples:
-        if (user, item) not in seen:
-            seen.add((user, item))
-            kept.append((user, item, stamp))
-    counts = collections.Counter(user for user, _, _ in kept)
-    kept = [row for row in kept if counts[row[0]] >= min_user_interactions]
-    raw_users = sorted({user for user, _, _ in kept})
-    raw_items = sorted({item for _, item, _ in kept})
-    user_map = {raw: k for k, raw in enumerate(raw_users)}
+    """The set/dict indexer: each pair once, the count filter, a sorted remap; each kept user's
+    row of dense items, ascending."""
+    pairs = {(user, item) for user, item, _ in triples}
+    counts = collections.Counter(user for user, _ in pairs)
+    kept = {(user, item) for user, item in pairs if counts[user] >= min_user_interactions}
+    raw_users = sorted({user for user, _ in kept})
+    raw_items = sorted({item for _, item in kept})
     item_map = {raw: k for k, raw in enumerate(raw_items)}
-    return raw_users, raw_items, [(user_map[u], item_map[i], t) for u, i, t in kept]
+    return raw_users, raw_items, [sorted(item_map[i] for u, i in kept if u == user) for user in raw_users]
 
 
 # few users (so some keep 10 distinct items), among them negative and 19-digit ids
@@ -620,15 +615,14 @@ class TestIndexer:
     def test_matches_set_and_dict_reference(self, triples, min_user_interactions):
         raw_users, raw_items, expected = _reference_index(triples, min_user_interactions)
         table = np.array(triples, dtype=np.int64).reshape(-1, 3)  # the parsers' (n, 3) table
-        if not expected:
+        if not raw_users:
             with pytest.raises(corpus.LoadError, match=r"^inter\.tsv: empty dataset after the >= 10"):
                 corpus._index("inter.tsv", table, min_user_interactions)
             return
         data, users, items = corpus._index("inter.tsv", table, min_user_interactions)
         assert users.tolist() == raw_users and items.tolist() == raw_items
         assert (data.num_users, data.num_items) == (len(raw_users), len(raw_items))
-        got = list(zip(data.users.tolist(), data.items.tolist(), data.timestamps.tolist()))
-        assert got == expected
+        assert [row.tolist() for row in rows_of(data.per_user_items)] == expected
 
     def test_no_rows_is_an_error(self):
         with pytest.raises(corpus.LoadError, match=r"^inter\.tsv: no interactions$"):
@@ -790,14 +784,23 @@ class TestItemPinAttribute:
 
 
 def _random_interactions(rng, num_users=12, num_items=130, lo=2, hi=12):
-    users, items, stamps = [], [], []
+    users, items = [], []
     for u in range(num_users):
         n = int(rng.integers(lo, hi))
-        for i in rng.choice(num_items, size=n, replace=False):
-            users.append(u)
-            items.append(int(i))
-            stamps.append(int(rng.integers(1_000_000)))
-    return corpus.InteractionSet.from_arrays(num_users, num_items, users, items, stamps)
+        users += [u] * n
+        items += rng.choice(num_items, size=n, replace=False).tolist()
+    return interaction_set(num_users, num_items, users, items)
+
+
+def _with_edge_pools(seed):
+    """TestLeaveOneOut's corpus: 30 random users beside two whose pools are exactly 99 and 100 items."""
+    rng = np.random.default_rng(seed % 1000)
+    users, items = np.array(pairs_of(_random_interactions(rng, num_users=30, num_items=140, lo=2, hi=40))).T
+    users = np.concatenate([users, [30] * 41, [31] * 40])
+    items = np.concatenate([items, rng.choice(140, 41, replace=False), rng.choice(140, 40, replace=False)])
+    data = interaction_set(32, 140, users, items)
+    assert (140 - data.per_user_items.lengths[30:]).tolist() == [99, 100]
+    return data
 
 
 def _reference_split(data, seed):
@@ -814,8 +817,7 @@ def _reference_split(data, seed):
             t = below(key, last + 1, 1 + r)
             chosen.add(last if t in chosen else t)
         negatives[u] = pool[sorted(chosen)]
-    keep = positives[data.users] != data.items
-    return positives, negatives, (data.users[keep], data.items[keep], data.timestamps[keep])
+    return positives, negatives, [(u, i) for u, i in pairs_of(data) if i != positives[u]]
 
 
 class TestSplitHash:
@@ -868,39 +870,31 @@ class TestSplitHash:
 class TestLeaveOneOut:
     @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**64 + 3])
     def test_matches_reference_loop(self, seed):
-        rng = np.random.default_rng(seed % 1000)
-        data = _random_interactions(rng, num_users=30, num_items=140, lo=2, hi=40)
-        # pools of exactly 99 and of 100 unobserved items, next to ordinary users
-        users = np.concatenate([data.users, [30] * 41, [31] * 40])
-        items = np.concatenate([data.items, rng.choice(140, 41, replace=False), rng.choice(140, 40, replace=False)])
-        stamps = np.arange(users.size)
-        data = corpus.InteractionSet.from_arrays(32, 140, users, items, stamps)
-        assert (140 - np.diff(data.per_user_items.offsets)[30:]).tolist() == [99, 100]
+        data = _with_edge_pools(seed)
         split = corpus.leave_one_out_split(data, seed)
         positives, negatives, train = _reference_split(data, seed)
         assert np.array_equal(split.test_positives, positives)
         assert np.array_equal(split.test_negatives, negatives)
-        for got, want in zip((split.train.users, split.train.items, split.train.timestamps), train):
-            assert np.array_equal(got, want)
+        assert pairs_of(split.train) == train
 
     def test_first_failing_user_names_the_error(self):
         # user 1 is one unobserved item short of 99, user 2 has one interaction
         users = [0, 0] + [1] * 22 + [2]
         items = [0, 1] + list(range(22)) + [5]
-        data = corpus.InteractionSet.from_arrays(3, 120, users, items, np.zeros(len(users)))
+        data = interaction_set(3, 120, users, items)
         with pytest.raises(corpus.SplitError, match=r"^user 1 has only 98 unobserved items; need 99$"):
             corpus.leave_one_out_split(data, seed=0)
 
     def test_count_check_precedes_pool_check(self):
         # one interaction in a 99-item catalog fails both checks: the count one is named
-        data = corpus.InteractionSet.from_arrays(2, 99, [0, 1, 1], [3, 0, 1], np.zeros(3))
+        data = interaction_set(2, 99, [0, 1, 1], [3, 0, 1])
         with pytest.raises(corpus.SplitError, match=r"^user 0 has 1 interaction\(s\); need at least 2$"):
             corpus.leave_one_out_split(data, seed=0)
 
     def test_two_item_user_forced_partition(self):
         users = [0, 0, 1, 1]
         items = [0, 1, 2, 3]
-        data = corpus.InteractionSet.from_arrays(2, 105, users, items, np.zeros(len(users)))
+        data = interaction_set(2, 105, users, items)
         split = corpus.leave_one_out_split(data, seed=9)
         pos = split.test_positives[0]
         assert pos in (0, 1)
@@ -910,7 +904,7 @@ class TestLeaveOneOut:
         # 101-item catalog, user touches exactly 2: negatives must be the other 99
         users = [0, 0, 1, 1]
         items = [7, 42, 0, 1]
-        data = corpus.InteractionSet.from_arrays(2, 101, users, items, np.zeros(4))
+        data = interaction_set(2, 101, users, items)
         split = corpus.leave_one_out_split(data, seed=4)
         expected = np.setdiff1d(np.arange(101), [7, 42])
         assert np.array_equal(np.sort(split.test_negatives[0]), expected)
@@ -932,8 +926,8 @@ class TestLeaveOneOut:
         data = _random_interactions(rng)
         split = corpus.leave_one_out_split(data, seed=1)
         held = {(u, int(split.test_positives[u])) for u in range(data.num_users)}
-        train_pairs = set(zip(split.train.users.tolist(), split.train.items.tolist()))
-        original = set(zip(data.users.tolist(), data.items.tolist()))
+        train_pairs = set(pairs_of(split.train))
+        original = set(pairs_of(data))
         assert train_pairs | held == original
         assert not train_pairs & held
         assert len(split.train) + data.num_users == len(data)
@@ -953,7 +947,7 @@ class TestLeaveOneOut:
         # integer arithmetic only: these values hold on every numpy version
         users = [0, 0, 0, 1, 1, 2, 2, 2, 2]
         items = [3, 7, 120, 5, 44, 0, 1, 2, 100]
-        data = corpus.InteractionSet.from_arrays(3, 130, users, items, list(range(9)))
+        data = interaction_set(3, 130, users, items)
         split = corpus.leave_one_out_split(data, seed=2024)
         assert split.test_positives.tolist() == [7, 44, 0]
         assert split.test_negatives[0][:5].tolist() == [1, 2, 4, 6, 8]
@@ -964,9 +958,8 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(12)
         data = _random_interactions(rng, num_users=40, num_items=150, lo=2, hi=30)
         extra = rng.choice(150, 17, replace=False)
-        grown = corpus.InteractionSet.from_arrays(
-            41, 150, np.concatenate([data.users, [40] * 17]), np.concatenate([data.items, extra]),
-            np.concatenate([data.timestamps, np.arange(17)]))
+        users, items = np.array(pairs_of(data)).T
+        grown = interaction_set(41, 150, np.concatenate([users, [40] * 17]), np.concatenate([items, extra]))
         before, after = (corpus.leave_one_out_split(d, seed=5) for d in (data, grown))
         assert np.array_equal(after.test_positives[:40], before.test_positives)
         assert np.array_equal(after.test_negatives[:40], before.test_negatives)
@@ -996,7 +989,7 @@ class TestLeaveOneOut:
         rng = np.random.RandomState(15)  # the legacy generator builds no Generator
         users = np.repeat(np.arange(6), 12)
         items = np.concatenate([rng.choice(140, 12, replace=False) for _ in range(6)])
-        data = corpus.InteractionSet.from_arrays(6, 140, users, items, np.zeros(72))
+        data = interaction_set(6, 140, users, items)
         split = corpus.leave_one_out_split(data, seed=3)
         assert split.test_negatives.shape == (6, 99)
 
@@ -1005,7 +998,7 @@ class TestLeaveOneOut:
         counts = (2, 3, 5, 8)
         users = np.repeat(np.arange(3000 * len(counts)), np.repeat(counts, 3000))
         items = np.concatenate([np.arange(n) for n in np.repeat(counts, 3000)])
-        data = corpus.InteractionSet.from_arrays(users[-1] + 1, 200, users, items, np.zeros(users.size))
+        data = interaction_set(users[-1] + 1, 200, users, items)
         for seed in (0, 2**64 + 1):
             picks = corpus.leave_one_out_split(data, seed).test_positives.reshape(len(counts), 3000)
             for n, row in zip(counts, picks):
@@ -1019,8 +1012,7 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(16)
         num_users, num_items, pool = 3000, 150, 140
         items = np.argsort(rng.random((num_users, num_items)), axis=1)[:, :10]
-        data = corpus.InteractionSet.from_arrays(
-            num_users, num_items, np.repeat(np.arange(num_users), 10), items.ravel(), np.zeros(items.size))
+        data = interaction_set(num_users, num_items, np.repeat(np.arange(num_users), 10), items.ravel())
         mine = np.sort(items, axis=1)
         for seed in (1, 77):
             negatives = corpus.leave_one_out_split(data, seed).test_negatives
@@ -1033,14 +1025,14 @@ class TestLeaveOneOut:
     def test_single_interaction_user_errors_by_name(self):
         users = [0] + [1] * 3
         items = [5] + [0, 1, 2]
-        data = corpus.InteractionSet.from_arrays(2, 120, users, items, np.zeros(4))
+        data = interaction_set(2, 120, users, items)
         with pytest.raises(corpus.SplitError, match="user 0"):
             corpus.leave_one_out_split(data, seed=0)
 
     def test_insufficient_negative_pool_errors(self):
         users = [0, 0, 1, 1]
         items = [0, 1, 2, 3]
-        data = corpus.InteractionSet.from_arrays(2, 50, users, items, np.zeros(4))
+        data = interaction_set(2, 50, users, items)
         with pytest.raises(corpus.SplitError, match="unobserved"):
             corpus.leave_one_out_split(data, seed=0)
 
@@ -1054,8 +1046,15 @@ class TestLeaveOneOut:
         loaded = corpus.load_split(str(tmp_path / "split.npy"), train)
         assert np.array_equal(loaded.test_positives, split.test_positives)
         assert np.array_equal(loaded.test_negatives, split.test_negatives)
-        assert np.array_equal(train.users, split.train.users)
-        assert np.array_equal(train.timestamps, split.train.timestamps)
+        assert pairs_of(train) == pairs_of(split.train)
+        # train.npy: the counts, then the rows' offsets and flat items
+        with open(tmp_path / "train.npy", "rb") as fh:
+            records = [np.load(fh, allow_pickle=False) for _ in range(3)]
+            assert fh.read() == b""
+        assert [r.dtype.str for r in records] == ["<i8"] * 3
+        assert records[0].tolist() == [data.num_users, data.num_items]
+        assert records[1].tobytes() == split.train.per_user_items.offsets.tobytes()
+        assert records[2].tobytes() == split.train.per_user_items.flat.tobytes()
 
     def test_negatives_are_int32_and_saved_as_the_int64_record(self, tmp_path):
         # every item id fits 32 bits, so the (users x 99) table is held at half int64's bytes;
@@ -1098,34 +1097,39 @@ class TestSplitTrainRows:
     def test_train_rows_equal_an_index_of_the_train_columns(self, seed):
         # the train rows are the full rows less each held-out item, built without a sort; on
         # TestLeaveOneOut's corpora: random users beside pools of exactly 99 and 100 items, and seed 5's
-        rng = np.random.default_rng(seed % 1000)
-        data = _random_interactions(rng, num_users=30, num_items=140, lo=2, hi=40)
-        users = np.concatenate([data.users, [30] * 41, [31] * 40])
-        items = np.concatenate([data.items, rng.choice(140, 41, replace=False), rng.choice(140, 40, replace=False)])
-        pools = corpus.InteractionSet.from_arrays(32, 140, users, items, np.arange(users.size))
-        for data in (pools, _random_interactions(np.random.default_rng(5))):
+        for data in (_with_edge_pools(seed), _random_interactions(np.random.default_rng(5))):
             train = corpus.leave_one_out_split(data, seed).train
-            fresh = corpus.InteractionSet.from_arrays(
-                train.num_users, train.num_items, train.users, train.items, train.timestamps)
-            assert np.array_equal(train.per_user_items.offsets, fresh.per_user_items.offsets)
-            assert np.array_equal(train.per_user_items.flat, fresh.per_user_items.flat)
+            _, _, pairs = _reference_split(data, seed)
+            fresh = interaction_set(train.num_users, train.num_items, *zip(*pairs))
+            assert train.per_user_items.offsets.tobytes() == fresh.per_user_items.offsets.tobytes()
+            assert train.per_user_items.flat.tobytes() == fresh.per_user_items.flat.tobytes()
 
 
 class TestInteractionSetInvariants:
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(corpus.LoadError, match="duplicate"):
-            corpus.InteractionSet.from_arrays(2, 2, [0, 0], [1, 1], [0, 1])
+        with pytest.raises(corpus.LoadError, match=r"^a user's items do not strictly ascend$"):
+            corpus.InteractionSet(2, 2, tc.Ragged([0, 2, 2], [1, 1]))
         # the repeated (1, 0) pair is first and last in input order
-        with pytest.raises(corpus.LoadError, match=r"^duplicate \(user, item\) pair$"):
-            corpus.InteractionSet.from_arrays(2, 2, [1, 0, 0, 1, 1], [0, 1, 0, 1, 0], range(5))
+        with pytest.raises(corpus.LoadError, match="strictly ascend"):
+            interaction_set(2, 2, [1, 0, 0, 1, 1], [0, 1, 0, 1, 0])
+        # one item in two rows is two pairs
+        assert pairs_of(corpus.InteractionSet(2, 2, tc.Ragged([0, 1, 2], [1, 1]))) == [(0, 1), (1, 1)]
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(corpus.LoadError):
-            corpus.InteractionSet.from_arrays(2, 2, [0, 2], [1, 0], [0, 1])
+        for num_users, offsets, flat, message in [
+            (2, [0, 1, 2, 2], [1, 0], "2 users and 3 rows of items do not fit together"),  # a user past num_users
+            (2, [0, 1], [1], "2 users and 1 rows of items do not fit together"),  # a user's row missing
+            (0, [0], [], "0 users and 0 rows of items do not fit together"),
+            (2, [0, 1, 2], [1, 2], r"an item lies outside \[0, 2\)"),
+            (2, [0, 1, 2], [-1, 0], r"an item lies outside \[0, 2\)"),
+        ]:
+            with pytest.raises(corpus.LoadError, match=f"^{message}$"):
+                corpus.InteractionSet(num_users, 2, tc.Ragged(offsets, flat))
 
     def test_per_user_items_sorted_and_complete(self):
-        data = corpus.InteractionSet.from_arrays(2, 5, [0, 1, 0, 1], [4, 3, 1, 0], [0, 0, 0, 0])
+        data = interaction_set(2, 5, [0, 1, 0, 1], [4, 3, 1, 0])
         assert [ids.tolist() for ids in rows_of(data.per_user_items)] == [[1, 4], [0, 3]]
+        assert pairs_of(data) == [(0, 1), (0, 4), (1, 0), (1, 3)] and len(data) == 4
 
 
 @st.composite
@@ -1146,7 +1150,7 @@ class TestMembership:
     def test_contains_and_observed_agree_with_a_set_of_pairs(self, case):
         num_users, num_items, pairs, positives, queries = case
         users, items = (list(column) for column in zip(*pairs)) if pairs else ([], [])
-        train = corpus.InteractionSet.from_arrays(num_users, num_items, users, items, [0] * len(pairs))
+        train = interaction_set(num_users, num_items, users, items)
         split = corpus.SplitDataset(train, np.array(positives, dtype=np.int64),
                                     np.zeros((num_users, 0), dtype=np.int64))
         observed = pairs | set(enumerate(positives))
@@ -1164,7 +1168,7 @@ class TestMembership:
         assert split.observed(q_users, q_items).tolist() == [pair in observed for pair in queries]
 
     def _set(self):
-        return corpus.InteractionSet.from_arrays(3, 5, [0, 1, 2, 0], [4, 0, 2, 1], [0, 0, 0, 0])
+        return interaction_set(3, 5, [0, 1, 2, 0], [4, 0, 2, 1])
 
     # (1, -1) would read bit 4, pair (0, 4); (0, 5) bit 5, pair (1, 0); (3, 0) bit 15, past the grid
     @pytest.mark.parametrize("user, item", [(3, 0), (0, 5), (1, -1), (-1, 4)],
@@ -1175,14 +1179,15 @@ class TestMembership:
 
     def test_pair_bits_are_built_once_on_the_first_query(self):
         train = self._set()
-        assert "pair_bits" not in vars(train)  # from_arrays builds none, so prepare pays nothing
+        assert "pair_bits" not in vars(train) and "pair_users" not in vars(train)  # so prepare pays nothing
         split = corpus.SplitDataset(train, np.array([3, 1, 0]), np.zeros((3, 0), dtype=np.int64))
         assert train.contains([0, 0, 1], [4, 3, 0]).tolist() == [True, False, True]
-        bits = vars(train)["pair_bits"]
+        bits, users = vars(train)["pair_bits"], vars(train)["pair_users"]
         assert bits.tolist() == [0b00110010, 0b00010000]  # keys 1, 4 and 5, then key 12 - 8
+        assert users.tolist() == [0, 0, 1, 2] and users.dtype == np.int64
         split.observed(np.arange(3)[:, None], np.arange(5))
         list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
-        assert vars(train)["pair_bits"] is bits
+        assert vars(train)["pair_bits"] is bits and vars(train)["pair_users"] is users
 
     def test_load_prepared_builds_no_bitmap_and_the_first_batch_builds_it(self, tmp_path):
         # evaluate queries no membership, so it never pays for the whole grid; train builds it
@@ -1193,17 +1198,16 @@ class TestMembership:
                                           tc.Ragged.from_rows([[0]] * data.num_items), 1, 1)
         corpus.save_prepared(str(tmp_path), split, catalog)
         loaded, _ = corpus.load_prepared(str(tmp_path))
-        assert "pair_bits" not in vars(loaded.train)
+        assert "pair_bits" not in vars(loaded.train) and "pair_users" not in vars(loaded.train)
         next(training.sample_training_batches(loaded, 4, 8, seed=1, epoch=1))
         bits = vars(loaded.train)["pair_bits"]
-        assert bits.tolist() == self._bits_oracle(data.num_users, data.num_items, loaded.train.users.tolist(),
-                                                  loaded.train.items.tolist())
+        assert bits.tolist() == self._bits_oracle(data.num_users, data.num_items, pairs_of(loaded.train))
         next(training.sample_training_batches(loaded, 4, 8, seed=1, epoch=2))
         assert vars(loaded.train)["pair_bits"] is bits
 
-    def _bits_oracle(self, num_users, num_items, users, items):
+    def _bits_oracle(self, num_users, num_items, pairs):
         bits = bytearray(-(-num_users * num_items // 8))
-        for user, item in zip(users, items):
+        for user, item in pairs:
             key = user * num_items + item
             bits[key >> 3] |= 1 << (key & 7)
         return list(bits)
@@ -1215,16 +1219,18 @@ class TestMembership:
         rng = np.random.default_rng(5)
         keys = rng.choice(9 * 13, size=53, replace=False)
         users, items = keys // 13, keys % 13
-        train = corpus.InteractionSet.from_arrays(9, 13, users, items, np.zeros(53))
-        assert train.pair_bits.tolist() == self._bits_oracle(9, 13, users.tolist(), items.tolist())
+        train = interaction_set(9, 13, users, items)
+        assert train.pair_bits.tolist() == self._bits_oracle(9, 13, zip(users.tolist(), items.tolist()))
 
     def test_pair_bits_build_holds_the_bitmap_and_one_chunk(self):
         # one pass over every pair held four int64 temporaries and a uint8 one per pair, about
-        # 33 bytes; chunks of PAIR_CHUNK pairs hold about 0.5 byte per pair here
+        # 33 bytes; chunks of PAIR_CHUNK pairs hold about 0.5 byte per pair here. pair_users is
+        # the set's own, kept for the sampler too, so it is built before the bitmap is measured
         num_users, num_items, pairs = 2000, 1000, 1 << 20
-        rng = np.random.default_rng(6)
-        train = corpus.InteractionSet(num_users, num_items, rng.integers(0, num_users, pairs),
-                                      rng.integers(0, num_items, pairs), np.zeros(pairs, dtype=np.int64), None)
+        keys = np.sort(np.random.default_rng(6).choice(num_users * num_items, pairs, replace=False))
+        offsets = np.concatenate([[0], np.bincount(keys // num_items, minlength=num_users).cumsum()])
+        train = corpus.InteractionSet(num_users, num_items, tc.Ragged(offsets, keys % num_items))
+        train.pair_users
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -1242,7 +1248,7 @@ class TestMembership:
     def _split_of_40_users(self):
         """40 users over 140 items: items 0-2 train, 3 the test positive and 4-102 the negatives."""
         users = np.repeat(np.arange(40), 3)
-        train = corpus.InteractionSet.from_arrays(40, 140, users, np.tile(np.arange(3), 40), np.zeros(120))
+        train = interaction_set(40, 140, users, np.tile(np.arange(3), 40))
         return corpus.SplitDataset(train, np.full(40, 3), np.tile(np.arange(4, 103), (40, 1)))
 
     def _load(self, split, path):
@@ -1279,7 +1285,7 @@ class TestMembership:
         monkeypatch.setattr(corpus, "SPLIT_CHECK_USERS", 7)
         items = np.tile(np.arange(3), 40)
         items[3 * user + 2] = 103
-        train = corpus.InteractionSet.from_arrays(40, 140, np.repeat(np.arange(40), 3), items, np.zeros(120))
+        train = interaction_set(40, 140, np.repeat(np.arange(40), 3), items)
         negatives = np.tile(np.arange(4, 103), (40, 1))
         negatives[:, 98] = 120
         split = corpus.SplitDataset(train, np.full(40, 3), negatives)

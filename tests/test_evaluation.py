@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rank_position
+from conftest import interaction_set, rank_position
 from crossrec import corpus, evaluation, models
 from crossrec import tensorcore as tc
 
@@ -96,9 +96,7 @@ def rigged_split(ranks_q):
     q[200] = 0.0                      # user 2: sixteen negatives above -> rank 17
     q[201:217] = 1.0
     q[217:300] = -3.0
-    train = corpus.InteractionSet.from_arrays(
-        3, num_items, [0, 1, 2], [5, 105, 205], [0, 0, 0]
-    )
+    train = interaction_set(3, num_items, [0, 1, 2], [5, 105, 205])
     split = corpus.SplitDataset(train, positives, negatives)
     return split, q
 
@@ -236,8 +234,7 @@ def random_run(num_users, seed=31):
         items += drawn[:3].tolist()
         positives.append(drawn[3])
         negatives.append(np.sort(drawn[4:]))
-    train = corpus.InteractionSet.from_arrays(
-        num_users, NUM_ITEMS, users, items, np.zeros(len(users), dtype=np.int64))
+    train = interaction_set(num_users, NUM_ITEMS, users, items)
     split = corpus.SplitDataset(train, np.array(positives), np.stack(negatives))
     catalog = corpus.AttributeCatalog(
         user_attrs=tc.Ragged.from_rows(
@@ -421,6 +418,15 @@ class TestReadPathMemory:
         assert "pair_bits" not in vars(split.train)
         assert loaded.test_negatives.dtype == np.int32
         assert held <= 410 * self.USERS, held / self.USERS
+
+    def test_load_prepared_then_evaluate_builds_no_pair_users_or_pair_bits(self, tmp_path):
+        # both are the sampler's: 8 bytes per train pair and a bit per (user, item) cell
+        split, catalog = random_run(40)
+        corpus.save_prepared(str(tmp_path), split, catalog)
+        loaded, loaded_catalog = corpus.load_prepared(str(tmp_path))
+        config, store = random_model("camf", 40)
+        evaluation.evaluate(config, store, loaded, loaded_catalog)
+        assert not {"pair_users", "pair_bits"} & set(vars(loaded.train))
 
     def test_evaluate_pass_peak_at_most_800_bytes_per_user(self):
         # camf's user side arrays (two of users x 8 float64) and the ranks take 136 bytes per

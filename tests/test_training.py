@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -6,21 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHI2_999, below, lane_key, rows_of, time_bound, uniform_chi2
+from conftest import CHI2_999, below, interaction_set, lane_key, pairs_of, rows_of, time_bound, uniform_chi2
 from crossrec import corpus, models, training
 from crossrec import tensorcore as tc
 
 
 def synthetic_split(seed=5, num_users=20, num_items=130):
     rng = np.random.default_rng(seed)
-    users, items, stamps = [], [], []
+    users, items = [], []
     for u in range(num_users):
         n = int(rng.integers(4, 16))
         for i in rng.choice(num_items, size=n, replace=False):
             users.append(u)
             items.append(int(i))
-            stamps.append(int(rng.integers(10_000)))
-    data = corpus.InteractionSet.from_arrays(num_users, num_items, users, items, stamps)
+    data = interaction_set(num_users, num_items, users, items)
     return corpus.leave_one_out_split(data, seed=seed)
 
 
@@ -46,6 +46,14 @@ class TestSampler:
             len(b) for b in training.sample_training_batches(split, 4, 256, seed=1, epoch=1)
         )
         assert total == len(split.train) * 5
+
+    @pytest.mark.parametrize("epoch", [1, 2])
+    def test_each_epoch_yields_every_train_pair_once_as_a_positive(self, epoch):
+        split = wide_split()
+        positives = collections.Counter()
+        for b in training.sample_training_batches(split, 3, 1000, seed=4, epoch=epoch):
+            positives.update(zip(b.users[b.labels == 1.0].tolist(), b.items[b.labels == 1.0].tolist()))
+        assert sorted(positives) == pairs_of(split.train) and set(positives.values()) == {1}
 
     def test_negatives_avoid_the_full_interaction_set(self):
         split = synthetic_split()
@@ -76,8 +84,7 @@ class TestSampler:
         # 1,200 negatives over 3 epochs at ratio 4, about 63 of each of its 19 unobserved items
         rng = np.random.default_rng(21)
         picks = [rng.permutation(120)[:101] for _ in range(6)]
-        train = corpus.InteractionSet.from_arrays(
-            6, 120, np.repeat(np.arange(6), 100), np.concatenate([p[:100] for p in picks]), np.zeros(600))
+        train = interaction_set(6, 120, np.repeat(np.arange(6), 100), np.concatenate([p[:100] for p in picks]))
         split = corpus.SplitDataset(train, np.array([p[100] for p in picks]), np.zeros((6, 0), dtype=np.int64))
         counts = np.zeros((6, 120), dtype=np.int64)
         for epoch in (1, 2, 3):
@@ -123,8 +130,7 @@ def dense_split(seed):
         picked = rng.choice(130, size=int(rng.integers(25, 31)), replace=False)
         users += [u] * picked.size
         items += picked.tolist()
-    stamps = rng.integers(10_000, size=len(users))
-    data = corpus.InteractionSet.from_arrays(15, 130, users, items, stamps)
+    data = interaction_set(15, 130, users, items)
     return corpus.leave_one_out_split(data, seed=seed)
 
 
@@ -133,7 +139,7 @@ def wide_split(seed=0):
     rng = np.random.default_rng(seed)
     items = np.concatenate([rng.choice(3000, size=21, replace=False) for _ in range(2600)])
     users = np.repeat(np.arange(2600), 21)
-    data = corpus.InteractionSet.from_arrays(2600, 3000, users, items, rng.integers(10_000, size=users.size))
+    data = interaction_set(2600, 3000, users, items)
     return corpus.leave_one_out_split(data, seed=seed)
 
 
@@ -147,8 +153,10 @@ def reference_epoch(split, negative_ratio, seed, epoch):
     (seed, the epoch tag, epoch, j), that is neither the user's train pair nor its test
     positive; the epoch's Generator permutes the positives followed by the negatives."""
     train = split.train
-    observed = set(zip(train.users.tolist(), train.items.tolist())) | set(enumerate(split.test_positives.tolist()))
-    neg_users = np.repeat(train.users, negative_ratio)
+    pairs = pairs_of(train)  # positive slot k is pair k, in (user, item) order
+    observed = set(pairs) | set(enumerate(split.test_positives.tolist()))
+    pair_users = np.array([u for u, _ in pairs], dtype=np.int64)
+    neg_users = np.repeat(pair_users, negative_ratio)
     candidates, most = [], 0
     for j, u in enumerate(neg_users.tolist()):
         key, attempt = lane_key(seed, j, EPOCH_TAG, epoch), 0
@@ -156,8 +164,8 @@ def reference_epoch(split, negative_ratio, seed, epoch):
             attempt += 1
         candidates.append(below(key, train.num_items, attempt))
         most = max(most, attempt)
-    users = np.concatenate([train.users, neg_users])
-    items = np.concatenate([train.items, np.array(candidates, dtype=np.int64)])
+    users = np.concatenate([pair_users, neg_users])
+    items = np.concatenate([np.array([i for _, i in pairs], dtype=np.int64), np.array(candidates, dtype=np.int64)])
     labels = np.concatenate([np.ones(len(train)), np.zeros(neg_users.size)])
     order = tc.seeded_rng(seed, "epoch", epoch).permutation(users.size)
     return users[order], items[order], labels[order], most
@@ -216,8 +224,7 @@ class TestSamplerRecheck:
 
     def test_user_who_observed_every_item_fails_fast(self):
         # user 1 trained on items 0-3 and holds out item 4: no unobserved item is left
-        train = corpus.InteractionSet.from_arrays(
-            2, 5, [0, 1, 1, 1, 1], [0, 0, 1, 2, 3], [1, 1, 2, 3, 4])
+        train = interaction_set(2, 5, [0, 1, 1, 1, 1], [0, 0, 1, 2, 3])
         split = corpus.SplitDataset(train, np.array([1, 4]), np.zeros((2, 0), dtype=np.int64))
         with time_bound(), pytest.raises(training.TrainingError,
                                          match="user 1 has observed all 5 items"):
@@ -256,7 +263,7 @@ class TestSamplerMemory:
         split = wide_split()
         instances = len(split.train) * 5
         assert instances >= 250_000
-        split.train.pair_bits  # built on train's first query and kept for every later epoch: not the epoch's
+        split.train.pair_bits  # with pair_users, built on train's first query and kept for every epoch: not the epoch's
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -357,7 +364,7 @@ class TestTrain:
     def test_inputs_not_mutated(self):
         split = synthetic_split()
         catalog = synthetic_catalog(split)
-        train_users = split.train.users.copy()
+        train_rows = split.train.per_user_items.offsets.copy(), split.train.per_user_items.flat.copy()
         positives = split.test_positives.copy()
         user_attrs = catalog.user_attrs.offsets.copy(), catalog.user_attrs.flat.copy()
         config = models.ModelConfig(
@@ -365,7 +372,8 @@ class TestTrain:
             mlp_layers=(4, 2), user_vocab_size=5, item_vocab_size=6,
         )
         training.train(config, split, catalog, seed=2, epochs=1)
-        assert np.array_equal(split.train.users, train_users)
+        assert np.array_equal(split.train.per_user_items.offsets, train_rows[0])
+        assert np.array_equal(split.train.per_user_items.flat, train_rows[1])
         assert np.array_equal(split.test_positives, positives)
         assert np.array_equal(catalog.user_attrs.offsets, user_attrs[0])
         assert np.array_equal(catalog.user_attrs.flat, user_attrs[1])
@@ -421,9 +429,7 @@ class TestLearnsPlantedStructure:
             ])
             users.extend([u] * len(picked))
             items.extend(picked.tolist())
-        data = corpus.InteractionSet.from_arrays(
-            num_users, num_items, users, items, np.zeros(len(users))
-        )
+        data = interaction_set(num_users, num_items, users, items)
         split = corpus.leave_one_out_split(data, 7)
         config = models.ModelConfig("gmf", num_users, num_items, factors=8)
         result = training.train(config, split, seed=1, lr=0.005, epochs=6)
@@ -446,9 +452,7 @@ class TestLearnsPlantedStructure:
                                 p=affinity[u] / affinity[u].sum())
             users.extend([u] * 35)
             items.extend(picked.tolist())
-        data = corpus.InteractionSet.from_arrays(
-            num_users, num_items, users, items, np.zeros(len(users))
-        )
+        data = interaction_set(num_users, num_items, users, items)
         split = corpus.leave_one_out_split(data, 3)
         catalog = corpus.AttributeCatalog(
             tc.Ragged.from_rows([[int(np.argmax(user_pref[u]))] for u in range(num_users)]),

@@ -4,13 +4,15 @@
 
 REF's src/crossrec is exported with `git archive` (through tools/identity.py's
 export) and imported under another package name, crossrec_ref, beside the
-working tree's crossrec. Both walk the same batches of the 600-user corpus
-(perfbench/corpus_gen.py's `write_movielens(dir, 600, 11)`, prepared at seed
-42 by the working tree) from the same initial store, one training step each
-in turn, the side that goes first alternating step by step. A step is what
-training.train does per batch: score on a recording Tape, log loss, backward
-and adam_step, at factors 8, the default tower, 4 negatives and lr 1e-3.
-BLAS and OpenMP are pinned to one thread.
+working tree's crossrec. The 600-user corpus (perfbench/corpus_gen.py's
+`write_movielens(dir, 600, 11)`) is written once and prepared at seed 42 by
+each side's own `crossrec prepare`, and each side loads its own prepared run,
+so the two may keep different prepared-run files. Both walk the same batches
+of it, the working tree's sampler's, from the same initial store, one training
+step each in turn, the side that goes first alternating step by step. A step
+is what training.train does per batch: score on a recording Tape, log loss,
+backward and adam_step, at factors 8, the default tower, 4 negatives and lr
+1e-3. BLAS and OpenMP are pinned to one thread.
 
 For each kind and batch size (64, 256 and 1,024) it prints both sides'
 median step time, the quartiles of the per-step ratio working tree / REF,
@@ -48,31 +50,34 @@ FACTORS, NEGATIVE_RATIO, LR = 8, 4, 1e-3
 
 
 def import_package(parent, name):
-    """The package `name` found in directory `parent`, its training module (and so every
-    module a step uses) loaded."""
+    """The package `name` found in directory `parent`, its cli module (and so every
+    module a step or a prepare uses) loaded."""
     sys.path.insert(0, parent)
     try:
         package = importlib.import_module(name)
-        importlib.import_module(f"{name}.training")
+        importlib.import_module(f"{name}.cli")
     finally:
         sys.path.remove(parent)
     return package
 
 
-def prepare(directory):
-    """Write the movielens-shaped corpus under `directory` and prepare it with the
-    working tree's crossrec; the prepared run's directory."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+def prepare(directory, packages):
+    """Write the movielens-shaped corpus under `directory` and prepare it with each
+    package's own cli; {label: that side's prepared run directory}."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import corpus_gen
-    from crossrec import cli
 
     files = corpus_gen.write_movielens(os.path.join(directory, "raw"), USERS, CORPUS_SEED)
-    out = os.path.join(directory, "prepared")
-    argv = ["prepare", "--dataset-kind", "movielens", "--ratings", files[0], "--users", files[1],
-            "--items", files[2], "--seed", str(SPLIT_SEED), "--out", out]
+    raw = ["--dataset-kind", "movielens", "--ratings", files[0], "--users", files[1], "--items", files[2]]
+    return {label: prepare_with(package, raw, os.path.join(directory, f"prepared-{label}"))
+            for label, package in packages.items()}
+
+
+def prepare_with(package, raw, out):
+    """`out`, prepared at SPLIT_SEED by `package`'s cli from the raw files that the options `raw` name."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
+            package.cli.main(["prepare", *raw, "--seed", str(SPLIT_SEED), "--out", out])
     except SystemExit as exc:
         if exc.code:
             raise SystemExit(f"stepfit: prepare exited {exc.code}") from None
@@ -104,9 +109,9 @@ def _same_store(a, b):
 
 
 def walk(packages, prepared, kind, batch_size, steps):
-    """({label: per-step seconds}, stores equal) of `steps` steps of each side over the
-    same batches, the side going first alternating."""
-    sides = {label: _side(package, prepared, kind) for label, package in packages.items()}
+    """({label: per-step seconds}, stores equal) of `steps` steps of each side, on its own
+    prepared run prepared[label], over the same batches, the side going first alternating."""
+    sides = {label: _side(package, prepared[label], kind) for label, package in packages.items()}
     labels = list(sides)
     split = sides[labels[-1]][0]
     sampler = packages[labels[-1]].training.sample_training_batches
@@ -134,7 +139,8 @@ def fit(sizes, medians):
 def report(packages, prepared, kinds=KINDS, batches=BATCHES, steps=200):
     """Walk every (kind, batch size), print the table and the fits; (exit code, results).
 
-    `packages` maps two labels, the reference's first, to crossrec packages."""
+    `packages` maps two labels, the reference's first, to crossrec packages, and
+    `prepared` each label to the run that its package prepared."""
     ref, work = packages
     rows, fits, code = [], [], 0
     print(f"{'kind':<6} {'batch':>5}  {ref + '_us':>9}  {work + '_us':>9}  "
@@ -185,7 +191,7 @@ def main(argv=None):
                     "work": import_package(os.path.join(ROOT, "src"), "crossrec")}
         if not os.path.realpath(packages["work"].__file__).startswith(os.path.realpath(ROOT) + os.sep):
             raise SystemExit(f"stepfit: imported {packages['work'].__file__}, not this checkout's crossrec")
-        prepared = prepare(workdir)
+        prepared = prepare(workdir, packages)
         print(f"stepfit: {args.ref} ({sha[:12]}) against the working tree; {USERS} users, factors {FACTORS}, "
               f"{args.steps} steps per batch size, one BLAS thread")
         code, _ = report(packages, prepared, steps=args.steps)
