@@ -80,8 +80,9 @@ class InteractionSet:
 
     @functools.cached_property
     def pair_users(self):
-        """Each pair's user, int64, from the row lengths: 8 bytes per pair, built on first use."""
-        return np.arange(self.num_users, dtype=np.int64).repeat(self.per_user_items.lengths)
+        """Each pair's user as id_dtype(num_users), from the row lengths, built on first use:
+        2 bytes per pair up to 32,768 users. A key built from it widens it to int64 first."""
+        return np.arange(self.num_users, dtype=id_dtype(self.num_users)).repeat(self.per_user_items.lengths)
 
     @functools.cached_property
     def pair_bits(self):
@@ -97,7 +98,7 @@ class InteractionSet:
         flat = self.per_user_items.flat
         for start in range(0, flat.size, PAIR_CHUNK):
             chunk = slice(start, start + PAIR_CHUNK)
-            _set_bits(bits, self.pair_users[chunk] * self.num_items + flat[chunk])
+            _set_bits(bits, self.pair_users[chunk].astype(np.int64) * self.num_items + flat[chunk])
         return bits
 
     def contains(self, users, items):
@@ -154,14 +155,24 @@ def _check_rows(label, rows, vocab):
 
 @dataclass
 class SplitDataset:
-    """Leave-one-out split: train set plus one positive and 99 negatives per user."""
+    """Leave-one-out split: train set plus one positive and 99 negatives per user.
+
+    Test ids are held as id_dtype(num_items), int16 up to 32,768 items. An array
+    of another dtype is narrowed only once checked: LoadError for an id outside
+    [0, num_items), which the cast would wrap onto a real item. One already at
+    that width is kept as it is: load_split checks its ids as it narrows them.
+    """
 
     train: InteractionSet
     test_positives: np.ndarray       # (num_users,)
-    test_negatives: np.ndarray       # (num_users, 99), held as id_dtype(num_items): int32 where ids fit
+    test_negatives: np.ndarray       # (num_users, 99)
 
     def __post_init__(self):
-        self.test_negatives = np.asarray(self.test_negatives, dtype=id_dtype(self.train.num_items))
+        num_items, dtype = self.train.num_items, id_dtype(self.train.num_items)
+        ids = [np.asarray(a) for a in (self.test_positives, self.test_negatives)]
+        if any(a.dtype != dtype and a.size and (a.min() < 0 or a.max() >= num_items) for a in ids):
+            raise LoadError(f"a test item lies outside [0, {num_items})")
+        self.test_positives, self.test_negatives = (a.astype(dtype, copy=False) for a in ids)
 
     def observed(self, users, items):
         """Whether each (user, item) is a train pair or the user's test positive: never a negative."""
@@ -660,6 +671,7 @@ def load_split(path, train):
         raise LoadError(f"{path}: split counts do not match the train set")
     if any(outside) or positives.size and (positives.min() < 0 or positives.max() >= num_items):
         raise LoadError(f"{path}: a test item lies outside [0, {num_items})")
+    positives = positives.astype(negatives.dtype)  # checked: SplitDataset keeps both as they are
     if any((negatives[b, 1:] <= negatives[b, :-1]).any() for b in blocks):
         raise LoadError(f"{path}: test negatives are not strictly increasing per user")
     offsets, flat, lengths = train.per_user_items.offsets, train.per_user_items.flat, train.per_user_items.lengths

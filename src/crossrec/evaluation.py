@@ -12,7 +12,8 @@ item sides once, in chunks of SIDE_CHUNK user and item ids written into
 whole side arrays, then scores EVAL_USERS_PER_FORWARD users per
 models.score call, each user's positive followed by its negatives, from side
 rows gathered by id; the block's candidates are put together when it is
-reached, so no (users x 100) table is built. A row's bits need not survive
+reached, from the split's ids at their narrow width (corpus.SplitDataset),
+so no (users x 100) table is built. A row's bits need not survive
 every block height (BLAS's one-row `h @ w` can differ from a taller block's
 row by about 2e-15), but blocks of 100 rows or more agree: a user's scores
 are bitwise those of a forward over its 100 rows alone (TestChunkedEvaluate
@@ -34,8 +35,9 @@ from .tensorcore import Node, Tape, check_rows, replacing
 # users per score call: 16 x 100 rows keeps the interaction's temporaries small
 # next to the corpus while amortising the per-primitive Python overhead
 EVAL_USERS_PER_FORWARD = 16
-# ids per build_sides call in the side pass: bounds its pooling and segment-sum temporaries
-SIDE_CHUNK = 2048
+# ids per build_sides call in the side pass: bounds its pooling and segment-sum temporaries,
+# and the column pattern tensorcore keeps for the largest segment sum, to the chunk's size
+SIDE_CHUNK = 512
 TOP_K = 10  # HR@10 and NDCG@10, NCF's leave-one-out protocol
 
 

@@ -187,8 +187,9 @@ def check_rows(ids, rows, name):
 
 
 def id_dtype(bound):
-    """The dtype of ids in [0, bound): int32 where it fits, else int64."""
-    return np.int32 if bound <= 2**31 else np.int64
+    """The narrowest dtype of ids in [0, bound): int16 up to 2**15, then int32 up to 2**31,
+    else int64. Arithmetic that can pass the bound (a user * num_items key) widens first."""
+    return np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
 
 
 def _as_ids(ids):

@@ -80,13 +80,14 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     j // negative_ratio. Raises TrainingError, before drawing, if a user with
     training positives has observed every item.
 
-    An epoch holds, while it is walked, only its shuffled int32 order (int64
-    past the int32 range): 4 bytes per instance of positives plus negatives;
-    train.pair_users and train.pair_bits are the set's, built once. The walk
-    takes whole batches of about corpus.PAIR_CHUNK instances at a time; for
-    each it draws the negatives, checks their membership, and builds the
-    int64 users and items and float64 labels that its batches slice, so the
-    peak is the order plus one chunk's arrays.
+    An epoch holds, while it is walked, only its shuffled order at
+    tc.id_dtype(size): 4 bytes per instance of positives plus negatives at
+    int32, 2 up to 32,768 instances; train.pair_users and train.pair_bits are
+    the set's, built once. The walk takes whole batches of about
+    corpus.PAIR_CHUNK instances at a time; for each it draws the negatives,
+    checks their membership, and builds the users (pair_users' ids widened
+    once per chunk) and items as int64 and the float64 labels that its
+    batches slice, so the peak is the order plus one chunk's arrays.
     """
     if negative_ratio < 1:
         raise ValueError("negative_ratio must be >= 1")
@@ -109,7 +110,7 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
         taken = order[start:start + step]
         slot = taken - len(train)  # the negative slot, below 0 for a positive
         positive = slot < 0
-        users = train.pair_users[np.where(positive, taken, slot // negative_ratio)]
+        users = train.pair_users[np.where(positive, taken, slot // negative_ratio)].astype(np.int64)
         items = train.per_user_items.flat.take(taken, mode="clip")
         lanes = np.flatnonzero(~positive)
         keys, attempt = corpus.splitmix64(epoch_key ^ slot[lanes].astype(np.uint64)), 0

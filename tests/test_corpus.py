@@ -1056,20 +1056,52 @@ class TestLeaveOneOut:
         assert records[1].tobytes() == split.train.per_user_items.offsets.tobytes()
         assert records[2].tobytes() == split.train.per_user_items.flat.tobytes()
 
-    def test_negatives_are_int32_and_saved_as_the_int64_record(self, tmp_path):
-        # every item id fits 32 bits, so the (users x 99) table is held at half int64's bytes;
-        # split.npy keeps its int64 records, byte for byte
-        data = _random_interactions(np.random.default_rng(10))
+    def _held_and_saved_as_int64(self, data, tmp_path, dtype):
+        """Split `data`, save and load it: both sides hold their test ids as `dtype`, equal, and
+        split.npy is the int64 records, byte for byte."""
         split = corpus.leave_one_out_split(data, seed=2)
         path = str(tmp_path / "split.npy")
         corpus.save_split(split, path)
         loaded = corpus.load_split(path, split.train)
-        assert split.test_negatives.dtype == loaded.test_negatives.dtype == np.int32
-        assert np.array_equal(loaded.test_negatives, split.test_negatives)
+        for got in (split, loaded):
+            assert got.test_positives.dtype == got.test_negatives.dtype == dtype
+        assert loaded.test_positives.tobytes() == split.test_positives.tobytes()
+        assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
         records = io.BytesIO()
         for record in ([data.num_users, data.num_items], split.test_positives, split.test_negatives):
             np.save(records, np.asarray(record, dtype="<i8"), allow_pickle=False)
         assert (tmp_path / "split.npy").read_bytes() == records.getvalue()
+        return split
+
+    def test_negatives_are_int32_and_saved_as_the_int64_record(self, tmp_path):
+        # 40,000 items are past 16-bit ids, so the (users x 99) table is held at int32, half
+        # int64's bytes; every train item and so every positive lies past 2**15, where int16 wraps
+        users = np.repeat(np.arange(4), 3)
+        items = np.array([2**15, 2**15 + 1, 39_999] * 2 + [35_000, 36_000, 37_000] * 2)
+        split = self._held_and_saved_as_int64(interaction_set(4, 40_000, users, items), tmp_path, np.int32)
+        assert split.test_positives.min() >= 2**15 and split.test_negatives.max() >= 2**15
+
+    def test_test_ids_are_int16_up_to_32768_items(self, tmp_path):
+        # every id fits 16 bits: the negatives take 198 bytes per user where int64 took 792
+        self._held_and_saved_as_int64(_random_interactions(np.random.default_rng(10)), tmp_path, np.int16)
+        users = np.repeat(np.arange(3), 2)
+        edge = interaction_set(3, 2**15, users, [0, 2**15 - 1, 7, 2**15 - 2, 2**15 - 1, 100])
+        self._held_and_saved_as_int64(edge, tmp_path, np.int16)
+
+    @pytest.mark.parametrize("num_items, bad", [(130, 2**32 + 101), (130, 2**16 + 5), (130, -1), (130, 130),
+                                                (40_000, 2**32 + 101), (40_000, 40_000)])
+    @pytest.mark.parametrize("where", ["positive", "negative"])
+    def test_split_refuses_a_test_id_it_would_wrap(self, num_items, bad, where):
+        # narrowing 2**32 + 101 to 32 bits, or 2**16 + 5 to 16, would turn it into a real item
+        train = interaction_set(2, num_items, [0, 0, 1], [0, 1, 2])
+        positives = np.array([5, 6], dtype=np.int64)
+        negatives = np.tile(np.arange(10, 109, dtype=np.int64), (2, 1))
+        if where == "positive":
+            positives[1] = bad
+        else:
+            negatives[1, 98] = bad
+        with pytest.raises(corpus.LoadError, match=rf"^a test item lies outside \[0, {num_items}\)$"):
+            corpus.SplitDataset(train, positives, negatives)
 
     def test_catalog_round_trip(self, tmp_path, tiny_catalog):
         corpus.save_catalog(tiny_catalog, str(tmp_path / "attrs.npy"))
@@ -1184,7 +1216,7 @@ class TestMembership:
         assert train.contains([0, 0, 1], [4, 3, 0]).tolist() == [True, False, True]
         bits, users = vars(train)["pair_bits"], vars(train)["pair_users"]
         assert bits.tolist() == [0b00110010, 0b00010000]  # keys 1, 4 and 5, then key 12 - 8
-        assert users.tolist() == [0, 0, 1, 2] and users.dtype == np.int64
+        assert users.tolist() == [0, 0, 1, 2] and users.dtype == np.int16  # id_dtype(3 users)
         split.observed(np.arange(3)[:, None], np.arange(5))
         list(training.sample_training_batches(split, 4, 3, seed=1, epoch=1))
         assert vars(train)["pair_bits"] is bits and vars(train)["pair_users"] is users

@@ -407,20 +407,35 @@ class TestReadPathMemory:
         assert loaded.test_negatives.tobytes() == split.test_negatives.tobytes()
         assert peak <= 120 * self.USERS, peak / self.USERS
 
-    def test_load_split_holds_at_most_410_bytes_per_user(self, tmp_path):
-        # int32 negatives take 4 x 99 bytes per user and int64 positives 8: 404 in all. int64
-        # negatives alone would hold 792, and a whole-grid bitmap another NUM_ITEMS / 8
+    def test_load_split_holds_at_most_210_bytes_per_user(self, tmp_path):
+        # int16 negatives take 2 x 99 bytes per user and int16 positives 2: 200 in all. int32
+        # negatives would hold 396, int64 ones 792, and a whole-grid bitmap another NUM_ITEMS / 8
         split, _ = random_run(self.USERS)
         path = str(tmp_path / corpus.SPLIT_FILE)
         corpus.save_split(split, path)
         assert "pair_bits" not in vars(split.train)
         loaded, held, _ = traced(lambda: corpus.load_split(path, split.train))
         assert "pair_bits" not in vars(split.train)
-        assert loaded.test_negatives.dtype == np.int32
-        assert held <= 410 * self.USERS, held / self.USERS
+        assert loaded.test_positives.dtype == loaded.test_negatives.dtype == np.int16
+        assert held <= 210 * self.USERS, held / self.USERS
+
+    @pytest.mark.parametrize("kind", ["aadcf", "camf", "camf-cross"])
+    def test_side_pass_peaks_at_most_1000_bytes_per_id_of_a_512_id_chunk(self, kind, monkeypatch):
+        # the attribute kinds pool and segment-sum each chunk's attribute rows: above what the
+        # pass holds when it returns, one 512-id chunk peaks at about 760 bytes per id for aadcf
+        # and 650 for camf, and the column pattern kept for the largest segment sum is 64 KiB.
+        # Chunks of 2,048 ids peak at about 1.2 MB for aadcf and 0.74 MB for camf, and keep
+        # a 253 KiB pattern
+        monkeypatch.setattr(tc, "_COLUMNS", {})
+        split, catalog = random_run(self.USERS)
+        config, store = random_model(kind, self.USERS)
+        tape = tc.Tape(store, record=False)
+        _, _, peak = traced(lambda: evaluation._sides(tape, config, self.USERS, catalog))
+        assert peak <= 1000 * 512, peak / 512
+        assert sum(pattern.nbytes for pattern in tc._COLUMNS.values()) <= 128 << 10
 
     def test_load_prepared_then_evaluate_builds_no_pair_users_or_pair_bits(self, tmp_path):
-        # both are the sampler's: 8 bytes per train pair and a bit per (user, item) cell
+        # both are the sampler's: an id per train pair and a bit per (user, item) cell
         split, catalog = random_run(40)
         corpus.save_prepared(str(tmp_path), split, catalog)
         loaded, loaded_catalog = corpus.load_prepared(str(tmp_path))

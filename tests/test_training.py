@@ -239,23 +239,44 @@ class TestSamplerRecheck:
 class TestSamplerMemory:
     """What the sampler's compact epoch relies on, and what it saves."""
 
-    @pytest.mark.parametrize("size", [0, 1, 2, 1000, 70_001])
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000, 2**15, 70_001])
     def test_int32_shuffle_is_numpys_permutation(self, size):
-        # the sampler shuffles an int32 arange where Generator.permutation shuffles an int64
-        # one: the swaps must match and leave the generator in the same state, or every
-        # checkpoint trained since changes with no test naming why
-        shuffled, permuted = tc.seeded_rng(7, "epoch", 1), tc.seeded_rng(7, "epoch", 1)
-        order = np.arange(size, dtype=np.int32)
-        shuffled.shuffle(order)
-        assert np.array_equal(order, permuted.permutation(size))
-        assert shuffled.integers(0, 2**40, size=3).tolist() == permuted.integers(0, 2**40, size=3).tolist()
+        # the sampler shuffles an int16 or int32 arange (tc.id_dtype(size)) where
+        # Generator.permutation shuffles an int64 one: the swaps must match and leave the
+        # generator in the same state, or every checkpoint trained since changes with no test
+        # naming why. An int16 order holds at most 2**15 instances
+        for dtype in (np.int16, np.int32)[size > 2**15:]:
+            shuffled, permuted = tc.seeded_rng(7, "epoch", 1), tc.seeded_rng(7, "epoch", 1)
+            order = np.arange(size, dtype=dtype)
+            shuffled.shuffle(order)
+            assert np.array_equal(order, permuted.permutation(size))
+            assert shuffled.integers(0, 2**40, size=3).tolist() == permuted.integers(0, 2**40, size=3).tolist()
 
     def test_ids_narrow_to_int32_only_inside_its_range(self):
-        # ids lie in [0, bound): 2**31 - 1 is the largest int32
-        assert tc.id_dtype(1) is np.int32
+        # ids lie in [0, bound): 2**15 - 1 is the largest int16 and 2**31 - 1 the largest int32
+        assert tc.id_dtype(0) is tc.id_dtype(1) is np.int16
+        assert tc.id_dtype(2**15) is np.int16
+        assert tc.id_dtype(2**15 + 1) is np.int32
         assert tc.id_dtype(2**31) is np.int32
         assert tc.id_dtype(2**31 + 1) is np.int64
         assert tc.id_dtype(2**40) is np.int64
+
+    def test_int16_ids_give_the_int64_reference_bitmap_and_epoch(self):
+        # 512 users of 200 items: pair_users is int16 while a user * num_items key reaches
+        # 102,200, past int16; 16,384 train pairs at ratio 1 make 32,768 instances, the
+        # longest epoch an int16 order holds
+        rng = np.random.default_rng(8)
+        items = np.concatenate([rng.choice(200, size=33, replace=False) for _ in range(512)])
+        split = corpus.leave_one_out_split(interaction_set(512, 200, np.repeat(np.arange(512), 33), items), seed=8)
+        train = split.train
+        assert len(train) * 2 == 2**15 and tc.id_dtype(2**15) is train.pair_users.dtype.type is np.int16
+        want = bytearray(-(-train.num_users * train.num_items // 8))
+        for user, item in pairs_of(train):
+            key = user * train.num_items + item
+            want[key >> 3] |= 1 << (key & 7)
+        assert train.pair_bits.tobytes() == bytes(want)
+        users, items, labels, _most = reference_epoch(split, 1, 8, 1)
+        assert_batches_equal(list(training.sample_training_batches(split, 1, 256, 8, 1)), users, items, labels)
 
     def test_setup_peak_is_at_most_9_bytes_per_instance(self):
         # the walk holds the int32 permutation, 4 bytes per instance; one chunk of batches,
