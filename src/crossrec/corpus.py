@@ -19,7 +19,9 @@ a user's test positive, which held-out and sampled negatives avoid. The
 sampler looks train pairs up in `InteractionSet.pair_bits`, one bit per (user,
 item) cell, built on its first query and kept with the set; `load_split`
 checks the same rule a block of users at a time, each block against a bitmap
-of its own rows, so `evaluate` never builds the whole grid.
+of its own rows, so `evaluate` never builds the whole grid. `_test_items` is the
+one test-id rule, and `seed_key` + `lane_keys` the one key fold of the split's
+and the sampler's draws.
 """
 
 from __future__ import annotations
@@ -155,28 +157,29 @@ def _check_rows(label, rows, vocab):
 
 @dataclass
 class SplitDataset:
-    """Leave-one-out split: train set plus one positive and 99 negatives per user.
-
-    Test ids are held as id_dtype(num_items), int16 up to 32,768 items. An array
-    of another dtype is narrowed only once checked: LoadError for an id outside
-    [0, num_items), which the cast would wrap onto a real item. One already at
-    that width is kept as it is: load_split checks its ids as it narrows them.
-    """
+    """Leave-one-out split: train set plus one positive and 99 negatives per user, both
+    test arrays checked and held as id_dtype(num_items) by _test_items, whatever their dtype."""
 
     train: InteractionSet
     test_positives: np.ndarray       # (num_users,)
     test_negatives: np.ndarray       # (num_users, 99)
 
     def __post_init__(self):
-        num_items, dtype = self.train.num_items, id_dtype(self.train.num_items)
-        ids = [np.asarray(a) for a in (self.test_positives, self.test_negatives)]
-        if any(a.dtype != dtype and a.size and (a.min() < 0 or a.max() >= num_items) for a in ids):
-            raise LoadError(f"a test item lies outside [0, {num_items})")
-        self.test_positives, self.test_negatives = (a.astype(dtype, copy=False) for a in ids)
+        self.test_positives, self.test_negatives = (
+            _test_items(a, self.train.num_items) for a in (self.test_positives, self.test_negatives))
 
     def observed(self, users, items):
         """Whether each (user, item) is a train pair or the user's test positive: never a negative."""
         return self.train.contains(users, items) | (self.test_positives[users] == items)
+
+
+def _test_items(ids, num_items, where=""):
+    """`ids` as id_dtype(num_items), checked first: LoadError (after `where`) for an id
+    outside [0, num_items), which the narrowing cast would wrap onto a real item."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_items):
+        raise LoadError(f"{where}a test item lies outside [0, {num_items})")
+    return ids.astype(id_dtype(num_items), copy=False)
 
 
 NUM_TEST_NEGATIVES = 99
@@ -222,29 +225,29 @@ def _plain_int_table(data, sep, width):
     """The (n, width) int64 table of a raw file's bytes if they are in the plain form, else None.
 
     Plain: every line (the last may lack its "\n") is `width` fields split by
-    `sep` ("\t" or "::"), each an optional "-" and ASCII digits, 1-18 bytes in
-    all (so it fits int64); lines may end in "\r\n", which `_records` strips as
-    it does "\n". Files of that form are a subset of what `_records` +
-    `_parse_int` accept, and they read them to the same table.
+    `sep` ("\t", or "::" read as one tab in a file with none), each an optional
+    "-" and ASCII digits, 1-18 bytes in all (so it fits int64); lines may end in
+    "\r\n", which `_records` strips as it does "\n". Files of that form are a subset
+    of what `_records` + `_parse_int` accept, and they read them to the same table.
     """
     if b"\r" in data:  # one memchr; counting "\r\n" would cost a slower pass over every file
         data = data.replace(b"\r\n", b"\n")
-    if data.translate(None, sep.encode() + b"0123456789-\n"):
-        return None  # a "#", any other "\r", non-ASCII or foreign separator byte
-    if sep != "\t":  # "::" as two tabs, a byte map: np.fromstring splits on whitespace only
-        data = data.translate(bytes.maketrans(b":", b"\t"))
+    if sep != "\t":
+        if b"\t" in data:  # one memchr: a tab would pass for a separator
+            return None
+        data = data.replace(sep.encode(), b"\t")  # np.fromstring splits on whitespace only
+    if data.translate(None, b"\t0123456789-\n"):
+        return None  # a "#", any other "\r", a lone ":", non-ASCII or foreign separator byte
     data = b"\n" + data + b"\n"[data.endswith(b"\n"):]  # every field between two delimiters
     buf = np.frombuffer(data, dtype=np.uint8)
     delims = np.flatnonzero(buf <= ord("\n"))
-    span = len(sep) * (width - 1) + 1  # delimiters closing a line's fields and its separators' empty gaps
     lengths, closers = np.diff(delims) - 1, buf[delims[1:]]
-    if closers.size % span or (closers.reshape(-1, span) != [ord("\t")] * (span - 1) + [ord("\n")]).any():
+    if closers.size % width or (closers.reshape(-1, width) != [ord("\t")] * (width - 1) + [ord("\n")]).any():
         return None
-    lengths, field = lengths.reshape(-1, span), np.arange(span) % len(sep) == 0
     minus = np.flatnonzero(buf == ord("-"))
-    if (lengths[:, field].min() < 1 or lengths[:, field].max() > 18 or lengths[:, ~field].any()
+    if (lengths.min() < 1 or lengths.max() > 18
             or (buf[minus - 1] > ord("\n")).any() or (buf[minus + 1] < ord("0")).any()):
-        return None  # an empty, 19-byte or stray-colon field, or a "-" inside one
+        return None  # an empty or 19-byte field, or a "-" inside one
     # only now: fromstring stops silently at a token it cannot parse
     return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, width)
 
@@ -384,12 +387,13 @@ def _plain_attr_lines(data):
 def _read_attr_file(path, category_map):
     """The (entity raw ids, name ids, names) of an attribute file's lines, names mapped through `category_map`.
 
-    A plain file is read whole; any other by `_records` and `_parse_int`, each
-    line's id and then its category checked in turn, to the same result or error.
+    A plain file whose names are all mapped is read whole; any other by `_records`
+    and `_parse_int`, each line's id and then its category checked in turn, to the
+    same result or the first fault in line order.
     """
     with open(path, "rb") as fh:
         lines = _plain_attr_lines(fh.read())
-    if lines is None:
+    if lines is None or category_map is not None and not category_map.keys() >= set(lines[1]):
         ents, names = [], []
         for n, (raw, name) in _records(path, "\t", 2, "utf-8"):
             ents.append(_parse_int(raw, path, n, "entity id"))
@@ -399,10 +403,6 @@ def _read_attr_file(path, category_map):
         lines = np.array(ents, dtype=np.int64), names
     ents, (codes, names) = lines[0], _numbered(lines[1])
     if category_map is not None:
-        unmapped = [name for name in names if name not in category_map]
-        if unmapped:  # read whole, so no line was skipped: its first listing k is line k + 1
-            raise LoadError(f"{path}:{np.argmax(codes == names.index(unmapped[0])) + 1}: "
-                            f"unmapped category {unmapped[0]!r}")
         mapped, names = _numbered([category_map[name] for name in names])
         codes = mapped[codes]
     return ents, codes, names
@@ -465,22 +465,22 @@ def splitmix64(states):
 
 def seed_key(seed, *tags):
     """SplitMix64 folded over the seed's word count, its 64-bit words (low first; a seed
-    may pass 64 bits) and the tag words (the split's tag when none are given), as a
-    1-element uint64 array: the prefix split_keys folds each lane into."""
+    may pass 64 bits) and the tag words, as a 1-element uint64 array: the prefix that
+    lane_keys folds each lane into."""
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [seed >> shift & 0xFFFFFFFFFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 64)]
     key = np.zeros(1, dtype=np.uint64)
-    for word in (len(words), *words, *(tags or (_SPLIT_TAG,))):
+    for word in (len(words), *words, *tags):
         key = splitmix64(key ^ np.array([word], dtype=np.uint64))
     return key
 
 
-def split_keys(seed, lanes, *tags):
-    """Each lane's uint64 key: seed_key(seed, *tags) with the lane folded in: a user for
-    the split, a negative slot for the sampler."""
-    return splitmix64(seed_key(seed, *tags) ^ lanes.astype(np.uint64))
+def lane_keys(prefix, lanes):
+    """Each lane's uint64 key, the seed_key `prefix` with the lane folded in: a user under (seed,
+    the split's tag) for the split, a negative slot under (seed, the epoch tag, epoch) for the sampler."""
+    return splitmix64(prefix ^ lanes.astype(np.uint64))
 
 
 def uniform_below(keys, bounds, slot):
@@ -527,7 +527,7 @@ def _floyd_slots(keys, pools, out):
 def _split_draws(seed, lengths, num_items):
     """(picks, slots): each user's held-out index into its items, drawn at slot 0, and its
     99 distinct unobserved-pool slots, drawn by Floyd's algorithm in chunks of users."""
-    keys = split_keys(seed, np.arange(lengths.size))
+    keys = lane_keys(seed_key(seed, _SPLIT_TAG), np.arange(lengths.size))
     picks = uniform_below(keys, lengths.astype(np.uint64), 0).astype(np.int64)
     slots = np.empty((lengths.size, NUM_TEST_NEGATIVES), dtype=np.int64)
     pools = num_items - lengths
@@ -648,30 +648,27 @@ def save_split(split, path):
 def load_split(path, train):
     """The split of `train`, checked for what sampling and evaluation rely on.
 
-    Users are read and checked in blocks of SPLIT_CHECK_USERS: the int64 negatives go
-    into one array of id_dtype(num_items), and a block's test items are looked up in a
-    bitmap of that block's rows of the train set alone, so train.pair_bits is not built.
+    Users are read and checked in blocks of SPLIT_CHECK_USERS: each block of int64
+    negatives goes through _test_items into one array of id_dtype(num_items) as it is
+    read, and a block's test items are looked up in a bitmap of that block's rows of
+    the train set alone, so train.pair_bits is not built.
     """
     num_users, num_items = train.num_users, train.num_items
     blocks = [slice(start, min(start + SPLIT_CHECK_USERS, num_users))
               for start in range(0, num_users, SPLIT_CHECK_USERS)]
-    outside = []  # whether each block read a negative outside [0, num_items), refused after the counts
 
     def read_negatives(fh, shape):
         negatives = np.empty(shape, dtype=id_dtype(num_items))
         for b in blocks:
             block = np.fromfile(fh, dtype="<i8", count=negatives[b].size)
-            outside.append(block.min() < 0 or block.max() >= num_items)
-            negatives[b] = block.reshape(-1, NUM_TEST_NEGATIVES)
+            negatives[b] = _test_items(block, num_items, f"{path}: ").reshape(-1, NUM_TEST_NEGATIVES)
         return negatives
 
     counts, positives, negatives = _read_records(
         path, [(2,), (num_users,), (num_users, NUM_TEST_NEGATIVES)], read_negatives)
     if counts.tolist() != [num_users, num_items]:
         raise LoadError(f"{path}: split counts do not match the train set")
-    if any(outside) or positives.size and (positives.min() < 0 or positives.max() >= num_items):
-        raise LoadError(f"{path}: a test item lies outside [0, {num_items})")
-    positives = positives.astype(negatives.dtype)  # checked: SplitDataset keeps both as they are
+    positives = _test_items(positives, num_items, f"{path}: ")
     if any((negatives[b, 1:] <= negatives[b, :-1]).any() for b in blocks):
         raise LoadError(f"{path}: test negatives are not strictly increasing per user")
     offsets, flat, lengths = train.per_user_items.offsets, train.per_user_items.flat, train.per_user_items.lengths

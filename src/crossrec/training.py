@@ -2,7 +2,7 @@
 
 Each epoch shuffles its instances with a permutation seeded by (seed, epoch)
 and walks fixed-size batches, drawing each negative as the walk reaches it
-with the split's counter hash (corpus.split_keys, corpus.uniform_below),
+with the split's counter hash (corpus.seed_key, lane_keys, uniform_below),
 keyed by (seed, epoch, slot, attempt). Negatives are uniform over the items a
 user has not observed (`corpus.SplitDataset.observed`), so the held-out test
 positive is never one. An epoch holds 4 bytes per instance, its order.
@@ -30,7 +30,7 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LR = 0.001
 GRADCHECK_TOLERANCE = 1e-3  # gradcheck passes when every relative error is below it
 GRADCHECK_STEP = 1e-3  # gradcheck's finite-difference step
-_EPOCH_TAG = int.from_bytes(b"epoch", "little")  # the sampler's tag word in corpus.split_keys
+_EPOCH_TAG = int.from_bytes(b"epoch", "little")  # the sampler's tag word in corpus.seed_key
 
 
 class TrainingError(RuntimeError):
@@ -105,7 +105,7 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
     rng = tc.seeded_rng(seed, "epoch", epoch)
     rng.shuffle(order)  # rng.permutation(size): the same swaps on an int64 arange
     step = batch_size * max(1, corpus.PAIR_CHUNK // batch_size)
-    epoch_key = corpus.seed_key(seed, _EPOCH_TAG, epoch)  # corpus.split_keys' prefix, folded once
+    epoch_key = corpus.seed_key(seed, _EPOCH_TAG, epoch)  # each chunk's lane_keys prefix, folded once
     for start in range(0, size, step):
         taken = order[start:start + step]
         slot = taken - len(train)  # the negative slot, below 0 for a positive
@@ -113,7 +113,7 @@ def sample_training_batches(split, negative_ratio, batch_size, seed, epoch):
         users = train.pair_users[np.where(positive, taken, slot // negative_ratio)].astype(np.int64)
         items = train.per_user_items.flat.take(taken, mode="clip")
         lanes = np.flatnonzero(~positive)
-        keys, attempt = corpus.splitmix64(epoch_key ^ slot[lanes].astype(np.uint64)), 0
+        keys, attempt = corpus.lane_keys(epoch_key, slot[lanes]), 0
         while lanes.size:  # draw every pending slot at this attempt; the observed ones stay pending
             bounds = np.full(lanes.size, train.num_items, dtype=np.uint64)
             items[lanes] = corpus.uniform_below(keys, bounds, attempt)

@@ -116,12 +116,16 @@ def below(key, bound, slot):
         attempt += 1
 
 
+SPLIT_TAG, EPOCH_TAG = (int.from_bytes(tag, "little") for tag in (b"split", b"epoch"))
+
+
 def lane_key(seed, lane, *tags):
     """One lane's key in Python ints: SplitMix64 folded over the seed's word count, its
-    64-bit words, the tag words (the split's tag when none are given) and the lane."""
+    64-bit words, the tag words and the lane. The split's tags are (SPLIT_TAG,), an
+    epoch's (EPOCH_TAG, epoch)."""
     words = [seed >> shift & M64 for shift in range(0, max(seed.bit_length(), 1), 64)]
     key = 0
-    for word in (len(words), *words, *(tags or (int.from_bytes(b"split", "little"),))):
+    for word in (len(words), *words, *tags):
         key = splitmix64(key ^ word)
     return splitmix64(key ^ lane)
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CHI2_999, M64, below, interaction_set, lane_key, pairs_of, rows_of, splitmix64, uniform_chi2
+from conftest import (CHI2_999, EPOCH_TAG, M64, SPLIT_TAG, below, interaction_set, lane_key, pairs_of, rows_of,
+                      splitmix64, uniform_chi2)
 from crossrec import corpus, training
 from crossrec import tensorcore as tc
 
@@ -411,6 +412,8 @@ class TestIntRows:
     @example(("\t", b"1\t2\r\n\t3\n"))
     @example(("::", b"1\t2::3::4\n"))
     @example(("::", b"1::2::3:::4\n"))
+    @example(("::", b"1::2::::3\n"))                             # an empty field once each "::" is a tab
+    @example(("::", b"1::2::3::4::\n"))                          # a fifth, empty field
     def test_matches_per_line_reader(self, tmp_path_factory, sep_body):
         sep, body = sep_body
         path = tmp_path_factory.getbasetemp() / "int_rows.txt"
@@ -809,7 +812,7 @@ def _reference_split(data, seed):
     negatives = np.empty((data.num_users, 99), dtype=np.int64)
     all_items = np.arange(data.num_items, dtype=np.int64)
     for u, mine in enumerate(rows_of(data.per_user_items)):
-        key = lane_key(seed, u)
+        key = lane_key(seed, u, SPLIT_TAG)
         positives[u] = mine[below(key, len(mine), 0)]
         pool = np.setdiff1d(all_items, mine, assume_unique=True)
         chosen = set()
@@ -856,15 +859,21 @@ class TestSplitHash:
         assert draws.tolist() == [below(k, b, 0) for k, b in zip(keys.tolist(), bounds.tolist())]
 
     def test_split_keys_take_every_seed_word(self):
-        users = np.arange(3)
-        keys = [corpus.split_keys(seed, users).tolist() for seed in (42, 2**64 + 42, 2**127 - 1)]
+        # seed_key + lane_keys, under the split's prefix and under the sampler's (epoch tag, epoch) one
+        lanes = np.arange(3)
+        keys = [corpus.lane_keys(corpus.seed_key(seed, SPLIT_TAG), lanes).tolist()
+                for seed in (42, 2**64 + 42, 2**127 - 1)]
         assert keys[0] != keys[1] and keys[1] != keys[2]
-        assert keys[1] == [lane_key(2**64 + 42, u) for u in range(3)]
-        assert corpus.split_keys(42, users, int.from_bytes(b"split", "little")).tolist() == keys[0]
-        tagged = corpus.split_keys(42, users, 7, 1).tolist()
-        assert tagged != keys[0] and tagged == [lane_key(42, u, 7, 1) for u in range(3)]
+        assert keys[1] == [lane_key(2**64 + 42, u, SPLIT_TAG) for u in range(3)]
+        assert keys[2] == [lane_key(2**127 - 1, u, SPLIT_TAG) for u in range(3)]
+        untagged = corpus.lane_keys(corpus.seed_key(42), lanes).tolist()
+        assert untagged != keys[0] and untagged == [lane_key(42, u) for u in range(3)]
+        epochs = {epoch: corpus.lane_keys(corpus.seed_key(2**64 + 42, EPOCH_TAG, epoch), lanes).tolist()
+                  for epoch in (19, 20)}
+        assert epochs[20] == [lane_key(2**64 + 42, j, EPOCH_TAG, 20) for j in range(3)]
+        assert epochs[19] != epochs[20] and epochs[20] != keys[1]
         with pytest.raises(ValueError, match="non-negative"):
-            corpus.split_keys(-1, users)
+            corpus.seed_key(-1, SPLIT_TAG)
 
 
 class TestLeaveOneOut:
@@ -1101,6 +1110,20 @@ class TestLeaveOneOut:
         else:
             negatives[1, 98] = bad
         with pytest.raises(corpus.LoadError, match=rf"^a test item lies outside \[0, {num_items}\)$"):
+            corpus.SplitDataset(train, positives, negatives)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("where", ["positive", "negative"])
+    def test_split_checks_ids_already_at_their_width(self, dtype, where):
+        # id_dtype(200) is int16: an array already that narrow is checked like any other
+        train = interaction_set(2, 200, [0, 0, 1], [0, 1, 2])
+        positives = np.array([5, 6], dtype=dtype)
+        negatives = np.tile(np.arange(10, 109, dtype=dtype), (2, 1))
+        if where == "positive":
+            positives[0] = 250
+        else:
+            negatives[0, 98] = 250
+        with pytest.raises(corpus.LoadError, match=r"^a test item lies outside \[0, 200\)$"):
             corpus.SplitDataset(train, positives, negatives)
 
     def test_catalog_round_trip(self, tmp_path, tiny_catalog):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHI2_999, below, interaction_set, lane_key, pairs_of, rows_of, time_bound, uniform_chi2
+from conftest import (CHI2_999, EPOCH_TAG, below, interaction_set, lane_key, pairs_of, rows_of, time_bound,
+                      uniform_chi2)
 from crossrec import corpus, models, training
 from crossrec import tensorcore as tc
 
@@ -141,9 +142,6 @@ def wide_split(seed=0):
     users = np.repeat(np.arange(2600), 21)
     data = interaction_set(2600, 3000, users, items)
     return corpus.leave_one_out_split(data, seed=seed)
-
-
-EPOCH_TAG = int.from_bytes(b"epoch", "little")
 
 
 def reference_epoch(split, negative_ratio, seed, epoch):

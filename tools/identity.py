@@ -15,9 +15,12 @@ pinned to one BLAS thread. It covers:
   2**40+9; on copies of the first two of those corpora whose ratings or
   interactions file, or both attribute files (`users.dat` and `movies.dat`,
   `user_attrs.tsv` and `item_attrs.tsv`, the latter also with the map), have
-  CRLF line ends and a leading `#` line, so they are read line by line; and
-  on a copy of the 600-user corpus whose ratings file has CRLF line ends
-  alone, which is read whole;
+  CRLF line ends and a leading `#` line, so they are read line by line; on
+  a copy of the 600-user corpus whose ratings file has CRLF line ends
+  alone, which is read whole; and on a hand-written generic corpus of
+  3,300 users with 10 items each, 33,000 items in all, so the test ids
+  take the int32 tier of `tensorcore.id_dtype` (every other corpus here
+  fits int16);
 - `prepare` of the 600-user corpus at the second seed over a copy of its
   finished run at the first, so a prepare that replaces an earlier
   prepared run is covered too;
@@ -42,6 +45,8 @@ pinned to one BLAS thread. It covers:
   then `evaluate --ranks-out` of it: its epochs span many of the sampler's
   chunks, and 3 divides no power-of-two chunk size, so a negative slot
   paired with the wrong positive's user at a chunk boundary shows;
+- `train` of gmf for 1 epoch on the 33,000-item corpus, then
+  `evaluate --ranks-out` of it, so int32 test ids are held end to end;
 - `train` and then `evaluate` of camf with every option from one
   `--config` file (CONFIG_FILE below): each key `train` takes, at values
   other than the defaults, plus `ranks-out` and `dataset-kind`, which
@@ -128,6 +133,8 @@ dataset-kind=movielens
 WIDE_CORPUS, WIDE_RUN = "generic8000", "aadcf-wide"  # aadcf, as perfbench's eval-wide fixture
 WIDE_TRAIN = ["--epochs", "1", "--batch-size", "512", "--lr", "0.01"]
 RATIO3_RUN = "gmf-wide-ratio3"  # gmf at --neg-ratio 3 on WIDE_CORPUS
+INT32_CORPUS, INT32_RUN = "generic33000", "gmf-int32"  # test ids past 2**15: the int32 tier
+INT32_USERS, INT32_ITEMS_PER_USER = 3300, 10
 KINDS = ("gmf", "mlp", "neumf", "aadcf", "camf")
 VARIANTS = {  # -> plain copy. The -attrs ones copy both attribute files with CRLF line ends, the others
     # the ratings or interactions file; all but the -whole one open each copy with a "#" line, so it is
@@ -183,7 +190,28 @@ def write_inputs(directory):
                 fh.write(first + plain_file.read().replace(b"\n", b"\r\n"))
             flags[k] = path
         datasets[variant] = kind, flags
+    datasets[INT32_CORPUS] = generic(write_int32_corpus(os.path.join(directory, INT32_CORPUS)))
     return datasets
+
+
+def write_int32_corpus(directory):
+    """A generic corpus past 32,768 items, written by hand: corpus_gen.write_generic's taste
+    weights at this size take hundreds of MB. User u holds items u + 3,300 k for k below 10,
+    so each of the 33,000 items is held once; every user and item lists one attribute.
+    Returns the (interactions, user attributes, item attributes) paths."""
+    os.makedirs(directory)
+    users, per_user = range(INT32_USERS), range(INT32_ITEMS_PER_USER)
+    lines = {
+        "interactions.tsv": [f"{100 + u}\t{7 + u + INT32_USERS * k}\t{1000 + k}" for u in users for k in per_user],
+        "user_attrs.tsv": [f"{100 + u}\tgroup{u % 7}" for u in users],
+        "item_attrs.tsv": [f"{7 + i}\tkind{i % 11}" for i in range(INT32_USERS * INT32_ITEMS_PER_USER)],
+    }
+    paths = []
+    for name, text in lines.items():
+        paths.append(os.path.join(directory, name))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(text) + "\n")
+    return paths
 
 
 # -- the fixed script, run once per side ----------------------------------------
@@ -238,6 +266,8 @@ def produce(out, datasets):
     wide = f"prepare/{WIDE_CORPUS}-{SEEDS[0]}"
     train_and_evaluate(WIDE_RUN, wide, "aadcf", ["--seed", str(SEEDS[0]), *WIDE_TRAIN])
     train_and_evaluate(RATIO3_RUN, wide, "gmf", ["--neg-ratio", "3", *common])
+    train_and_evaluate(INT32_RUN, f"prepare/{INT32_CORPUS}-{SEEDS[0]}", "gmf",
+                       ["--epochs", "1", "--seed", str(SEEDS[0])])
     shutil.copytree(prepared, f"train/{CONFIG_RUN}")
     with open(f"{CONFIG_RUN}.cfg", "w", encoding="utf-8") as fh:
         fh.write(CONFIG_FILE)
